@@ -13,7 +13,7 @@ from .config import GeneratorConfig, ModelConfig
 from .inputs import (Candidate, Dataset, Event, Sample, UserFeatures,
                      generate_dataset, load_dataset, save_dataset)
 from .model import (LongRecModel, OptConfig, SumPoolingModel, TrainingReport,
-                    bce_loss, select_queries, sum_pooling_baseline, train)
+                    select_queries, train)
 from .serving import KVCache, bench_serving, build_cache, score_with_cache
 from .analysis import (auc, cost_report, count_params, fit_power_law,
                        flops_merged, flops_vanilla, logloss)
@@ -24,7 +24,7 @@ __all__ = [
     "Candidate", "Dataset", "Event", "Sample", "UserFeatures",
     "generate_dataset", "load_dataset", "save_dataset",
     "LongRecModel", "OptConfig", "SumPoolingModel", "TrainingReport",
-    "bce_loss", "select_queries", "sum_pooling_baseline", "train",
+    "select_queries", "train",
     "KVCache", "bench_serving", "build_cache", "score_with_cache",
     "auc", "cost_report", "count_params", "fit_power_law",
     "flops_merged", "flops_vanilla", "logloss",

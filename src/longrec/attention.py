@@ -1,4 +1,4 @@
-"""Visibility masks and the two attention block types.
+"""Boolean visibility and the one attention block.
 
 Token ordering everywhere is sequence rows first, global rows last. The
 visibility rule:
@@ -12,13 +12,17 @@ visibility rule:
 Rule (a) keeps temporal causality; rule (b) gives the last-ranked global
 (the candidate target) a full receptive field while making every other row
 independent of it — the exact property that lets the serving module cache
-all candidate-independent rows. Masks are interpreted by the softmax rather
-than added, so a masked logit can never perturb visible probabilities.
+all candidate-independent rows. Visibility is a boolean array that the
+softmax uses to select logits, never added to them, so a hidden logit can
+never perturb visible probabilities.
 
-Blocks are pre-norm: LN -> multi-head attention -> residual, then
-LN -> FFN -> residual, with per-head scaling 1/sqrt(D/heads). One block at
-width w holds exactly 12*w^2 + 13*w parameters (four projections with
-biases, the 4x FFN with biases, two layer norms).
+The same block serves the cross layer (queries over a different key set),
+the self layers (``x_kv is x_q``) and cached scoring (a target row against
+precomputed key/value rows passed as ``prefix_kv``). Blocks are pre-norm:
+LN -> multi-head attention -> residual, then LN -> FFN -> residual, with
+per-head scaling 1/sqrt(D/heads). One block at width w holds exactly
+12*w^2 + 13*w parameters (four projections with biases, the 4x FFN with
+biases, two layer norms).
 """
 
 from __future__ import annotations
@@ -30,26 +34,13 @@ import numpy as np
 
 from . import tensors as T
 from .errors import ConfigError, DimensionError
-from .tensors import NEG_INF, Tensor
-
-
-@dataclass
-class VisibilityMask:
-    """Additive 0 / NEG_INF mask plus the position labels it was built from."""
-
-    additive: np.ndarray
-    query_positions: np.ndarray
-    key_positions: np.ndarray
-
-    @property
-    def visible(self) -> np.ndarray:
-        return self.additive == 0.0
+from .tensors import Tensor
 
 
 def build_mask(query_positions, key_positions, is_global_query, is_global_key,
                global_rank_query=None, global_rank_key=None,
-               is_pad_query=None, is_pad_key=None) -> VisibilityMask:
-    """Construct the visibility mask for one (query set, key set) pair.
+               is_pad_query=None, is_pad_key=None) -> np.ndarray:
+    """The boolean (query, key) visibility for one query set and key set.
 
     ``*_positions`` carry chronological indices for sequence rows and are
     ignored for global rows, which use ``global_rank_*`` instead. Pad flags
@@ -83,8 +74,7 @@ def build_mask(query_positions, key_positions, is_global_query, is_global_key,
     bad = gq & ~pq & ~vis.any(axis=1)
     if bad.any():
         raise ConfigError("a global query row has no visible key")
-    additive = np.where(vis, 0.0, NEG_INF)
-    return VisibilityMask(additive=additive, query_positions=qp, key_positions=kp)
+    return vis
 
 
 @dataclass
@@ -142,16 +132,8 @@ class BlockParams:
         return self.w_q.shape[0]
 
 
-def _mask_array(mask) -> np.ndarray:
-    if isinstance(mask, VisibilityMask):
-        return mask.additive
-    if isinstance(mask, Tensor):
-        return mask.data
-    return np.asarray(mask, dtype=np.float64)
-
-
-def _multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask_arr: np.ndarray,
-                          heads: int, collect=None) -> Tensor:
+def _multi_head_attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
+                          heads: int) -> Tensor:
     width = q.shape[1]
     dh = width // heads
     scale = 1.0 / math.sqrt(dh)
@@ -161,20 +143,20 @@ def _multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask_arr: np.ndarray,
         kh = T.slice_cols(k, h * dh, (h + 1) * dh) if heads > 1 else k
         vh = T.slice_cols(v, h * dh, (h + 1) * dh) if heads > 1 else v
         scores = T.matmul_t(T.mul(qh, scale), kh)
-        probs = T.masked_softmax(scores, mask_arr)
+        probs = T.masked_softmax(scores, visible)
         parts.append(T.matmul(probs, vh))
-    ctx = T.concat_cols(parts) if heads > 1 else parts[0]
-    if collect is not None:
-        collect["context"] = ctx.data.copy()
-    return ctx
+    return T.concat_cols(parts) if heads > 1 else parts[0]
 
 
-def attention_block(x_q: Tensor, x_kv: Tensor, mask, params: BlockParams,
-                    heads: int = 1, collect=None) -> Tensor:
-    """Shared pre-norm block; self-attention when x_kv is x_q.
+def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
+                    params: BlockParams, heads: int = 1, prefix_kv=None):
+    """The pre-norm block: returns (output rows, key rows, value rows).
 
-    ``collect``, when given, receives detached copies of the projected key
-    and value rows (cache building) and the attention context (tests).
+    Self-attention when ``x_kv`` is ``x_q``. ``prefix_kv``, a pair of
+    already-projected (keys, values) arrays, puts those rows ahead of the
+    block's own key rows: a cached prefix first, the own rows last, the key
+    order of the full forward pass, so results agree with it to rounding.
+    ``visible`` is the boolean (queries, keys) visibility over that order.
     """
     width = params.width
     if x_q.shape[1] != width or x_kv.shape[1] != width:
@@ -182,55 +164,19 @@ def attention_block(x_q: Tensor, x_kv: Tensor, mask, params: BlockParams,
             f"block width {width} does not match inputs {x_q.shape}, {x_kv.shape}")
     if width % heads:
         raise DimensionError(f"width {width} not divisible by heads={heads}")
-    mask_arr = _mask_array(mask)
-    if mask_arr.shape != (x_q.shape[0], x_kv.shape[0]):
+    n_keys = x_kv.shape[0] + (0 if prefix_kv is None else prefix_kv[0].shape[0])
+    if np.shape(visible) != (x_q.shape[0], n_keys):
         raise DimensionError(
-            f"mask shape {mask_arr.shape} != ({x_q.shape[0]}, {x_kv.shape[0]})")
+            f"visibility shape {np.shape(visible)} != ({x_q.shape[0]}, {n_keys})")
     qn = T.layer_norm(x_q, params.ln1_g, params.ln1_b)
     kn = qn if x_kv is x_q else T.layer_norm(x_kv, params.ln1_g, params.ln1_b)
     q = T.linear(qn, params.w_q, params.b_q)
     k = T.linear(kn, params.w_k, params.b_k)
     v = T.linear(kn, params.w_v, params.b_v)
-    if collect is not None:
-        collect["k"] = k.data.copy()
-        collect["v"] = v.data.copy()
-    ctx = _multi_head_attention(q, k, v, mask_arr, heads, collect)
+    if prefix_kv is not None:
+        k = T.concat_rows([Tensor(prefix_kv[0]), k])
+        v = T.concat_rows([Tensor(prefix_kv[1]), v])
+    ctx = _multi_head_attention(q, k, v, visible, heads)
     x1 = T.add(x_q, T.linear(ctx, params.w_o, params.b_o))
     x1n = T.layer_norm(x1, params.ln2_g, params.ln2_b)
-    return T.add(x1, T.ffn(x1n, params.w1, params.b1, params.w2, params.b2))
-
-
-def cross_causal_block(o: Tensor, r: Tensor, mask, params: BlockParams,
-                       heads: int = 1, collect=None) -> Tensor:
-    """First-layer attention: composite queries O over the full key set R."""
-    return attention_block(o, r, mask, params, heads, collect)
-
-
-def self_causal_block(x: Tensor, mask, params: BlockParams,
-                      heads: int = 1, collect=None) -> Tensor:
-    """Subsequent layers: attention among the retained rows themselves."""
-    return attention_block(x, x, mask, params, heads, collect)
-
-
-def attention_block_cached(x_q: Tensor, cached_k: np.ndarray, cached_v: np.ndarray,
-                           mask_row: np.ndarray, params: BlockParams,
-                           heads: int = 1) -> Tensor:
-    """One query row against precomputed key/value rows plus its own.
-
-    Mirrors attention_block exactly for a single query whose own key and
-    value are appended after the cached rows, preserving the full forward's
-    key order so results agree to rounding.
-    """
-    qn = T.layer_norm(x_q, params.ln1_g, params.ln1_b)
-    q = T.linear(qn, params.w_q, params.b_q)
-    own_k = T.linear(qn, params.w_k, params.b_k)
-    own_v = T.linear(qn, params.w_v, params.b_v)
-    k = T.concat_rows([Tensor(cached_k), own_k])
-    v = T.concat_rows([Tensor(cached_v), own_v])
-    if mask_row.shape != (1, k.shape[0]):
-        raise DimensionError(
-            f"mask row shape {mask_row.shape} != (1, {k.shape[0]})")
-    ctx = _multi_head_attention(q, k, v, mask_row, heads)
-    x1 = T.add(x_q, T.linear(ctx, params.w_o, params.b_o))
-    x1n = T.layer_norm(x1, params.ln2_g, params.ln2_b)
-    return T.add(x1, T.ffn(x1n, params.w1, params.b1, params.w2, params.b2))
+    return T.add(x1, T.ffn(x1n, params.w1, params.b1, params.w2, params.b2)), k, v

@@ -215,16 +215,14 @@ def cmd_bench(args) -> int:
                               n_interests=min(8, cfg.vocab))
     users = generate_dataset(gen_cfg, seed_for(args.seed, "bench-users")).samples
     report = bench_serving(model, users, args.candidates, args.reps,
-                           seed=seed_for(args.seed, "bench-candidates"),
-                           use_cache=not args.no_cache)
+                           seed=seed_for(args.seed, "bench-candidates"))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "bench.csv")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     _write_manifest(args.out, "bench",
                     {"users": args.users, "candidates": args.candidates,
-                     "reps": args.reps, "no_cache": args.no_cache,
-                     "seed": args.seed},
+                     "reps": args.reps, "seed": args.seed},
                     cfg.to_dict(), {"bench": out_path}, started)
     print(report.to_csv(), end="")
     if report.rows:
@@ -458,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--users", type=int, default=8)
     b.add_argument("--candidates", type=int, default=100)
     b.add_argument("--reps", type=int, default=1)
-    b.add_argument("--no-cache", action="store_true",
-                   help="run both paths naively (ratio 1.0)")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_bench)

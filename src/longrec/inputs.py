@@ -414,23 +414,6 @@ def _checked_ids(name: str, ids, table: Tensor) -> np.ndarray:
 # ----------------------------- encoding -----------------------------
 
 
-@dataclass
-class InputBundle:
-    """Assembled model input: sequence tokens H first, global tokens G last.
-
-    ``seq`` holds the L width-d sequence rows, right-aligned with zeroed
-    left padding; ``global_tokens`` holds the m width-D global rows in rank
-    order [UID, CLS..., target]. The attention-key matrix R of the first
-    layer is [merged(seq); global_tokens] at width D, which equals the
-    declared (m+L, D) assembly exactly when K = 1.
-    """
-
-    seq: Tensor
-    global_tokens: Tensor
-    pad_mask: np.ndarray
-    seq_len_actual: int
-
-
 def _event_features(tables: EmbeddingTables, cfg: ModelConfig, items, actions, deltas):
     item_ids = _checked_ids("item", items, tables.item_table)
     act_ids = _checked_ids("action", actions, tables.action_table)
@@ -482,21 +465,6 @@ def encode_events(events, reference_ts: int, tables: EmbeddingTables,
     return h, pad_mask, n
 
 
-def encode_sequence(sample: Sample, tables: EmbeddingTables,
-                    cfg: ModelConfig) -> InputBundle:
-    """Build the model input for one sample.
-
-    Sequence tokens via encode_events with the candidate timestamp as the
-    time reference; global tokens appended per assemble_global_tokens.
-    Output depends only on events at or before the candidate timestamp
-    (enforced at data load).
-    """
-    h, pad_mask, n = encode_events(sample.events, sample.candidate.timestamp,
-                                   tables, cfg)
-    globals_ = assemble_global_tokens(sample, tables, cfg)
-    return InputBundle(h, globals_, pad_mask, n)
-
-
 def target_global_token(candidate: Candidate, tables: EmbeddingTables,
                         cfg: ModelConfig) -> Tensor:
     """The candidate's global row: event featurizer with a zero action slot
@@ -514,7 +482,12 @@ def target_global_token(candidate: Candidate, tables: EmbeddingTables,
 
 def nontarget_global_tokens(user_features: UserFeatures, tables: EmbeddingTables,
                             cfg: ModelConfig) -> Tensor:
-    """Global rows of rank 0..m-2 (UID then CLS vectors): candidate-free."""
+    """Global rows of rank 0..m-2 (UID then CLS vectors): candidate-free.
+
+    UID passes through the shared d-to-D lift, CLS vectors are learned
+    directly at width D, and every row goes through the global-token MLP
+    row-wise, so the rows stay independent of the target row (rank m-1).
+    """
     uid = _checked_ids("uid", [user_features.uid], tables.uid_table)
     uid_row = T.linear(T.gather_rows(tables.uid_table, uid),
                        tables.mlp.lift_w, tables.mlp.lift_b)
@@ -522,25 +495,11 @@ def nontarget_global_tokens(user_features: UserFeatures, tables: EmbeddingTables
     return _global_mlp(tables, raw)
 
 
-def assemble_global_tokens(sample: Sample, tables: EmbeddingTables,
-                           cfg: ModelConfig) -> Tensor:
-    """Global rows in rank order [UID, CLS..., target], each at width D.
-
-    UID and target pass through the shared d-to-D lift, CLS vectors are
-    learned directly at width D, and every row goes through the global-token
-    MLP (row-wise, so rows stay independent). Only the last (target) row
-    depends on the candidate.
-    """
-    return T.concat_rows([
-        nontarget_global_tokens(sample.user_features, tables, cfg),
-        target_global_token(sample.candidate, tables, cfg),
-    ])
-
-
-def user_side_features(sample: Sample, tables: EmbeddingTables) -> Tensor:
+def user_side_features(user_features: UserFeatures,
+                       tables: EmbeddingTables) -> Tensor:
     """Candidate-independent user vector for the head: [uid_emb, profile_emb]."""
-    uid = _checked_ids("uid", [sample.user_features.uid], tables.uid_table)
-    prof = _checked_ids("profile", [sample.user_features.profile_bucket],
+    uid = _checked_ids("uid", [user_features.uid], tables.uid_table)
+    prof = _checked_ids("profile", [user_features.profile_bucket],
                         tables.profile_table)
     return T.concat_cols([T.gather_rows(tables.uid_table, uid),
                           T.gather_rows(tables.profile_table, prof)])

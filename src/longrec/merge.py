@@ -16,30 +16,11 @@ mixing pad and real tokens rely on pad rows entering as zero vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensors as T
-from .attention import BlockParams
 from .errors import ConfigError
 from .tensors import Tensor
-
-
-@dataclass
-class MergeConfig:
-    K: int
-    mode: str = "concat"         # "concat" | "inner"
-    inner_layers: int = 1
-
-    def validate(self) -> "MergeConfig":
-        if self.K < 1:
-            raise ConfigError("K must be >= 1")
-        if self.mode not in ("concat", "inner"):
-            raise ConfigError(f"unknown merge mode {self.mode!r}")
-        if self.inner_layers < 1:
-            raise ConfigError("inner_layers must be >= 1")
-        return self
 
 
 def pad_to_group_multiple(h: Tensor, K: int, pad_mask: np.ndarray):
@@ -70,43 +51,31 @@ def merge_concat(h: Tensor, K: int) -> Tensor:
     return T.reshape(h, (L // K, K * d))
 
 
-def unmerge_concat(merged: Tensor, K: int) -> Tensor:
-    """Inverse of merge_concat (round-trip identity)."""
-    g, kd = merged.shape
-    return T.reshape(merged, (g * K, kd // K))
-
-
-def create_inner_blocks(cfg: MergeConfig, d: int, rng) -> list:
-    return [BlockParams.create(d, rng) for _ in range(cfg.inner_layers)]
-
-
-def merge_inner_trans(h: Tensor, cfg: MergeConfig, params: list,
+def merge_inner_trans(h: Tensor, K: int, params: list,
                       pad_mask: np.ndarray | None = None) -> Tensor:
     """Run the shared per-group transformer blocks, then concatenate.
 
-    Attention is full (non-causal) inside each K-row group, single head at
-    width d, realized with a block-diagonal kernel so no cross-group work is
-    spent. All-pad groups are zeroed afterwards.
+    ``params`` holds one width-d BlockParams per inner layer. Attention is
+    full (non-causal) inside each K-row group, single head at width d,
+    realized with a block-diagonal kernel so no cross-group work is spent.
+    All-pad groups are zeroed afterwards.
     """
-    cfg.validate()
     L, d = h.shape
-    if L % cfg.K:
-        raise ConfigError(f"K={cfg.K} does not divide padded length {L}")
-    if len(params) != cfg.inner_layers:
-        raise ConfigError("inner block parameter count != inner_layers")
+    if K < 1 or L % K:
+        raise ConfigError(f"K={K} does not divide padded length {L}")
     x = h
     for blk in params:
         xn = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
         q = T.linear(xn, blk.w_q, blk.b_q)
         k = T.linear(xn, blk.w_k, blk.b_k)
         v = T.linear(xn, blk.w_v, blk.b_v)
-        ctx = T.grouped_attention(q, k, v, cfg.K)
+        ctx = T.grouped_attention(q, k, v, K)
         x = T.add(x, T.linear(ctx, blk.w_o, blk.b_o))
         x = T.add(x, T.ffn(T.layer_norm(x, blk.ln2_g, blk.ln2_b),
                            blk.w1, blk.b1, blk.w2, blk.b2))
     if pad_mask is not None:
-        dead = merged_pad_flags(pad_mask, cfg.K)
+        dead = merged_pad_flags(pad_mask, K)
         if dead.any():
-            keep = np.repeat(~dead, cfg.K).astype(np.float64).reshape(L, 1)
+            keep = np.repeat(~dead, K).astype(np.float64).reshape(L, 1)
             x = T.mul(x, keep)
-    return T.reshape(x, (L // cfg.K, cfg.K * d))
+    return T.reshape(x, (L // K, K * d))

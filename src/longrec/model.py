@@ -12,7 +12,8 @@ fraction of samples by candidate timestamp is never trained on. No weight
 decay and no schedule, to keep scaling sweeps unconfounded.
 
 A training step exclusively owns the parameters it updates; inference over
-read-shared parameters is thread-safe.
+read-shared parameters is thread-safe, and grad mode is per thread. MAC
+counting is process-wide: a ``count_muladds`` window counts every thread.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from typing import Optional
 import numpy as np
 
 from . import tensors as T
-from .attention import BlockParams, build_mask, cross_causal_block, self_causal_block
+from .attention import BlockParams, attention_block, build_mask
 from .config import ModelConfig
 from .errors import ConfigError, NumericalError, UndefinedMetricError
-from .inputs import (EmbeddingTables, Sample, encode_sequence, time_bucket,
+from .inputs import (EmbeddingTables, Sample, UserFeatures, encode_events,
+                     nontarget_global_tokens, target_global_token, time_bucket,
                      user_side_features)
-from .merge import (MergeConfig, create_inner_blocks, merge_concat,
-                    merge_inner_trans, merged_pad_flags, merged_positions,
-                    pad_to_group_multiple)
+from .merge import (merge_concat, merge_inner_trans, merged_pad_flags,
+                    merged_positions, pad_to_group_multiple)
 from .tensors import Tensor
 from . import analysis
 
@@ -143,6 +144,36 @@ class ForwardTrace:
         return [self.h, self.merged] + [a[:-1] for a in self.layers]
 
 
+@dataclass
+class UserRows:
+    """The candidate-free part of one forward pass.
+
+    The first layer's query rows are [selected.tokens; globals; target] and
+    its key rows [merged; globals; target], where ``globals`` are the UID and
+    CLS rows (ranks 0..m-2) and the target row is the one piece that depends
+    on the candidate. ``visible_cross`` (k+m, G+m, for G merged rows) and
+    ``visible_self`` (k+m, k+m) cover every row, target last, so the
+    target's visibility is their last row and every other row's is the rest.
+    """
+
+    seq: Tensor                  # (L, d) encoded events
+    merged: Tensor               # (G, D)
+    selected: SelectedQueries
+    globals: Tensor              # (m-1, D)
+    visible_cross: np.ndarray
+    visible_self: np.ndarray
+    user_side: Tensor            # (1, 2d) head features
+
+
+def _row_layout(positions: np.ndarray, is_pad: np.ndarray, m: int):
+    """(positions, is_global, rank, is_pad) of sequence rows then m globals."""
+    n = positions.size
+    return (np.concatenate([positions, np.zeros(m, dtype=np.int64)]),
+            np.arange(n + m) >= n,
+            np.concatenate([np.zeros(n, dtype=np.int64), np.arange(m, dtype=np.int64)]),
+            np.concatenate([is_pad, np.zeros(m, dtype=bool)]))
+
+
 # ----------------------------- the model -----------------------------
 
 
@@ -187,7 +218,8 @@ class LongRecModel:
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         self.tables = EmbeddingTables.create(cfg, rng)
-        self.inner_blocks = (create_inner_blocks(self.merge_config, cfg.d, rng)
+        self.inner_blocks = ([BlockParams.create(cfg.d, rng)
+                              for _ in range(cfg.inner_layers)]
                              if cfg.merge_mode == "inner" else [])
         self.cross_block = BlockParams.create(cfg.D, rng)
         self.self_blocks = [BlockParams.create(cfg.D, rng) for _ in range(cfg.N)]
@@ -205,6 +237,7 @@ class LongRecModel:
         self.head_b2 = Tensor(np.zeros(1), requires_grad=True)
         self._identity_biased_init()
         self.param_version = 0
+        self._fingerprint = None     # (param_version, digest) memo
 
     def _identity_biased_init(self) -> None:
         cfg = self.cfg
@@ -244,11 +277,6 @@ class LongRecModel:
                 self.head_w1.data[offset + j, col] += sign * _HEAD_PRIME_IN
             self.head_w2.data[col, 0] = sign * _HEAD_PRIME_OUT
 
-    @property
-    def merge_config(self) -> MergeConfig:
-        return MergeConfig(K=self.cfg.K, mode=self.cfg.merge_mode,
-                           inner_layers=self.cfg.inner_layers)
-
     def params(self):
         out = [(f"tables.{n}", t) for n, t in self.tables.params()]
         for i, blk in enumerate(self.inner_blocks):
@@ -266,87 +294,57 @@ class LongRecModel:
         return sum(t.size for _, t in self.params())
 
     def fingerprint(self) -> str:
-        payload = json.dumps(self.cfg.to_dict(), sort_keys=True)
-        h = hashlib.sha256(f"{payload}|v{self.param_version}".encode())
-        return h.hexdigest()[:16]
+        """sha256 of the config and every parameter's bytes.
+
+        Memoized per ``param_version``: every mutation path (``train``'s
+        Adam steps, ``load``) moves the version, and code that writes a
+        parameter's ``.data`` directly must bump ``param_version`` too, or
+        caches built before the write stay accepted.
+        """
+        memo = self._fingerprint
+        if memo is None or memo[0] != self.param_version:
+            h = hashlib.sha256(json.dumps(self.cfg.to_dict(), sort_keys=True).encode())
+            for name, t in self.params():
+                h.update(name.encode())
+                h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            memo = self._fingerprint = (self.param_version, h.hexdigest()[:16])
+        return memo[1]
 
     # ------------------------- forward -------------------------
-
-    def _query_metadata(self, sel: SelectedQueries):
-        m = self.cfg.m
-        positions = np.concatenate([sel.positions, np.zeros(m, dtype=np.int64)])
-        is_global = np.concatenate([np.zeros(sel.positions.size, dtype=bool),
-                                    np.ones(m, dtype=bool)])
-        ranks = np.concatenate([np.zeros(sel.positions.size, dtype=np.int64),
-                                np.arange(m, dtype=np.int64)])
-        is_pad = np.concatenate([sel.is_pad, np.zeros(m, dtype=bool)])
-        return positions, is_global, ranks, is_pad
-
-    def _key_metadata(self, grid_positions, pad_groups):
-        m = self.cfg.m
-        positions = np.concatenate([grid_positions, np.zeros(m, dtype=np.int64)])
-        is_global = np.concatenate([np.zeros(grid_positions.size, dtype=bool),
-                                    np.ones(m, dtype=bool)])
-        ranks = np.concatenate([np.zeros(grid_positions.size, dtype=np.int64),
-                                np.arange(m, dtype=np.int64)])
-        is_pad = np.concatenate([pad_groups, np.zeros(m, dtype=bool)])
-        return positions, is_global, ranks, is_pad
 
     def _merge(self, seq: Tensor, seq_pad_mask: np.ndarray):
         cfg = self.cfg
         h_padded, pad_mask = pad_to_group_multiple(seq, cfg.K, seq_pad_mask)
         if cfg.merge_mode == "inner":
-            merged = merge_inner_trans(h_padded, self.merge_config,
-                                       self.inner_blocks, pad_mask)
+            merged = merge_inner_trans(h_padded, cfg.K, self.inner_blocks, pad_mask)
         else:
             merged = merge_concat(h_padded, cfg.K)
         grid_positions = merged_positions(cfg.L_padded, cfg.K)
         pad_groups = merged_pad_flags(pad_mask, cfg.K)
         return merged, grid_positions, pad_groups
 
-    def forward_tensor(self, sample: Sample, trace: Optional[ForwardTrace] = None,
-                       collect_layers: Optional[list] = None) -> Tensor:
-        """Probability tensor for one sample; optionally fills a trace.
-
-        ``collect_layers``, used by the serving module, receives one dict per
-        block with the projected key/value rows.
-        """
+    def user_rows(self, events, user_features: UserFeatures, t: int) -> UserRows:
+        """Encode, merge and select queries for one user at scoring time ``t``,
+        and build the UID/CLS globals, the head's user features and the
+        visibility of all k+m query rows."""
         cfg = self.cfg
-        bundle = encode_sequence(sample, self.tables, cfg)
-        merged, grid_positions, pad_groups = self._merge(bundle.seq, bundle.pad_mask)
+        seq, pad_mask, _ = encode_events(events, t, self.tables, cfg)
+        merged, grid_positions, pad_groups = self._merge(seq, pad_mask)
         sel = select_queries(merged, cfg.query_strategy, cfg.k, self.query_bank,
                              pad_groups, grid_positions)
-        o = T.concat_rows([sel.tokens, bundle.global_tokens])
-        r = T.concat_rows([merged, bundle.global_tokens])
-        qpos, qglob, qrank, qpad = self._query_metadata(sel)
-        kpos, kglob, krank, kpad = self._key_metadata(grid_positions, pad_groups)
-        mask1 = build_mask(qpos, kpos, qglob, kglob, qrank, krank, qpad, kpad)
-        mask_self = build_mask(qpos, qpos, qglob, qglob, qrank, qrank, qpad, qpad)
+        qpos, qglob, qrank, qpad = _row_layout(sel.positions, sel.is_pad, cfg.m)
+        kpos, kglob, krank, kpad = _row_layout(grid_positions, pad_groups, cfg.m)
+        return UserRows(
+            seq=seq, merged=merged, selected=sel,
+            globals=nontarget_global_tokens(user_features, self.tables, cfg),
+            visible_cross=build_mask(qpos, kpos, qglob, kglob, qrank, krank,
+                                     qpad, kpad),
+            visible_self=build_mask(qpos, qpos, qglob, qglob, qrank, qrank,
+                                    qpad, qpad),
+            user_side=user_side_features(user_features, self.tables))
 
-        def _collector(i):
-            if collect_layers is None:
-                return None
-            while len(collect_layers) <= i:
-                collect_layers.append({})
-            return collect_layers[i]
-
-        x = cross_causal_block(o, r, mask1, self.cross_block, cfg.heads,
-                               _collector(0))
-        if trace is not None:
-            trace.h = bundle.seq.data.copy()
-            trace.merged = merged.data.copy()
-            trace.query_indices = sel.indices.copy()
-            trace.query_positions = qpos.copy()
-            trace.layers.append(x.data.copy())
-        for i, blk in enumerate(self.self_blocks):
-            x = self_causal_block(x, mask_self, blk, cfg.heads, _collector(i + 1))
-            if trace is not None:
-                trace.layers.append(x.data.copy())
-
-        k = sel.positions.size
-        target_row = T.gather_rows(x, np.array([k + cfg.m - 1]))
-        cls_row = T.gather_rows(x, np.array([k + 1]))
-        u_d = user_side_features(sample, self.tables)
+    def _head(self, target_row: Tensor, cls_row: Tensor, user_side: Tensor,
+              trace: Optional[ForwardTrace] = None) -> Tensor:
         # Second-order features: target*CLS reads candidate-vs-pooled-history
         # interactions, target*target reads how strongly the target's own
         # attention returned content aligned with the candidate. Both are
@@ -354,13 +352,44 @@ class LongRecModel:
         # to discover bilinear readouts, which desk-scale budgets do not allow.
         head_in = T.concat_cols([target_row, cls_row,
                                  T.mul(target_row, cls_row),
-                                 T.mul(target_row, target_row), u_d])
+                                 T.mul(target_row, target_row), user_side])
         hidden = T.gelu(T.linear(head_in, self.head_w1, self.head_b1))
         p = T.sigmoid(T.linear(hidden, self.head_w2, self.head_b2))
         if trace is not None:
             trace.head_input = head_in.data.copy()
             trace.p = float(p.data.reshape(-1)[0])
         return p
+
+    def forward_tensor(self, sample: Sample,
+                       trace: Optional[ForwardTrace] = None) -> Tensor:
+        """Probability tensor for one sample; optionally fills a trace.
+
+        The candidate-free rows come from ``user_rows``; the candidate's
+        target row is appended last to the first layer's queries and keys.
+        """
+        cfg = self.cfg
+        u = self.user_rows(sample.events, sample.user_features,
+                           sample.candidate.timestamp)
+        glob = T.concat_rows([
+            u.globals, target_global_token(sample.candidate, self.tables, cfg)])
+        o = T.concat_rows([u.selected.tokens, glob])
+        r = T.concat_rows([u.merged, glob])
+        x, _, _ = attention_block(o, r, u.visible_cross, self.cross_block, cfg.heads)
+        if trace is not None:
+            trace.h = u.seq.data.copy()
+            trace.merged = u.merged.data.copy()
+            trace.query_indices = u.selected.indices.copy()
+            trace.query_positions = u.selected.positions.copy()
+            trace.layers.append(x.data.copy())
+        for blk in self.self_blocks:
+            x, _, _ = attention_block(x, x, u.visible_self, blk, cfg.heads)
+            if trace is not None:
+                trace.layers.append(x.data.copy())
+
+        k = cfg.k
+        target_row = T.gather_rows(x, np.array([k + cfg.m - 1]))
+        cls_row = T.gather_rows(x, np.array([k + 1]))
+        return self._head(target_row, cls_row, u.user_side, trace)
 
     def forward(self, sample: Sample):
         """Predicted probability plus the full activation trace."""
@@ -403,40 +432,46 @@ class LongRecModel:
 
     @classmethod
     def load(cls, path: str) -> "LongRecModel":
+        """Read a ``save`` file; any deviation from its layout is a ConfigError.
+
+        The header must list exactly the names and shapes of ``params()``
+        for its config, and the file must end exactly after their bytes.
+        """
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != CHECKPOINT_MAGIC:
-                raise ConfigError(f"not a checkpoint file: bad magic {magic!r}")
-            (hlen,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            if header.get("format_version") != 1:
-                raise ConfigError("unsupported checkpoint format version")
-            cfg = ModelConfig.from_dict(header["config"])
-            model = cls(cfg, seed=0)
-            named = dict(model.params())
-            for entry in header["arrays"]:
-                name, shape = entry["name"], tuple(entry["shape"])
-                if name not in named:
-                    raise ConfigError(f"checkpoint array {name!r} not in model")
-                if named[name].shape != shape:
-                    raise ConfigError(f"checkpoint array {name!r} shape mismatch")
-                count = int(np.prod(shape)) if shape else 1
-                raw = fh.read(count * 8)
-                named[name].data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            model.param_version = int(header["param_version"])
+            blob = fh.read()
+        magic = blob[:8]
+        if magic != CHECKPOINT_MAGIC:
+            raise ConfigError(f"not a checkpoint file: bad magic {magic!r}")
+        if len(blob) < 16:
+            raise ConfigError("truncated checkpoint: no header length")
+        (hlen,) = struct.unpack_from("<Q", blob, 8)
+        start = 16 + hlen
+        if len(blob) < start:
+            raise ConfigError("truncated checkpoint header")
+        try:
+            header = json.loads(blob[16:start].decode("utf-8"))
+            version = header.get("format_version")
+            cfg_payload, arrays = header["config"], header["arrays"]
+            param_version = int(header["param_version"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed checkpoint header: {exc}") from exc
+        if version != 1:
+            raise ConfigError("unsupported checkpoint format version")
+        model = cls(ModelConfig.from_dict(cfg_payload), seed=0)
+        named = model.params()
+        if arrays != [{"name": n, "shape": list(t.shape)} for n, t in named]:
+            raise ConfigError("checkpoint arrays differ from the model's parameters")
+        size = 8 * sum(t.size for _, t in named)
+        if len(blob) - start != size:
+            raise ConfigError(f"checkpoint payload is {len(blob) - start} bytes, "
+                              f"its header declares {size}")
+        offset = start
+        for _, t in named:
+            t.data = np.frombuffer(blob, dtype="<f8", count=t.size,
+                                   offset=offset).reshape(t.shape).copy()
+            offset += 8 * t.size
+        model.param_version = param_version
         return model
-
-
-# ----------------------------- loss -----------------------------
-
-
-def bce_loss(p_hat, y):
-    """Binary cross-entropy; floats in -> float out, tensor in -> tensor out."""
-    if isinstance(p_hat, Tensor):
-        return T.bce(p_hat, float(y))
-    pc = min(max(float(p_hat), 1e-12), 1.0 - 1e-12)
-    y = float(y)
-    return -(y * math.log(pc) + (1.0 - y) * math.log(1.0 - pc))
 
 
 # ----------------------------- optimizer / training -----------------------------
@@ -659,8 +694,3 @@ class SumPoolingModel:
         with T.no_grad():
             p = self.forward_tensor(sample)
         return float(p.data.reshape(-1)[0])
-
-
-def sum_pooling_baseline(sample: Sample, model: SumPoolingModel) -> float:
-    """Probability from the pooling baseline for one sample."""
-    return model.score(sample)

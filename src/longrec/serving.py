@@ -1,23 +1,26 @@
 """Two-stage inference: build a per-user cache once, score candidates cheaply.
 
-Stage 1 precomputes everything that does not depend on the candidate item:
-the encoded and merged sequence, the projected key/value rows of every
-layer for the sequence queries and the non-target globals, those rows'
-activations, and the user-side head features. Stage 2 pushes only the
-candidate's target-global row through the layers against the cached keys
-and values. Because the visibility rule forbids every other row from
-attending to the target row, stage 2 reproduces the full forward pass for
-that row; agreement is asserted at 1e-9 (the single-row path may round
-differently from the batched path).
+Stage 1 runs ``LongRecModel.user_rows`` and every layer over the rows that
+do not depend on the candidate item, and keeps each layer's projected
+key/value rows, those rows' activations, the CLS output and the user-side
+head features. Stage 2 pushes only the candidate's target-global row
+through the same ``attention_block`` with the cached rows as its key
+prefix, then through the model's ``_head``. Because the visibility rule
+forbids every other row from attending to the target row, stage 2
+reproduces the full forward pass for that row; agreement is asserted at
+1e-9 (the single-row path may round differently from the batched path).
 
-The cache is keyed by a fingerprint of (model config, parameter version);
-scoring against a model whose parameters have since changed raises
-StaleCacheError. Time-difference features are measured from ``scoring_time``
-(one per user session), so the cache is a pure function of (user events,
-user features, scoring time, parameters) — never of any candidate.
+The cache is keyed by ``LongRecModel.fingerprint()``, a digest of the
+config and the parameter bytes; scoring against a model with any other
+weights raises StaleCacheError. Time-difference features are measured from
+``scoring_time`` (one per user session), so the cache is a pure function
+of (user events, user features, scoring time, parameters) — never of any
+candidate.
 
 Caches are immutable after build; one cache may serve concurrent score
-calls over frozen parameters.
+calls over frozen parameters. MAC counting is process-wide, so a
+``count_muladds`` window (and ``bench_serving``'s exact check) needs one
+thread scoring at a time.
 """
 
 from __future__ import annotations
@@ -29,14 +32,11 @@ import numpy as np
 
 from . import analysis
 from . import tensors as T
-from .attention import (attention_block_cached, build_mask, cross_causal_block,
-                        self_causal_block)
+from .attention import attention_block
 from .errors import ConfigError, StaleCacheError
-from .inputs import (Candidate, Sample, UserFeatures, encode_events,
-                     nontarget_global_tokens, target_global_token,
-                     user_side_features)
-from .model import LongRecModel, select_queries
-from .tensors import NEG_INF, Tensor
+from .inputs import Candidate, Sample, UserFeatures, target_global_token
+from .model import LongRecModel
+from .tensors import Tensor
 
 
 @dataclass
@@ -52,8 +52,8 @@ class KVCache:
     scoring_time: int
     fingerprint: str
     layers: list                 # one LayerCache per block (cross + N self)
-    target_mask_cross: np.ndarray
-    target_mask_self: np.ndarray
+    target_visible_cross: np.ndarray   # (1, G+m) bool: the target's key row
+    target_visible_self: np.ndarray    # (1, k+m) bool
     cls_final: np.ndarray        # (1, D) CLS output of the last layer
     user_side: np.ndarray        # (1, 2d) head features
 
@@ -90,80 +90,47 @@ def build_cache(model: LongRecModel, user_events, user_features: UserFeatures,
     time-difference features are measured from it.
     """
     cfg = model.cfg
-    m, k = cfg.m, cfg.k
-    feats = UserFeatures(user_features.uid, user_features.profile_bucket)
     with T.no_grad():
-        seq, pad_mask, _ = encode_events(user_events, scoring_time,
-                                         model.tables, cfg)
-        merged, grid_positions, pad_groups = model._merge(seq, pad_mask)
-        globals_ci = nontarget_global_tokens(feats, model.tables, cfg)
-        probe = Sample((), feats, Candidate(0, scoring_time), 0)
-        u_d = user_side_features(probe, model.tables)
-
-        sel = select_queries(merged, cfg.query_strategy, k, model.query_bank,
-                             pad_groups, grid_positions)
-
-        # Metadata for the candidate-independent rows (global ranks 0..m-2).
-        qpos = np.concatenate([sel.positions, np.zeros(m - 1, dtype=np.int64)])
-        qglob = np.concatenate([np.zeros(k, dtype=bool), np.ones(m - 1, dtype=bool)])
-        qrank = np.concatenate([np.zeros(k, dtype=np.int64),
-                                np.arange(m - 1, dtype=np.int64)])
-        qpad = np.concatenate([sel.is_pad, np.zeros(m - 1, dtype=bool)])
-        kpos = np.concatenate([grid_positions, np.zeros(m - 1, dtype=np.int64)])
-        kglob = np.concatenate([np.zeros(grid_positions.size, dtype=bool),
-                                np.ones(m - 1, dtype=bool)])
-        krank = np.concatenate([np.zeros(grid_positions.size, dtype=np.int64),
-                                np.arange(m - 1, dtype=np.int64)])
-        kpad = np.concatenate([pad_groups, np.zeros(m - 1, dtype=bool)])
-        mask1 = build_mask(qpos, kpos, qglob, kglob, qrank, krank, qpad, kpad)
-        mask_self = build_mask(qpos, qpos, qglob, qglob, qrank, qrank, qpad, qpad)
-
-        layers = []
-        o = T.concat_rows([sel.tokens, globals_ci])
-        r = T.concat_rows([merged, globals_ci])
-        collect = {}
-        x = cross_causal_block(o, r, mask1, model.cross_block, cfg.heads, collect)
-        layers.append(LayerCache(collect["k"], collect["v"], x.data.copy()))
+        u = model.user_rows(user_events, user_features, scoring_time)
+        o = T.concat_rows([u.selected.tokens, u.globals])
+        r = T.concat_rows([u.merged, u.globals])
+        x, k, v = attention_block(o, r, u.visible_cross[:-1, :-1],
+                                  model.cross_block, cfg.heads)
+        layers = [LayerCache(k.data, v.data, x.data)]
         for blk in model.self_blocks:
-            collect = {}
-            x = self_causal_block(x, mask_self, blk, cfg.heads, collect)
-            layers.append(LayerCache(collect["k"], collect["v"], x.data.copy()))
-        cls_final = x.data[k + 1:k + 2].copy()
-
-    # The target query sees every non-pad key, every global, and itself.
-    tgt_cross = np.concatenate([np.where(kpad, NEG_INF, 0.0), [0.0]]).reshape(1, -1)
-    tgt_self = np.concatenate([np.where(qpad, NEG_INF, 0.0), [0.0]]).reshape(1, -1)
-    return KVCache(user_id=feats.uid, scoring_time=int(scoring_time),
+            x, k, v = attention_block(x, x, u.visible_self[:-1, :-1], blk, cfg.heads)
+            layers.append(LayerCache(k.data, v.data, x.data))
+    return KVCache(user_id=user_features.uid, scoring_time=int(scoring_time),
                    fingerprint=model.fingerprint(), layers=layers,
-                   target_mask_cross=tgt_cross, target_mask_self=tgt_self,
-                   cls_final=cls_final, user_side=u_d.data.copy())
+                   target_visible_cross=u.visible_cross[-1:],
+                   target_visible_self=u.visible_self[-1:],
+                   cls_final=x.data[cfg.k + 1:cfg.k + 2],
+                   user_side=u.user_side.data)
 
 
 def score_with_cache(model: LongRecModel, cache: KVCache,
                      candidate: Candidate) -> float:
     """Score one candidate against a prebuilt cache (target row only)."""
-    if cache.fingerprint != model.fingerprint():
+    fingerprint = model.fingerprint()
+    if cache.fingerprint != fingerprint:
         raise StaleCacheError(
-            f"cache fingerprint {cache.fingerprint} != model {model.fingerprint()}; "
+            f"cache fingerprint {cache.fingerprint} != model {fingerprint}; "
             "rebuild after parameter updates")
     if candidate.timestamp != cache.scoring_time:
         raise StaleCacheError(
             f"candidate timestamp {candidate.timestamp} != cache scoring time "
             f"{cache.scoring_time}")
     cfg = model.cfg
+    first = cache.layers[0]
     with T.no_grad():
         g = target_global_token(candidate, model.tables, cfg)
-        g = attention_block_cached(g, cache.layers[0].keys, cache.layers[0].values,
-                                   cache.target_mask_cross, model.cross_block,
-                                   cfg.heads)
+        g, _, _ = attention_block(g, g, cache.target_visible_cross,
+                                  model.cross_block, cfg.heads,
+                                  prefix_kv=(first.keys, first.values))
         for blk, layer in zip(model.self_blocks, cache.layers[1:]):
-            g = attention_block_cached(g, layer.keys, layer.values,
-                                       cache.target_mask_self, blk, cfg.heads)
-        cls_row = Tensor(cache.cls_final)
-        head_in = T.concat_cols([g, cls_row, T.mul(g, cls_row), T.mul(g, g),
-                                 Tensor(cache.user_side)])
-        hidden = T.gelu(T.linear(head_in, model.head_w1, model.head_b1))
-        p = T.sigmoid(T.linear(hidden, model.head_w2, model.head_b2))
+            g, _, _ = attention_block(g, g, cache.target_visible_self, blk,
+                                      cfg.heads, prefix_kv=(layer.keys, layer.values))
+        p = model._head(g, Tensor(cache.cls_final), Tensor(cache.user_side))
     return float(p.data.reshape(-1)[0])
 
 
@@ -257,8 +224,7 @@ class BenchReport:
 
 
 def bench_serving(model: LongRecModel, users, candidates_per_user: int,
-                  repetitions: int = 1, seed: int = 0,
-                  use_cache: bool = True) -> BenchReport:
+                  repetitions: int = 1, seed: int = 0) -> BenchReport:
     """Compare naive per-candidate recomputation against cached scoring.
 
     ``users`` are samples whose events and features define the per-user
@@ -296,24 +262,18 @@ def bench_serving(model: LongRecModel, users, candidates_per_user: int,
     naive_muladds = w.mul_adds
     naive_ns = _timed(naive_run, repetitions)
 
-    if use_cache:
-        with T.count_muladds() as w:
-            cached_run()
-        cached_muladds = w.mul_adds
-        cached_ns = _timed(cached_run, repetitions)
-    else:
-        cached_muladds, cached_ns = naive_muladds, naive_ns
+    with T.count_muladds() as w:
+        cached_run()
+    cached_muladds = w.mul_adds
+    cached_ns = _timed(cached_run, repetitions)
 
     analytic_naive = sum(
         analysis.muladds_full_forward(cfg, min(len(base.events), cfg.L))
         * candidates_per_user for base, _ in jobs)
-    if use_cache:
-        analytic_cached = sum(
-            analysis.muladds_cache_build(cfg, min(len(base.events), cfg.L))
-            + candidates_per_user * analysis.muladds_incremental(cfg)
-            for base, _ in jobs)
-    else:
-        analytic_cached = analytic_naive
+    analytic_cached = sum(
+        analysis.muladds_cache_build(cfg, min(len(base.events), cfg.L))
+        + candidates_per_user * analysis.muladds_incremental(cfg)
+        for base, _ in jobs)
     if naive_muladds != analytic_naive or cached_muladds != analytic_cached:
         raise AssertionError(
             "instrumented counts diverge from the analytic model: "

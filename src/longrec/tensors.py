@@ -16,22 +16,26 @@ formulas are exactly twice the counts recorded here. Elementwise ops,
 normalizations, and softmax are not counted, matching the convention of the
 analytic cost formulas.
 
+Attention visibility is a boolean array (True = the query may see the key);
+``masked_softmax`` refuses any other dtype.
+
 All arithmetic is 64-bit. Tensors are immutable after construction except
 for gradient accumulation owned by a single training step; read-only
-sharing across threads is safe. A single forward/backward is single-threaded
-by contract, so the counter needs no locking.
+sharing across threads is safe. Grad mode (``no_grad``) is a context
+variable, so it is per thread. The counter is one unlocked process-wide
+object: a ``count_muladds`` window counts the MACs of every thread that
+runs while it is open, and counts are exact only with one thread at a time.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import DimensionError
-
-NEG_INF = -1e9  # additive-mask sentinel standing in for minus infinity
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -86,19 +90,17 @@ def count_muladds():
         window._freeze()
 
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("longrec_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference fast path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block, in this thread only."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -184,7 +186,7 @@ def zeros(shape) -> Tensor:
 
 
 def _track(*tensors) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
+    return _grad_enabled.get() and any(t.requires_grad for t in tensors)
 
 
 def _attach(out: Tensor, parents, bw) -> None:
@@ -320,22 +322,22 @@ def sigmoid(x) -> Tensor:
 # ----------------------------- normalization / softmax -----------------------------
 
 
-def masked_softmax(logits, mask) -> Tensor:
-    """Row-wise softmax over positions whose additive mask entry is 0.
+def masked_softmax(logits, visible) -> Tensor:
+    """Row-wise softmax over the positions where boolean ``visible`` is True.
 
-    ``mask`` entries must be 0 (visible) or the NEG_INF sentinel (hidden);
-    it is interpreted, never added, so masked logits cannot perturb visible
-    probabilities even at the last bit. Masked positions are exactly 0 in
-    the output. Fully-masked rows return all zeros rather than NaN so padded
-    rows stay inert in downstream sums.
+    Visibility selects logits rather than being added to them, so hidden
+    logits cannot perturb visible probabilities even at the last bit.
+    Hidden positions are exactly 0 in the output. Rows with nothing visible
+    return all zeros rather than NaN so padded rows stay inert in downstream
+    sums. Any dtype but bool raises: a 0/-inf float mask read as booleans
+    would be inverted.
     """
     x = as_tensor(logits)
-    m = mask.data if isinstance(mask, Tensor) else np.asarray(mask, dtype=np.float64)
-    if m.shape != x.shape:
-        raise DimensionError(f"mask shape {m.shape} != logits shape {x.shape}")
-    if not np.all((m == 0.0) | (m <= NEG_INF / 2)):
-        raise DimensionError("mask entries must be 0 or the NEG_INF sentinel")
-    vis = m == 0.0
+    vis = np.asarray(visible)
+    if vis.dtype != np.bool_:
+        raise DimensionError(f"visibility must be a bool array, got {vis.dtype}")
+    if vis.shape != x.shape:
+        raise DimensionError(f"visibility shape {vis.shape} != logits shape {x.shape}")
     z = np.where(vis, x.data, -np.inf)
     rowmax = np.max(z, axis=-1, keepdims=True)
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)  # fully-masked guard

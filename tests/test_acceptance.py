@@ -23,13 +23,16 @@ import pytest
 from conftest import fd_check
 from longrec import analysis
 from longrec import tensors as T
-from longrec.attention import (BlockParams, build_mask, cross_causal_block,
-                               self_causal_block)
+from longrec.attention import BlockParams, attention_block, build_mask
 from longrec.config import GeneratorConfig, ModelConfig
 from longrec.inputs import Candidate, Sample, generate_dataset
 from longrec.model import LongRecModel, OptConfig, SumPoolingModel, train
 from longrec.serving import bench_serving, build_cache, score_with_cache
-from longrec.tensors import NEG_INF, Tensor
+from longrec.tensors import Tensor
+
+
+def self_block(x, visible, params):
+    return attention_block(x, x, visible, params)[0]
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -149,8 +152,8 @@ def test_criterion_4_gradients():
             tol=1e-4, seed=seed))
 
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        mask = np.where(rng.random((3, 5)) < 0.3, NEG_INF, 0.0)
-        mask[:, 0] = 0.0
+        mask = rng.random((3, 5)) >= 0.3
+        mask[:, 0] = True
         worst_ops = max(worst_ops, fd_check(
             lambda: scalar_loss(T.masked_softmax(x, mask), w5),
             [("softmax.x", x)], tol=1e-4, seed=seed))
@@ -179,9 +182,9 @@ def test_criterion_4_gradients():
 
         blk = BlockParams.create(4, rng)
         xb = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        cmask = np.where(np.tril(np.ones((5, 5))) > 0, 0.0, NEG_INF)
+        cmask = np.tril(np.ones((5, 5))) > 0
         worst_ops = max(worst_ops, fd_check(
-            lambda: scalar_loss(self_causal_block(xb, cmask, blk), w4),
+            lambda: scalar_loss(self_block(xb, cmask, blk), w4),
             [("block.x", xb)] + [(f"block.{n}", t) for n, t in blk.params()],
             tol=1e-4, max_coords=3, seed=seed))
 
@@ -234,27 +237,26 @@ def test_criterion_5_mask_and_causality():
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 10
     with T.no_grad():
-        a = self_causal_block(Tensor(x), mask, blk).data
-        b = self_causal_block(Tensor(x2), mask, blk).data
+        a = self_block(Tensor(x), mask, blk).data
+        b = self_block(Tensor(x2), mask, blk).data
     target_inv = (a[:-1] == b[:-1]).all()
 
     n = 6
-    causal = np.where(np.tril(np.ones((n, n))) > 0, 0.0, NEG_INF)
+    causal = np.tril(np.ones((n, n))) > 0
     y = rng.normal(size=(n, D))
     y2 = y.copy()
     y2[3] += 1.0
     with T.no_grad():
-        ca = self_causal_block(Tensor(y), causal, blk).data
-        cb = self_causal_block(Tensor(y2), causal, blk).data
+        ca = self_block(Tensor(y), causal, blk).data
+        cb = self_block(Tensor(y2), causal, blk).data
     prefix_inv = (ca[:3] == cb[:3]).all()
 
     full = build_mask(np.arange(n), np.arange(n), [False] * n, [False] * n)
     with T.no_grad():
-        cx = cross_causal_block(Tensor(y), Tensor(y), full, blk).data
-        sx = self_causal_block(Tensor(y), full, blk).data
+        cx = attention_block(Tensor(y), Tensor(y), full, blk)[0].data
+        sx = self_block(Tensor(y), full, blk).data
     reduction = np.abs(cx - sx).max()
-    np.testing.assert_array_equal(
-        full.additive, np.where(np.tril(np.ones((n, n))) > 0, 0.0, NEG_INF))
+    np.testing.assert_array_equal(full, np.tril(np.ones((n, n))) > 0)
     ok = bool(target_inv and prefix_inv and reduction <= 1e-12)
     report("criterion 5 (mask/causality)", ok,
            f"target invariance exact={bool(target_inv)}, causal prefix "

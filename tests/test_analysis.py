@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longrec import analysis
-from longrec.attention import BlockParams, self_causal_block
+from longrec.attention import BlockParams, attention_block
 from longrec.config import ModelConfig
 from longrec.errors import ConfigError, UndefinedMetricError
 from longrec.model import LongRecModel
@@ -63,9 +63,9 @@ def test_block_counter_matches_formula():
     rng = np.random.default_rng(0)
     params = BlockParams.create(D, rng)
     x = T.Tensor(rng.normal(size=(n, D)))
-    mask = np.zeros((n, n))
+    mask = np.ones((n, n), dtype=bool)
     with T.no_grad(), T.count_muladds() as w:
-        self_causal_block(x, mask, params)
+        attention_block(x, x, mask, params)
     assert 2 * w.mul_adds == analysis.flops_vanilla(n, D)
 
 
@@ -76,13 +76,14 @@ def test_merged_block_counter_reproduces_reduction_ratio():
     rng = np.random.default_rng(1)
     with T.no_grad():
         blk_v = BlockParams.create(d, rng)
+        x_v = T.Tensor(rng.normal(size=(L, d)))
         with T.count_muladds() as w_v:
-            self_causal_block(T.Tensor(rng.normal(size=(L, d))),
-                              np.zeros((L, L)), blk_v)
+            attention_block(x_v, x_v, np.ones((L, L), dtype=bool), blk_v)
         blk_m = BlockParams.create(K * d, rng)
+        x_m = T.Tensor(rng.normal(size=(L // K, K * d)))
         with T.count_muladds() as w_m:
-            self_causal_block(T.Tensor(rng.normal(size=(L // K, K * d))),
-                              np.zeros((L // K, L // K)), blk_m)
+            attention_block(x_m, x_m, np.ones((L // K, L // K), dtype=bool),
+                            blk_m)
     assert 2 * w_v.mul_adds == analysis.flops_vanilla(L, d)
     assert 2 * w_m.mul_adds == analysis.flops_merged(L, d, K)
     assert Fraction(w_m.mul_adds, w_v.mul_adds) == \

@@ -8,11 +8,16 @@ import pytest
 from conftest import fd_check
 from longrec import analysis
 from longrec import tensors as T
-from longrec.attention import (BlockParams, VisibilityMask, attention_block,
-                               build_mask, cross_causal_block,
-                               self_causal_block)
+from longrec.attention import (BlockParams, _multi_head_attention,
+                               attention_block, build_mask)
 from longrec.errors import ConfigError, DimensionError
-from longrec.tensors import NEG_INF, Tensor
+from longrec.tensors import Tensor
+
+
+def block(x_q, visible, params, heads=1, x_kv=None):
+    """Block output only; self-attention unless ``x_kv`` is given."""
+    x_kv = x_q if x_kv is None else x_kv
+    return attention_block(x_q, x_kv, visible, params, heads)[0]
 
 
 # ----------------------------- masks -----------------------------
@@ -21,8 +26,8 @@ from longrec.tensors import NEG_INF, Tensor
 def test_mask_reduces_to_lower_triangular():
     L = 5
     mask = build_mask(np.arange(L), np.arange(L), [False] * L, [False] * L)
-    expected = np.where(np.tril(np.ones((L, L))) > 0, 0.0, NEG_INF)
-    np.testing.assert_array_equal(mask.additive, expected)
+    expected = np.tril(np.ones((L, L))) > 0
+    np.testing.assert_array_equal(mask, expected)
 
 
 def mask_for_layout(n_seq_q, n_seq_k, m, pad_k=None):
@@ -41,30 +46,29 @@ def mask_for_layout(n_seq_q, n_seq_k, m, pad_k=None):
 
 def test_target_global_sees_all_nonpad_keys():
     mask = mask_for_layout(3, 4, 3, pad_k=[True, False, False, False] + [False] * 3)
-    target_row = mask.additive[-1]
-    assert (target_row[1:] == 0.0).all()
-    assert target_row[0] == NEG_INF            # the pad key stays hidden
+    target_row = mask[-1]
+    assert target_row[1:].all()
+    assert not target_row[0]                   # the pad key stays hidden
 
 
 def test_sequence_query_never_sees_globals():
     mask = mask_for_layout(3, 4, 3)
-    seq_rows = mask.additive[:3]
-    assert (seq_rows[:, 4:] == NEG_INF).all()
+    seq_rows = mask[:3]
+    assert not seq_rows[:, 4:].any()
 
 
 def test_global_rank_ordering():
     mask = mask_for_layout(2, 2, 3)
-    g = mask.additive[2:, 2:]
+    g = mask[2:, 2:]
     # UID (rank 0) sees only itself; CLS sees UID+CLS; target sees all three.
-    np.testing.assert_array_equal(
-        g, np.where(np.tril(np.ones((3, 3))) > 0, 0.0, NEG_INF))
+    np.testing.assert_array_equal(g, np.tril(np.ones((3, 3))) > 0)
 
 
 def test_pad_queries_see_nothing():
     mask = build_mask([0, 1], [0, 1], [False, False], [False, False],
                       is_pad_query=[True, False])
-    assert (mask.additive[0] == NEG_INF).all()
-    assert mask.additive[1, 0] == 0.0
+    assert not mask[0].any()
+    assert mask[1, 0]
 
 
 def test_global_query_without_keys_raises():
@@ -90,29 +94,27 @@ def test_cross_equals_self_when_sources_coincide():
     n, D = 5, 4
     x = Tensor(rng.normal(size=(n, D)))
     blk = make_block(D, 2)
-    mask = np.where(np.tril(np.ones((n, n))) > 0, 0.0, NEG_INF)
+    mask = np.tril(np.ones((n, n))) > 0
     with T.no_grad():
-        a = cross_causal_block(x, x, mask, blk).data
-        b = self_causal_block(x, mask, blk).data
+        a = block(x, mask, blk, x_kv=Tensor(x.data)).data
+        b = block(x, mask, blk).data
     assert np.abs(a - b).max() <= 1e-12
 
 
 def test_single_visible_key_returns_its_value():
     rng = np.random.default_rng(3)
     q, v, D = 3, 4, 4
-    o = Tensor(rng.normal(size=(q, D)))
-    r = Tensor(rng.normal(size=(v, D)))
-    blk = make_block(D, 4)
-    mask = np.full((q, v), NEG_INF)
+    queries = Tensor(rng.normal(size=(q, D)))
+    keys = Tensor(rng.normal(size=(v, D)))
+    values = Tensor(rng.normal(size=(v, D)))
+    mask = np.zeros((q, v), dtype=bool)
     visible = [2, 0, 3]
     for i, j in enumerate(visible):
-        mask[i, j] = 0.0
-    collect = {}
+        mask[i, j] = True
     with T.no_grad():
-        cross_causal_block(o, r, mask, blk, collect=collect)
-    values = collect["v"]
+        context = _multi_head_attention(queries, keys, values, mask, 1).data
     for i, j in enumerate(visible):
-        np.testing.assert_allclose(collect["context"][i], values[j], atol=1e-12)
+        np.testing.assert_allclose(context[i], values.data[j], atol=1e-12)
 
 
 def test_cross_block_matches_per_query_loop_oracle():
@@ -148,7 +150,7 @@ def test_cross_block_matches_per_query_loop_oracle():
         weights = []
         idx = []
         for j in range(n_keys + m):
-            if mask.additive[i, j] != 0.0:
+            if not mask[i, j]:
                 continue
             kj = rn[j] @ blk.w_k.data + blk.b_k.data
             weights.append(float(qi @ kj) / math.sqrt(D))
@@ -164,7 +166,7 @@ def test_cross_block_matches_per_query_loop_oracle():
             + blk.b2.data
 
     with T.no_grad():
-        out = cross_causal_block(Tensor(o), Tensor(r), mask, blk).data
+        out = block(Tensor(o), mask, blk, x_kv=Tensor(r)).data
     assert np.abs(out - expected).max() <= 1e-10
 
 
@@ -176,7 +178,7 @@ def test_zeroed_attention_out_leaves_residual_ffn():
     blk.w_o.data[:] = 0.0
     blk.b_o.data[:] = 0.0
     with T.no_grad():
-        out = self_causal_block(Tensor(x), np.zeros((n, n)), blk).data
+        out = block(Tensor(x), np.ones((n, n), dtype=bool), blk).data
         ffn_branch = T.ffn(T.layer_norm(Tensor(x), blk.ln2_g, blk.ln2_b),
                            blk.w1, blk.b1, blk.w2, blk.b2).data
     np.testing.assert_allclose(out, x + ffn_branch, atol=1e-12)
@@ -187,11 +189,11 @@ def test_block_gradient_check():
     n, D = 5, 4
     x = Tensor(rng.normal(size=(n, D)), requires_grad=True)
     blk = make_block(D, 10)
-    mask = np.where(np.tril(np.ones((n, n))) > 0, 0.0, NEG_INF)
+    mask = np.tril(np.ones((n, n))) > 0
     w = rng.normal(size=(D, 1)) * 0.3
 
     def loss():
-        y = self_causal_block(x, mask, blk)
+        y = block(x, mask, blk)
         return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 1.0)
 
     named = [("x", x)] + [(n_, t) for n_, t in blk.params()]
@@ -203,11 +205,11 @@ def test_multi_head_gradient_check():
     n, D, heads = 4, 6, 3
     x = Tensor(rng.normal(size=(n, D)), requires_grad=True)
     blk = make_block(D, 12)
-    mask = np.where(np.tril(np.ones((n, n))) > 0, 0.0, NEG_INF)
+    mask = np.tril(np.ones((n, n))) > 0
     w = rng.normal(size=(D, 1)) * 0.3
 
     def loss():
-        y = self_causal_block(x, mask, blk, heads=heads)
+        y = block(x, mask, blk, heads=heads)
         return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 0.0)
 
     fd_check(loss, [("x", x), ("w_q", blk.w_q), ("w_o", blk.w_o)], tol=1e-4)
@@ -229,8 +231,8 @@ def test_sequence_rows_exactly_ignore_target_row():
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 50.0
     with T.no_grad():
-        a = self_causal_block(Tensor(x), mask, blk).data
-        b = self_causal_block(Tensor(x2), mask, blk).data
+        a = block(Tensor(x), mask, blk).data
+        b = block(Tensor(x2), mask, blk).data
     np.testing.assert_array_equal(a[:-1], b[:-1])
     assert np.abs(a[-1] - b[-1]).max() > 0
 
@@ -239,13 +241,13 @@ def test_causal_prefix_invariance():
     rng = np.random.default_rng(15)
     n, D = 6, 4
     blk = make_block(D, 16)
-    mask = np.where(np.tril(np.ones((n, n))) > 0, 0.0, NEG_INF)
+    mask = np.tril(np.ones((n, n))) > 0
     x = rng.normal(size=(n, D))
     x2 = x.copy()
     x2[4] += 3.0
     with T.no_grad():
-        a = self_causal_block(Tensor(x), mask, blk).data
-        b = self_causal_block(Tensor(x2), mask, blk).data
+        a = block(Tensor(x), mask, blk).data
+        b = block(Tensor(x2), mask, blk).data
     np.testing.assert_array_equal(a[:4], b[:4])
     assert np.abs(a[4:] - b[4:]).max() > 0
 
@@ -254,13 +256,29 @@ def test_block_shape_validation():
     blk = make_block(4)
     with pytest.raises(DimensionError):
         attention_block(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
-                        np.zeros((2, 2)), blk)
+                        np.ones((2, 2), dtype=bool), blk)
     with pytest.raises(DimensionError):
         attention_block(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))),
-                        np.zeros((2, 2)), blk, heads=3)
+                        np.ones((2, 2), dtype=bool), blk, heads=3)
 
 
-def test_visibility_mask_dataclass():
+def test_build_mask_is_boolean():
     mask = build_mask([0, 1], [0, 1], [False] * 2, [False] * 2)
-    assert isinstance(mask, VisibilityMask)
-    assert mask.visible[1, 0] and not mask.visible[0, 1]
+    assert mask.dtype == bool
+    assert mask[1, 0] and not mask[0, 1]
+
+
+def test_prefix_kv_row_matches_full_block():
+    """A row scored against cached key/value rows equals its full-block row."""
+    rng = np.random.default_rng(17)
+    n, D = 5, 4
+    blk = make_block(D, 18)
+    x = Tensor(rng.normal(size=(n, D)))
+    visible = np.tril(np.ones((n, n))) > 0
+    last = Tensor(x.data[-1:])
+    with T.no_grad():
+        full, k, v = attention_block(x, x, visible, blk)
+        row, k_row, _ = attention_block(last, last, visible[-1:], blk,
+                                        prefix_kv=(k.data[:-1], v.data[:-1]))
+    assert np.abs(row.data - full.data[-1:]).max() <= 1e-12
+    assert k_row.shape == (n, D)

@@ -11,10 +11,10 @@ from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
 from longrec.errors import ConfigError, EmbeddingLookupError
 from longrec.inputs import (Candidate, EmbeddingTables, Event, Sample,
-                            UserFeatures, assemble_global_tokens,
-                            bayes_window_scores, encode_sequence,
+                            UserFeatures, bayes_window_scores, encode_events,
                             generate_dataset, interest_of, load_dataset,
-                            nontarget_global_tokens, save_dataset, time_bucket)
+                            nontarget_global_tokens, save_dataset,
+                            target_global_token, time_bucket)
 
 
 def serialize(dataset):
@@ -115,29 +115,42 @@ def make_sample(n_events, cand_ts=10_000, item=1, uid=0):
     return Sample(events, UserFeatures(uid, 1), Candidate(3, cand_ts), 1)
 
 
+def encode(sample, tables, cfg):
+    """(seq, pad_mask, n_real), time deltas measured from the candidate."""
+    return encode_events(sample.events, sample.candidate.timestamp, tables, cfg)
+
+
+def global_rows(sample, tables, cfg):
+    """Global rows in rank order [UID, CLS..., target], as the model uses them."""
+    return T.concat_rows([nontarget_global_tokens(sample.user_features, tables, cfg),
+                          target_global_token(sample.candidate, tables, cfg)])
+
+
 def test_encode_full_length_no_pads(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(0))
-    bundle = encode_sequence(make_sample(tiny_cfg.L), tables, tiny_cfg)
-    assert not bundle.pad_mask.any()
-    assert bundle.seq_len_actual == tiny_cfg.L
-    assert bundle.seq.shape == (tiny_cfg.L, tiny_cfg.d)
-    assert bundle.global_tokens.shape == (tiny_cfg.m, tiny_cfg.D)
+    s = make_sample(tiny_cfg.L)
+    seq, pad_mask, n_real = encode(s, tables, tiny_cfg)
+    assert not pad_mask.any()
+    assert n_real == tiny_cfg.L
+    assert seq.shape == (tiny_cfg.L, tiny_cfg.d)
+    assert global_rows(s, tables, tiny_cfg).shape == (tiny_cfg.m, tiny_cfg.D)
 
 
 def test_encode_empty_sequence(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(0))
-    bundle = encode_sequence(make_sample(0), tables, tiny_cfg)
-    assert bundle.pad_mask.all()
-    np.testing.assert_array_equal(bundle.seq.data, 0.0)
+    seq, pad_mask, _ = encode(make_sample(0), tables, tiny_cfg)
+    assert pad_mask.all()
+    np.testing.assert_array_equal(seq.data, 0.0)
 
 
 def test_encode_deterministic(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(0))
     s = make_sample(5)
-    a = encode_sequence(s, tables, tiny_cfg)
-    b = encode_sequence(s, tables, tiny_cfg)
-    np.testing.assert_array_equal(a.seq.data, b.seq.data)
-    np.testing.assert_array_equal(a.global_tokens.data, b.global_tokens.data)
+    a = encode(s, tables, tiny_cfg)[0]
+    b = encode(s, tables, tiny_cfg)[0]
+    np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(global_rows(s, tables, tiny_cfg).data,
+                                  global_rows(s, tables, tiny_cfg).data)
 
 
 def test_encode_truncates_to_visible_window(tiny_cfg):
@@ -145,9 +158,9 @@ def test_encode_truncates_to_visible_window(tiny_cfg):
     long_sample = make_sample(tiny_cfg.L + 5)
     short_sample = Sample(long_sample.events[-tiny_cfg.L:],
                           long_sample.user_features, long_sample.candidate, 1)
-    a = encode_sequence(long_sample, tables, tiny_cfg)
-    b = encode_sequence(short_sample, tables, tiny_cfg)
-    np.testing.assert_array_equal(a.seq.data, b.seq.data)
+    a = encode(long_sample, tables, tiny_cfg)[0]
+    b = encode(short_sample, tables, tiny_cfg)[0]
+    np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_padding_inertness_across_window_sizes(tiny_cfg):
@@ -156,8 +169,8 @@ def test_padding_inertness_across_window_sizes(tiny_cfg):
     big = ModelConfig(**{**tiny_cfg.to_dict(), "L": tiny_cfg.L + 2 * tiny_cfg.K})
     tables = EmbeddingTables.create(big, np.random.default_rng(0))
     s = make_sample(5)
-    h_small = encode_sequence(s, tables, tiny_cfg).seq.data
-    h_big = encode_sequence(s, tables, big).seq.data
+    h_small = encode(s, tables, tiny_cfg)[0].data
+    h_big = encode(s, tables, big)[0].data
     np.testing.assert_array_equal(h_small[-5:], h_big[-5:])
     np.testing.assert_array_equal(h_big[:-5], 0.0)
 
@@ -167,10 +180,10 @@ def test_encode_rejects_unknown_ids(tiny_cfg):
     bad = Sample((Event(item_id=tiny_cfg.vocab, action_type=0, timestamp=10),),
                  UserFeatures(0, 0), Candidate(0, 100), 0)
     with pytest.raises(EmbeddingLookupError):
-        encode_sequence(bad, tables, tiny_cfg)
+        encode(bad, tables, tiny_cfg)
     bad_uid = Sample((), UserFeatures(tiny_cfg.n_users, 0), Candidate(0, 100), 0)
     with pytest.raises(EmbeddingLookupError):
-        encode_sequence(bad_uid, tables, tiny_cfg)
+        global_rows(bad_uid, tables, tiny_cfg)
 
 
 # ----------------------------- global tokens -----------------------------
@@ -181,8 +194,8 @@ def test_global_rows_construction(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, rng)
     s1 = make_sample(4, uid=2)
     s2 = Sample(s1.events, s1.user_features, Candidate(7, s1.candidate.timestamp), 0)
-    g1 = assemble_global_tokens(s1, tables, tiny_cfg).data
-    g2 = assemble_global_tokens(s2, tables, tiny_cfg).data
+    g1 = global_rows(s1, tables, tiny_cfg).data
+    g2 = global_rows(s2, tables, tiny_cfg).data
     np.testing.assert_array_equal(g1[:-1], g2[:-1])      # UID and CLS rows
     assert np.abs(g1[-1] - g2[-1]).max() > 0             # target row differs
     assert g1.shape == (tiny_cfg.m, tiny_cfg.D)
@@ -192,7 +205,7 @@ def test_zeroed_uid_table_gives_mlp_image_of_zero(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(2))
     tables.uid_table.data[:] = 0.0
     s = make_sample(3, uid=1)
-    rows = assemble_global_tokens(s, tables, tiny_cfg).data
+    rows = global_rows(s, tables, tiny_cfg).data
     # Recompute the pipeline image of the zero vector with raw numpy.
     mlp = tables.mlp
     lifted = np.zeros(tiny_cfg.d) @ mlp.lift_w.data + mlp.lift_b.data
@@ -205,7 +218,7 @@ def test_zeroed_uid_table_gives_mlp_image_of_zero(tiny_cfg):
 def test_nontarget_rows_match_full_assembly(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(3))
     s = make_sample(3, uid=4)
-    full = assemble_global_tokens(s, tables, tiny_cfg).data
+    full = global_rows(s, tables, tiny_cfg).data
     ci = nontarget_global_tokens(s.user_features, tables, tiny_cfg).data
     np.testing.assert_allclose(ci, full[:-1], atol=1e-12)
 

@@ -8,12 +8,16 @@ import pytest
 from conftest import fd_check
 from longrec import analysis
 from longrec import tensors as T
+from longrec.attention import BlockParams
 from longrec.errors import ConfigError
-from longrec.merge import (MergeConfig, create_inner_blocks, merge_concat,
-                           merge_inner_trans, merged_pad_flags,
-                           merged_positions, pad_to_group_multiple,
-                           unmerge_concat)
+from longrec.merge import (merge_concat, merge_inner_trans, merged_pad_flags,
+                           merged_positions, pad_to_group_multiple)
 from longrec.tensors import Tensor
+
+
+def inner_blocks(d, rng):
+    """One width-d inner merge block, as the model creates per inner layer."""
+    return [BlockParams.create(d, rng)]
 
 
 def test_merge_concat_k1_identity():
@@ -32,7 +36,7 @@ def test_merge_concat_rows():
 def test_merge_concat_roundtrip():
     h = Tensor(np.random.default_rng(1).normal(size=(8, 3)))
     merged = merge_concat(h, 4)
-    np.testing.assert_array_equal(unmerge_concat(merged, 4).data, h.data)
+    np.testing.assert_array_equal(T.reshape(merged, (8, 3)).data, h.data)
 
 
 def test_merge_concat_rejects_indivisible():
@@ -58,9 +62,9 @@ def test_merged_positions_and_pad_flags():
 # ----------------------------- per-group transformer -----------------------------
 
 
-def zeroed_mixing_blocks(cfg, d, rng):
+def zeroed_mixing_blocks(d, rng):
     """Inner blocks whose attention-out and FFN-out projections are zero."""
-    blocks = create_inner_blocks(cfg, d, rng)
+    blocks = inner_blocks(d, rng)
     for blk in blocks:
         blk.w_o.data[:] = 0.0
         blk.b_o.data[:] = 0.0
@@ -71,40 +75,40 @@ def zeroed_mixing_blocks(cfg, d, rng):
 
 def test_inner_k1_with_zero_projections_equals_concat():
     rng = np.random.default_rng(2)
-    cfg = MergeConfig(K=1, mode="inner")
-    blocks = zeroed_mixing_blocks(cfg, 3, rng)
+    K = 1
+    blocks = zeroed_mixing_blocks(3, rng)
     h = Tensor(rng.normal(size=(6, 3)))
-    out = merge_inner_trans(h, cfg, blocks)
+    out = merge_inner_trans(h, K, blocks)
     np.testing.assert_allclose(out.data, merge_concat(h, 1).data, atol=1e-15)
 
 
 def test_inner_identical_tokens_stay_identical():
     rng = np.random.default_rng(3)
-    cfg = MergeConfig(K=3, mode="inner")
-    blocks = create_inner_blocks(cfg, 4, rng)
+    K = 3
+    blocks = inner_blocks(4, rng)
     row = rng.normal(size=4)
     h = Tensor(np.tile(row, (6, 1)))      # two groups of three equal tokens
-    out = merge_inner_trans(h, cfg, blocks).data.reshape(6, 4)
+    out = merge_inner_trans(h, K, blocks).data.reshape(6, 4)
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
     np.testing.assert_allclose(out[1], out[2], atol=1e-12)
 
 
 def test_inner_permutation_equivariance():
     rng = np.random.default_rng(4)
-    cfg = MergeConfig(K=4, mode="inner")
-    blocks = create_inner_blocks(cfg, 3, rng)
+    K = 4
+    blocks = inner_blocks(3, rng)
     h = rng.normal(size=(4, 3))
     perm = np.array([2, 0, 3, 1])
-    out = merge_inner_trans(Tensor(h), cfg, blocks).data.reshape(4, 3)
-    out_p = merge_inner_trans(Tensor(h[perm]), cfg, blocks).data.reshape(4, 3)
+    out = merge_inner_trans(Tensor(h), K, blocks).data.reshape(4, 3)
+    out_p = merge_inner_trans(Tensor(h[perm]), K, blocks).data.reshape(4, 3)
     np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
 
 def test_inner_hand_unrolled_oracle():
     """K=2, d=2 single block vs a raw-numpy pre-norm block unroll."""
     rng = np.random.default_rng(5)
-    cfg = MergeConfig(K=2, mode="inner")
-    blk = create_inner_blocks(cfg, 2, rng)[0]
+    K = 2
+    blk = inner_blocks(2, rng)[0]
     h = rng.normal(size=(4, 2))
 
     def ln(x, g, b):
@@ -131,19 +135,19 @@ def test_inner_hand_unrolled_oracle():
         hid = gelu(x1n @ blk.w1.data + blk.b1.data)
         expected[g0:g0 + 2] = x1 + hid @ blk.w2.data + blk.b2.data
 
-    out = merge_inner_trans(Tensor(h), cfg, [blk])
+    out = merge_inner_trans(Tensor(h), K, [blk])
     np.testing.assert_allclose(out.data, expected.reshape(2, 4), atol=1e-12)
 
 
 def test_group_locality():
     rng = np.random.default_rng(6)
-    cfg = MergeConfig(K=2, mode="inner")
-    blocks = create_inner_blocks(cfg, 3, rng)
+    K = 2
+    blocks = inner_blocks(3, rng)
     h = rng.normal(size=(8, 3))
-    base = merge_inner_trans(Tensor(h), cfg, blocks).data
+    base = merge_inner_trans(Tensor(h), K, blocks).data
     bumped = h.copy()
     bumped[3] += 0.7                      # inside group 1
-    out = merge_inner_trans(Tensor(bumped), cfg, blocks).data
+    out = merge_inner_trans(Tensor(bumped), K, blocks).data
     np.testing.assert_array_equal(out[0], base[0])
     np.testing.assert_array_equal(out[2:], base[2:])
     assert np.abs(out[1] - base[1]).max() > 0
@@ -162,31 +166,31 @@ def test_concat_group_locality():
 
 def test_inner_block_param_count():
     rng = np.random.default_rng(8)
-    blk = create_inner_blocks(MergeConfig(K=2, mode="inner"), 5, rng)[0]
+    blk = inner_blocks(5, rng)[0]
     assert blk.param_count() == analysis.params_block(5) == 12 * 25 + 13 * 5
 
 
 def test_all_pad_groups_zeroed():
     rng = np.random.default_rng(9)
-    cfg = MergeConfig(K=2, mode="inner")
-    blocks = create_inner_blocks(cfg, 3, rng)
+    K = 2
+    blocks = inner_blocks(3, rng)
     h = np.zeros((6, 3))
     h[4:] = rng.normal(size=(2, 3))
     pad_mask = np.array([True, True, True, True, False, False])
-    merged = merge_inner_trans(Tensor(h), cfg, blocks, pad_mask).data
+    merged = merge_inner_trans(Tensor(h), K, blocks, pad_mask).data
     np.testing.assert_array_equal(merged[:2], 0.0)
     assert np.abs(merged[2]).max() > 0
 
 
 def test_inner_merge_fd():
     rng = np.random.default_rng(10)
-    cfg = MergeConfig(K=2, mode="inner")
-    blocks = create_inner_blocks(cfg, 2, rng)
+    K = 2
+    blocks = inner_blocks(2, rng)
     h = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     w = rng.normal(size=(4, 1)) * 0.3
 
     def loss():
-        merged = merge_inner_trans(h, cfg, blocks)
+        merged = merge_inner_trans(h, K, blocks)
         return T.bce(T.sigmoid(T.matmul(T.mean_rows(merged), w)), 1.0)
 
     named = [("h", h)] + [(f"blk.{n}", t) for n, t in blocks[0].params()]

@@ -1,7 +1,10 @@
 """Query selection, the full forward against a straight-line reimplementation,
 loss/optimizer behavior, training dynamics, baseline, and checkpoints."""
 
+import json
 import math
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -13,8 +16,8 @@ from longrec.config import GeneratorConfig, ModelConfig
 from longrec.errors import ConfigError, NumericalError
 from longrec.inputs import (Candidate, Dataset, Event, Sample, UserFeatures,
                             generate_dataset)
-from longrec.model import (LongRecModel, OptConfig, SumPoolingModel, bce_loss,
-                           select_queries, sum_pooling_baseline, train)
+from longrec.model import (CHECKPOINT_MAGIC, LongRecModel, OptConfig,
+                           SumPoolingModel, select_queries, train)
 from longrec.tensors import Tensor
 
 
@@ -266,16 +269,6 @@ def test_forward_param_count_matches_analysis(tiny_cfg):
     assert model.param_count() == analysis.count_params(tiny_cfg)["total"]
 
 
-# ----------------------------- loss -----------------------------
-
-
-def test_bce_loss_values():
-    assert abs(bce_loss(0.5, 1) - math.log(2)) <= 1e-12
-    assert abs(bce_loss(0.5, 0) - math.log(2)) <= 1e-12
-    assert bce_loss(1.0, 1) <= 1e-11
-    assert bce_loss(0.0, 0) <= 1e-11
-
-
 # ----------------------------- training -----------------------------
 
 
@@ -339,6 +332,30 @@ def test_end_to_end_gradient_check(tiny_cfg):
         fd_check(loss, named, tol=1e-3, h=1e-5, max_coords=2, seed=seed)
 
 
+def test_no_grad_in_another_thread_leaves_training_recording(tiny_cfg):
+    """Grad mode is per thread: a scoring thread inside no_grad() must not
+    switch off tape recording for a training step running beside it."""
+    model = LongRecModel(tiny_cfg, seed=19)
+    s = sample_for(tiny_cfg, 6, seed=20)
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_no_grad():
+        with T.no_grad():
+            entered.set()
+            release.wait(timeout=30)
+
+    worker = threading.Thread(target=hold_no_grad)
+    worker.start()
+    try:
+        assert entered.wait(timeout=30)
+        T.bce(model.forward_tensor(s), s.label).backward()
+    finally:
+        release.set()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert [n for n, t in model.params() if t.grad is None] == []
+
+
 # ----------------------------- baseline -----------------------------
 
 
@@ -373,7 +390,6 @@ def test_pooling_order_invariance(tiny_cfg):
     perm = [events[i] for i in [3, 0, 5, 1, 4, 2]]
     s2 = Sample(tuple(perm), s.user_features, s.candidate, s.label)
     assert base.score(s) == base.score(s2)
-    assert sum_pooling_baseline(s, base) == base.score(s)
 
 
 def test_pooling_trains(tiny_cfg):
@@ -426,6 +442,31 @@ def test_checkpoint_roundtrip(tmp_path, tiny_cfg):
         np.testing.assert_array_equal(t1.data, t2.data)
     s = sample_for(tiny_cfg, 4, seed=18)
     assert model.score(s) == loaded.score(s)
+
+
+def _damaged_checkpoints(blob):
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + hlen])
+    header["arrays"] = header["arrays"][:-1]        # drop head.b2 (8 bytes)
+    short = json.dumps(header, sort_keys=True).encode()
+    return {
+        "truncated_payload": blob[:-3],
+        "truncated_header": blob[:16 + hlen // 2],
+        "trailing_bytes": blob + b"\x00" * 8,
+        "missing_array": (CHECKPOINT_MAGIC + struct.pack("<Q", len(short))
+                          + short + blob[16 + hlen:-8]),
+    }
+
+
+@pytest.mark.parametrize("damage", ["truncated_payload", "truncated_header",
+                                    "trailing_bytes", "missing_array"])
+def test_checkpoint_damage_raises_config_error(tmp_path, tiny_cfg, damage):
+    path = tmp_path / "model.bin"
+    LongRecModel(tiny_cfg, seed=21).save(str(path))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_damaged_checkpoints(path.read_bytes())[damage])
+    with pytest.raises(ConfigError):
+        LongRecModel.load(str(bad))
 
 
 def test_checkpoint_bad_magic(tmp_path):

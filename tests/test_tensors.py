@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import fd_check
 from longrec import tensors as T
 from longrec.errors import DimensionError
-from longrec.tensors import NEG_INF, Tensor
+from longrec.tensors import Tensor
 
 
 def triple_loop_matmul(a, b):
@@ -90,12 +90,12 @@ def test_matmul_backward_exact():
 
 
 def test_softmax_uniform_row():
-    out = T.masked_softmax(np.zeros((1, 3)), np.zeros((1, 3)))
+    out = T.masked_softmax(np.zeros((1, 3)), np.ones((1, 3), dtype=bool))
     np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
 
 def test_softmax_single_visible():
-    out = T.masked_softmax(np.array([[5.0, 1.0]]), np.array([[0.0, NEG_INF]]))
+    out = T.masked_softmax(np.array([[5.0, 1.0]]), np.array([[True, False]]))
     np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
 
 
@@ -103,33 +103,33 @@ def test_softmax_matches_exp_normalize_oracle():
     row = np.array([[1.0, 2.0, 3.0]])
     e = np.exp(row - row.max())
     expected = e / e.sum()
-    out = T.masked_softmax(row, np.zeros((1, 3)))
+    out = T.masked_softmax(row, np.ones((1, 3), dtype=bool))
     assert np.abs(out.data - expected).max() <= 1e-12
 
 
 def test_softmax_fully_masked_row_returns_zeros():
-    out = T.masked_softmax(np.array([[4.0, 2.0]]), np.full((1, 2), NEG_INF))
+    out = T.masked_softmax(np.array([[4.0, 2.0]]), np.zeros((1, 2), dtype=bool))
     np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
 
 def test_softmax_masked_positions_exact_zero_and_rows_sum_to_one():
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(6, 9))
-    mask = np.where(rng.random((6, 9)) < 0.4, NEG_INF, 0.0)
-    mask[0] = NEG_INF          # one fully masked row
-    mask[1] = 0.0              # one fully visible row
-    out = T.masked_softmax(logits, mask).data
-    assert (out[mask != 0.0] == 0.0).all()
+    visible = rng.random((6, 9)) >= 0.4
+    visible[0] = False         # one fully masked row
+    visible[1] = True          # one fully visible row
+    out = T.masked_softmax(logits, visible).data
+    assert (out[~visible] == 0.0).all()
     sums = out.sum(axis=1)
     assert abs(sums[0]) == 0.0
-    visible_rows = (mask == 0.0).any(axis=1)
+    visible_rows = visible.any(axis=1)
     np.testing.assert_allclose(sums[visible_rows], 1.0, atol=1e-12)
 
 
 def test_softmax_exactly_ignores_masked_logits():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(2, 5))
-    mask = np.array([[0.0, NEG_INF, 0.0, NEG_INF, 0.0]] * 2)
+    mask = np.array([[True, False, True, False, True]] * 2)
     bumped = logits.copy()
     bumped[:, 1] = 1e6
     bumped[:, 3] = -1e6
@@ -141,8 +141,8 @@ def test_softmax_exactly_ignores_masked_logits():
 def test_softmax_backward_fd():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    mask = np.where(rng.random((3, 5)) < 0.3, NEG_INF, 0.0)
-    mask[:, 0] = 0.0  # keep every row alive
+    mask = rng.random((3, 5)) >= 0.3
+    mask[:, 0] = True  # keep every row alive
     w = rng.normal(size=(15, 1))
 
     def loss():
@@ -151,6 +151,14 @@ def test_softmax_backward_fd():
             T.matmul(T.reshape(probs, (1, 15)), w), (1, 1))), 1.0)
 
     fd_check(loss, [("logits", x)])
+
+
+def test_softmax_rejects_non_boolean_visibility():
+    # A 0 / -inf additive mask read as booleans would be inverted.
+    with pytest.raises(DimensionError):
+        T.masked_softmax(np.zeros((1, 2)), np.array([[0.0, -np.inf]]))
+    with pytest.raises(DimensionError):
+        T.masked_softmax(np.zeros((1, 2)), np.ones((1, 3), dtype=bool))
 
 
 # ----------------------------- layer norm -----------------------------
