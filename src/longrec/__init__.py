@@ -14,7 +14,7 @@ from .inputs import (Candidate, Dataset, Event, Sample, UserFeatures,
                      generate_dataset, load_dataset, save_dataset)
 from .model import (LongRecModel, OptConfig, SumPoolingModel, TrainingReport,
                     select_queries, train)
-from .serving import KVCache, bench_serving, build_cache, score_with_cache
+from .serving import KVCache, build_cache, score_with_cache
 from .analysis import (auc, cost_report, count_params, fit_power_law,
                        flops_merged, flops_vanilla, logloss)
 
@@ -25,7 +25,7 @@ __all__ = [
     "generate_dataset", "load_dataset", "save_dataset",
     "LongRecModel", "OptConfig", "SumPoolingModel", "TrainingReport",
     "select_queries", "train",
-    "KVCache", "bench_serving", "build_cache", "score_with_cache",
+    "KVCache", "build_cache", "score_with_cache",
     "auc", "cost_report", "count_params", "fit_power_law",
     "flops_merged", "flops_vanilla", "logloss",
 ]

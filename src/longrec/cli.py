@@ -1,9 +1,9 @@
 """Command-line entry point wiring all modules together.
 
-Subcommands: gen, train, eval, bench, cost, fit, sweep, score. Every run
-writes a ``manifest.json`` into its output directory with the resolved
-configuration, seeds, input digests, and timings — enough to reproduce the
-run bit-identically.
+Subcommands: gen, train, eval, cost, fit, sweep, score. Every run except
+cost and fit writes a ``manifest.json`` into its output directory with the
+resolved configuration, seeds, input digests, and timings — enough to
+reproduce the run bit-identically.
 
 Exit codes are a stable contract for CI: 0 success, 2 config/schema error,
 3 numerical abort (non-finite values), 4 cache/checkpoint fingerprint
@@ -34,7 +34,7 @@ from .errors import (ConfigError, EmbeddingLookupError, NumericalError,
 from .inputs import Candidate, generate_dataset, load_dataset, save_dataset
 from .model import (LongRecModel, OptConfig, SumPoolingModel, eval_metrics,
                     temporal_split, train)
-from .serving import ScoreRequest, bench_serving, score_request
+from .serving import ScoreRequest, score_request
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -199,37 +199,6 @@ def _finite_metrics(model, samples):
     if not math.isfinite(a):
         raise NumericalError("AUC could not be computed on the evaluation split")
     return a, ll
-
-
-def cmd_bench(args) -> int:
-    started = time.time()
-    if args.checkpoint:
-        model = LongRecModel.load(args.checkpoint)
-    else:
-        model = LongRecModel(_model_config(args),
-                             seed=seed_for(args.seed, "model-init"))
-    cfg = model.cfg
-    gen_cfg = GeneratorConfig(n_users=args.users, vocab=cfg.vocab, L_max=cfg.L,
-                              L_min=cfg.L, n_actions=cfg.n_actions,
-                              n_profiles=cfg.n_profiles,
-                              n_interests=min(8, cfg.vocab))
-    users = generate_dataset(gen_cfg, seed_for(args.seed, "bench-users")).samples
-    report = bench_serving(model, users, args.candidates, args.reps,
-                           seed=seed_for(args.seed, "bench-candidates"))
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "bench.csv")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
-    _write_manifest(args.out, "bench",
-                    {"users": args.users, "candidates": args.candidates,
-                     "reps": args.reps, "seed": args.seed},
-                    cfg.to_dict(), {"bench": out_path}, started)
-    print(report.to_csv(), end="")
-    if report.rows:
-        r = report.rows[0]
-        ratio = r.cached_muladds / r.naive_muladds
-        print(f"cached/naive mul-adds: {ratio:.4f}")
-    return EXIT_OK
 
 
 def cmd_cost(args) -> int:
@@ -449,16 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--eval-fraction", type=float, default=0.1)
     e.set_defaults(fn=cmd_eval)
-
-    b = sub.add_parser("bench", help="KV-cache serving micro-benchmark")
-    b.add_argument("--config", help="ModelConfig JSON path")
-    b.add_argument("--checkpoint")
-    b.add_argument("--users", type=int, default=8)
-    b.add_argument("--candidates", type=int, default=100)
-    b.add_argument("--reps", type=int, default=1)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", required=True)
-    b.set_defaults(fn=cmd_bench)
 
     c = sub.add_parser("cost", help="analytic FLOPs / parameter report")
     c.add_argument("--seq-len", type=int, required=True)

@@ -1,8 +1,9 @@
 """Configuration records for the model and the synthetic data generator.
 
 Both configs round-trip through JSON with strict schemas: a missing required
-field or an unknown field raises ConfigError naming the field, so typos in
-config files fail loudly instead of silently taking defaults.
+field, an unknown field or a value of the wrong JSON type raises ConfigError
+naming the field, so typos in config files fail loudly instead of silently
+taking defaults or failing later.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ class ModelConfig:
             raise ConfigError(
                 f"k={self.k} exceeds merged length {self.merged_len} "
                 f"for token-sampling strategies")
+        if self.heads < 1:
+            raise ConfigError("heads must be >= 1")
         if self.D % self.heads:
             raise ConfigError(f"width D={self.D} not divisible by heads={self.heads}")
         if self.inner_layers < 1:
@@ -178,13 +181,30 @@ class GeneratorConfig:
         return _strict_build(cls, payload, required=("n_users", "vocab", "L_max"))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Accepted JSON values per declared field type (annotations are strings here).
+_TYPE_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "Optional[int]": lambda v: v is None or _is_int(v),
+}
+
+
 def _strict_build(cls, payload: dict, required):
     if not isinstance(payload, dict):
         raise ConfigError(f"{cls.__name__} payload must be a JSON object")
-    known = {f.name for f in fields(cls)}
-    for key in payload:
-        if key not in known:
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in payload.items():
+        if key not in types:
             raise ConfigError(f"unknown config field {key!r} for {cls.__name__}")
+        if not _TYPE_CHECKS[types[key]](value):
+            raise ConfigError(f"config field {key!r} of {cls.__name__} must be "
+                              f"{types[key]}, got {value!r}")
     for key in required:
         if key not in payload:
             raise ConfigError(f"missing required config field {key!r}")

@@ -140,7 +140,7 @@ class ForwardTrace:
     p: float = 0.0
 
     def sequence_branch(self) -> list:
-        """All candidate-independent activations: everything but the target row."""
+        """Every candidate-independent stage output: all but the target row."""
         return [self.h, self.merged] + [a[:-1] for a in self.layers]
 
 
@@ -343,6 +343,23 @@ class LongRecModel:
                                     qpad, qpad),
             user_side=user_side_features(user_features, self.tables))
 
+    def _layers(self, x_q: Tensor, x_kv: Tensor, visible_cross: np.ndarray,
+                visible_self: np.ndarray, prefix=None) -> list:
+        """Run the cross block over (x_q, x_kv), then each self block over the
+        previous block's output; returns every block's (output, K, V).
+
+        ``prefix``, one (keys, values) pair per block, puts cached key rows
+        ahead of each block's own (see ``attention_block``).
+        """
+        out = []
+        x, keys, visible = x_q, x_kv, visible_cross
+        for i, blk in enumerate([self.cross_block] + self.self_blocks):
+            x, k, v = attention_block(x, keys, visible, blk, self.cfg.heads,
+                                      prefix_kv=None if prefix is None else prefix[i])
+            out.append((x, k, v))
+            keys, visible = x, visible_self
+        return out
+
     def _head(self, target_row: Tensor, cls_row: Tensor, user_side: Tensor,
               trace: Optional[ForwardTrace] = None) -> Tensor:
         # Second-order features: target*CLS reads candidate-vs-pooled-history
@@ -372,19 +389,16 @@ class LongRecModel:
                            sample.candidate.timestamp)
         glob = T.concat_rows([
             u.globals, target_global_token(sample.candidate, self.tables, cfg)])
-        o = T.concat_rows([u.selected.tokens, glob])
-        r = T.concat_rows([u.merged, glob])
-        x, _, _ = attention_block(o, r, u.visible_cross, self.cross_block, cfg.heads)
+        layers = self._layers(T.concat_rows([u.selected.tokens, glob]),
+                              T.concat_rows([u.merged, glob]),
+                              u.visible_cross, u.visible_self)
+        x = layers[-1][0]
         if trace is not None:
             trace.h = u.seq.data.copy()
             trace.merged = u.merged.data.copy()
             trace.query_indices = u.selected.indices.copy()
             trace.query_positions = u.selected.positions.copy()
-            trace.layers.append(x.data.copy())
-        for blk in self.self_blocks:
-            x, _, _ = attention_block(x, x, u.visible_self, blk, cfg.heads)
-            if trace is not None:
-                trace.layers.append(x.data.copy())
+            trace.layers = [out.data.copy() for out, _, _ in layers]
 
         k = cfg.k
         target_row = T.gather_rows(x, np.array([k + cfg.m - 1]))

@@ -261,19 +261,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data)
-    if _track(a, b):
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
-        _attach(out, (a, b), bw)
-    return out
-
-
 def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product; either side may be a constant."""
     a, b = as_tensor(a), as_tensor(b)

@@ -1,9 +1,14 @@
-"""Shared fixtures and the central finite-difference gradient checker."""
+"""Shared fixtures, the central finite-difference gradient checker and the
+counted-vs-analytic MAC check of naive and cached scoring."""
 
 import numpy as np
 import pytest
 
+from longrec import analysis
+from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
+from longrec.inputs import Candidate, Sample
+from longrec.serving import build_cache, score_with_cache
 
 
 def rel_err(a: float, b: float) -> float:
@@ -45,6 +50,36 @@ def fd_check(build_loss, named_tensors, tol=1e-4, h=1e-5, max_coords=6, seed=0):
     for _, t in named_tensors:
         t.zero_grad()
     return worst
+
+
+def counted_muladds(model, users, n_candidates, seed=0):
+    """Counted MACs of scoring ``n_candidates`` per user naively (one full
+    forward each) and cached (one cache build, then the target row only).
+
+    Each user's two ``count_muladds`` windows must equal the analytic model
+    exactly; returns the (naive, cached) totals over all users.
+    """
+    cfg = model.cfg
+    rng = np.random.default_rng(seed)
+    naive = cached = 0
+    for base in users:
+        t = base.candidate.timestamp
+        cands = [Candidate(int(rng.integers(cfg.vocab)), t)
+                 for _ in range(n_candidates)]
+        n_events = min(len(base.events), cfg.L)
+        with T.count_muladds() as w:
+            for cand in cands:
+                model.score(Sample(base.events, base.user_features, cand, 0))
+        assert w.mul_adds == n_candidates * analysis.muladds_full_forward(cfg, n_events)
+        naive += w.mul_adds
+        with T.count_muladds() as w:
+            cache = build_cache(model, base.events, base.user_features, t)
+            for cand in cands:
+                score_with_cache(model, cache, cand)
+        assert w.mul_adds == (analysis.muladds_cache_build(cfg, n_events)
+                              + n_candidates * analysis.muladds_incremental(cfg))
+        cached += w.mul_adds
+    return naive, cached
 
 
 @pytest.fixture

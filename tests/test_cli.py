@@ -1,10 +1,14 @@
 """End-to-end CLI runs: exit codes, manifests, byte-level reproducibility."""
 
+import argparse
 import json
+import re
 import struct
+from pathlib import Path
 
 import pytest
 
+from longrec import cli
 from longrec.cli import main
 from longrec.model import CHECKPOINT_MAGIC
 
@@ -62,6 +66,24 @@ def test_gen_unknown_field_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({**GEN_CFG, "vocabulary": 10}))
     assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "vocabulary" in capsys.readouterr().err
+
+
+def test_gen_mistyped_field_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**GEN_CFG, "n_users": "3"}))
+    assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "n_users" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [("L", "x"), ("heads", 0), ("lr", "a")])
+def test_train_bad_config_value_exit_2(tmp_path, capsys, dataset_path, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**MODEL_CFG, field: value}))
+    assert main(["train", "--config", str(bad), "--data", dataset_path,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
 
 
 def test_gen_zero_users(tmp_path):
@@ -175,16 +197,6 @@ def test_fit_too_few_points_exit_2(tmp_path):
     assert main(["fit", "--csv", str(csv_path)]) == 2
 
 
-def test_bench_cli(tmp_path, model_cfg_path):
-    out = tmp_path / "bench"
-    assert main(["bench", "--config", model_cfg_path, "--users", "2",
-                 "--candidates", "4", "--reps", "1", "--out", str(out)]) == 0
-    lines = (out / "bench.csv").read_text().strip().splitlines()
-    assert lines[0].startswith("config,candidates,naive_muladds")
-    row = lines[1].split(",")
-    assert int(row[3]) < int(row[2])          # cached < naive at C=4
-
-
 def test_sweep_three_points_refuses_fit(tmp_path):
     sweep = {"axis": "seq_len", "grid": [4, 8, 12], "epochs": 1,
              "generator": GEN_CFG,
@@ -238,3 +250,15 @@ def test_score_command(tmp_path, model_cfg_path, dataset_path):
 
 def test_checkpoint_magic_constant():
     assert CHECKPOINT_MAGIC == b"LRCKPT01"
+
+
+def test_subcommand_lists_match_parser():
+    """README's command lines and the module docstring's list name exactly
+    the parser's subcommands."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    commands = set(action.choices)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert set(re.findall(r"^longrec (\w+)", readme, re.M)) == commands
+    listed = re.search(r"Subcommands: ([\w, ]+)\.", cli.__doc__).group(1)
+    assert set(listed.split(", ")) == commands

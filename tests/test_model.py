@@ -469,6 +469,21 @@ def test_checkpoint_damage_raises_config_error(tmp_path, tiny_cfg, damage):
         LongRecModel.load(str(bad))
 
 
+def test_checkpoint_mistyped_config_raises_config_error(tmp_path, tiny_cfg):
+    path = tmp_path / "model.bin"
+    LongRecModel(tiny_cfg, seed=22).save(str(path))
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + hlen])
+    header["config"]["lr"] = "0.003"
+    text = json.dumps(header, sort_keys=True).encode()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(text)) + text
+                    + blob[16 + hlen:])
+    with pytest.raises(ConfigError, match="lr"):
+        LongRecModel.load(str(bad))
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
