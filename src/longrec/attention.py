@@ -17,8 +17,9 @@ softmax uses to select logits, never added to them, so a hidden logit can
 never perturb visible probabilities.
 
 The same block serves the cross layer (queries over a different key set),
-the self layers (``x_kv is x_q``) and cached scoring (a target row against
-precomputed key/value rows passed as ``prefix_kv``). Blocks are pre-norm:
+the self layers (``x_kv is x_q``) and cached scoring (a block of target
+rows, each against precomputed key/value rows passed as ``prefix_kv`` and
+its own key). Blocks are pre-norm:
 LN -> multi-head attention -> residual, then LN -> FFN -> residual, with
 per-head scaling 1/sqrt(D/heads). One block at width w holds exactly
 12*w^2 + 13*w parameters (four projections with biases, the 4x FFN with
@@ -133,30 +134,48 @@ class BlockParams:
 
 
 def _multi_head_attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
-                          heads: int) -> Tensor:
+                          heads: int, prefix_kv=None) -> Tensor:
     width = q.shape[1]
     dh = width // heads
     scale = 1.0 / math.sqrt(dh)
     parts = []
     for h in range(heads):
-        qh = T.slice_cols(q, h * dh, (h + 1) * dh) if heads > 1 else q
-        kh = T.slice_cols(k, h * dh, (h + 1) * dh) if heads > 1 else k
-        vh = T.slice_cols(v, h * dh, (h + 1) * dh) if heads > 1 else v
-        scores = T.matmul_t(T.mul(qh, scale), kh)
-        probs = T.masked_softmax(scores, visible)
-        parts.append(T.matmul(probs, vh))
+        lo, hi = h * dh, (h + 1) * dh
+        qh = T.slice_cols(q, lo, hi) if heads > 1 else q
+        kh = T.slice_cols(k, lo, hi) if heads > 1 else k
+        vh = T.slice_cols(v, lo, hi) if heads > 1 else v
+        qs = T.mul(qh, scale)
+        if prefix_kv is None:
+            probs = T.masked_softmax(T.matmul_t(qs, kh), visible)
+            parts.append(T.matmul(probs, vh))
+            continue
+        # Row i is its own target: the cached keys, then its own key only.
+        n, c = prefix_kv[0].shape[0], q.shape[0]
+        own = T.row_matmul(T.reshape(qs, (c, 1, dh)), T.reshape(kh, (c, dh, 1)))
+        scores = T.concat_cols([T.matmul_t(qs, Tensor(prefix_kv[0][:, lo:hi])),
+                                T.reshape(own, (c, 1))])
+        probs = T.masked_softmax(scores, np.broadcast_to(visible, scores.shape))
+        own_v = T.row_matmul(T.reshape(T.slice_cols(probs, n, n + 1), (c, 1, 1)),
+                             T.reshape(vh, (c, 1, dh)))
+        parts.append(T.add(T.matmul(T.slice_cols(probs, 0, n),
+                                    Tensor(prefix_kv[1][:, lo:hi])),
+                           T.reshape(own_v, (c, dh))))
     return T.concat_cols(parts) if heads > 1 else parts[0]
 
 
 def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
                     params: BlockParams, heads: int = 1, prefix_kv=None):
-    """The pre-norm block: returns (output rows, key rows, value rows).
+    """The pre-norm block: returns (output rows, key rows, value rows), the
+    keys and values being the projections of ``x_kv``.
 
-    Self-attention when ``x_kv`` is ``x_q``. ``prefix_kv``, a pair of
-    already-projected (keys, values) arrays, puts those rows ahead of the
-    block's own key rows: a cached prefix first, the own rows last, the key
-    order of the full forward pass, so results agree with it to rounding.
-    ``visible`` is the boolean (queries, keys) visibility over that order.
+    Self-attention when ``x_kv`` is ``x_q``; ``visible`` is the boolean
+    (queries, keys) visibility. ``prefix_kv``, a pair of already-projected
+    (keys, values) arrays, makes every query row an independent target (so
+    ``x_kv`` must be ``x_q``): row i sees the prefix rows and its own key
+    row only, through ``visible``, the target's (1, prefix + 1) visibility
+    row. Its scores are [q_i K_prefix^T | q_i k_i] and its context
+    P_prefix V_prefix + p_i v_i, with no score between two query rows, so
+    each row agrees to rounding with a full pass over prefix + that row.
     """
     width = params.width
     if x_q.shape[1] != width or x_kv.shape[1] != width:
@@ -164,19 +183,20 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
             f"block width {width} does not match inputs {x_q.shape}, {x_kv.shape}")
     if width % heads:
         raise DimensionError(f"width {width} not divisible by heads={heads}")
-    n_keys = x_kv.shape[0] + (0 if prefix_kv is None else prefix_kv[0].shape[0])
-    if np.shape(visible) != (x_q.shape[0], n_keys):
-        raise DimensionError(
-            f"visibility shape {np.shape(visible)} != ({x_q.shape[0]}, {n_keys})")
+    if prefix_kv is None:
+        want = (x_q.shape[0], x_kv.shape[0])
+    elif x_kv is not x_q:
+        raise DimensionError("prefix_kv scoring takes each query row as its own key")
+    else:
+        want = (1, prefix_kv[0].shape[0] + 1)
+    if np.shape(visible) != want:
+        raise DimensionError(f"visibility shape {np.shape(visible)} != {want}")
     qn = T.layer_norm(x_q, params.ln1_g, params.ln1_b)
     kn = qn if x_kv is x_q else T.layer_norm(x_kv, params.ln1_g, params.ln1_b)
     q = T.linear(qn, params.w_q, params.b_q)
     k = T.linear(kn, params.w_k, params.b_k)
     v = T.linear(kn, params.w_v, params.b_v)
-    if prefix_kv is not None:
-        k = T.concat_rows([Tensor(prefix_kv[0]), k])
-        v = T.concat_rows([Tensor(prefix_kv[1]), v])
-    ctx = _multi_head_attention(q, k, v, visible, heads)
+    ctx = _multi_head_attention(q, k, v, visible, heads, prefix_kv)
     x1 = T.add(x_q, T.linear(ctx, params.w_o, params.b_o))
     x1n = T.layer_norm(x1, params.ln2_g, params.ln2_b)
     return T.add(x1, T.ffn(x1n, params.w1, params.b1, params.w2, params.b2)), k, v

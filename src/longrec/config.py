@@ -89,6 +89,10 @@ class ModelConfig:
             raise ConfigError(f"width D={self.D} not divisible by heads={self.heads}")
         if self.inner_layers < 1:
             raise ConfigError("inner_layers must be >= 1")
+        for name in ("head_hidden", "d_item", "d_act", "d_time", "n_time_buckets",
+                     "vocab", "n_actions", "n_users", "n_profiles", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         return self
 
     def to_dict(self) -> dict:
@@ -151,6 +155,9 @@ class GeneratorConfig:
             raise ConfigError("L_min exceeds L_max")
         if not (0.0 <= self.noise_rate <= 1.0 and 0.0 <= self.drift_rate <= 1.0):
             raise ConfigError("rates must lie in [0, 1]")
+        for name in ("p_hit", "p_miss"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
         if self.plant_gap is not None:
             if self.plant_gap < 0 or self.plant_gap + 1 > self.L_max:
                 raise ConfigError("plant_gap leaves no deep region before L_max")

@@ -465,15 +465,18 @@ def encode_events(events, reference_ts: int, tables: EmbeddingTables,
     return h, pad_mask, n
 
 
-def target_global_token(candidate: Candidate, tables: EmbeddingTables,
+def target_global_token(candidates, tables: EmbeddingTables,
                         cfg: ModelConfig) -> Tensor:
-    """The candidate's global row: event featurizer with a zero action slot
-    and zero time delta, lifted to width D, through the global MLP."""
-    item_ids = _checked_ids("item", [candidate.item_id], tables.item_table)
+    """The (C, D) global rows of a list of candidates, in list order: event
+    featurizer with a zero action slot and zero time delta, lifted to width
+    D, through the global MLP."""
+    n = len(candidates)
+    item_ids = _checked_ids("item", [c.item_id for c in candidates],
+                            tables.item_table)
     feat = T.concat_cols([
         T.gather_rows(tables.item_table, item_ids),
-        T.zeros((1, cfg.d_act)),
-        T.gather_rows(tables.time_bucket_table, np.array([0])),
+        T.zeros((n, cfg.d_act)),
+        T.gather_rows(tables.time_bucket_table, np.zeros(n, dtype=np.int64)),
     ])
     row_d = T.linear(feat, tables.mlp.tok_proj_w, tables.mlp.tok_proj_b)
     row = T.linear(row_d, tables.mlp.lift_w, tables.mlp.lift_b)

@@ -388,7 +388,7 @@ class LongRecModel:
         u = self.user_rows(sample.events, sample.user_features,
                            sample.candidate.timestamp)
         glob = T.concat_rows([
-            u.globals, target_global_token(sample.candidate, self.tables, cfg)])
+            u.globals, target_global_token([sample.candidate], self.tables, cfg)])
         layers = self._layers(T.concat_rows([u.selected.tokens, glob]),
                               T.concat_rows([u.merged, glob]),
                               u.visible_cross, u.visible_self)
@@ -580,6 +580,28 @@ def eval_metrics(model, samples) -> tuple:
     return a, analysis.logloss(scores, labels)
 
 
+def batch_backward(model, samples) -> float:
+    """Accumulate the gradient of the batch's mean BCE into the parameters'
+    ``.grad`` and return that mean loss.
+
+    Each sample's forward and backward run in batch order, so only one
+    sample's tape is alive at a time. Gradients reach the parameters in the
+    order a single ``T.mean_scalars`` tape over the batch would deliver them,
+    so they are bitwise equal to its. Stops before the backward of the first
+    non-finite sample loss and returns that loss.
+    """
+    seed = np.full((), 1.0 / len(samples))
+    losses = []
+    for s in samples:
+        loss = T.bce(model.forward_tensor(s), s.label)
+        value = float(loss.data)
+        if not math.isfinite(value):
+            return value
+        loss.backward(seed)
+        losses.append(value)
+    return sum(losses) / len(samples)
+
+
 def train(model, dataset, epochs: int, opt: Optional[OptConfig] = None) -> TrainingReport:
     """Fit the model on the temporal-train split; returns per-epoch stats.
 
@@ -602,18 +624,12 @@ def train(model, dataset, epochs: int, opt: Optional[OptConfig] = None) -> Train
         perm = rng.permutation(train_idx)
         losses = []
         for start in range(0, perm.size, batch):
-            chunk = perm[start:start + batch]
             adam.zero_grads()
-            per_sample = []
-            for i in chunk:
-                s = dataset.samples[int(i)]
-                per_sample.append(T.bce(model.forward_tensor(s), s.label))
-            loss = T.mean_scalars(per_sample)
-            value = float(loss.data)
+            value = batch_backward(model, [dataset.samples[int(i)]
+                                           for i in perm[start:start + batch]])
             if not math.isfinite(value):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}")
-            loss.backward()
             adam.step()
             model.param_version += 1
             losses.append(value)

@@ -248,6 +248,26 @@ def matmul_t(a, b) -> Tensor:
     return out
 
 
+def row_matmul(a, b) -> Tensor:
+    """Row-pair products: out[i] = a[i] @ b[i] for (n, r, p) and (n, p, s)
+    tensors, n independent matrix products. Counts n*r*p*s MACs."""
+    a, b = as_tensor(a), as_tensor(b)
+    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
+            or a.shape[2] != b.shape[1]):
+        raise DimensionError(f"row_matmul shape mismatch: {a.shape} x {b.shape}")
+    n, r, p = a.shape
+    counter.add(n * r * p * b.shape[2])
+    out = Tensor(np.matmul(a.data, b.data))
+    if _track(a, b):
+        def bw(g):
+            if a.requires_grad:
+                a._accumulate(np.matmul(g, b.data.transpose(0, 2, 1)))
+            if b.requires_grad:
+                b._accumulate(np.matmul(a.data.transpose(0, 2, 1), g))
+        _attach(out, (a, b), bw)
+    return out
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data + b.data)

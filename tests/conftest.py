@@ -54,7 +54,8 @@ def fd_check(build_loss, named_tensors, tol=1e-4, h=1e-5, max_coords=6, seed=0):
 
 def counted_muladds(model, users, n_candidates, seed=0):
     """Counted MACs of scoring ``n_candidates`` per user naively (one full
-    forward each) and cached (one cache build, then the target row only).
+    forward each) and cached (one cache build, then one batched pass over
+    the candidates' target rows).
 
     Each user's two ``count_muladds`` windows must equal the analytic model
     exactly; returns the (naive, cached) totals over all users.
@@ -74,8 +75,7 @@ def counted_muladds(model, users, n_candidates, seed=0):
         naive += w.mul_adds
         with T.count_muladds() as w:
             cache = build_cache(model, base.events, base.user_features, t)
-            for cand in cands:
-                score_with_cache(model, cache, cand)
+            score_with_cache(model, cache, cands)
         assert w.mul_adds == (analysis.muladds_cache_build(cfg, n_events)
                               + n_candidates * analysis.muladds_incremental(cfg))
         cached += w.mul_adds

@@ -115,7 +115,7 @@ def test_criterion_3_kv_cache_equivalence():
             cand = Candidate(int(rng.integers(cfg.vocab)),
                              base.candidate.timestamp)
             full = model.score(Sample(base.events, base.user_features, cand, 0))
-            fast = score_with_cache(model, cache, cand)
+            fast = score_with_cache(model, cache, [cand])[0]
             worst = max(worst, abs(full - fast))
             pairs += 1
     ok_eq = pairs == 1000 and worst <= 1e-9

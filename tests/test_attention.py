@@ -269,16 +269,48 @@ def test_build_mask_is_boolean():
 
 
 def test_prefix_kv_row_matches_full_block():
-    """A row scored against cached key/value rows equals its full-block row."""
+    """Each of C rows scored as its own target against cached key/value rows
+    equals the last row of a full block over the prefix rows plus that row."""
     rng = np.random.default_rng(17)
-    n, D = 5, 4
-    blk = make_block(D, 18)
-    x = Tensor(rng.normal(size=(n, D)))
+    n, D, C = 5, 4, 3
+    prefix = rng.normal(size=(n - 1, D))
+    targets = Tensor(rng.normal(size=(C, D)))
     visible = np.tril(np.ones((n, n))) > 0
-    last = Tensor(x.data[-1:])
-    with T.no_grad():
-        full, k, v = attention_block(x, x, visible, blk)
-        row, k_row, _ = attention_block(last, last, visible[-1:], blk,
-                                        prefix_kv=(k.data[:-1], v.data[:-1]))
-    assert np.abs(row.data - full.data[-1:]).max() <= 1e-12
-    assert k_row.shape == (n, D)
+    visible[-1, 1] = False               # a prefix key the target may not see
+    for heads in (1, 2):
+        blk = make_block(D, 18)
+        want = []
+        with T.no_grad():
+            for c in range(C):
+                x = Tensor(np.vstack([prefix, targets.data[c:c + 1]]))
+                full, k, v = attention_block(x, x, visible, blk, heads)
+                want.append(full.data[-1])
+            rows, k_rows, _ = attention_block(targets, targets, visible[-1:], blk,
+                                              heads, prefix_kv=(k.data[:-1], v.data[:-1]))
+        assert np.abs(rows.data - np.array(want)).max() <= 1e-12
+        assert k_rows.shape == (C, D)
+    with pytest.raises(DimensionError):
+        attention_block(targets, Tensor(targets.data), visible[-1:], blk,
+                        prefix_kv=(k.data[:-1], v.data[:-1]))
+    with pytest.raises(DimensionError):
+        attention_block(targets, targets, visible[-2:], blk,
+                        prefix_kv=(k.data[:-1], v.data[:-1]))
+
+
+def test_prefix_kv_gradient_check():
+    """The batched prefix path records its own-row products on the tape."""
+    rng = np.random.default_rng(19)
+    n, D, C, heads = 4, 6, 3, 3
+    targets = Tensor(rng.normal(size=(C, D)), requires_grad=True)
+    prefix_kv = (rng.normal(size=(n, D)), rng.normal(size=(n, D)))
+    visible = np.array([[True, False, True, True, True]])
+    blk = make_block(D, 20)
+    w = rng.normal(size=(D, 1)) * 0.3
+
+    def loss():
+        y = attention_block(targets, targets, visible, blk, heads,
+                            prefix_kv=prefix_kv)[0]
+        return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 1.0)
+
+    fd_check(loss, [("targets", targets), ("w_q", blk.w_q), ("w_k", blk.w_k),
+                    ("w_v", blk.w_v)], tol=1e-4)

@@ -76,12 +76,22 @@ def test_gen_mistyped_field_exit_2(tmp_path, capsys):
     assert "n_users" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("field,value", [("L", "x"), ("heads", 0), ("lr", "a")])
+@pytest.mark.parametrize("field,value", [("L", "x"), ("heads", 0), ("lr", "a"),
+                                         ("head_hidden", -1), ("batch_size", 0)])
 def test_train_bad_config_value_exit_2(tmp_path, capsys, dataset_path, field, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**MODEL_CFG, field: value}))
     assert main(["train", "--config", str(bad), "--data", dataset_path,
                  "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [("p_hit", 7.0), ("p_miss", -0.5)])
+def test_gen_probability_out_of_range_exit_2(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**GEN_CFG, field: value}))
+    assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
 

@@ -123,7 +123,7 @@ def encode(sample, tables, cfg):
 def global_rows(sample, tables, cfg):
     """Global rows in rank order [UID, CLS..., target], as the model uses them."""
     return T.concat_rows([nontarget_global_tokens(sample.user_features, tables, cfg),
-                          target_global_token(sample.candidate, tables, cfg)])
+                          target_global_token([sample.candidate], tables, cfg)])
 
 
 def test_encode_full_length_no_pads(tiny_cfg):

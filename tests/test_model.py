@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from longrec.errors import ConfigError, NumericalError
 from longrec.inputs import (Candidate, Dataset, Event, Sample, UserFeatures,
                             generate_dataset)
 from longrec.model import (CHECKPOINT_MAGIC, LongRecModel, OptConfig,
-                           SumPoolingModel, select_queries, train)
+                           SumPoolingModel, batch_backward, select_queries, train)
 from longrec.tensors import Tensor
 
 
@@ -308,6 +309,47 @@ def test_training_is_deterministic(tiny_cfg):
         reports.append(train(model, ds, epochs=2,
                              opt=OptConfig(lr=0.01, seed=3)).to_csv())
     assert reports[0] == reports[1]
+
+
+def test_batch_backward_grads_equal_one_mean_tape(tiny_cfg):
+    """Per-sample backwards give the gradients of one ``mean_scalars`` tape
+    over the batch bit for bit, and the same mean loss."""
+    for merge_mode in ("concat", "inner"):
+        cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24,
+                             "merge_mode": merge_mode})
+        samples = tiny_dataset(cfg).samples[:5]
+        model = LongRecModel(cfg, seed=12)
+        value = batch_backward(model, samples)
+        got = [None if t.grad is None else t.grad.tobytes()
+               for _, t in model.params()]
+        for _, t in model.params():
+            t.zero_grad()
+        loss = T.mean_scalars([T.bce(model.forward_tensor(s), s.label)
+                               for s in samples])
+        loss.backward()
+        assert value == float(loss.data)
+        assert got == [None if t.grad is None else t.grad.tobytes()
+                       for _, t in model.params()]
+
+
+def test_training_peak_memory_does_not_grow_with_batch():
+    """Only one sample's tape is alive at a time: the traced peak of one epoch
+    at batch 8 stays below twice the peak at batch 1."""
+    cfg = ModelConfig(L=64, d=4, K=2, k=8, N=1, vocab=24, n_users=16,
+                      n_profiles=4, head_hidden=8)
+    ds = generate_dataset(GeneratorConfig(n_users=16, vocab=24, L_max=64,
+                                          n_interests=5, interests_per_user=2,
+                                          n_profiles=4), 0)
+    peaks = []
+    for batch in (1, 8):
+        model = LongRecModel(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            train(model, ds, 1, OptConfig(batch_size=batch, eval_fraction=0.0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_nan_parameters_abort_training(tiny_cfg):

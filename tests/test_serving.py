@@ -71,18 +71,23 @@ CONFIG_MATRIX = [
 @pytest.mark.parametrize("cfg", CONFIG_MATRIX,
                          ids=lambda c: f"K{c.K}-{c.query_strategy}-{c.merge_mode}-h{c.heads}")
 def test_cached_equals_full_forward(cfg):
+    """One batch of 5 candidates matches the full forward of each at 1e-9
+    and each candidate scored alone as a batch of one at 1e-12."""
     model = LongRecModel(cfg, seed=2)
     rng = np.random.default_rng(3)
-    worst = 0.0
+    worst = worst_alone = 0.0
     for s in users_for(cfg, 6, seed=4):
         cache = build_cache(model, s.events, s.user_features,
                             s.candidate.timestamp)
-        for _ in range(5):
-            cand = Candidate(int(rng.integers(cfg.vocab)), s.candidate.timestamp)
+        cands = [Candidate(int(rng.integers(cfg.vocab)), s.candidate.timestamp)
+                 for _ in range(5)]
+        for cand, fast in zip(cands, score_with_cache(model, cache, cands)):
             full = model.score(Sample(s.events, s.user_features, cand, 0))
-            fast = score_with_cache(model, cache, cand)
-            worst = max(worst, abs(full - fast))
+            alone = score_with_cache(model, cache, [cand])[0]
+            worst = max(worst, abs(full - fast), abs(full - alone))
+            worst_alone = max(worst_alone, abs(alone - fast))
     assert worst <= 1e-9
+    assert worst_alone <= 1e-12
 
 
 def test_two_candidates_one_cache_match_independent_forwards():
@@ -93,7 +98,7 @@ def test_two_candidates_one_cache_match_independent_forwards():
     for item in (1, 2):
         cand = Candidate(item, s.candidate.timestamp)
         full = model.score(Sample(s.events, s.user_features, cand, 0))
-        assert abs(score_with_cache(model, cache, cand) - full) <= 1e-9
+        assert abs(score_with_cache(model, cache, [cand])[0] - full) <= 1e-9
 
 
 def test_stale_cache_after_parameter_update():
@@ -108,7 +113,7 @@ def test_stale_cache_after_parameter_update():
     opt.step()
     model.param_version += 1
     with pytest.raises(StaleCacheError):
-        score_with_cache(model, cache, Candidate(1, s.candidate.timestamp))
+        score_with_cache(model, cache, [Candidate(1, s.candidate.timestamp)])
 
 
 def test_cache_refused_by_model_with_other_weights(tmp_path):
@@ -118,11 +123,11 @@ def test_cache_refused_by_model_with_other_weights(tmp_path):
     cache = build_cache(a, s.events, s.user_features, s.candidate.timestamp)
     cand = Candidate(1, s.candidate.timestamp)
     with pytest.raises(StaleCacheError):
-        score_with_cache(b, cache, cand)
+        score_with_cache(b, cache, [cand])
     path = str(tmp_path / "a.bin")
     a.save(path)
     reloaded = LongRecModel.load(path)
-    assert score_with_cache(reloaded, cache, cand) == score_with_cache(a, cache, cand)
+    assert score_with_cache(reloaded, cache, [cand]) == score_with_cache(a, cache, [cand])
 
 
 def test_mismatched_timestamp_rejected():
@@ -130,8 +135,19 @@ def test_mismatched_timestamp_rejected():
     model = LongRecModel(cfg, seed=9)
     s = users_for(cfg, 1, seed=10)[0]
     cache = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
-    with pytest.raises(StaleCacheError):
-        score_with_cache(model, cache, Candidate(1, s.candidate.timestamp + 5))
+    t = s.candidate.timestamp
+    for bad in range(3):
+        cands = [Candidate(1, t + 5 if i == bad else t) for i in range(3)]
+        with pytest.raises(StaleCacheError):
+            score_with_cache(model, cache, cands)
+
+
+def test_empty_candidate_list_scores_to_empty():
+    cfg = small_cfg()
+    model = LongRecModel(cfg, seed=9)
+    s = users_for(cfg, 1, seed=10)[0]
+    cache = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
+    assert score_with_cache(model, cache, []) == []
 
 
 def test_cache_candidate_independence_is_structural():
@@ -140,7 +156,7 @@ def test_cache_candidate_independence_is_structural():
     model = LongRecModel(cfg, seed=11)
     s = users_for(cfg, 1, seed=12)[0]
     first = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
-    score_with_cache(model, first, Candidate(3, s.candidate.timestamp))
+    score_with_cache(model, first, [Candidate(3, s.candidate.timestamp)])
     second = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
     for la, lb in zip(first.layers, second.layers):
         np.testing.assert_array_equal(la.keys, lb.keys)
@@ -177,13 +193,13 @@ def test_one_cache_serves_concurrent_score_calls():
     s = users_for(cfg, 1, seed=32)[0]
     cache = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
     cands = [Candidate(i % cfg.vocab, s.candidate.timestamp) for i in range(300)]
-    serial = [score_with_cache(model, cache, c) for c in cands]
+    serial = [score_with_cache(model, cache, [c])[0] for c in cands]
     results = [None, None]
     start = threading.Barrier(2)
 
     def worker(j):
         start.wait()
-        results[j] = [score_with_cache(model, cache, c) for c in cands]
+        results[j] = [score_with_cache(model, cache, [c])[0] for c in cands]
 
     threads = [threading.Thread(target=worker, args=(j,)) for j in range(2)]
     interval = sys.getswitchinterval()
@@ -232,7 +248,7 @@ def test_cached_scoring_matches_straightline_oracle(cfg):
         resp = score_request(model, store, ScoreRequest(s.user_features.uid, cands))
         for cand, p in zip(cands, resp.probabilities):
             want = straightline_forward(model, Sample(s.events, s.user_features, cand, 0))
-            assert abs(score_with_cache(model, cache, cand) - want) <= 1e-9
+            assert abs(score_with_cache(model, cache, [cand])[0] - want) <= 1e-9
             assert abs(p - want) <= 1e-9
 
 

@@ -74,7 +74,8 @@ def test_matmul_counter_is_exact():
         T.matmul(np.zeros((3, 4)), np.zeros((4, 5)))
         T.matmul(np.zeros((2, 7)), np.zeros((7, 2)))
         T.matmul_t(np.zeros((5, 6)), np.zeros((3, 6)))
-    assert w.mul_adds == 3 * 4 * 5 + 2 * 7 * 2 + 5 * 6 * 3
+        T.row_matmul(np.zeros((4, 1, 3)), np.zeros((4, 3, 2)))
+    assert w.mul_adds == 3 * 4 * 5 + 2 * 7 * 2 + 5 * 6 * 3 + 4 * 1 * 3 * 2
 
 
 def test_matmul_backward_exact():
@@ -83,6 +84,26 @@ def test_matmul_backward_exact():
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     fd_check(lambda: T.bce(T.sigmoid(T.matmul(
         np.ones((1, 3)) * 0.2, T.matmul(T.matmul(a, b), np.ones((2, 1))))), 1.0),
+        [("a", a), ("b", b)])
+
+
+def test_row_matmul_matches_per_row_products_and_fd():
+    """Row-pair products: row i of the result is a[i] @ b[i], the scores
+    q_i . k_i ((n,1,p) x (n,p,1)) and scaled values p_i v_i ((n,1,1) x
+    (n,1,p)) of batched cached scoring."""
+    rng = np.random.default_rng(2)
+    a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+    out = T.row_matmul(a, b)
+    for i in range(3):
+        assert np.abs(out.data[i] - triple_loop_matmul(a.data[i], b.data[i])).max() \
+            <= 1e-12
+    with pytest.raises(DimensionError):
+        T.row_matmul(np.zeros((3, 2, 4)), np.zeros((2, 4, 2)))
+    with pytest.raises(DimensionError):
+        T.row_matmul(np.zeros((3, 4)), np.zeros((3, 4)))
+    fd_check(lambda: T.bce(T.sigmoid(T.matmul(
+        np.ones((1, 12)) * 0.2, T.reshape(T.row_matmul(a, b), (12, 1)))), 1.0),
         [("a", a), ("b", b)])
 
 
