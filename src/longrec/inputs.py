@@ -7,6 +7,14 @@ interest ever occurred in the user's history, so longer visible context
 strictly increases achievable ranking quality. Items map to interests by
 ``item_id % n_interests``.
 
+A user's history is an ``Events``: three read-only int64 columns
+(``item_id``, ``action_type``, ``timestamp``) rather than one object per
+event, so a stored history costs 24 bytes per event. Slices are views;
+indexing or iterating yields ``Event`` records. The generators and the JSONL
+reader fill the columns directly, and the encoder reads them whole: time
+deltas are one int64 subtraction and their log-2 buckets one
+``searchsorted``.
+
 Encoding turns events into width-d tokens: concat(item, action, time-bucket
 embeddings) -> linear projection to d -> plus a learned positional embedding
 indexed by recency (0 = most recent) -> a small GELU MLP. Recency indexing
@@ -39,6 +47,78 @@ class Event:
     timestamp: int
 
 
+_EVENT_FIELDS = ("item_id", "action_type", "timestamp")
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _frozen_int64(values) -> np.ndarray:
+    """A read-only int64 array of ``values``: a read-only int64 array as is
+    (a view of another history), anything else copied."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.int64
+            and not values.flags.writeable):
+        return values
+    out = np.array(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Events:
+    """An immutable event history as three read-only int64 columns.
+
+    ``len()`` counts events; a slice is an ``Events`` view of the same
+    columns; an integer index or iteration yields ``Event`` records. Two
+    histories are equal when their columns are.
+    """
+
+    item_id: np.ndarray
+    action_type: np.ndarray
+    timestamp: np.ndarray
+
+    def __post_init__(self) -> None:
+        cols = [_frozen_int64(getattr(self, f)) for f in _EVENT_FIELDS]
+        if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
+            raise ConfigError("event columns must be 1-d and of one length")
+        for f, c in zip(_EVENT_FIELDS, cols):
+            object.__setattr__(self, f, c)
+
+    @classmethod
+    def from_records(cls, records) -> "Events":
+        records = tuple(records)
+        return cls(*([getattr(e, f) for e in records] for f in _EVENT_FIELDS))
+
+    def __len__(self) -> int:
+        return self.item_id.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Events(self.item_id[i], self.action_type[i], self.timestamp[i])
+        return Event(int(self.item_id[i]), int(self.action_type[i]),
+                     int(self.timestamp[i]))
+
+    def __iter__(self):
+        return map(Event, self.item_id.tolist(), self.action_type.tolist(),
+                   self.timestamp.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Events):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in _EVENT_FIELDS)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f).tobytes() for f in _EVENT_FIELDS))
+
+
+def checked_int64s(values: list, name: str) -> list:
+    """``values`` as given when each is an integer within int64 (not a bool,
+    float or string); ConfigError naming ``name`` otherwise."""
+    if not all(type(v) is int for v in values) or (
+            values and not _INT64_MIN <= min(values) <= max(values) <= _INT64_MAX):
+        raise ConfigError(f"{name} must be integers within int64")
+    return values
+
+
 @dataclass(frozen=True)
 class UserFeatures:
     uid: int
@@ -53,18 +133,26 @@ class Candidate:
 
 @dataclass(frozen=True)
 class Sample:
-    """One training record: ordered events, user features, candidate, label."""
+    """One training record: ordered events, user features, candidate, label.
 
-    events: tuple
+    ``events`` is always an ``Events``; a sequence of ``Event`` records is
+    converted once, here.
+    """
+
+    events: Events
     user_features: UserFeatures
     candidate: Candidate
     label: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.events, Events):
+            object.__setattr__(self, "events", Events.from_records(self.events))
+
     def validate(self, L_max: Optional[int] = None) -> "Sample":
-        ts = [e.timestamp for e in self.events]
-        if any(a > b for a, b in zip(ts, ts[1:])):
+        ts = self.events.timestamp
+        if (ts[1:] < ts[:-1]).any():
             raise ConfigError("events must be sorted non-decreasing by timestamp")
-        if ts and ts[-1] > self.candidate.timestamp:
+        if ts.size and ts[-1] > self.candidate.timestamp:
             raise ConfigError("event timestamps must not exceed the candidate timestamp")
         if L_max is not None and len(self.events) > L_max:
             raise ConfigError(f"sample has {len(self.events)} events > L_max={L_max}")
@@ -73,12 +161,10 @@ class Sample:
         return self
 
     def to_json_dict(self) -> dict:
+        cols = [getattr(self.events, f).tolist() for f in _EVENT_FIELDS]
         return {
-            "events": [
-                {"item_id": e.item_id, "action_type": e.action_type,
-                 "timestamp": e.timestamp}
-                for e in self.events
-            ],
+            "events": [{"item_id": i, "action_type": a, "timestamp": t}
+                       for i, a, t in zip(*cols)],
             "user_features": {"uid": self.user_features.uid,
                               "profile_bucket": self.user_features.profile_bucket},
             "candidate": {"item_id": self.candidate.item_id,
@@ -88,14 +174,18 @@ class Sample:
 
     @classmethod
     def from_json_dict(cls, rec: dict) -> "Sample":
+        """Build a sample from its JSON record; every id, time and the label
+        must be an integer within int64 (ConfigError otherwise)."""
+        events = rec["events"]
+        user, cand = rec["user_features"], rec["candidate"]
         return cls(
-            events=tuple(Event(e["item_id"], e["action_type"], e["timestamp"])
-                         for e in rec["events"]),
-            user_features=UserFeatures(rec["user_features"]["uid"],
-                                       rec["user_features"]["profile_bucket"]),
-            candidate=Candidate(rec["candidate"]["item_id"],
-                                rec["candidate"]["timestamp"]),
-            label=int(rec["label"]),
+            events=Events(*(checked_int64s([e[f] for e in events], f"event {f}")
+                            for f in _EVENT_FIELDS)),
+            user_features=UserFeatures(*checked_int64s(
+                [user["uid"], user["profile_bucket"]], "user_features uid/profile_bucket")),
+            candidate=Candidate(*checked_int64s(
+                [cand["item_id"], cand["timestamp"]], "candidate item_id/timestamp")),
+            label=checked_int64s([rec["label"]], "label")[0],
         )
 
 
@@ -170,7 +260,7 @@ def _natural_sample(cfg, rng, uid):
     union = set(current)
     t = cfg.base_time + int(rng.integers(0, 10_000_000))
     n = int(rng.integers(cfg.effective_L_min, cfg.L_max + 1))
-    events = []
+    items, actions, times = [], [], []
     for _ in range(n):
         if rng.random() < cfg.drift_rate:
             slot = int(rng.integers(ipu))
@@ -181,7 +271,9 @@ def _natural_sample(cfg, rng, uid):
         else:
             item = _item_of_interest(cfg, rng, current[int(rng.integers(ipu))])
         t += int(rng.integers(cfg.gap_min, cfg.gap_max + 1))
-        events.append(Event(item, int(rng.integers(cfg.n_actions)), t))
+        items.append(item)
+        actions.append(int(rng.integers(cfg.n_actions)))
+        times.append(t)
     cand_ts = t + int(rng.integers(cfg.gap_min, cfg.gap_max + 1))
     if rng.random() < cfg.candidate_from_history_rate:
         cand_item = _item_of_interest(cfg, rng, int(rng.choice(sorted(union))))
@@ -190,7 +282,8 @@ def _natural_sample(cfg, rng, uid):
     hit = interest_of(cand_item, cfg.n_interests) in union
     label = int(rng.random() < (cfg.p_hit if hit else cfg.p_miss))
     feats = UserFeatures(uid, int(rng.integers(cfg.n_profiles)))
-    return Sample(tuple(events), feats, Candidate(cand_item, cand_ts), label), hit
+    return (Sample(Events(items, actions, times), feats,
+                   Candidate(cand_item, cand_ts), label), hit)
 
 
 def _planted_samples(cfg, rng, uid):
@@ -225,7 +318,7 @@ def _planted_samples(cfg, rng, uid):
                                             size=min(count, region_len),
                                             replace=False))
     t = cfg.base_time + int(rng.integers(0, 10_000_000))
-    events = []
+    items, actions, times = [], [], []
     for pos in range(n):
         if pos in plant_positions:
             item = hit_item if cfg.plant_exact_item \
@@ -235,9 +328,11 @@ def _planted_samples(cfg, rng, uid):
         else:
             item = _item_of_interest(cfg, rng, int(base[int(rng.integers(ipu))]))
         t += int(rng.integers(cfg.gap_min, cfg.gap_max + 1))
-        events.append(Event(item, int(rng.integers(cfg.n_actions)), t))
+        items.append(item)
+        actions.append(int(rng.integers(cfg.n_actions)))
+        times.append(t)
     cand_ts = t + int(rng.integers(cfg.gap_min, cfg.gap_max + 1))
-    events = tuple(events)
+    events = Events(items, actions, times)
     feats = UserFeatures(uid, int(rng.integers(cfg.n_profiles)))
     out = []
     for j in range(cfg.candidates_per_history):
@@ -266,9 +361,9 @@ def bayes_window_scores(dataset: Dataset, window: Optional[int] = None) -> np.nd
         raise ConfigError("oracle scoring needs the generating config")
     out = np.empty(len(dataset.samples))
     for i, s in enumerate(dataset.samples):
-        events = s.events if window is None else s.events[-window:]
+        items = s.events.item_id if window is None else s.events.item_id[-window:]
         c = interest_of(s.candidate.item_id, cfg.n_interests)
-        seen = any(interest_of(e.item_id, cfg.n_interests) == c for e in events)
+        seen = (interest_of(items, cfg.n_interests) == c).any()
         out[i] = cfg.p_hit if seen else cfg.p_miss
     return out
 
@@ -304,15 +399,21 @@ def load_dataset(path: str, L_max: Optional[int] = None) -> Dataset:
 # ----------------------------- embedding tables & input params -----------------------------
 
 
-def time_bucket(delta_seconds: int, n_buckets: int) -> int:
-    """Log-2 bucket of (candidate_ts - event_ts + 1) seconds.
+_POWERS_OF_TWO = 2 ** np.arange(63, dtype=np.int64)     # 2^0 .. 2^62
 
-    Bucket b covers deltas in [2^(b-1), 2^b); delta 0 maps to bucket 0.
-    Integer-exact via bit_length, clamped to the last bucket.
+
+def time_buckets(deltas, n_buckets: int) -> np.ndarray:
+    """Log-2 buckets of time deltas in seconds (candidate_ts - event_ts).
+
+    Bucket b covers deltas in [2^(b-1), 2^b); delta 0 maps to bucket 0, so a
+    delta's bucket is its integer bit length, clamped to the last bucket.
+    Exact for every int64 delta: it counts the powers of two not above it.
     """
-    if delta_seconds < 0:
+    deltas = np.asarray(deltas, dtype=np.int64)
+    if deltas.size and deltas.min() < 0:
         raise ConfigError("future event: negative time delta")
-    return min(int(delta_seconds).bit_length(), n_buckets - 1)
+    return np.minimum(np.searchsorted(_POWERS_OF_TWO, deltas, side="right"),
+                      n_buckets - 1)
 
 
 @dataclass
@@ -417,8 +518,7 @@ def _checked_ids(name: str, ids, table: Tensor) -> np.ndarray:
 def _event_features(tables: EmbeddingTables, cfg: ModelConfig, items, actions, deltas):
     item_ids = _checked_ids("item", items, tables.item_table)
     act_ids = _checked_ids("action", actions, tables.action_table)
-    buckets = np.array([time_bucket(dt, cfg.n_time_buckets) for dt in deltas],
-                       dtype=np.int64)
+    buckets = time_buckets(deltas, cfg.n_time_buckets)
     feats = T.concat_cols([
         T.gather_rows(tables.item_table, item_ids),
         T.gather_rows(tables.action_table, act_ids),
@@ -444,17 +544,18 @@ def encode_events(events, reference_ts: int, tables: EmbeddingTables,
     Events beyond the most recent cfg.L fall outside the visible window and
     are dropped. Remaining events become width-d tokens, right-aligned and
     left-padded with zeros; time deltas are measured from ``reference_ts``.
+    ``events`` is an ``Events`` or a sequence of ``Event`` records.
     """
-    events = tuple(events)[-cfg.L:]
+    if not isinstance(events, Events):
+        events = Events.from_records(events)
+    events = events[-cfg.L:]
     n = len(events)
     pad_mask = np.ones(cfg.L, dtype=bool)
     pad_mask[cfg.L - n:] = False
     if n == 0:
         return T.zeros((cfg.L, cfg.d)), pad_mask, 0
-    items = [e.item_id for e in events]
-    actions = [e.action_type for e in events]
-    deltas = [reference_ts - e.timestamp for e in events]
-    x = _event_features(tables, cfg, items, actions, deltas)
+    x = _event_features(tables, cfg, events.item_id, events.action_type,
+                        reference_ts - events.timestamp)
     recency = np.arange(n - 1, -1, -1, dtype=np.int64)   # 0 = most recent
     x = T.add(x, T.gather_rows(tables.abs_pos_table, recency))
     h_real = _seq_mlp(tables, x)

@@ -32,7 +32,7 @@ from .attention import BlockParams, attention_block, build_mask
 from .config import ModelConfig
 from .errors import ConfigError, NumericalError, UndefinedMetricError
 from .inputs import (EmbeddingTables, Sample, UserFeatures, encode_events,
-                     nontarget_global_tokens, target_global_token, time_bucket,
+                     nontarget_global_tokens, target_global_token, time_buckets,
                      user_side_features)
 from .merge import (merge_concat, merge_inner_trans, merged_pad_flags,
                     merged_positions, pad_to_group_multiple)
@@ -695,19 +695,17 @@ class SumPoolingModel:
         feats = T.concat_cols([
             T.gather_rows(self.item_table, item_ids),
             T.gather_rows(self.action_table, np.asarray(actions, dtype=np.int64)),
-            T.gather_rows(self.time_table, np.array(
-                [time_bucket(dt, self.cfg.n_time_buckets) for dt in deltas],
-                dtype=np.int64)),
+            T.gather_rows(self.time_table,
+                          time_buckets(deltas, self.cfg.n_time_buckets)),
         ])
         return feats
 
     def forward_tensor(self, sample: Sample) -> Tensor:
         events = sample.events[-self.cfg.L:]
         cand = sample.candidate
-        if events:
-            feats = self._features([e.item_id for e in events],
-                                   [e.action_type for e in events],
-                                   [cand.timestamp - e.timestamp for e in events])
+        if len(events):
+            feats = self._features(events.item_id, events.action_type,
+                                   cand.timestamp - events.timestamp)
             pooled = T.mean_rows(feats)
         else:
             pooled = T.zeros((1, self.cfg.feat_width))

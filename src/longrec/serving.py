@@ -156,19 +156,19 @@ def score_request(model: LongRecModel, sample_store: dict,
 
     ``sample_store`` maps user_id to the user's base sample (events and
     features). All candidates in one request must share one timestamp, which
-    becomes the cache's scoring time.
+    becomes the cache's scoring time. A request without candidates builds no
+    cache and gets ``[]`` with zero timings.
     """
     if request.user_id not in sample_store:
         raise ConfigError(f"unknown user_id {request.user_id}")
+    if not request.candidates:
+        return ScoreResponse(request.user_id, [], 0, 0)
     base = sample_store[request.user_id]
-    if request.candidates:
-        stamps = {c.timestamp for c in request.candidates}
-        if len(stamps) > 1:
-            raise ConfigError("candidates in one request must share a timestamp")
-        scoring_time = request.candidates[0].timestamp
-    else:
-        scoring_time = base.candidate.timestamp
-    if base.events and base.events[-1].timestamp > scoring_time:
+    if len({c.timestamp for c in request.candidates}) > 1:
+        raise ConfigError("candidates in one request must share a timestamp")
+    scoring_time = request.candidates[0].timestamp
+    ts = base.events.timestamp
+    if ts.size and ts[-1] > scoring_time:
         raise ConfigError("scoring time precedes the last user event")
     t0 = time.perf_counter_ns()
     cache = build_cache(model, base.events, base.user_features, scoring_time)

@@ -96,6 +96,23 @@ def test_gen_probability_out_of_range_exit_2(tmp_path, capsys, field, value):
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("events", "item_id", "x"), ("events", "item_id", 1.7),
+    ("events", "action_type", True), ("candidate", "timestamp", 2 ** 70)])
+def test_train_malformed_dataset_field_exit_2(tmp_path, capsys, model_cfg_path,
+                                              dataset_path, section, field, value):
+    lines = Path(dataset_path).read_text().splitlines()
+    rec = json.loads(lines[0])
+    target = rec["events"][0] if section == "events" else rec[section]
+    target[field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    assert main(["train", "--config", model_cfg_path, "--data", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
 def test_gen_zero_users(tmp_path):
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps({**GEN_CFG, "n_users": 0}))

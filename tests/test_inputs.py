@@ -1,7 +1,9 @@
 """Generator distributions, oracle windows, encoding, and JSONL round-trips."""
 
 import gzip
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from longrec import analysis
 from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
 from longrec.errors import ConfigError, EmbeddingLookupError
-from longrec.inputs import (Candidate, EmbeddingTables, Event, Sample,
+from longrec.inputs import (Candidate, EmbeddingTables, Event, Events, Sample,
                             UserFeatures, bayes_window_scores, encode_events,
                             generate_dataset, interest_of, load_dataset,
                             nontarget_global_tokens, save_dataset,
-                            target_global_token, time_bucket)
+                            target_global_token, time_buckets)
 
 
 def serialize(dataset):
@@ -91,19 +93,26 @@ def test_label_balance_guard():
 
 
 def test_time_bucket_documented_cases():
-    assert time_bucket(3601, 32) == 12       # 2**11 <= 3601 < 2**12
-    assert time_bucket(0, 32) == 0
-    assert time_bucket(1, 32) == 1
-    assert time_bucket(2, 32) == 2
-    assert time_bucket(2 ** 40, 32) == 31    # clamped to the last bucket
+    assert time_buckets(3601, 32) == 12       # 2**11 <= 3601 < 2**12
+    assert time_buckets(0, 32) == 0
+    assert time_buckets(1, 32) == 1
+    assert time_buckets(2, 32) == 2
+    assert time_buckets(2 ** 40, 32) == 31    # clamped to the last bucket
     with pytest.raises(ConfigError):
-        time_bucket(-5, 32)
+        time_buckets(-5, 32)
+    with pytest.raises(ConfigError):
+        time_buckets([3, -1, 7], 32)
 
 
 def test_time_bucket_boundaries():
     for b in range(1, 12):
-        assert time_bucket(2 ** (b - 1), 32) == b
-        assert time_bucket(2 ** b - 1, 32) == b
+        assert time_buckets(2 ** (b - 1), 32) == b
+        assert time_buckets(2 ** b - 1, 32) == b
+    # Every power-of-two edge of int64, against Python's exact bit length.
+    deltas = [0, 2 ** 63 - 1] + [v for b in range(63) for v in (2 ** b - 1, 2 ** b)]
+    for n_buckets in (32, 70):
+        want = [min(int(d).bit_length(), n_buckets - 1) for d in deltas]
+        assert time_buckets(deltas, n_buckets).tolist() == want
 
 
 # ----------------------------- encoding -----------------------------
@@ -232,6 +241,41 @@ def test_jsonl_roundtrip(tmp_path, tiny_gen_cfg):
     save_dataset(ds, str(path))
     loaded = load_dataset(str(path), tiny_gen_cfg.L_max)
     assert serialize(ds) == serialize(loaded)
+    assert [s.events for s in loaded.samples] == [s.events for s in ds.samples]
+    assert loaded.samples == ds.samples
+    events = ds.samples[0].events
+    assert isinstance(events, Events)
+    assert events[1:-1] == Events.from_records(list(events)[1:-1])
+    assert events[-1] == Event(int(events.item_id[-1]), int(events.action_type[-1]),
+                               int(events.timestamp[-1]))
+
+
+def test_generated_jsonl_bytes_pinned(tmp_path, tiny_gen_cfg):
+    """The generator's bytes at fixed seeds, natural and planted regimes."""
+    planted = GeneratorConfig(30, vocab=48, L_max=256, L_min=192, n_interests=8,
+                              interests_per_user=3, noise_rate=0.1, plant_gap=64)
+    digests = []
+    for cfg in (tiny_gen_cfg, planted):
+        path = tmp_path / "data.jsonl"
+        save_dataset(generate_dataset(cfg, seed=8), str(path))
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests == [
+        "c60b07121cd1c8fdfdb53c0ca460918f9b7a7e539fbc98d6a8f998cf51dd50ba",
+        "30e0f9dc102819be5e5e2b9805b549541368b1b2c03abc1b2d2bb52d2aa23856"]
+
+
+def test_stored_history_bytes_per_event():
+    cfg = GeneratorConfig(n_users=1, vocab=500, L_max=1024, L_min=1024)
+    generate_dataset(cfg, seed=0)            # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = generate_dataset(cfg, seed=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ds.samples[0].events) == 1024
+    assert held / 1024 < 40
 
 
 def test_jsonl_gzip_roundtrip(tmp_path, tiny_gen_cfg):

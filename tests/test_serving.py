@@ -264,3 +264,14 @@ def test_score_request_validation():
              Candidate(2, s.candidate.timestamp + 1)]
     with pytest.raises(ConfigError):
         score_request(model, store, ScoreRequest(s.user_features.uid, mixed))
+
+
+def test_empty_request_builds_no_cache():
+    cfg = small_cfg()
+    model = LongRecModel(cfg, seed=24)
+    s = users_for(cfg, 1, seed=25)[0]
+    with T.count_muladds() as window:
+        resp = score_request(model, {s.user_features.uid: s},
+                             ScoreRequest(s.user_features.uid, []))
+    assert window.mul_adds == 0
+    assert resp.probabilities == [] and resp.cache_build_ns == 0
