@@ -31,7 +31,8 @@ from . import __version__, analysis
 from .config import GeneratorConfig, ModelConfig
 from .errors import (ConfigError, EmbeddingLookupError, NumericalError,
                      StaleCacheError, UndefinedMetricError)
-from .inputs import Candidate, generate_dataset, load_dataset, save_dataset
+from .inputs import (Candidate, checked_int64s, generate_dataset, load_dataset,
+                     save_dataset)
 from .model import (LongRecModel, OptConfig, SumPoolingModel, eval_metrics,
                     temporal_split, train)
 from .serving import ScoreRequest, score_request
@@ -360,8 +361,10 @@ def cmd_score(args) -> int:
                 rec = json.loads(line)
                 request = ScoreRequest(
                     user_id=int(rec["user_id"]),
-                    candidates=[Candidate(int(c["item_id"]), int(c["timestamp"]))
-                                for c in rec["candidates"]])
+                    candidates=[
+                        Candidate(*checked_int64s([c["item_id"], c["timestamp"]],
+                                                  "candidate item_id/timestamp"))
+                        for c in rec["candidates"]])
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"malformed score request: {exc}") from exc
             response = score_request(model, store, request)

@@ -301,13 +301,16 @@ def mul(a, b) -> Tensor:
 def gelu(x) -> Tensor:
     """GELU via the tanh approximation (documented, derivative exact for it)."""
     x = as_tensor(x)
-    u = _GELU_C * (x.data + _GELU_A * x.data ** 3)
+    xd = x.data
+    # Products, not pow: x ** 3 goes through the generic pow loop, which
+    # is slower than two multiplies by an order of magnitude.
+    u = _GELU_C * (xd + _GELU_A * (xd * xd * xd))
     t = np.tanh(u)
-    out = Tensor(0.5 * x.data * (1.0 + t))
+    out = Tensor(0.5 * xd * (1.0 + t))
     if _track(x):
         def bw(g):
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data ** 2)
-            dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t ** 2) * du
+            du = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
+            dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
             x._accumulate(g * dx)
         _attach(out, (x,), bw)
     return out
