@@ -360,7 +360,7 @@ def cmd_score(args) -> int:
             try:
                 rec = json.loads(line)
                 request = ScoreRequest(
-                    user_id=int(rec["user_id"]),
+                    user_id=checked_int64s([rec["user_id"]], "user_id")[0],
                     candidates=[
                         Candidate(*checked_int64s([c["item_id"], c["timestamp"]],
                                                   "candidate item_id/timestamp"))

@@ -9,11 +9,11 @@ strictly increases achievable ranking quality. Items map to interests by
 
 A user's history is an ``Events``: three read-only int64 columns
 (``item_id``, ``action_type``, ``timestamp``) rather than one object per
-event, so a stored history costs 24 bytes per event. Slices are views;
+event, so a stored history costs about 24 bytes per event. Slices are views;
 indexing or iterating yields ``Event`` records. The generators and the JSONL
 reader fill the columns directly, and the encoder reads them whole: time
-deltas are one int64 subtraction and their log-2 buckets one
-``searchsorted``.
+deltas are one int64 subtraction (``time_deltas``, which refuses a wrapped
+difference) and their log-2 buckets one ``searchsorted``.
 
 Encoding turns events into width-d tokens: concat(item, action, time-bucket
 embeddings) -> linear projection to d -> plus a learned positional embedding
@@ -83,8 +83,12 @@ class Events:
             object.__setattr__(self, f, c)
 
     @classmethod
-    def from_records(cls, records) -> "Events":
-        records = tuple(records)
+    def of(cls, events) -> "Events":
+        """``events`` as is when it is an ``Events``, else its ``Event``
+        records converted to columns."""
+        if isinstance(events, Events):
+            return events
+        records = tuple(events)
         return cls(*([getattr(e, f) for e in records] for f in _EVENT_FIELDS))
 
     def __len__(self) -> int:
@@ -145,8 +149,7 @@ class Sample:
     label: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.events, Events):
-            object.__setattr__(self, "events", Events.from_records(self.events))
+        object.__setattr__(self, "events", Events.of(self.events))
 
     def validate(self, L_max: Optional[int] = None) -> "Sample":
         ts = self.events.timestamp
@@ -182,7 +185,7 @@ class Sample:
             events=Events(*(checked_int64s([e[f] for e in events], f"event {f}")
                             for f in _EVENT_FIELDS)),
             user_features=UserFeatures(*checked_int64s(
-                [user["uid"], user["profile_bucket"]], "user_features uid/profile_bucket")),
+                [user["uid"], user["profile_bucket"]], "uid/profile_bucket")),
             candidate=Candidate(*checked_int64s(
                 [cand["item_id"], cand["timestamp"]], "candidate item_id/timestamp")),
             label=checked_int64s([rec["label"]], "label")[0],
@@ -402,6 +405,15 @@ def load_dataset(path: str, L_max: Optional[int] = None) -> Dataset:
 _POWERS_OF_TWO = 2 ** np.arange(63, dtype=np.int64)     # 2^0 .. 2^62
 
 
+def time_deltas(reference_ts: int, timestamps: np.ndarray) -> np.ndarray:
+    """``reference_ts - timestamps`` in int64 seconds. A difference that
+    int64 cannot hold would wrap to the wrong sign, so it raises ConfigError."""
+    deltas = reference_ts - timestamps
+    if ((deltas < 0) != (timestamps > reference_ts)).any():
+        raise ConfigError("time delta outside int64")
+    return deltas
+
+
 def time_buckets(deltas, n_buckets: int) -> np.ndarray:
     """Log-2 buckets of time deltas in seconds (candidate_ts - event_ts).
 
@@ -546,16 +558,14 @@ def encode_events(events, reference_ts: int, tables: EmbeddingTables,
     left-padded with zeros; time deltas are measured from ``reference_ts``.
     ``events`` is an ``Events`` or a sequence of ``Event`` records.
     """
-    if not isinstance(events, Events):
-        events = Events.from_records(events)
-    events = events[-cfg.L:]
+    events = Events.of(events)[-cfg.L:]
     n = len(events)
     pad_mask = np.ones(cfg.L, dtype=bool)
     pad_mask[cfg.L - n:] = False
     if n == 0:
         return T.zeros((cfg.L, cfg.d)), pad_mask, 0
     x = _event_features(tables, cfg, events.item_id, events.action_type,
-                        reference_ts - events.timestamp)
+                        time_deltas(reference_ts, events.timestamp))
     recency = np.arange(n - 1, -1, -1, dtype=np.int64)   # 0 = most recent
     x = T.add(x, T.gather_rows(tables.abs_pos_table, recency))
     h_real = _seq_mlp(tables, x)

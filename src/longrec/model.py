@@ -33,7 +33,7 @@ from .config import ModelConfig
 from .errors import ConfigError, NumericalError, UndefinedMetricError
 from .inputs import (EmbeddingTables, Sample, UserFeatures, encode_events,
                      nontarget_global_tokens, target_global_token, time_buckets,
-                     user_side_features)
+                     time_deltas, user_side_features)
 from .merge import (merge_concat, merge_inner_trans, merged_pad_flags,
                     merged_positions, pad_to_group_multiple)
 from .tensors import Tensor
@@ -705,7 +705,7 @@ class SumPoolingModel:
         cand = sample.candidate
         if len(events):
             feats = self._features(events.item_id, events.action_type,
-                                   cand.timestamp - events.timestamp)
+                                   time_deltas(cand.timestamp, events.timestamp))
             pooled = T.mean_rows(feats)
         else:
             pooled = T.zeros((1, self.cfg.feat_width))

@@ -273,11 +273,12 @@ def test_score_command(tmp_path, model_cfg_path, dataset_path):
     resp = json.loads((out / "responses.jsonl").read_text())
     assert resp["user_id"] == uid
     assert len(resp["probabilities"]) == 2
-    req_path.write_text(json.dumps(
-        {"user_id": uid, "candidates": [{"item_id": 1, "timestamp": 2 ** 70}]}) + "\n")
-    assert main(["score", "--checkpoint", str(train_out / "checkpoint.bin"),
-                 "--data", dataset_path, "--requests", str(req_path),
-                 "--out", str(out)]) == 2
+    for bad in ({"user_id": uid + 0.5, "candidates": []},
+                {"user_id": uid, "candidates": [{"item_id": 1, "timestamp": 2 ** 70}]}):
+        req_path.write_text(json.dumps(bad) + "\n")
+        assert main(["score", "--checkpoint", str(train_out / "checkpoint.bin"),
+                     "--data", dataset_path, "--requests", str(req_path),
+                     "--out", str(out)]) == 2
 
 
 def test_checkpoint_magic_constant():

@@ -16,7 +16,7 @@ from longrec.inputs import (Candidate, EmbeddingTables, Event, Events, Sample,
                             UserFeatures, bayes_window_scores, encode_events,
                             generate_dataset, interest_of, load_dataset,
                             nontarget_global_tokens, save_dataset,
-                            target_global_token, time_buckets)
+                            target_global_token, time_buckets, time_deltas)
 
 
 def serialize(dataset):
@@ -113,6 +113,15 @@ def test_time_bucket_boundaries():
     for n_buckets in (32, 70):
         want = [min(int(d).bit_length(), n_buckets - 1) for d in deltas]
         assert time_buckets(deltas, n_buckets).tolist() == want
+
+
+def test_time_deltas_refuse_int64_wrap():
+    assert time_deltas(10, np.array([3, 10, 12])).tolist() == [7, 0, -2]
+    # Past and future events more than 2^63 - 1 seconds away: int64 would
+    # wrap each difference to the wrong sign.
+    for ref, t in ((2 ** 62, -2 ** 62 - 5), (-2 ** 62, 2 ** 62 + 5)):
+        with pytest.raises(ConfigError):
+            time_deltas(ref, np.array([t], dtype=np.int64))
 
 
 # ----------------------------- encoding -----------------------------
@@ -245,7 +254,7 @@ def test_jsonl_roundtrip(tmp_path, tiny_gen_cfg):
     assert loaded.samples == ds.samples
     events = ds.samples[0].events
     assert isinstance(events, Events)
-    assert events[1:-1] == Events.from_records(list(events)[1:-1])
+    assert events[1:-1] == Events.of(list(events)[1:-1])
     assert events[-1] == Event(int(events.item_id[-1]), int(events.action_type[-1]),
                                int(events.timestamp[-1]))
 
