@@ -146,17 +146,18 @@ def _multi_head_attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
         vh = T.slice_cols(v, lo, hi) if heads > 1 else v
         qs = T.mul(qh, scale)
         if prefix_kv is None:
-            probs = T.masked_softmax(T.matmul_t(qs, kh), visible)
+            probs = T.masked_softmax(T.matmul(qs, kh, transpose_b=True), visible)
             parts.append(T.matmul(probs, vh))
             continue
         # Row i is its own target: the cached keys, then its own key only.
         n, c = prefix_kv[0].shape[0], q.shape[0]
-        own = T.row_matmul(T.reshape(qs, (c, 1, dh)), T.reshape(kh, (c, dh, 1)))
-        scores = T.concat_cols([T.matmul_t(qs, Tensor(prefix_kv[0][:, lo:hi])),
-                                T.reshape(own, (c, 1))])
+        own = T.matmul(T.reshape(qs, (c, 1, dh)), T.reshape(kh, (c, dh, 1)))
+        scores = T.concat_cols([
+            T.matmul(qs, Tensor(prefix_kv[0][:, lo:hi]), transpose_b=True),
+            T.reshape(own, (c, 1))])
         probs = T.masked_softmax(scores, np.broadcast_to(visible, scores.shape))
-        own_v = T.row_matmul(T.reshape(T.slice_cols(probs, n, n + 1), (c, 1, 1)),
-                             T.reshape(vh, (c, 1, dh)))
+        own_v = T.matmul(T.reshape(T.slice_cols(probs, n, n + 1), (c, 1, 1)),
+                         T.reshape(vh, (c, 1, dh)))
         parts.append(T.add(T.matmul(T.slice_cols(probs, 0, n),
                                     Tensor(prefix_kv[1][:, lo:hi])),
                            T.reshape(own_v, (c, dh))))

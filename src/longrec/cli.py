@@ -32,7 +32,7 @@ from .config import GeneratorConfig, ModelConfig
 from .errors import (ConfigError, EmbeddingLookupError, NumericalError,
                      StaleCacheError, UndefinedMetricError)
 from .inputs import (Candidate, checked_int64s, generate_dataset, load_dataset,
-                     save_dataset)
+                     read_lines, save_dataset)
 from .model import (LongRecModel, OptConfig, SumPoolingModel, eval_metrics,
                     temporal_split, train)
 from .serving import ScoreRequest, score_request
@@ -77,8 +77,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
@@ -226,16 +226,15 @@ def cmd_cost(args) -> int:
 
 def cmd_fit(args) -> int:
     xs, ys = [], []
-    with open(args.csv, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                x, y = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                continue  # header or junk line
-            xs.append(x)
-            ys.append(y)
+    for row in csv.reader(read_lines(args.csv)):
+        if not row:
+            continue
+        try:
+            x, y = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            continue  # header or junk line
+        xs.append(x)
+        ys.append(y)
     result = analysis.fit_power_law(xs, ys)
     payload = result.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -351,9 +350,8 @@ def cmd_score(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "responses.jsonl")
     n = 0
-    with open(args.requests, "r", encoding="utf-8") as fin, \
-            open(out_path, "w", encoding="utf-8") as fout:
-        for line in fin:
+    with open(out_path, "w", encoding="utf-8") as fout:
+        for line in read_lines(args.requests):
             line = line.strip()
             if not line:
                 continue

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -383,19 +384,29 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             fh.write("\n")
 
 
-def load_dataset(path: str, L_max: Optional[int] = None) -> Dataset:
+def read_lines(path: str):
+    """Yield the lines of UTF-8 text file ``path``, gunzipped if it ends in
+    .gz. A file that cannot be opened, decompressed or decoded raises
+    ConfigError; an error the caller raises between lines passes through."""
     opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def load_dataset(path: str, L_max: Optional[int] = None) -> Dataset:
     samples = []
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                samples.append(Sample.from_json_dict(rec).validate(L_max))
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"malformed dataset record: {exc}") from exc
+    for line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            samples.append(Sample.from_json_dict(rec).validate(L_max))
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"malformed dataset record: {exc}") from exc
     return Dataset(samples)
 
 

@@ -16,6 +16,8 @@ mixing pad and real tokens rely on pad rows entering as zero vectors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensors as T
@@ -56,20 +58,26 @@ def merge_inner_trans(h: Tensor, K: int, params: list,
     """Run the shared per-group transformer blocks, then concatenate.
 
     ``params`` holds one width-d BlockParams per inner layer. Attention is
-    full (non-causal) inside each K-row group, single head at width d,
-    realized with a block-diagonal kernel so no cross-group work is spent.
-    All-pad groups are zeroed afterwards.
+    full (non-causal) inside each K-row group, single head at width d with
+    1/sqrt(d) scaling, realized as batched per-group products over a
+    (L/K, K, d) view so no cross-group work is spent. All-pad groups are
+    zeroed afterwards.
     """
     L, d = h.shape
     if K < 1 or L % K:
         raise ConfigError(f"K={K} does not divide padded length {L}")
+    groups = (L // K, K, d)
+    visible = np.ones((L // K, K, K), dtype=bool)
+    scale = 1.0 / math.sqrt(d)
     x = h
     for blk in params:
         xn = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
-        q = T.linear(xn, blk.w_q, blk.b_q)
-        k = T.linear(xn, blk.w_k, blk.b_k)
-        v = T.linear(xn, blk.w_v, blk.b_v)
-        ctx = T.grouped_attention(q, k, v, K)
+        q = T.reshape(T.linear(xn, blk.w_q, blk.b_q), groups)
+        k = T.reshape(T.linear(xn, blk.w_k, blk.b_k), groups)
+        v = T.reshape(T.linear(xn, blk.w_v, blk.b_v), groups)
+        probs = T.masked_softmax(T.matmul(T.mul(q, scale), k, transpose_b=True),
+                                 visible)
+        ctx = T.reshape(T.matmul(probs, v), (L, d))
         x = T.add(x, T.linear(ctx, blk.w_o, blk.b_o))
         x = T.add(x, T.ffn(T.layer_norm(x, blk.ln2_g, blk.ln2_b),
                            blk.w1, blk.b1, blk.w2, blk.b2))

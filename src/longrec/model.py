@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -122,26 +122,6 @@ def select_queries(h_merged: Tensor, strategy: str, k: int,
         indices=idx,
         positions=grid_positions[idx],
         is_pad=pad_groups[idx])
-
-
-# ----------------------------- forward trace -----------------------------
-
-
-@dataclass
-class ForwardTrace:
-    """Detached copies of every stage, for oracles and invariance tests."""
-
-    h: np.ndarray
-    merged: np.ndarray
-    query_indices: np.ndarray
-    query_positions: np.ndarray
-    layers: list = field(default_factory=list)
-    head_input: Optional[np.ndarray] = None
-    p: float = 0.0
-
-    def sequence_branch(self) -> list:
-        """Every candidate-independent stage output: all but the target row."""
-        return [self.h, self.merged] + [a[:-1] for a in self.layers]
 
 
 @dataclass
@@ -360,8 +340,7 @@ class LongRecModel:
             keys, visible = x, visible_self
         return out
 
-    def _head(self, target_row: Tensor, cls_row: Tensor, user_side: Tensor,
-              trace: Optional[ForwardTrace] = None) -> Tensor:
+    def _head(self, target_row: Tensor, cls_row: Tensor, user_side: Tensor) -> Tensor:
         # Second-order features: target*CLS reads candidate-vs-pooled-history
         # interactions, target*target reads how strongly the target's own
         # attention returned content aligned with the candidate. Both are
@@ -371,15 +350,10 @@ class LongRecModel:
                                  T.mul(target_row, cls_row),
                                  T.mul(target_row, target_row), user_side])
         hidden = T.gelu(T.linear(head_in, self.head_w1, self.head_b1))
-        p = T.sigmoid(T.linear(hidden, self.head_w2, self.head_b2))
-        if trace is not None:
-            trace.head_input = head_in.data.copy()
-            trace.p = float(p.data.reshape(-1)[0])
-        return p
+        return T.sigmoid(T.linear(hidden, self.head_w2, self.head_b2))
 
-    def forward_tensor(self, sample: Sample,
-                       trace: Optional[ForwardTrace] = None) -> Tensor:
-        """Probability tensor for one sample; optionally fills a trace.
+    def forward_tensor(self, sample: Sample) -> Tensor:
+        """Probability tensor for one sample.
 
         The candidate-free rows come from ``user_rows``; the candidate's
         target row is appended last to the first layer's queries and keys.
@@ -393,26 +367,10 @@ class LongRecModel:
                               T.concat_rows([u.merged, glob]),
                               u.visible_cross, u.visible_self)
         x = layers[-1][0]
-        if trace is not None:
-            trace.h = u.seq.data.copy()
-            trace.merged = u.merged.data.copy()
-            trace.query_indices = u.selected.indices.copy()
-            trace.query_positions = u.selected.positions.copy()
-            trace.layers = [out.data.copy() for out, _, _ in layers]
-
         k = cfg.k
         target_row = T.gather_rows(x, np.array([k + cfg.m - 1]))
         cls_row = T.gather_rows(x, np.array([k + 1]))
-        return self._head(target_row, cls_row, u.user_side, trace)
-
-    def forward(self, sample: Sample):
-        """Predicted probability plus the full activation trace."""
-        trace = ForwardTrace(h=np.empty(0), merged=np.empty(0),
-                             query_indices=np.empty(0, dtype=np.int64),
-                             query_positions=np.empty(0, dtype=np.int64))
-        with T.no_grad():
-            p = self.forward_tensor(sample, trace=trace)
-        return float(p.data.reshape(-1)[0]), trace
+        return self._head(target_row, cls_row, u.user_side)
 
     def score(self, sample: Sample) -> float:
         with T.no_grad():
@@ -451,8 +409,11 @@ class LongRecModel:
         The header must list exactly the names and shapes of ``params()``
         for its config, and the file must end exactly after their bytes.
         """
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
         magic = blob[:8]
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"not a checkpoint file: bad magic {magic!r}")
@@ -493,8 +454,9 @@ class LongRecModel:
 
 @dataclass
 class OptConfig:
-    lr: Optional[float] = None          # None -> model config value
-    batch_size: Optional[int] = None
+    """Shuffle seed and held-out fraction; the learning rate and batch size
+    are the model config's ``lr`` and ``batch_size``."""
+
     seed: int = 0
     eval_fraction: float = 0.1
 
@@ -609,15 +571,16 @@ def train(model, dataset, epochs: int, opt: Optional[OptConfig] = None) -> Train
     generator and batch reduction order is fixed. Aborts with a diagnostic
     on the first non-finite loss.
     """
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if not dataset.samples:
         raise ConfigError("cannot train on an empty dataset")
     opt = opt or OptConfig()
-    lr = model.cfg.lr if opt.lr is None else opt.lr
-    batch = model.cfg.batch_size if opt.batch_size is None else opt.batch_size
+    batch = model.cfg.batch_size
     train_idx, eval_idx = temporal_split(dataset.samples, opt.eval_fraction)
     if train_idx.size == 0:
         raise ConfigError("temporal split left no training samples")
-    adam = Adam(model.params(), lr)
+    adam = Adam(model.params(), model.cfg.lr)
     rng = np.random.default_rng(opt.seed)
     rows = []
     for epoch in range(1, epochs + 1):

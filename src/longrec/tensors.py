@@ -1,20 +1,21 @@
 """Dense float64 tensor kernel with hand-written backward passes.
 
-Every numeric operation the model needs lives here: matrix multiply,
+Every numeric operation the model needs lives here: one matrix product
+(2-D, or batched 3-D, optionally against a transposed right operand),
 elementwise arithmetic, masked softmax, layer normalization, GELU, the
-transformer FFN, a grouped (block-diagonal) attention kernel, and the
-structural ops (concat, slice, gather, reshape). Each op records a
-backward closure on its output tensor; ``Tensor.backward()`` replays the
-recorded sequence in reverse. This is deliberately not a general autodiff
-engine: the op set is small, fixed, and auditable, and every backward is
-validated against central finite differences in the test suite.
+transformer FFN, and the structural ops (concat, slice, gather, reshape);
+attention is composed from these. Each op records a backward closure on
+its output tensor; ``Tensor.backward()`` replays the recorded sequence in
+reverse. This is deliberately not a general autodiff engine: the op set
+is small, fixed, and auditable, and every backward is validated against
+central finite differences in the test suite.
 
-Instrumentation: matmul-family ops add ``m*p*n`` scalar multiply-accumulate
-operations (MACs) to the module-level ``counter``. One MAC equals two FLOPs
-under the usual convention, so the analysis module's per-layer FLOPs
-formulas are exactly twice the counts recorded here. Elementwise ops,
-normalizations, and softmax are not counted, matching the convention of the
-analytic cost formulas.
+Instrumentation: ``matmul`` adds ``batch*m*p*n`` scalar multiply-accumulate
+operations (MACs) to the module-level ``counter``, batch being 1 for 2-D
+operands. One MAC equals two FLOPs under the usual convention, so the
+analysis module's per-layer FLOPs formulas are exactly twice the counts
+recorded here. Elementwise ops, normalizations, and softmax are not
+counted, matching the convention of the analytic cost formulas.
 
 Attention visibility is a boolean array (True = the query may see the key);
 ``masked_softmax`` refuses any other dtype.
@@ -47,7 +48,7 @@ class OpCounter:
     """Counts scalar multiply-accumulate operations across forward passes.
 
     Monotonically non-decreasing between resets; one matmul of shapes
-    (m, p) x (p, n) contributes m*p*n.
+    (batch, m, p) x (batch, p, n) contributes batch*m*p*n.
     """
 
     __slots__ = ("mul_adds",)
@@ -208,62 +209,30 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ----------------------------- arithmetic -----------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product of two 2-D tensors. Adds m*p*n MACs to the counter."""
+def matmul(a, b, transpose_b: bool = False) -> Tensor:
+    """``a @ b``, or ``a @ b^T`` with ``transpose_b``, for two 2-D tensors
+    or two 3-D tensors with one shared leading (batch) size; nothing
+    broadcasts. Adds batch*m*p*n MACs to the counter."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    m, p = a.shape
-    n = b.shape[1]
-    counter.add(m * p * n)
-    out = Tensor(a.data @ b.data)
+    ad, bd = a.data, b.data
+    if ad.ndim not in (2, 3) or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]:
+        raise DimensionError(f"matmul needs two 2-D or two equal-batch 3-D "
+                             f"operands, got {a.shape} and {b.shape}")
+    bm = np.swapaxes(bd, -1, -2) if transpose_b else bd
+    if ad.shape[-1] != bm.shape[-2]:
+        raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}"
+                             + ("^T" if transpose_b else ""))
+    counter.add(ad.size * bm.shape[-1])
+    out = Tensor(ad @ bm)
     if _track(a, b):
         def bw(g):
             if a.requires_grad:
-                a._accumulate(g @ b.data.T)
+                a._accumulate(g @ np.swapaxes(bm, -1, -2))
             if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        _attach(out, (a, b), bw)
-    return out
-
-
-def matmul_t(a, b) -> Tensor:
-    """a @ b.T for 2-D tensors (attention scores). Counts m*p*n MACs."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError(f"matmul_t shape mismatch: {a.shape} x {b.shape}^T")
-    m, p = a.shape
-    n = b.shape[0]
-    counter.add(m * p * n)
-    out = Tensor(a.data @ b.data.T)
-    if _track(a, b):
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.data)
-            if b.requires_grad:
-                b._accumulate(g.T @ a.data)
-        _attach(out, (a, b), bw)
-    return out
-
-
-def row_matmul(a, b) -> Tensor:
-    """Row-pair products: out[i] = a[i] @ b[i] for (n, r, p) and (n, p, s)
-    tensors, n independent matrix products. Counts n*r*p*s MACs."""
-    a, b = as_tensor(a), as_tensor(b)
-    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[1]):
-        raise DimensionError(f"row_matmul shape mismatch: {a.shape} x {b.shape}")
-    n, r, p = a.shape
-    counter.add(n * r * p * b.shape[2])
-    out = Tensor(np.matmul(a.data, b.data))
-    if _track(a, b):
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(np.matmul(g, b.data.transpose(0, 2, 1)))
-            if b.requires_grad:
-                b._accumulate(np.matmul(a.data.transpose(0, 2, 1), g))
+                if transpose_b:
+                    b._accumulate(np.swapaxes(g, -1, -2) @ ad)
+                else:
+                    b._accumulate(np.swapaxes(ad, -1, -2) @ g)
         _attach(out, (a, b), bw)
     return out
 
@@ -413,47 +382,6 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
             f"ffn expects ({width},{4*width}) and ({4*width},{width}) weights, "
             f"got {w1t.shape} and {w2t.shape}")
     return linear(gelu(linear(x, w1t, b1)), w2t, b2)
-
-
-def grouped_attention(q, k, v, group_size: int) -> Tensor:
-    """Full (unmasked) attention restricted to consecutive groups of rows.
-
-    Inputs are (L, w) with L divisible by group_size; attention is computed
-    independently inside each group of ``group_size`` rows with 1/sqrt(w)
-    scaling, single head. Counts 2*L*group_size*w MACs (the score and the
-    value products), i.e. per group 2*g^2*w, never the cross-group products
-    a dense L x L attention would spend.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    L, w = q.shape
-    if k.shape != (L, w) or v.shape != (L, w):
-        raise DimensionError("grouped_attention operands must share one shape")
-    if group_size < 1 or L % group_size:
-        raise DimensionError(f"rows {L} not divisible by group size {group_size}")
-    G = L // group_size
-    scale = 1.0 / math.sqrt(w)
-    q3 = q.data.reshape(G, group_size, w)
-    k3 = k.data.reshape(G, group_size, w)
-    v3 = v.data.reshape(G, group_size, w)
-    counter.add(2 * L * group_size * w)
-    s = np.einsum("gqd,gkd->gqk", q3, k3) * scale
-    s -= s.max(axis=-1, keepdims=True)
-    e = np.exp(s)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(np.einsum("gqk,gkd->gqd", p, v3).reshape(L, w))
-    if _track(q, k, v):
-        def bw(g):
-            g3 = g.reshape(G, group_size, w)
-            if v.requires_grad:
-                v._accumulate(np.einsum("gqk,gqd->gkd", p, g3).reshape(L, w))
-            dp = np.einsum("gqd,gkd->gqk", g3, v3)
-            ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
-            if q.requires_grad:
-                q._accumulate(np.einsum("gqk,gkd->gqd", ds, k3).reshape(L, w))
-            if k.requires_grad:
-                k._accumulate(np.einsum("gqk,gqd->gkd", ds, q3).reshape(L, w))
-        _attach(out, (q, k, v), bw)
-    return out
 
 
 # ----------------------------- structural ops -----------------------------

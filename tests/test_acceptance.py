@@ -174,11 +174,12 @@ def test_criterion_4_gradients():
             lambda: scalar_loss(T.ffn(*f), w3),
             [(f"ffn.{i}", t) for i, t in enumerate(f)], tol=1e-4, seed=seed))
 
-        q, kk, v = (Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        q, kk, v = (Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
                     for _ in range(3))
         worst_ops = max(worst_ops, fd_check(
-            lambda: scalar_loss(T.grouped_attention(q, kk, v, 2), w3),
-            [("ga.q", q), ("ga.k", kk), ("ga.v", v)], tol=1e-4, seed=seed))
+            lambda: scalar_loss(T.reshape(T.matmul(
+                T.matmul(q, kk, transpose_b=True), v), (4, 3)), w3),
+            [("bmm.q", q), ("bmm.k", kk), ("bmm.v", v)], tol=1e-4, seed=seed))
 
         blk = BlockParams.create(4, rng)
         xb = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
@@ -288,9 +289,9 @@ def trained_runs():
     bayes_auc = analysis.auc(bayes_window_scores(ds), ds.labels())
     sweep = {L: fit(dict(L=L, k=L // 4)) for L in SWEEP_LENGTHS}
     auc_k40 = fit(dict(L=256, k=26))     # 40% of the 64 merged tokens
-    base = SumPoolingModel(ModelConfig(L=256, vocab=48, n_users=1000), seed=8)
-    base_auc = train(base, ds, EPOCHS,
-                     OptConfig(lr=1e-3, batch_size=8, seed=2)).final.auc
+    base = SumPoolingModel(ModelConfig(L=256, vocab=48, n_users=1000,
+                                       lr=1e-3, batch_size=8), seed=8)
+    base_auc = train(base, ds, EPOCHS, OptConfig(seed=2)).final.auc
     return {"sweep": sweep, "k40": auc_k40, "baseline": base_auc,
             "bayes": bayes_auc}
 

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, manifests, byte-level reproducibility."""
 
 import argparse
+import gzip
 import json
 import re
 import struct
@@ -10,7 +11,8 @@ import pytest
 
 from longrec import cli
 from longrec.cli import main
-from longrec.model import CHECKPOINT_MAGIC
+from longrec.config import ModelConfig
+from longrec.model import CHECKPOINT_MAGIC, LongRecModel
 
 GEN_CFG = {"n_users": 20, "vocab": 24, "L_max": 12, "L_min": 6,
            "n_interests": 4, "interests_per_user": 2, "n_actions": 3,
@@ -111,6 +113,37 @@ def test_train_malformed_dataset_field_exit_2(tmp_path, capsys, model_cfg_path,
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", [
+    "truncated-gz-data", "non-utf8-data", "non-utf8-config", "missing-data",
+    "missing-checkpoint", "missing-requests", "missing-fit-csv", "zero-epochs"])
+def test_unreadable_input_exit_2(tmp_path, capsys, model_cfg_path, dataset_path,
+                                 case):
+    missing = str(tmp_path / "missing")
+    out = str(tmp_path / "o")
+    truncated = tmp_path / "data.jsonl.gz"
+    truncated.write_bytes(gzip.compress(Path(dataset_path).read_bytes())[:-20])
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"note": "caf\u00e9"}\n'.encode("latin-1"))
+    checkpoint = tmp_path / "model.bin"
+    LongRecModel(ModelConfig.from_dict(MODEL_CFG)).save(str(checkpoint))
+    train = ["train", "--config", model_cfg_path, "--out", out]
+    argv = {
+        "truncated-gz-data": train + ["--data", str(truncated)],
+        "non-utf8-data": train + ["--data", str(latin1)],
+        "non-utf8-config": ["train", "--config", str(latin1), "--data",
+                            dataset_path, "--out", out],
+        "missing-data": train + ["--data", missing],
+        "missing-checkpoint": ["eval", "--checkpoint", missing, "--data",
+                               dataset_path, "--out", out],
+        "missing-requests": ["score", "--checkpoint", str(checkpoint), "--data",
+                             dataset_path, "--requests", missing, "--out", out],
+        "missing-fit-csv": ["fit", "--csv", missing],
+        "zero-epochs": train + ["--data", dataset_path, "--epochs", "0"],
+    }[case]
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_gen_zero_users(tmp_path):

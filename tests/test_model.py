@@ -97,20 +97,29 @@ def test_zero_head_final_layer_gives_half(tiny_cfg):
     model = LongRecModel(tiny_cfg, seed=0)
     model.head_w2.data[:] = 0.0
     model.head_b2.data[:] = 0.0
-    p, _ = model.forward(sample_for(tiny_cfg, 5))
-    assert p == 0.5
+    assert model.score(sample_for(tiny_cfg, 5)) == 0.5
 
 
 def test_sequence_branch_identical_across_candidates(tiny_cfg):
+    """The layer stack's query and key inputs and every block's output agree
+    bit for bit across two candidates in all rows but the target's (last)."""
     model = LongRecModel(tiny_cfg, seed=1)
+    layers, captured = model._layers, []
+
+    def capture(x_q, x_kv, *args, **kwargs):
+        out = layers(x_q, x_kv, *args, **kwargs)
+        captured.append([x_q.data, x_kv.data] + [x.data for x, _, _ in out])
+        return out
+
+    model._layers = capture
     s1 = sample_for(tiny_cfg, 6, seed=2, cand_item=1)
     s2 = Sample(s1.events, s1.user_features,
                 Candidate(2, s1.candidate.timestamp), s1.label)
-    _, tr1 = model.forward(s1)
-    _, tr2 = model.forward(s2)
-    for a, b in zip(tr1.sequence_branch(), tr2.sequence_branch()):
-        np.testing.assert_array_equal(a, b)
-    assert tr1.p != tr2.p
+    p1, p2 = model.score(s1), model.score(s2)
+    assert len(captured) == 2 and len(captured[0]) == 3 + tiny_cfg.N
+    for a, b in zip(*captured):
+        np.testing.assert_array_equal(a[:-1], b[:-1])
+    assert p1 != p2
 
 
 @pytest.mark.parametrize("mode", ["concat", "inner"])
@@ -261,8 +270,7 @@ def test_forward_matches_straightline_oracle(tiny_cfg):
     model = LongRecModel(tiny_cfg, seed=5)
     for seed in range(4):
         s = sample_for(tiny_cfg, tiny_cfg.L if seed % 2 else 6, seed=seed)
-        p, _ = model.forward(s)
-        assert abs(p - straightline_forward(model, s)) <= 1e-10
+        assert abs(model.score(s) - straightline_forward(model, s)) <= 1e-10
 
 
 def test_forward_param_count_matches_analysis(tiny_cfg):
@@ -283,31 +291,31 @@ def tiny_dataset(tiny_cfg, n=24, seed=0):
 
 
 def test_zero_lr_leaves_params_bitwise(tiny_cfg):
-    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24})
+    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24, "lr": 0.0})
     model = LongRecModel(cfg, seed=7)
     before = {n: t.data.copy() for n, t in model.params()}
-    train(model, tiny_dataset(cfg), epochs=1, opt=OptConfig(lr=0.0, seed=1))
+    train(model, tiny_dataset(cfg), epochs=1, opt=OptConfig(seed=1))
     for n, t in model.params():
         np.testing.assert_array_equal(before[n], t.data)
 
 
 def test_single_sample_memorization(tiny_cfg):
-    model = LongRecModel(tiny_cfg, seed=8)
-    s = sample_for(tiny_cfg, 5, seed=9)
+    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "lr": 0.05, "batch_size": 1})
+    model = LongRecModel(cfg, seed=8)
+    s = sample_for(cfg, 5, seed=9)
     ds = Dataset([Sample(s.events, s.user_features, s.candidate, 1)])
     report = train(model, ds, epochs=200,
-                   opt=OptConfig(lr=0.05, batch_size=1, seed=2, eval_fraction=0.0))
+                   opt=OptConfig(seed=2, eval_fraction=0.0))
     assert report.final.loss < 0.01
 
 
 def test_training_is_deterministic(tiny_cfg):
-    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24})
+    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24, "lr": 0.01})
     ds = tiny_dataset(cfg)
     reports = []
     for _ in range(2):
         model = LongRecModel(cfg, seed=10)
-        reports.append(train(model, ds, epochs=2,
-                             opt=OptConfig(lr=0.01, seed=3)).to_csv())
+        reports.append(train(model, ds, epochs=2, opt=OptConfig(seed=3)).to_csv())
     assert reports[0] == reports[1]
 
 
@@ -335,17 +343,17 @@ def test_batch_backward_grads_equal_one_mean_tape(tiny_cfg):
 def test_training_peak_memory_does_not_grow_with_batch():
     """Only one sample's tape is alive at a time: the traced peak of one epoch
     at batch 8 stays below twice the peak at batch 1."""
-    cfg = ModelConfig(L=64, d=4, K=2, k=8, N=1, vocab=24, n_users=16,
-                      n_profiles=4, head_hidden=8)
     ds = generate_dataset(GeneratorConfig(n_users=16, vocab=24, L_max=64,
                                           n_interests=5, interests_per_user=2,
                                           n_profiles=4), 0)
     peaks = []
     for batch in (1, 8):
+        cfg = ModelConfig(L=64, d=4, K=2, k=8, N=1, vocab=24, n_users=16,
+                          n_profiles=4, head_hidden=8, batch_size=batch)
         model = LongRecModel(cfg, seed=0)
         tracemalloc.start()
         try:
-            train(model, ds, 1, OptConfig(batch_size=batch, eval_fraction=0.0))
+            train(model, ds, 1, OptConfig(eval_fraction=0.0))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -435,10 +443,9 @@ def test_pooling_order_invariance(tiny_cfg):
 
 
 def test_pooling_trains(tiny_cfg):
-    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24})
+    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24, "lr": 0.02})
     base = SumPoolingModel(cfg, seed=16)
-    report = train(base, tiny_dataset(cfg), epochs=2,
-                   opt=OptConfig(lr=0.02, seed=5))
+    report = train(base, tiny_dataset(cfg), epochs=2, opt=OptConfig(seed=5))
     assert math.isfinite(report.final.loss)
 
 

@@ -54,18 +54,36 @@ def test_matmul_vs_triple_loop():
 
 
 @settings(max_examples=25, deadline=None)
-@given(m=st.integers(1, 16), p=st.integers(1, 16), n=st.integers(1, 16),
-       seed=st.integers(0, 10_000))
-def test_matmul_triple_loop_property(m, p, n, seed):
+@given(batch=st.integers(0, 4), m=st.integers(1, 16), p=st.integers(1, 16),
+       n=st.integers(1, 16), transpose_b=st.booleans(), seed=st.integers(0, 10_000))
+def test_matmul_triple_loop_property(batch, m, p, n, transpose_b, seed):
+    """Each product of a batch (0 means plain 2-D operands) against the
+    triple loop, with b stored transposed under ``transpose_b``."""
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(m, p))
-    b = rng.normal(size=(p, n))
-    assert np.abs(T.matmul(a, b).data - triple_loop_matmul(a, b)).max() <= 1e-12
+    lead = (batch,) if batch else ()
+    a = rng.normal(size=lead + (m, p))
+    b = rng.normal(size=lead + ((n, p) if transpose_b else (p, n)))
+    out = T.matmul(a, b, transpose_b=transpose_b).data
+    assert out.shape == lead + (m, n)
+    for i in range(batch or 1):
+        ai, bi, oi = (x[i] if batch else x for x in (a, b, out))
+        want = triple_loop_matmul(ai, bi.T if transpose_b else bi)
+        assert np.abs(oi - want).max() <= 1e-12
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionError):
         T.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+    for a, b, transpose_b in [
+            (np.zeros(3), np.zeros(3), False),                        # ndim 1
+            (np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 4, 3)), False),  # ndim 4
+            (np.zeros((2, 3, 4)), np.zeros((4, 5)), False),           # mixed ndim
+            (np.zeros((3, 4)), np.zeros((2, 4, 5)), False),
+            (np.zeros((3, 2, 4)), np.zeros((2, 4, 2)), False),        # batch sizes
+            (np.zeros((2, 3)), np.zeros((3, 4)), True),               # inner, b^T
+            (np.zeros((2, 2, 3)), np.zeros((2, 3, 2)), True)]:
+        with pytest.raises(DimensionError):
+            T.matmul(a, b, transpose_b=transpose_b)
 
 
 def test_matmul_counter_is_exact():
@@ -73,8 +91,8 @@ def test_matmul_counter_is_exact():
     with T.count_muladds() as w:
         T.matmul(np.zeros((3, 4)), np.zeros((4, 5)))
         T.matmul(np.zeros((2, 7)), np.zeros((7, 2)))
-        T.matmul_t(np.zeros((5, 6)), np.zeros((3, 6)))
-        T.row_matmul(np.zeros((4, 1, 3)), np.zeros((4, 3, 2)))
+        T.matmul(np.zeros((5, 6)), np.zeros((3, 6)), transpose_b=True)
+        T.matmul(np.zeros((4, 1, 3)), np.zeros((4, 3, 2)))
     assert w.mul_adds == 3 * 4 * 5 + 2 * 7 * 2 + 5 * 6 * 3 + 4 * 1 * 3 * 2
 
 
@@ -87,23 +105,17 @@ def test_matmul_backward_exact():
         [("a", a), ("b", b)])
 
 
-def test_row_matmul_matches_per_row_products_and_fd():
-    """Row-pair products: row i of the result is a[i] @ b[i], the scores
-    q_i . k_i ((n,1,p) x (n,p,1)) and scaled values p_i v_i ((n,1,1) x
-    (n,1,p)) of batched cached scoring."""
+@pytest.mark.parametrize("transpose_b", [False, True])
+def test_matmul_batched_fd(transpose_b):
+    """The 3-D backward, as in per-row cached scoring ((n,1,p) x (n,p,1)) and
+    per-group inner-merge attention ((G,K,d) x (G,K,d)^T)."""
     rng = np.random.default_rng(2)
     a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
-    out = T.row_matmul(a, b)
-    for i in range(3):
-        assert np.abs(out.data[i] - triple_loop_matmul(a.data[i], b.data[i])).max() \
-            <= 1e-12
-    with pytest.raises(DimensionError):
-        T.row_matmul(np.zeros((3, 2, 4)), np.zeros((2, 4, 2)))
-    with pytest.raises(DimensionError):
-        T.row_matmul(np.zeros((3, 4)), np.zeros((3, 4)))
+    b = Tensor(rng.normal(size=(3, 2, 4) if transpose_b else (3, 4, 2)),
+               requires_grad=True)
     fd_check(lambda: T.bce(T.sigmoid(T.matmul(
-        np.ones((1, 12)) * 0.2, T.reshape(T.row_matmul(a, b), (12, 1)))), 1.0),
+        np.ones((1, 12)) * 0.2,
+        T.reshape(T.matmul(a, b, transpose_b=transpose_b), (12, 1)))), 1.0),
         [("a", a), ("b", b)])
 
 
@@ -278,35 +290,6 @@ def test_gelu_sigmoid_fd():
             T.matmul(T.reshape(y, (1, 6)), np.ones((6, 1)) * 0.3), (1, 1))), 0.0)
 
     fd_check(loss, [("x", x)])
-
-
-def test_grouped_attention_matches_per_group_oracle():
-    rng = np.random.default_rng(9)
-    L, w, K = 6, 3, 2
-    q, k, v = rng.normal(size=(3, L, w))
-    out = T.grouped_attention(q, k, v, K).data
-    for g in range(L // K):
-        qs, ks, vs = (m[g * K:(g + 1) * K] for m in (q, k, v))
-        s = qs @ ks.T / math.sqrt(w)
-        e = np.exp(s - s.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(out[g * K:(g + 1) * K], p @ vs, atol=1e-12)
-
-
-def test_grouped_attention_fd():
-    rng = np.random.default_rng(10)
-    L, w, K = 4, 3, 2
-    q = Tensor(rng.normal(size=(L, w)), requires_grad=True)
-    k = Tensor(rng.normal(size=(L, w)), requires_grad=True)
-    v = Tensor(rng.normal(size=(L, w)), requires_grad=True)
-
-    def loss():
-        y = T.grouped_attention(q, k, v, K)
-        return T.bce(T.sigmoid(T.reshape(
-            T.matmul(T.reshape(y, (1, L * w)), np.ones((L * w, 1)) * 0.2),
-            (1, 1))), 1.0)
-
-    fd_check(loss, [("q", q), ("k", k), ("v", v)])
 
 
 def test_structural_ops_fd():
