@@ -259,7 +259,10 @@ def cmd_sweep(args) -> int:
     grid = sweep.get("grid")
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep config needs a non-empty 'grid' list")
-    epochs = int(sweep.get("epochs", 2))
+    checked_int64s(grid, "sweep 'grid' values")
+    epochs = checked_int64s([sweep.get("epochs", 2)], "sweep 'epochs'")[0]
+    if epochs < 1:
+        raise ConfigError(f"sweep 'epochs' must be >= 1, got {epochs}")
     base_model = sweep.get("model", {})
     gen_payload = sweep.get("generator")
     if gen_payload is None:
@@ -271,17 +274,17 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in grid:
         payload = dict(base_model)
-        payload.update(_axis_update(axis, int(value), base_model))
+        payload.update(_axis_update(axis, value, base_model))
         try:
             cfg = ModelConfig.from_dict(payload)
             model = LongRecModel(cfg, seed=seed_for(args.seed, "model-init"))
             opt = OptConfig(seed=seed_for(args.seed, "shuffle"))
             report = train(model, dataset, epochs, opt)
             x = _axis_x(axis, cfg)
-            rows.append({"point": int(value), "x": x, "auc": report.final.auc,
+            rows.append({"point": value, "x": x, "auc": report.final.auc,
                          "logloss": report.final.logloss, "status": "ok"})
         except (ConfigError, NumericalError, UndefinedMetricError) as exc:
-            rows.append({"point": int(value), "x": float("nan"),
+            rows.append({"point": value, "x": float("nan"),
                          "auc": float("nan"), "logloss": float("nan"),
                          "status": f"failed: {exc}"})
         print(f"sweep point {value}: {rows[-1]['status']} "

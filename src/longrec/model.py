@@ -12,7 +12,7 @@ fraction of samples by candidate timestamp is never trained on. No weight
 decay and no schedule, to keep scaling sweeps unconfounded.
 
 A training step exclusively owns the parameters it updates; inference over
-read-shared parameters is thread-safe, and grad mode is per thread. MAC
+read-shared parameters is thread-safe, and tapes are per thread. MAC
 counting is process-wide: a ``count_muladds`` window counts every thread.
 """
 
@@ -373,9 +373,7 @@ class LongRecModel:
         return self._head(target_row, cls_row, u.user_side)
 
     def score(self, sample: Sample) -> float:
-        with T.no_grad():
-            p = self.forward_tensor(sample)
-        return float(p.data.reshape(-1)[0])
+        return float(self.forward_tensor(sample).data.reshape(-1)[0])
 
     # ------------------------- checkpointing -------------------------
 
@@ -519,7 +517,12 @@ class TrainingReport:
 
 
 def temporal_split(samples, eval_fraction: float):
-    """Order by candidate timestamp; hold out the trailing fraction."""
+    """Order by candidate timestamp; hold out the trailing fraction.
+
+    ``eval_fraction`` must lie in [0, 1) (NaN does not); ConfigError otherwise.
+    """
+    if not 0.0 <= eval_fraction < 1.0:
+        raise ConfigError(f"eval_fraction must be in [0, 1), got {eval_fraction!r}")
     order = np.argsort([s.candidate.timestamp for s in samples], kind="mergesort")
     n_eval = int(round(eval_fraction * len(samples)))
     if n_eval == 0:
@@ -546,22 +549,25 @@ def batch_backward(model, samples) -> float:
     """Accumulate the gradient of the batch's mean BCE into the parameters'
     ``.grad`` and return that mean loss.
 
-    Each sample's forward and backward run in batch order, so only one
-    sample's tape is alive at a time. Gradients reach the parameters in the
-    order a single ``T.mean_scalars`` tape over the batch would deliver them,
-    so they are bitwise equal to its. Stops before the backward of the first
-    non-finite sample loss and returns that loss.
+    Each sample's forward and backward run on a tape of its own, so only one
+    sample's tape is alive at a time. Samples run in reverse batch order:
+    the reverse walk of a single ``T.mean_scalars`` tape over the batch meets
+    the last sample's ops first, so gradients reach the parameters in the
+    order that tape would deliver them and are bitwise equal to its. Stops
+    before the backward of the first non-finite sample loss it meets and
+    returns that loss.
     """
     seed = np.full((), 1.0 / len(samples))
     losses = []
-    for s in samples:
-        loss = T.bce(model.forward_tensor(s), s.label)
-        value = float(loss.data)
-        if not math.isfinite(value):
-            return value
-        loss.backward(seed)
+    for s in reversed(samples):
+        with T.tape():
+            loss = T.bce(model.forward_tensor(s), s.label)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                return value
+            loss.backward(seed)
         losses.append(value)
-    return sum(losses) / len(samples)
+    return sum(reversed(losses)) / len(samples)
 
 
 def train(model, dataset, epochs: int, opt: Optional[OptConfig] = None) -> TrainingReport:
@@ -682,6 +688,4 @@ class SumPoolingModel:
         return T.sigmoid(T.linear(hidden, self.head.w2, self.head.b2))
 
     def score(self, sample: Sample) -> float:
-        with T.no_grad():
-            p = self.forward_tensor(sample)
-        return float(p.data.reshape(-1)[0])
+        return float(self.forward_tensor(sample).data.reshape(-1)[0])

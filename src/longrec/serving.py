@@ -22,7 +22,9 @@ of (user events, user features, scoring time, parameters) — never of any
 candidate.
 
 Caches are immutable after build; one cache may serve concurrent score
-calls over frozen parameters. MAC counting is process-wide, so a
+calls over frozen parameters. Scoring runs outside any tape, and tapes are
+per thread, so it records nothing even beside a training step in another
+thread. MAC counting is process-wide, so a
 ``count_muladds`` window needs one thread scoring at a time.
 """
 
@@ -86,11 +88,10 @@ def build_cache(model: LongRecModel, user_events, user_features: UserFeatures,
     this cache must carry ``scoring_time`` as their timestamp, because the
     time-difference features are measured from it.
     """
-    with T.no_grad():
-        u = model.user_rows(user_events, user_features, scoring_time)
-        layers = model._layers(T.concat_rows([u.selected.tokens, u.globals]),
-                               T.concat_rows([u.merged, u.globals]),
-                               u.visible_cross[:-1, :-1], u.visible_self[:-1, :-1])
+    u = model.user_rows(user_events, user_features, scoring_time)
+    layers = model._layers(T.concat_rows([u.selected.tokens, u.globals]),
+                           T.concat_rows([u.merged, u.globals]),
+                           u.visible_cross[:-1, :-1], u.visible_self[:-1, :-1])
     k = model.cfg.k
     return KVCache(scoring_time=int(scoring_time),
                    fingerprint=model.fingerprint(),
@@ -118,12 +119,11 @@ def score_with_cache(model: LongRecModel, cache: KVCache, candidates) -> list:
     if not candidates:
         return []
     n = len(candidates)
-    with T.no_grad():
-        g = target_global_token(candidates, model.tables, model.cfg)
-        layers = model._layers(g, g, cache.target_visible_cross,
-                               cache.target_visible_self, prefix=cache.layers)
-        p = model._head(layers[-1][0], Tensor(np.repeat(cache.cls_final, n, axis=0)),
-                        Tensor(np.repeat(cache.user_side, n, axis=0)))
+    g = target_global_token(candidates, model.tables, model.cfg)
+    layers = model._layers(g, g, cache.target_visible_cross,
+                           cache.target_visible_self, prefix=cache.layers)
+    p = model._head(layers[-1][0], Tensor(np.repeat(cache.cls_final, n, axis=0)),
+                    Tensor(np.repeat(cache.user_side, n, axis=0)))
     return p.data[:, 0].tolist()
 
 

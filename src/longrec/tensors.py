@@ -1,31 +1,41 @@
 """Dense float64 tensor kernel with hand-written backward passes.
 
 Every numeric operation the model needs lives here: one matrix product
-(2-D, or batched 3-D, optionally against a transposed right operand),
-elementwise arithmetic, masked softmax, layer normalization, GELU, the
-transformer FFN, and the structural ops (concat, slice, gather, reshape);
-attention is composed from these. Each op records a backward closure on
-its output tensor; ``Tensor.backward()`` replays the recorded sequence in
-reverse. This is deliberately not a general autodiff engine: the op set
+(2-D, or batched 3-D, optionally against a transposed right operand), the
+affine map ``linear``, elementwise ``add`` (equal shapes) and ``mul``
+(broadcasting), masked softmax, layer normalization, GELU, sigmoid, the
+transformer FFN, the structural ops (concat, slice, gather, reshape, row
+mean) and the loss ops (``mean_scalars``, ``bce``); attention is composed
+from these. This is deliberately not a general autodiff engine: the op set
 is small, fixed, and auditable, and every backward is validated against
 central finite differences in the test suite.
 
+Recording is scoped. Inside ``with tape():`` every op with an input that
+requires gradients stores its backward closure on its output and appends
+the output to the tape, a list in creation order; ``Tensor.backward()``
+walks that list in reverse, which visits every tensor after all of its
+consumers. Outside a tape no op records anything (inference pays nothing
+for gradients) and ``backward`` raises. Leaving the scope drops the list
+and with it every intermediate no caller still holds.
+
 Instrumentation: ``matmul`` adds ``batch*m*p*n`` scalar multiply-accumulate
 operations (MACs) to the module-level ``counter``, batch being 1 for 2-D
-operands. One MAC equals two FLOPs under the usual convention, so the
-analysis module's per-layer FLOPs formulas are exactly twice the counts
-recorded here. Elementwise ops, normalizations, and softmax are not
-counted, matching the convention of the analytic cost formulas.
+operands, and ``linear`` counts its product exactly as ``matmul`` would
+(``n*p*q`` for (n, p) x (p, q)), its bias add being uncounted. One MAC
+equals two FLOPs under the usual convention, so the analysis module's
+per-layer FLOPs formulas are exactly twice the counts recorded here.
+Elementwise ops, normalizations, and softmax are not counted, matching the
+convention of the analytic cost formulas.
 
 Attention visibility is a boolean array (True = the query may see the key);
 ``masked_softmax`` refuses any other dtype.
 
 All arithmetic is 64-bit. Tensors are immutable after construction except
 for gradient accumulation owned by a single training step; read-only
-sharing across threads is safe. Grad mode (``no_grad``) is a context
-variable, so it is per thread. The counter is one unlocked process-wide
-object: a ``count_muladds`` window counts the MACs of every thread that
-runs while it is open, and counts are exact only with one thread at a time.
+sharing across threads is safe. The tape is a context variable, so tapes
+are per thread. The counter is one unlocked process-wide object: a
+``count_muladds`` window counts the MACs of every thread that runs while it
+is open, and counts are exact only with one thread at a time.
 """
 
 from __future__ import annotations
@@ -91,34 +101,37 @@ def count_muladds():
         window._freeze()
 
 
-_grad_enabled = contextvars.ContextVar("longrec_grad_enabled", default=True)
+_tape = contextvars.ContextVar("longrec_tape", default=None)
 
 
 @contextmanager
-def no_grad():
-    """Disable tape recording inside the block, in this thread only."""
-    token = _grad_enabled.set(False)
+def tape():
+    """Record tracked ops inside the block, in this thread only; yields the
+    tape, the list of recorded outputs in creation order.
+
+    A nested ``tape()`` opens a fresh, separate tape for its own block.
+    """
+    token = _tape.set([])
     try:
-        yield
+        yield _tape.get()
     finally:
-        _grad_enabled.reset(token)
+        _tape.reset(token)
 
 
 class Tensor:
     """A dense float64 array with an optional gradient buffer.
 
-    ``data`` is row-major (C order). ``grad`` is lazily allocated with the
-    same shape on first accumulation. Non-leaf tensors carry the recorded
-    backward closure of the op that produced them.
+    ``data`` is row-major (C order). ``grad`` is set on first accumulation
+    to a copy of the incoming gradient. An op output recorded on a tape
+    carries the backward closure of the op that produced it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
+    __slots__ = ("data", "grad", "requires_grad", "_bw")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
         self._bw = None
 
     @property
@@ -135,47 +148,41 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self, seed=None) -> None:
-        """Reverse-accumulate gradients through the recorded op sequence."""
+        """Reverse-accumulate gradients through the active tape.
+
+        Walks the tape from its last op to its first; every consumer of a
+        tensor was recorded after it, so its gradient is complete when the
+        walk reaches it. The walk consumes the tape: each recorded op's
+        closure and gradient are released as it passes, and the list is
+        emptied. Leaves (tensors no op produced) keep their gradients.
+        Raises RuntimeError outside a ``tape()`` block.
+        """
+        recorded = _tape.get()
+        if recorded is None:
+            raise RuntimeError("backward() needs an open tape() block")
         if seed is None:
             if self.data.size != 1:
                 raise DimensionError("backward() without seed needs a scalar output")
             seed = np.ones_like(self.data)
         else:
             seed = np.asarray(seed, dtype=np.float64)
-
-        # Iterative three-state postorder: a node is appended only after every
-        # parent reachable from it is finished, which makes reversed(topo) a
-        # valid topological order even for diamond-shaped graphs (a tensor
-        # consumed by several downstream ops).
-        topo = []
-        state = {}           # id -> 1 while expanding, 2 when finished
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            st = state.get(id(node), 0)
-            if st == 0:
-                state[id(node)] = 1
-                for p in node._parents:
-                    if state.get(id(p), 0) == 0:
-                        stack.append(p)
-            elif st == 1:
-                state[id(node)] = 2
-                topo.append(node)
-                stack.pop()
-            else:
-                stack.pop()
-
+            if seed.shape != self.shape:
+                raise DimensionError(f"seed shape {seed.shape} != output {self.shape}")
         self._accumulate(seed)
-        for node in reversed(topo):
-            if node._bw is not None and node.grad is not None:
-                node._bw(node.grad)
+        for node in reversed(recorded):
+            g, bw = node.grad, node._bw
+            node.grad = node._bw = None
+            if g is not None:
+                bw(g)
+        recorded.clear()
 
 
 def as_tensor(x) -> Tensor:
@@ -187,13 +194,13 @@ def zeros(shape) -> Tensor:
 
 
 def _track(*tensors) -> bool:
-    return _grad_enabled.get() and any(t.requires_grad for t in tensors)
+    return _tape.get() is not None and any(t.requires_grad for t in tensors)
 
 
-def _attach(out: Tensor, parents, bw) -> None:
+def _attach(out: Tensor, bw) -> None:
     out.requires_grad = True
-    out._parents = tuple(parents)
     out._bw = bw
+    _tape.get().append(out)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -233,20 +240,48 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
                     b._accumulate(np.swapaxes(g, -1, -2) @ ad)
                 else:
                     b._accumulate(np.swapaxes(ad, -1, -2) @ g)
-        _attach(out, (a, b), bw)
+        _attach(out, bw)
+    return out
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for x (n, p), w (p, q) and bias b (q,), as one op.
+    Adds n*p*q MACs to the counter, as ``matmul(x, w)`` would."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] \
+            or b.shape != (wd.shape[1],):
+        raise DimensionError(f"linear needs x (n, p), w (p, q) and b (q,), "
+                             f"got {x.shape}, {w.shape} and {b.shape}")
+    counter.add(xd.size * wd.shape[1])
+    o = xd @ wd
+    o += b.data
+    out = Tensor(o)
+    if _track(x, w, b):
+        def bw(g):
+            if x.requires_grad:
+                x._accumulate(g @ wd.T)
+            if w.requires_grad:
+                w._accumulate(xd.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+        _attach(out, bw)
     return out
 
 
 def add(a, b) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
     a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"add needs equal shapes, got {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
     if _track(a, b):
         def bw(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
+                a._accumulate(g)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-        _attach(out, (a, b), bw)
+                b._accumulate(g)
+        _attach(out, bw)
     return out
 
 
@@ -260,7 +295,7 @@ def mul(a, b) -> Tensor:
                 a._accumulate(_unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(g * a.data, b.shape))
-        _attach(out, (a, b), bw)
+        _attach(out, bw)
     return out
 
 
@@ -268,20 +303,29 @@ def mul(a, b) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """GELU via the tanh approximation (documented, derivative exact for it)."""
+    """GELU via the tanh approximation (documented, derivative exact for it).
+
+    Computed in place in two buffers, with the arithmetic of the straight
+    line ``0.5 * x * (1 + tanh(C * (x + A * (x * x * x))))``; the cube is
+    two products, since ``x ** 3`` goes through the much slower generic pow.
+    """
     x = as_tensor(x)
     xd = x.data
-    # Products, not pow: x ** 3 goes through the generic pow loop, which
-    # is slower than two multiplies by an order of magnitude.
-    u = _GELU_C * (xd + _GELU_A * (xd * xd * xd))
-    t = np.tanh(u)
-    out = Tensor(0.5 * xd * (1.0 + t))
+    t = xd * xd
+    t *= xd
+    t *= _GELU_A
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * xd
+    y *= 1.0 + t
+    out = Tensor(y)
     if _track(x):
         def bw(g):
             du = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
             dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
             x._accumulate(g * dx)
-        _attach(out, (x,), bw)
+        _attach(out, bw)
     return out
 
 
@@ -294,7 +338,7 @@ def sigmoid(x) -> Tensor:
     if _track(x):
         def bw(g):
             x._accumulate(g * s * (1.0 - s))
-        _attach(out, (x,), bw)
+        _attach(out, bw)
     return out
 
 
@@ -328,7 +372,7 @@ def masked_softmax(logits, visible) -> Tensor:
         def bw(g):
             dot = (g * p).sum(axis=-1, keepdims=True)
             x._accumulate(p * (g - dot))
-        _attach(out, (x,), bw)
+        _attach(out, bw)
     return out
 
 
@@ -336,17 +380,23 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
     """Per-row zero-mean/unit-variance normalization followed by affine.
 
     Zero-variance rows normalize to zeros (then take the bias), so constant
-    or padded rows cannot produce NaN.
+    or padded rows cannot produce NaN. Means are ``sum / n``, the arithmetic
+    of ``np.mean``, so the result equals the straight-line
+    ``(x - mu) * (1 / sqrt(mean((x - mu) ** 2) + eps)) * gain + bias``.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if x.data.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
+    xd = x.data
+    if xd.ndim != 2 or gain.shape != (xd.shape[1],) or bias.shape != (xd.shape[1],):
         raise DimensionError(
             f"layer_norm shapes: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    n = xd.shape[1]
+    xhat = xd - xd.sum(axis=1, keepdims=True) / n
+    var = (xhat * xhat).sum(axis=1, keepdims=True) / n
     inv_sigma = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_sigma
-    out = Tensor(xhat * gain.data + bias.data)
+    xhat *= inv_sigma
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y)
     if _track(x, gain, bias):
         def bw(g):
             if x.requires_grad:
@@ -358,21 +408,17 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
                 gain._accumulate((g * xhat).sum(axis=0))
             if bias.requires_grad:
                 bias._accumulate(g.sum(axis=0))
-        _attach(out, (x, gain, bias), bw)
+        _attach(out, bw)
     return out
 
 
 # ----------------------------- composite layers -----------------------------
 
 
-def linear(x, w, b) -> Tensor:
-    return add(matmul(x, w), b)
-
-
 def ffn(x, w1, b1, w2, b2) -> Tensor:
     """Transformer feed-forward: GELU MLP with hidden width 4x the model width.
 
-    Two matmuls contribute 8*n*D^2 MACs (16*n*D^2 FLOPs) for input (n, D).
+    Two products contribute 8*n*D^2 MACs (16*n*D^2 FLOPs) for input (n, D).
     """
     x = as_tensor(x)
     width = x.shape[1]
@@ -398,7 +444,7 @@ def concat_rows(parts) -> Tensor:
                 if p.requires_grad:
                     p._accumulate(g[off:off + n])
                 off += n
-        _attach(out, parts, bw)
+        _attach(out, bw)
     return out
 
 
@@ -413,7 +459,7 @@ def concat_cols(parts) -> Tensor:
                 if p.requires_grad:
                     p._accumulate(g[:, off:off + w])
                 off += w
-        _attach(out, parts, bw)
+        _attach(out, bw)
     return out
 
 
@@ -422,10 +468,10 @@ def slice_cols(x, start: int, stop: int) -> Tensor:
     out = Tensor(x.data[:, start:stop].copy())
     if _track(x):
         def bw(g):
-            full = np.zeros_like(x.data)
-            full[:, start:stop] = g
-            x._accumulate(full)
-        _attach(out, (x,), bw)
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[:, start:stop] += g
+        _attach(out, bw)
     return out
 
 
@@ -447,7 +493,7 @@ def gather_rows(x, idx) -> Tensor:
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
             np.add.at(x.grad, idx, g)
-        _attach(out, (x,), bw)
+        _attach(out, bw)
     return out
 
 
@@ -457,7 +503,7 @@ def reshape(x, shape) -> Tensor:
     if _track(x):
         def bw(g):
             x._accumulate(g.reshape(x.shape))
-        _attach(out, (x,), bw)
+        _attach(out, bw)
     return out
 
 
@@ -468,8 +514,8 @@ def mean_rows(x) -> Tensor:
     out = Tensor(x.data.mean(axis=0, keepdims=True) if n else np.zeros((1, x.shape[1])))
     if n and _track(x):
         def bw(g):
-            x._accumulate(np.broadcast_to(g / n, x.shape).copy())
-        _attach(out, (x,), bw)
+            x._accumulate(np.broadcast_to(g / n, x.shape))
+        _attach(out, bw)
     return out
 
 
@@ -484,7 +530,7 @@ def mean_scalars(parts) -> Tensor:
             for p in parts:
                 if p.requires_grad:
                     p._accumulate(np.full(p.shape, share))
-        _attach(out, parts, bw)
+        _attach(out, bw)
     return out
 
 
@@ -507,5 +553,5 @@ def bce(p, y: float) -> Tensor:
             if in_range:
                 d = (pc - y) / (pc * (1.0 - pc))
                 p._accumulate(np.full(p.shape, float(g) * d))
-        _attach(out, (p,), bw)
+        _attach(out, bw)
     return out

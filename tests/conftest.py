@@ -18,15 +18,16 @@ def rel_err(a: float, b: float) -> float:
 def fd_check(build_loss, named_tensors, tol=1e-4, h=1e-5, max_coords=6, seed=0):
     """Central finite differences against recorded backward passes.
 
-    ``build_loss`` must construct a fresh scalar-loss tape from the live
-    tensors each call. For every tensor a deterministic sample of
-    coordinates is perturbed; relative error must stay within ``tol``.
+    ``build_loss`` must construct a fresh scalar loss from the live tensors
+    each call; only the first call runs inside a tape. For every tensor a
+    deterministic sample of coordinates is perturbed; relative error must
+    stay within ``tol``.
     """
     rng = np.random.default_rng(seed)
     for _, t in named_tensors:
         t.zero_grad()
-    loss = build_loss()
-    loss.backward()
+    with T.tape():
+        build_loss().backward()
     worst = 0.0
     for name, t in named_tensors:
         grad = np.zeros_like(t.data) if t.grad is None else t.grad.copy()

@@ -237,9 +237,8 @@ def test_criterion_5_mask_and_causality():
     x = rng.normal(size=(k + m, D))
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 10
-    with T.no_grad():
-        a = self_block(Tensor(x), mask, blk).data
-        b = self_block(Tensor(x2), mask, blk).data
+    a = self_block(Tensor(x), mask, blk).data
+    b = self_block(Tensor(x2), mask, blk).data
     target_inv = (a[:-1] == b[:-1]).all()
 
     n = 6
@@ -247,15 +246,13 @@ def test_criterion_5_mask_and_causality():
     y = rng.normal(size=(n, D))
     y2 = y.copy()
     y2[3] += 1.0
-    with T.no_grad():
-        ca = self_block(Tensor(y), causal, blk).data
-        cb = self_block(Tensor(y2), causal, blk).data
+    ca = self_block(Tensor(y), causal, blk).data
+    cb = self_block(Tensor(y2), causal, blk).data
     prefix_inv = (ca[:3] == cb[:3]).all()
 
     full = build_mask(np.arange(n), np.arange(n), [False] * n, [False] * n)
-    with T.no_grad():
-        cx = attention_block(Tensor(y), Tensor(y), full, blk)[0].data
-        sx = self_block(Tensor(y), full, blk).data
+    cx = attention_block(Tensor(y), Tensor(y), full, blk)[0].data
+    sx = self_block(Tensor(y), full, blk).data
     reduction = np.abs(cx - sx).max()
     np.testing.assert_array_equal(full, np.tril(np.ones((n, n))) > 0)
     ok = bool(target_inv and prefix_inv and reduction <= 1e-12)

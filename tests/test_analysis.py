@@ -64,7 +64,7 @@ def test_block_counter_matches_formula():
     params = BlockParams.create(D, rng)
     x = T.Tensor(rng.normal(size=(n, D)))
     mask = np.ones((n, n), dtype=bool)
-    with T.no_grad(), T.count_muladds() as w:
+    with T.count_muladds() as w:
         attention_block(x, x, mask, params)
     assert 2 * w.mul_adds == analysis.flops_vanilla(n, D)
 
@@ -74,16 +74,15 @@ def test_merged_block_counter_reproduces_reduction_ratio():
     # FLOPs formula, so the instrumented reduction equals the analytic one.
     L, d, K = 32, 4, 4
     rng = np.random.default_rng(1)
-    with T.no_grad():
-        blk_v = BlockParams.create(d, rng)
-        x_v = T.Tensor(rng.normal(size=(L, d)))
-        with T.count_muladds() as w_v:
-            attention_block(x_v, x_v, np.ones((L, L), dtype=bool), blk_v)
-        blk_m = BlockParams.create(K * d, rng)
-        x_m = T.Tensor(rng.normal(size=(L // K, K * d)))
-        with T.count_muladds() as w_m:
-            attention_block(x_m, x_m, np.ones((L // K, L // K), dtype=bool),
-                            blk_m)
+    blk_v = BlockParams.create(d, rng)
+    x_v = T.Tensor(rng.normal(size=(L, d)))
+    with T.count_muladds() as w_v:
+        attention_block(x_v, x_v, np.ones((L, L), dtype=bool), blk_v)
+    blk_m = BlockParams.create(K * d, rng)
+    x_m = T.Tensor(rng.normal(size=(L // K, K * d)))
+    with T.count_muladds() as w_m:
+        attention_block(x_m, x_m, np.ones((L // K, L // K), dtype=bool),
+                        blk_m)
     assert 2 * w_v.mul_adds == analysis.flops_vanilla(L, d)
     assert 2 * w_m.mul_adds == analysis.flops_merged(L, d, K)
     assert Fraction(w_m.mul_adds, w_v.mul_adds) == \

@@ -95,9 +95,8 @@ def test_cross_equals_self_when_sources_coincide():
     x = Tensor(rng.normal(size=(n, D)))
     blk = make_block(D, 2)
     mask = np.tril(np.ones((n, n))) > 0
-    with T.no_grad():
-        a = block(x, mask, blk, x_kv=Tensor(x.data)).data
-        b = block(x, mask, blk).data
+    a = block(x, mask, blk, x_kv=Tensor(x.data)).data
+    b = block(x, mask, blk).data
     assert np.abs(a - b).max() <= 1e-12
 
 
@@ -111,8 +110,7 @@ def test_single_visible_key_returns_its_value():
     visible = [2, 0, 3]
     for i, j in enumerate(visible):
         mask[i, j] = True
-    with T.no_grad():
-        context = _multi_head_attention(queries, keys, values, mask, 1).data
+    context = _multi_head_attention(queries, keys, values, mask, 1).data
     for i, j in enumerate(visible):
         np.testing.assert_allclose(context[i], values.data[j], atol=1e-12)
 
@@ -165,8 +163,7 @@ def test_cross_block_matches_per_query_loop_oracle():
         expected[i] = x1 + gelu(x1n @ blk.w1.data + blk.b1.data) @ blk.w2.data \
             + blk.b2.data
 
-    with T.no_grad():
-        out = block(Tensor(o), mask, blk, x_kv=Tensor(r)).data
+    out = block(Tensor(o), mask, blk, x_kv=Tensor(r)).data
     assert np.abs(out - expected).max() <= 1e-10
 
 
@@ -177,10 +174,9 @@ def test_zeroed_attention_out_leaves_residual_ffn():
     blk = make_block(D, 8)
     blk.w_o.data[:] = 0.0
     blk.b_o.data[:] = 0.0
-    with T.no_grad():
-        out = block(Tensor(x), np.ones((n, n), dtype=bool), blk).data
-        ffn_branch = T.ffn(T.layer_norm(Tensor(x), blk.ln2_g, blk.ln2_b),
-                           blk.w1, blk.b1, blk.w2, blk.b2).data
+    out = block(Tensor(x), np.ones((n, n), dtype=bool), blk).data
+    ffn_branch = T.ffn(T.layer_norm(Tensor(x), blk.ln2_g, blk.ln2_b),
+                       blk.w1, blk.b1, blk.w2, blk.b2).data
     np.testing.assert_allclose(out, x + ffn_branch, atol=1e-12)
 
 
@@ -230,9 +226,8 @@ def test_sequence_rows_exactly_ignore_target_row():
     x = rng.normal(size=(n, D))
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 50.0
-    with T.no_grad():
-        a = block(Tensor(x), mask, blk).data
-        b = block(Tensor(x2), mask, blk).data
+    a = block(Tensor(x), mask, blk).data
+    b = block(Tensor(x2), mask, blk).data
     np.testing.assert_array_equal(a[:-1], b[:-1])
     assert np.abs(a[-1] - b[-1]).max() > 0
 
@@ -245,9 +240,8 @@ def test_causal_prefix_invariance():
     x = rng.normal(size=(n, D))
     x2 = x.copy()
     x2[4] += 3.0
-    with T.no_grad():
-        a = block(Tensor(x), mask, blk).data
-        b = block(Tensor(x2), mask, blk).data
+    a = block(Tensor(x), mask, blk).data
+    b = block(Tensor(x2), mask, blk).data
     np.testing.assert_array_equal(a[:4], b[:4])
     assert np.abs(a[4:] - b[4:]).max() > 0
 
@@ -280,13 +274,12 @@ def test_prefix_kv_row_matches_full_block():
     for heads in (1, 2):
         blk = make_block(D, 18)
         want = []
-        with T.no_grad():
-            for c in range(C):
-                x = Tensor(np.vstack([prefix, targets.data[c:c + 1]]))
-                full, k, v = attention_block(x, x, visible, blk, heads)
-                want.append(full.data[-1])
-            rows, k_rows, _ = attention_block(targets, targets, visible[-1:], blk,
-                                              heads, prefix_kv=(k.data[:-1], v.data[:-1]))
+        for c in range(C):
+            x = Tensor(np.vstack([prefix, targets.data[c:c + 1]]))
+            full, k, v = attention_block(x, x, visible, blk, heads)
+            want.append(full.data[-1])
+        rows, k_rows, _ = attention_block(targets, targets, visible[-1:], blk,
+                                          heads, prefix_kv=(k.data[:-1], v.data[:-1]))
         assert np.abs(rows.data - np.array(want)).max() <= 1e-12
         assert k_rows.shape == (C, D)
     with pytest.raises(DimensionError):

@@ -146,6 +146,22 @@ def test_unreadable_input_exit_2(tmp_path, capsys, model_cfg_path, dataset_path,
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("fraction", ["-1", "-0.5", "nan", "inf"])
+def test_eval_fraction_out_of_range_exit_2(tmp_path, capsys, model_cfg_path,
+                                           dataset_path, command, fraction):
+    out = str(tmp_path / "o")
+    if command == "train":
+        argv = ["train", "--config", model_cfg_path, "--data", dataset_path]
+    else:
+        checkpoint = tmp_path / "model.bin"
+        LongRecModel(ModelConfig.from_dict(MODEL_CFG)).save(str(checkpoint))
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", dataset_path]
+    assert main(argv + ["--out", out, "--eval-fraction", fraction]) == 2
+    err = capsys.readouterr().err
+    assert "eval_fraction" in err and "Traceback" not in err
+
+
 def test_gen_zero_users(tmp_path):
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps({**GEN_CFG, "n_users": 0}))
@@ -284,6 +300,21 @@ def test_sweep_four_points_fits(tmp_path):
     assert "r_squared" in fit and "beta" in fit
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"]["fit"]["alpha"] == fit["alpha"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "x"), ("epochs", 0), ("epochs", 1.7), ("epochs", True),
+    ("grid", ["x"]), ("grid", [4, 8.5]), ("grid", [True, 8])])
+def test_sweep_bad_epochs_or_grid_exit_2(tmp_path, capsys, field, value):
+    sweep = {"axis": "seq_len", "grid": [4, 8], "epochs": 1,
+             "generator": GEN_CFG, "model": {**MODEL_CFG, "k": 2}, field: value}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_score_command(tmp_path, model_cfg_path, dataset_path):

@@ -332,9 +332,10 @@ def test_batch_backward_grads_equal_one_mean_tape(tiny_cfg):
                for _, t in model.params()]
         for _, t in model.params():
             t.zero_grad()
-        loss = T.mean_scalars([T.bce(model.forward_tensor(s), s.label)
-                               for s in samples])
-        loss.backward()
+        with T.tape():
+            loss = T.mean_scalars([T.bce(model.forward_tensor(s), s.label)
+                                   for s in samples])
+            loss.backward()
         assert value == float(loss.data)
         assert got == [None if t.grad is None else t.grad.tobytes()
                        for _, t in model.params()]
@@ -382,27 +383,34 @@ def test_end_to_end_gradient_check(tiny_cfg):
         fd_check(loss, named, tol=1e-3, h=1e-5, max_coords=2, seed=seed)
 
 
-def test_no_grad_in_another_thread_leaves_training_recording(tiny_cfg):
-    """Grad mode is per thread: a scoring thread inside no_grad() must not
-    switch off tape recording for a training step running beside it."""
+def test_tape_is_per_thread(tiny_cfg):
+    """Tapes are per thread: a thread that scores while a training step's
+    tape is open records nothing onto it, and a tape that thread holds open
+    does not take the step's ops, which still reach every parameter."""
     model = LongRecModel(tiny_cfg, seed=19)
     s = sample_for(tiny_cfg, 6, seed=20)
     entered, release = threading.Event(), threading.Event()
+    held = []
 
-    def hold_no_grad():
-        with T.no_grad():
+    def score_then_hold_tape():
+        model.score(s)
+        with T.tape() as own:
             entered.set()
             release.wait(timeout=30)
+            held.append(len(own))
 
-    worker = threading.Thread(target=hold_no_grad)
-    worker.start()
-    try:
-        assert entered.wait(timeout=30)
-        T.bce(model.forward_tensor(s), s.label).backward()
-    finally:
-        release.set()
-        worker.join(timeout=30)
+    worker = threading.Thread(target=score_then_hold_tape)
+    with T.tape() as recorded:
+        worker.start()
+        try:
+            assert entered.wait(timeout=30)
+            assert recorded == []
+            T.bce(model.forward_tensor(s), s.label).backward()
+        finally:
+            release.set()
+            worker.join(timeout=30)
     assert not worker.is_alive()
+    assert held == [0]
     assert [n for n, t in model.params() if t.grad is None] == []
 
 
@@ -415,8 +423,7 @@ def test_pooling_identical_tokens(tiny_cfg):
     events = tuple(Event(3, 1, ts) for _ in range(5))
     s = Sample(events, UserFeatures(0, 0), Candidate(1, ts), 1)
     feats = base._features([3], [1], [0])
-    with T.no_grad():
-        pooled = T.mean_rows(base._features([3] * 5, [1] * 5, [0] * 5))
+    pooled = T.mean_rows(base._features([3] * 5, [1] * 5, [0] * 5))
     np.testing.assert_allclose(pooled.data, feats.data, atol=1e-15)
     assert 0.0 < base.score(s) < 1.0
 

@@ -108,8 +108,8 @@ def test_stale_cache_after_parameter_update():
     cache = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
     # one optimizer step invalidates the fingerprint
     opt = Adam(model.params(), lr=1e-3)
-    loss = T.bce(model.forward_tensor(s), s.label)
-    loss.backward()
+    with T.tape():
+        T.bce(model.forward_tensor(s), s.label).backward()
     opt.step()
     model.param_version += 1
     with pytest.raises(StaleCacheError):

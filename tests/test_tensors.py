@@ -1,6 +1,7 @@
 """Kernel ops against independent oracles and finite differences."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +120,136 @@ def test_matmul_batched_fd(transpose_b):
         [("a", a), ("b", b)])
 
 
+# ----------------------------- linear -----------------------------
+
+
+def test_linear_matches_triple_loop_plus_bias():
+    rng = np.random.default_rng(20)
+    x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+    want = triple_loop_matmul(x, w) + b
+    assert np.abs(T.linear(x, w, b).data - want).max() <= 1e-12
+
+
+def test_linear_fd():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    fd_check(lambda: T.bce(T.sigmoid(T.matmul(
+        np.ones((1, 3)) * 0.2, T.matmul(T.linear(x, w, b), np.ones((2, 1))))), 1.0),
+        [("x", x), ("w", w), ("b", b)])
+
+
+def test_linear_counts_like_matmul():
+    with T.count_muladds() as w:
+        T.linear(np.zeros((3, 4)), np.zeros((4, 5)), np.zeros(5))
+        T.linear(np.zeros((0, 2)), np.zeros((2, 7)), np.zeros(7))
+        T.linear(np.zeros((6, 1)), np.zeros((1, 2)), np.zeros(2))
+    assert w.mul_adds == 3 * 4 * 5 + 0 + 6 * 1 * 2
+
+
+def test_linear_shape_mismatch():
+    for x, w, b in [
+            (np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5)),        # inner
+            (np.zeros((2, 3)), np.zeros((3, 5)), np.zeros(4)),        # bias width
+            (np.zeros((2, 3)), np.zeros((3, 5)), np.zeros((1, 5))),   # 2-D bias
+            (np.zeros((2, 2, 3)), np.zeros((3, 5)), np.zeros(5)),     # 3-D x
+            (np.zeros(3), np.zeros((3, 5)), np.zeros(5)),             # 1-D x
+            (np.zeros((2, 3)), np.zeros((2, 3, 5)), np.zeros(5))]:    # 3-D w
+        with pytest.raises(DimensionError):
+            T.linear(x, w, b)
+
+
+def test_add_needs_equal_shapes():
+    with pytest.raises(DimensionError):
+        T.add(np.zeros((2, 3)), np.zeros(3))
+    with pytest.raises(DimensionError):
+        T.add(np.zeros((2, 3)), np.zeros((1, 3)))
+
+
+# ----------------------------- tape -----------------------------
+
+
+def test_nothing_recorded_outside_a_tape():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = T.gelu(T.linear(x, np.ones((3, 3)), np.zeros(3)))
+    assert not y.requires_grad
+    with T.tape() as recorded:
+        z = T.gelu(x)
+        assert z.requires_grad and recorded == [z]
+        T.gelu(Tensor(np.ones((2, 3))))       # no input requires gradients
+        assert recorded == [z]
+
+
+def test_backward_outside_a_tape_raises():
+    x = Tensor(np.ones((1, 1)), requires_grad=True)
+    with T.tape():
+        loss = T.bce(T.sigmoid(x), 1.0)
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    assert x.grad is None
+
+
+def test_tape_frees_intermediates_on_scope_exit():
+    """An intermediate's buffer lives until its tape scope exits and no
+    longer; after a backward, not even while the loss built from it is
+    still held."""
+    x = Tensor(np.random.default_rng(22).normal(size=(2, 3)), requires_grad=True)
+    with T.tape():
+        h = T.gelu(x)
+        ref = weakref.ref(h.data)     # freed with h
+        loss = T.bce(T.sigmoid(T.reshape(
+            T.matmul(T.reshape(T.mul(h, h), (1, 6)), np.ones((6, 1))), (1, 1))), 1.0)
+        del h, loss
+        assert ref() is not None      # the tape still holds it
+    assert ref() is None
+    with T.tape():
+        h = T.gelu(x)
+        ref = weakref.ref(h.data)     # freed with h
+        loss = T.bce(T.sigmoid(T.reshape(
+            T.matmul(T.reshape(h, (1, 6)), np.ones((6, 1))), (1, 1))), 1.0)
+        del h
+        loss.backward()
+    assert ref() is None              # backward dropped loss's closures
+    assert x.grad is not None
+
+
+def test_add_gradients_are_separate_buffers():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    y = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    g = rng.normal(size=(2, 3))
+    with T.tape():
+        T.add(x, y).backward(g)
+    assert x.grad is not y.grad
+    np.testing.assert_array_equal(x.grad, g)
+    np.testing.assert_array_equal(y.grad, g)
+    x.grad += 1.0
+    np.testing.assert_array_equal(y.grad, g)
+    x.zero_grad()
+    with T.tape():
+        T.add(x, x).backward(g)
+    np.testing.assert_array_equal(x.grad, 2.0 * g)
+
+
+def test_diamond_graph_fd():
+    """One tensor feeds several consumers that meet again downstream: the
+    reverse walk must finish its gradient before passing it on."""
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+
+    def loss():
+        h = T.linear(x, w, np.zeros(3))
+        left = T.gelu(h)
+        right = T.mul(h, T.sigmoid(h))
+        top = T.add(T.mul(left, right), h)
+        return T.bce(T.sigmoid(T.reshape(
+            T.matmul(T.reshape(top, (1, 6)), np.ones((6, 1)) * 0.2), (1, 1))), 1.0)
+
+    fd_check(loss, [("x", x), ("w", w)])
+
+
 # ----------------------------- masked softmax -----------------------------
 
 
@@ -223,6 +354,29 @@ def test_layer_norm_fd():
     _ = w
 
 
+def test_layer_norm_bitwise_equals_straight_line():
+    """The in-place kernel keeps the arithmetic of the straight-line form,
+    forward and backward."""
+    rng = np.random.default_rng(26)
+    for shape in [(1, 4), (7, 13), (5, 64)]:
+        x = rng.normal(size=shape) * 3.0 + 1.0
+        gain, bias = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        g = rng.normal(size=shape)
+        mu = x.mean(axis=1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+        inv_sigma = 1.0 / np.sqrt(var + 1e-12)
+        xhat = (x - mu) * inv_sigma
+        ghat = g * gain
+        dx = (ghat - ghat.mean(axis=1, keepdims=True)
+              - xhat * (ghat * xhat).mean(axis=1, keepdims=True)) * inv_sigma
+        xt = Tensor(x, requires_grad=True)
+        with T.tape():
+            out = T.layer_norm(xt, gain, bias)
+            out.backward(g)
+        np.testing.assert_array_equal(out.data, xhat * gain + bias)
+        np.testing.assert_array_equal(xt.grad, dx)
+
+
 # ----------------------------- ffn -----------------------------
 
 
@@ -292,6 +446,25 @@ def test_gelu_sigmoid_fd():
     fd_check(loss, [("x", x)])
 
 
+def test_gelu_bitwise_equals_straight_line():
+    """The in-place kernel keeps the arithmetic of the straight-line form,
+    forward and backward."""
+    rng = np.random.default_rng(25)
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    for scale in (0.1, 1.0, 4.0):
+        x = rng.normal(size=(7, 13)) * scale
+        g = rng.normal(size=x.shape)
+        t = np.tanh(c * (x + a * (x * x * x)))
+        du = c * (1.0 + 3.0 * a * (x * x))
+        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+        xt = Tensor(x, requires_grad=True)
+        with T.tape():
+            out = T.gelu(xt)
+            out.backward(g)
+        np.testing.assert_array_equal(out.data, 0.5 * x * (1.0 + t))
+        np.testing.assert_array_equal(xt.grad, g * dx)
+
+
 def test_structural_ops_fd():
     rng = np.random.default_rng(11)
     table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
@@ -333,9 +506,9 @@ def test_bce_values():
 def test_bce_grad_wrt_logit_is_p_minus_y():
     for z0, y in [(0.3, 1.0), (-1.2, 0.0), (2.0, 1.0)]:
         z = Tensor(np.array([[z0]]), requires_grad=True)
-        p = T.sigmoid(z)
-        loss = T.bce(p, y)
-        loss.backward()
+        with T.tape():
+            p = T.sigmoid(z)
+            T.bce(p, y).backward()
         expected = float(p.data.item()) - y
         grad = float(z.grad.item())
         assert abs(grad - expected) <= 1e-12
