@@ -45,13 +45,15 @@ def build_mask(query_positions, key_positions, is_global_query, is_global_key,
 
     ``*_positions`` carry chronological indices for sequence rows and are
     ignored for global rows, which use ``global_rank_*`` instead. Pad flags
-    default to all-False.
+    default to all-False. Each argument lists its rows along its last axis;
+    arguments with a leading batch axis (B, rows) give a (B, query, key)
+    visibility, one per sample, the others being shared by every sample.
     """
     qp = np.asarray(query_positions, dtype=np.int64)
     kp = np.asarray(key_positions, dtype=np.int64)
     gq = np.asarray(is_global_query, dtype=bool)
     gk = np.asarray(is_global_key, dtype=bool)
-    nq, nk = qp.size, kp.size
+    nq, nk = qp.shape[-1], kp.shape[-1]
     rq = np.zeros(nq, dtype=np.int64) if global_rank_query is None \
         else np.asarray(global_rank_query, dtype=np.int64)
     rk = np.zeros(nk, dtype=np.int64) if global_rank_key is None \
@@ -60,19 +62,22 @@ def build_mask(query_positions, key_positions, is_global_query, is_global_key,
         else np.asarray(is_pad_query, dtype=bool)
     pk = np.zeros(nk, dtype=bool) if is_pad_key is None \
         else np.asarray(is_pad_key, dtype=bool)
-    if not (qp.size == gq.size == rq.size == pq.size):
+    if not (nq == gq.shape[-1] == rq.shape[-1] == pq.shape[-1]):
         raise DimensionError("query metadata arrays differ in length")
-    if not (kp.size == gk.size == rk.size == pk.size):
+    if not (nk == gk.shape[-1] == rk.shape[-1] == pk.shape[-1]):
         raise DimensionError("key metadata arrays differ in length")
 
-    seq_sees_seq = (~gq[:, None]) & (~gk[None, :]) & (kp[None, :] <= qp[:, None])
-    glob_sees_seq = gq[:, None] & (~gk[None, :])
-    glob_sees_glob = gq[:, None] & gk[None, :] & (rk[None, :] <= rq[:, None])
-    vis = seq_sees_seq | glob_sees_seq | glob_sees_glob
-    vis[:, pk] = False
-    vis[pq, :] = False
+    # Query metadata runs down the rows ([..., :, None]), key metadata across
+    # the columns ([..., None, :]). A sequence key is visible to a global
+    # query or to a later sequence query; a global key to a global query of
+    # no lower rank.
+    gq_rows = gq[..., :, None]
+    vis = np.where(gk[..., None, :],
+                   gq_rows & (rk[..., None, :] <= rq[..., :, None]),
+                   gq_rows | (kp[..., None, :] <= qp[..., :, None]))
+    vis = vis & ~pk[..., None, :] & ~pq[..., :, None]
 
-    bad = gq & ~pq & ~vis.any(axis=1)
+    bad = gq & ~pq & ~vis.any(axis=-1)
     if bad.any():
         raise ConfigError("a global query row has no visible key")
     return vis
@@ -135,7 +140,7 @@ class BlockParams:
 
 def _multi_head_attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
                           heads: int, prefix_kv=None) -> Tensor:
-    width = q.shape[1]
+    width = q.shape[-1]
     dh = width // heads
     scale = 1.0 / math.sqrt(dh)
     parts = []
@@ -169,25 +174,29 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
     """The pre-norm block: returns (output rows, key rows, value rows), the
     keys and values being the projections of ``x_kv``.
 
-    Self-attention when ``x_kv`` is ``x_q``; ``visible`` is the boolean
-    (queries, keys) visibility. ``prefix_kv``, a pair of already-projected
-    (keys, values) arrays, makes every query row an independent target (so
-    ``x_kv`` must be ``x_q``): row i sees the prefix rows and its own key
-    row only, through ``visible``, the target's (1, prefix + 1) visibility
-    row. Its scores are [q_i K_prefix^T | q_i k_i] and its context
+    Rows are the second to last axis and the width the last: ``x_q`` and
+    ``x_kv`` are (rows, width), or (B, rows, width) for B independent
+    samples run as one batch. Self-attention when ``x_kv`` is ``x_q``;
+    ``visible`` is the boolean (queries, keys) visibility, with the same
+    leading B axis as the rows. ``prefix_kv``, a pair of already-projected
+    (keys, values) arrays, makes every row of a 2-D ``x_q`` an independent
+    target (so ``x_kv`` must be ``x_q``): row i sees the prefix rows and its
+    own key row only, through ``visible``, the target's (1, prefix + 1)
+    visibility row. Its scores are [q_i K_prefix^T | q_i k_i] and its context
     P_prefix V_prefix + p_i v_i, with no score between two query rows, so
     each row agrees to rounding with a full pass over prefix + that row.
     """
     width = params.width
-    if x_q.shape[1] != width or x_kv.shape[1] != width:
+    if x_q.shape[-1] != width or x_kv.shape[-1] != width:
         raise DimensionError(
             f"block width {width} does not match inputs {x_q.shape}, {x_kv.shape}")
     if width % heads:
         raise DimensionError(f"width {width} not divisible by heads={heads}")
     if prefix_kv is None:
-        want = (x_q.shape[0], x_kv.shape[0])
-    elif x_kv is not x_q:
-        raise DimensionError("prefix_kv scoring takes each query row as its own key")
+        want = x_q.shape[:-1] + x_kv.shape[-2:-1]
+    elif x_kv is not x_q or len(x_q.shape) != 2:
+        raise DimensionError("prefix_kv scoring takes a 2-D block of rows, each "
+                             "its own key")
     else:
         want = (1, prefix_kv[0].shape[0] + 1)
     if np.shape(visible) != want:

@@ -264,6 +264,10 @@ def cmd_sweep(args) -> int:
     if epochs < 1:
         raise ConfigError(f"sweep 'epochs' must be >= 1, got {epochs}")
     base_model = sweep.get("model", {})
+    if not isinstance(base_model, dict):
+        raise ConfigError("sweep 'model' must be a JSON object")
+    payloads = [{**base_model, **_axis_update(axis, value, base_model)}
+                for value in grid]
     gen_payload = sweep.get("generator")
     if gen_payload is None:
         raise ConfigError("sweep config needs a 'generator' object")
@@ -272,9 +276,7 @@ def cmd_sweep(args) -> int:
     dataset = generate_dataset(gen_cfg, seed_for(args.seed, "gen"))
 
     rows = []
-    for value in grid:
-        payload = dict(base_model)
-        payload.update(_axis_update(axis, value, base_model))
+    for value, payload in zip(grid, payloads):
         try:
             cfg = ModelConfig.from_dict(payload)
             model = LongRecModel(cfg, seed=seed_for(args.seed, "model-init"))
@@ -319,11 +321,15 @@ def cmd_sweep(args) -> int:
 
 
 def _axis_update(axis: str, value: int, base: dict) -> dict:
+    """The model fields a grid point sets; the base ``K`` and ``k`` it reads
+    must be integers, and ``K`` at least 1 (ConfigError otherwise)."""
     if axis == "seq_len":
-        K = int(base.get("K", ModelConfig().K))
+        K, k = base.get("K", ModelConfig().K), base.get("k")
+        checked_int64s([K] + ([] if k is None else [k]), "sweep model 'K' and 'k'")
+        if K < 1:
+            raise ConfigError(f"sweep model 'K' must be >= 1, got {K}")
         out = {"L": value}
-        k = base.get("k")
-        if k is None or int(k) > value // K:
+        if k is None or k > value // K:
             out["k"] = max(1, value // K)
         return out
     if axis in ("depth", "flops"):

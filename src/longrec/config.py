@@ -24,7 +24,9 @@ class ModelConfig:
     Width convention: ``d`` is the per-item token width, ``K`` the merge
     group size, and the main transformer width is ``D = K * d``. ``m`` global
     tokens ride along with ``k`` sampled sequence queries through one
-    cross-attention layer and ``N`` self-attention layers.
+    cross-attention layer and ``N`` self-attention layers. ``batch_size``
+    is the number of samples per optimizer step, and also the number that
+    ``model.evaluate`` runs as one batched forward pass.
     """
 
     L: int = 256                 # visible raw sequence length

@@ -20,7 +20,9 @@ embeddings) -> linear projection to d -> plus a learned positional embedding
 indexed by recency (0 = most recent) -> a small GELU MLP. Recency indexing
 keeps real-token representations unchanged when extra left padding is
 prepended. Global tokens (UID, CLS..., target) are built at the full model
-width D.
+width D. Encoding takes a batch: the real events of all its histories are
+encoded as one block and placed into a zero-padded (B*L, d) grid, and the
+global rows of all its users are built at once.
 """
 
 from __future__ import annotations
@@ -560,31 +562,31 @@ def _global_mlp(tables: EmbeddingTables, rows: Tensor) -> Tensor:
     return T.linear(h, tables.mlp.glob_w2, tables.mlp.glob_b2)
 
 
-def encode_events(events, reference_ts: int, tables: EmbeddingTables,
+def encode_events(histories, reference_times, tables: EmbeddingTables,
                   cfg: ModelConfig):
-    """Sequence tokens only: (seq Tensor[L, d], pad_mask, n_real).
+    """Sequence tokens of B histories: (seq Tensor[B*L, d], pad_mask (B, L),
+    n_real (B,)).
 
-    Events beyond the most recent cfg.L fall outside the visible window and
-    are dropped. Remaining events become width-d tokens, right-aligned and
-    left-padded with zeros; time deltas are measured from ``reference_ts``.
-    ``events`` is an ``Events`` or a sequence of ``Event`` records.
+    History b's events beyond the most recent cfg.L fall outside the visible
+    window and are dropped; the rest become width-d tokens with time deltas
+    measured from ``reference_times[b]``, right-aligned in rows b*L..b*L+L-1
+    and left-padded with zero rows. The real events of all histories are
+    encoded as one block and then padded into the grid, so pad rows are never
+    computed. Each history is an ``Events`` or a sequence of ``Event`` records.
     """
-    events = Events.of(events)[-cfg.L:]
-    n = len(events)
-    pad_mask = np.ones(cfg.L, dtype=bool)
-    pad_mask[cfg.L - n:] = False
-    if n == 0:
-        return T.zeros((cfg.L, cfg.d)), pad_mask, 0
-    x = _event_features(tables, cfg, events.item_id, events.action_type,
-                        time_deltas(reference_ts, events.timestamp))
-    recency = np.arange(n - 1, -1, -1, dtype=np.int64)   # 0 = most recent
+    hists = [Events.of(h)[-cfg.L:] for h in histories]
+    n_real = np.array([len(h) for h in hists], dtype=np.int64)
+    pad_mask = np.arange(cfg.L) < (cfg.L - n_real)[:, None]
+    if not n_real.any():
+        return T.zeros((pad_mask.size, cfg.d)), pad_mask, n_real
+    x = _event_features(
+        tables, cfg, np.concatenate([h.item_id for h in hists]),
+        np.concatenate([h.action_type for h in hists]),
+        np.concatenate([time_deltas(t, h.timestamp)
+                        for h, t in zip(hists, reference_times)]))
+    recency = np.concatenate([np.arange(n - 1, -1, -1) for n in n_real])  # 0 = newest
     x = T.add(x, T.gather_rows(tables.abs_pos_table, recency))
-    h_real = _seq_mlp(tables, x)
-    if n < cfg.L:
-        h = T.concat_rows([T.zeros((cfg.L - n, cfg.d)), h_real])
-    else:
-        h = h_real
-    return h, pad_mask, n
+    return T.left_pad_rows(_seq_mlp(tables, x), n_real, cfg.L), pad_mask, n_real
 
 
 def target_global_token(candidates, tables: EmbeddingTables,
@@ -605,26 +607,32 @@ def target_global_token(candidates, tables: EmbeddingTables,
     return _global_mlp(tables, row)
 
 
-def nontarget_global_tokens(user_features: UserFeatures, tables: EmbeddingTables,
+def nontarget_global_tokens(users, tables: EmbeddingTables,
                             cfg: ModelConfig) -> Tensor:
-    """Global rows of rank 0..m-2 (UID then CLS vectors): candidate-free.
+    """The global rows of rank 0..m-2 (UID then CLS vectors) of a list of B
+    users' features: (B*(m-1), D), user by user; candidate-free.
 
     UID passes through the shared d-to-D lift, CLS vectors are learned
     directly at width D, and every row goes through the global-token MLP
     row-wise, so the rows stay independent of the target row (rank m-1).
+    Each user gets its own copy of the CLS rows.
     """
-    uid = _checked_ids("uid", [user_features.uid], tables.uid_table)
-    uid_row = T.linear(T.gather_rows(tables.uid_table, uid),
-                       tables.mlp.lift_w, tables.mlp.lift_b)
-    raw = T.concat_rows([uid_row, tables.cls_vector])
+    B, n_cls = len(users), cfg.m - 2
+    uid = _checked_ids("uid", [u.uid for u in users], tables.uid_table)
+    uid_rows = T.linear(T.gather_rows(tables.uid_table, uid),
+                        tables.mlp.lift_w, tables.mlp.lift_b)
+    order = np.empty((B, 1 + n_cls), dtype=np.int64)    # user b: UID row b,
+    order[:, 0] = np.arange(B)                          # then the CLS rows
+    order[:, 1:] = B + np.arange(n_cls)
+    raw = T.gather_rows(T.concat_rows([uid_rows, tables.cls_vector]), order.ravel())
     return _global_mlp(tables, raw)
 
 
-def user_side_features(user_features: UserFeatures,
-                       tables: EmbeddingTables) -> Tensor:
-    """Candidate-independent user vector for the head: [uid_emb, profile_emb]."""
-    uid = _checked_ids("uid", [user_features.uid], tables.uid_table)
-    prof = _checked_ids("profile", [user_features.profile_bucket],
+def user_side_features(users, tables: EmbeddingTables) -> Tensor:
+    """Candidate-independent (B, 2d) head features of a list of B users'
+    features: [uid_emb, profile_emb] per row."""
+    uid = _checked_ids("uid", [u.uid for u in users], tables.uid_table)
+    prof = _checked_ids("profile", [u.profile_bucket for u in users],
                         tables.profile_table)
     return T.concat_cols([T.gather_rows(tables.uid_table, uid),
                           T.gather_rows(tables.profile_table, prof)])

@@ -12,6 +12,9 @@ of its last (most recent) constituent: a query may see a merged token only
 when it may see every constituent. Groups made entirely of padding are
 zeroed after the inner blocks so pad rows stay inert downstream; groups
 mixing pad and real tokens rely on pad rows entering as zero vectors.
+
+A batch of samples merges as one stack of rows: each sample's rows are
+padded to a multiple of K, so no group spans two samples.
 """
 
 from __future__ import annotations
@@ -26,13 +29,17 @@ from .tensors import Tensor
 
 
 def pad_to_group_multiple(h: Tensor, K: int, pad_mask: np.ndarray):
-    """Left-pad rows (and the pad mask) so the row count divides K."""
-    L = h.shape[0]
+    """Left-pad each sample's rows (and its pad mask) so their count divides
+    K. ``h`` stacks the (rows, d) blocks of the samples whose pad masks are
+    the rows of ``pad_mask`` (B, rows), or is one sample's with a 1-D mask."""
+    L = pad_mask.shape[-1]
     extra = (-L) % K
     if extra == 0:
         return h, pad_mask
-    padded = T.concat_rows([T.zeros((extra, h.shape[1])), h])
-    return padded, np.concatenate([np.ones(extra, dtype=bool), pad_mask])
+    lead, d = pad_mask.shape[:-1], h.shape[-1]
+    padded = T.concat_rows([T.zeros(lead + (extra, d)), T.reshape(h, lead + (L, d))])
+    return (T.reshape(padded, (-1, d)),
+            np.concatenate([np.ones(lead + (extra,), dtype=bool), pad_mask], axis=-1))
 
 
 def merged_positions(L_padded: int, K: int) -> np.ndarray:

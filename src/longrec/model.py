@@ -6,10 +6,16 @@ over the full merged sequence plus globals -> N self-attention layers over
 the retained rows -> prediction head on the target-global and CLS outputs
 concatenated with projected user features -> sigmoid.
 
+The forward pass runs a list of samples as one batch, each sample with its
+own rows and masks, so only the per-op cost is shared: ``evaluate`` runs
+each chunk of ``cfg.batch_size`` samples as one pass, ``score`` one sample.
+
 Training is plain Adam (beta1=0.9, beta2=0.999, eps=1e-8) at a fixed
 learning rate on mean batch BCE, with a temporal held-out split: the last
 fraction of samples by candidate timestamp is never trained on. No weight
-decay and no schedule, to keep scaling sweeps unconfounded.
+decay and no schedule, to keep scaling sweeps unconfounded. Each training
+sample runs as a batch of one on a gradient tape of its own, so only one
+sample's tape is alive at a time.
 
 A training step exclusively owns the parameters it updates; inference over
 read-shared parameters is thread-safe, and tapes are per thread. MAC
@@ -31,7 +37,7 @@ from . import tensors as T
 from .attention import BlockParams, attention_block, build_mask
 from .config import ModelConfig
 from .errors import ConfigError, NumericalError, UndefinedMetricError
-from .inputs import (EmbeddingTables, Sample, UserFeatures, encode_events,
+from .inputs import (EmbeddingTables, Sample, checked_int64s, encode_events,
                      nontarget_global_tokens, target_global_token, time_buckets,
                      time_deltas, user_side_features)
 from .merge import (merge_concat, merge_inner_trans, merged_pad_flags,
@@ -46,7 +52,7 @@ CHECKPOINT_MAGIC = b"LRCKPT01"
 
 @dataclass
 class SelectedQueries:
-    tokens: Tensor               # (k, D)
+    tokens: Tensor               # (B*k, D) selected rows, sample by sample
     indices: np.ndarray          # merged-grid indices, -1 for learnable rows
     positions: np.ndarray        # chronological token positions
     is_pad: np.ndarray
@@ -54,6 +60,33 @@ class SelectedQueries:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _chosen(strategy: str, k: int, pad_groups: np.ndarray) -> np.ndarray:
+    """The sorted merged-grid indices of one sample's k token queries."""
+    nonpad = np.flatnonzero(~pad_groups)
+    n_m = nonpad.size
+    if n_m <= k:
+        pad_pool = np.flatnonzero(pad_groups)
+        return np.sort(np.concatenate([pad_pool[pad_pool.size - (k - n_m):], nonpad]))
+    if strategy == "recent":
+        return nonpad[-k:]
+    if strategy == "uniform":
+        return nonpad[_ceil_div(np.arange(1, k + 1) * n_m, k) - 1]
+    if strategy != "recent_uniform":
+        raise ConfigError(f"unknown query strategy {strategy!r}")
+    r = _ceil_div(k, 2)
+    u = k - r
+    picked = set(int(i) for i in nonpad[-r:])
+    prefix = nonpad[:n_m - r]
+    plen = prefix.size
+    for j in range(u):
+        picked.add(int(prefix[_ceil_div((j + 1) * plen, u) - 1]))
+    for idx in reversed(nonpad):          # backfill newest unused first
+        if len(picked) >= k:
+            break
+        picked.add(int(idx))
+    return np.array(sorted(picked), dtype=np.int64)
 
 
 def select_queries(h_merged: Tensor, strategy: str, k: int,
@@ -69,12 +102,20 @@ def select_queries(h_merged: Tensor, strategy: str, k: int,
     floor(k/2) uniform over the remaining prefix, deduplicated and backfilled
     from the most recent unused tokens. When fewer than k non-pad tokens
     exist, all are taken and the remainder are pad queries masked downstream.
+
+    For B samples, ``h_merged`` stacks their G merged rows each and
+    ``pad_groups`` is (B, G); ``indices``, ``positions`` and ``is_pad`` are
+    then (B, k), and ``tokens`` the B*k picked rows (for one sample, the bank
+    itself).
     """
     if k < 1:
         raise ConfigError("query count k must be >= 1")
-    G = h_merged.shape[0]
     if pad_groups is None:
-        pad_groups = np.zeros(G, dtype=bool)
+        pad_groups = np.zeros(h_merged.shape[0], dtype=bool)
+    G = pad_groups.shape[-1]
+    per_sample = pad_groups.reshape(-1, G)
+    B = per_sample.shape[0]
+    shape = pad_groups.shape[:-1] + (k,)
     if grid_positions is None:
         grid_positions = np.arange(G, dtype=np.int64)
 
@@ -83,75 +124,62 @@ def select_queries(h_merged: Tensor, strategy: str, k: int,
             raise ConfigError("learnable strategy needs a (k, D) query bank")
         top = int(grid_positions.max()) if G else 0
         return SelectedQueries(
-            tokens=learnable_bank,
-            indices=np.full(k, -1, dtype=np.int64),
-            positions=np.full(k, top, dtype=np.int64),
-            is_pad=np.zeros(k, dtype=bool))
+            tokens=learnable_bank if B == 1 else
+            T.gather_rows(learnable_bank, np.arange(B * k) % k),
+            indices=np.full(shape, -1, dtype=np.int64),
+            positions=np.full(shape, top, dtype=np.int64),
+            is_pad=np.zeros(shape, dtype=bool))
 
     if k > G:
         raise ConfigError(f"k={k} exceeds merged length {G}")
-    nonpad = np.flatnonzero(~pad_groups)
-    n_m = nonpad.size
-    if n_m <= k:
-        fill = k - n_m
-        pad_pool = np.flatnonzero(pad_groups)
-        chosen = list(pad_pool[len(pad_pool) - fill:]) + list(nonpad)
-    elif strategy == "recent":
-        chosen = list(nonpad[-k:])
-    elif strategy == "uniform":
-        chosen = [int(nonpad[_ceil_div((j + 1) * n_m, k) - 1]) for j in range(k)]
-    elif strategy == "recent_uniform":
-        r = _ceil_div(k, 2)
-        u = k - r
-        picked = set(int(i) for i in nonpad[-r:])
-        prefix = nonpad[:n_m - r]
-        plen = prefix.size
-        for j in range(u):
-            picked.add(int(prefix[_ceil_div((j + 1) * plen, u) - 1]))
-        for idx in reversed(nonpad):          # backfill newest unused first
-            if len(picked) >= k:
-                break
-            picked.add(int(idx))
-        chosen = sorted(picked)
-    else:
-        raise ConfigError(f"unknown query strategy {strategy!r}")
-
-    idx = np.array(sorted(int(i) for i in chosen), dtype=np.int64)
+    idx = np.array([_chosen(strategy, k, pads) for pads in per_sample])
+    sample = np.arange(B)[:, None]
     return SelectedQueries(
-        tokens=T.gather_rows(h_merged, idx),
-        indices=idx,
-        positions=grid_positions[idx],
-        is_pad=pad_groups[idx])
+        tokens=T.gather_rows(h_merged, (idx + G * sample).ravel()),
+        indices=idx.reshape(shape),
+        positions=grid_positions[idx].reshape(shape),
+        is_pad=per_sample[sample, idx].reshape(shape))
 
 
 @dataclass
 class UserRows:
-    """The candidate-free part of one forward pass.
+    """The candidate-free part of the forward pass of B users.
 
-    The first layer's query rows are [selected.tokens; globals; target] and
-    its key rows [merged; globals; target], where ``globals`` are the UID and
-    CLS rows (ranks 0..m-2) and the target row is the one piece that depends
-    on the candidate. ``visible_cross`` (k+m, G+m, for G merged rows) and
-    ``visible_self`` (k+m, k+m) cover every row, target last, so the
-    target's visibility is their last row and every other row's is the rest.
+    User b's first-layer query rows are [queries[b]; globals[b]; target]
+    and its key rows [merged[b]; globals[b]; target], where ``globals`` are
+    the UID and CLS rows (ranks 0..m-2) and the target row is the one piece
+    that depends on the candidate. ``visible_cross`` (B, k+m, G+m), for G
+    merged rows, and ``visible_self`` (B, k+m, k+m) cover every row, target
+    last, so the target's visibility is their last row and every other row's
+    is the rest. No row of one user sees a row of another. For one user
+    every field lacks the leading B axis.
     """
 
-    seq: Tensor                  # (L, d) encoded events
-    merged: Tensor               # (G, D)
-    selected: SelectedQueries
-    globals: Tensor              # (m-1, D)
+    queries: Tensor              # (B, k, D) selected query rows
+    merged: Tensor               # (B, G, D)
+    globals: Tensor              # (B, m-1, D)
     visible_cross: np.ndarray
     visible_self: np.ndarray
-    user_side: Tensor            # (1, 2d) head features
+    user_side: Tensor            # (B, 2d) head features
+
+
+def _batch_axis(B: int) -> tuple:
+    """The leading shape of B samples' row blocks; none for one sample, since
+    small 3-D arrays cost NumPy ~10% more per op than 2-D ones."""
+    return (B,) if B > 1 else ()
 
 
 def _row_layout(positions: np.ndarray, is_pad: np.ndarray, m: int):
-    """(positions, is_global, rank, is_pad) of sequence rows then m globals."""
-    n = positions.size
-    return (np.concatenate([positions, np.zeros(m, dtype=np.int64)]),
-            np.arange(n + m) >= n,
+    """(positions, is_global, rank, is_pad) of sequence rows then m globals,
+    along the last axis of ``positions`` and ``is_pad``."""
+    n = positions.shape[-1]
+
+    def then_globals(a):         # position 0 and no padding for the globals
+        return np.concatenate([a, np.zeros(a.shape[:-1] + (m,), a.dtype)], axis=-1)
+
+    return (then_globals(positions), np.arange(n + m) >= n,
             np.concatenate([np.zeros(n, dtype=np.int64), np.arange(m, dtype=np.int64)]),
-            np.concatenate([is_pad, np.zeros(m, dtype=bool)]))
+            then_globals(is_pad))
 
 
 # ----------------------------- the model -----------------------------
@@ -293,35 +321,44 @@ class LongRecModel:
     # ------------------------- forward -------------------------
 
     def _merge(self, seq: Tensor, seq_pad_mask: np.ndarray):
+        """Merge the (B*L, d) sequence rows of B samples, whose pad masks are
+        the rows of ``seq_pad_mask``: returns the (B*G, D) merged rows, the G
+        grid positions and the (B, G) all-pad group flags."""
         cfg = self.cfg
         h_padded, pad_mask = pad_to_group_multiple(seq, cfg.K, seq_pad_mask)
+        pad_rows = pad_mask.reshape(-1)
         if cfg.merge_mode == "inner":
-            merged = merge_inner_trans(h_padded, cfg.K, self.inner_blocks, pad_mask)
+            merged = merge_inner_trans(h_padded, cfg.K, self.inner_blocks, pad_rows)
         else:
             merged = merge_concat(h_padded, cfg.K)
         grid_positions = merged_positions(cfg.L_padded, cfg.K)
-        pad_groups = merged_pad_flags(pad_mask, cfg.K)
+        pad_groups = merged_pad_flags(pad_rows, cfg.K).reshape(len(pad_mask), -1)
         return merged, grid_positions, pad_groups
 
-    def user_rows(self, events, user_features: UserFeatures, t: int) -> UserRows:
-        """Encode, merge and select queries for one user at scoring time ``t``,
-        and build the UID/CLS globals, the head's user features and the
-        visibility of all k+m query rows."""
+    def user_rows(self, histories, users, times) -> UserRows:
+        """Encode, merge and select queries for B users, user b with history
+        ``histories[b]`` and features ``users[b]`` at scoring time
+        ``times[b]``, and build their UID/CLS globals, the head's user
+        features and the visibility of all k+m query rows."""
         cfg = self.cfg
-        seq, pad_mask, _ = encode_events(events, t, self.tables, cfg)
+        lead = _batch_axis(len(histories))
+        seq, pad_mask, _ = encode_events(histories, times, self.tables, cfg)
         merged, grid_positions, pad_groups = self._merge(seq, pad_mask)
+        pad_groups = pad_groups.reshape(lead + (-1,))
         sel = select_queries(merged, cfg.query_strategy, cfg.k, self.query_bank,
                              pad_groups, grid_positions)
         qpos, qglob, qrank, qpad = _row_layout(sel.positions, sel.is_pad, cfg.m)
         kpos, kglob, krank, kpad = _row_layout(grid_positions, pad_groups, cfg.m)
         return UserRows(
-            seq=seq, merged=merged, selected=sel,
-            globals=nontarget_global_tokens(user_features, self.tables, cfg),
+            queries=T.reshape(sel.tokens, lead + (cfg.k, cfg.D)),
+            merged=T.reshape(merged, lead + (cfg.merged_len, cfg.D)),
+            globals=T.reshape(nontarget_global_tokens(users, self.tables, cfg),
+                              lead + (cfg.m - 1, cfg.D)),
             visible_cross=build_mask(qpos, kpos, qglob, kglob, qrank, krank,
                                      qpad, kpad),
             visible_self=build_mask(qpos, qpos, qglob, qglob, qrank, qrank,
                                     qpad, qpad),
-            user_side=user_side_features(user_features, self.tables))
+            user_side=user_side_features(users, self.tables))
 
     def _layers(self, x_q: Tensor, x_kv: Tensor, visible_cross: np.ndarray,
                 visible_self: np.ndarray, prefix=None) -> list:
@@ -352,28 +389,35 @@ class LongRecModel:
         hidden = T.gelu(T.linear(head_in, self.head_w1, self.head_b1))
         return T.sigmoid(T.linear(hidden, self.head_w2, self.head_b2))
 
-    def forward_tensor(self, sample: Sample) -> Tensor:
-        """Probability tensor for one sample.
+    def forward_tensor(self, samples) -> Tensor:
+        """The (B, 1) probabilities of a list of B samples, in one pass.
 
-        The candidate-free rows come from ``user_rows``; the candidate's
-        target row is appended last to the first layer's queries and keys.
+        Each sample gets its own complete forward: its candidate-free rows
+        come from ``user_rows``, its candidate's target row is appended last
+        to its first layer's queries and keys, and no row sees another
+        sample's. Only the per-op cost is shared. ``score`` is the batch of
+        one, and so is each training sample's tape (see ``batch_backward``).
         """
         cfg = self.cfg
-        u = self.user_rows(sample.events, sample.user_features,
-                           sample.candidate.timestamp)
-        glob = T.concat_rows([
-            u.globals, target_global_token([sample.candidate], self.tables, cfg)])
-        layers = self._layers(T.concat_rows([u.selected.tokens, glob]),
+        B, q = len(samples), cfg.k + cfg.m
+        u = self.user_rows([s.events for s in samples],
+                           [s.user_features for s in samples],
+                           [s.candidate.timestamp for s in samples])
+        target = T.reshape(target_global_token([s.candidate for s in samples],
+                                               self.tables, cfg),
+                           _batch_axis(B) + (1, cfg.D))
+        glob = T.concat_rows([u.globals, target])
+        layers = self._layers(T.concat_rows([u.queries, glob]),
                               T.concat_rows([u.merged, glob]),
                               u.visible_cross, u.visible_self)
-        x = layers[-1][0]
-        k = cfg.k
-        target_row = T.gather_rows(x, np.array([k + cfg.m - 1]))
-        cls_row = T.gather_rows(x, np.array([k + 1]))
+        x = T.reshape(layers[-1][0], (B * q, cfg.D))
+        first = q * np.arange(B)
+        target_row = T.gather_rows(x, first + q - 1)
+        cls_row = T.gather_rows(x, first + cfg.k + 1)
         return self._head(target_row, cls_row, u.user_side)
 
     def score(self, sample: Sample) -> float:
-        return float(self.forward_tensor(sample).data.reshape(-1)[0])
+        return float(self.forward_tensor([sample]).data[0, 0])
 
     # ------------------------- checkpointing -------------------------
 
@@ -404,8 +448,11 @@ class LongRecModel:
     def load(cls, path: str) -> "LongRecModel":
         """Read a ``save`` file; any deviation from its layout is a ConfigError.
 
-        The header must list exactly the names and shapes of ``params()``
-        for its config, and the file must end exactly after their bytes.
+        The header's ``param_version`` must be an integer, its config's
+        parameter count must match the payload's length (checked before the
+        model is built), the header must list exactly the names and shapes
+        of ``params()`` for that config, and the file must end exactly after
+        their bytes.
         """
         try:
             with open(path, "rb") as fh:
@@ -425,19 +472,21 @@ class LongRecModel:
             header = json.loads(blob[16:start].decode("utf-8"))
             version = header.get("format_version")
             cfg_payload, arrays = header["config"], header["arrays"]
-            param_version = int(header["param_version"])
+            param_version = header["param_version"]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed checkpoint header: {exc}") from exc
         if version != 1:
             raise ConfigError("unsupported checkpoint format version")
-        model = cls(ModelConfig.from_dict(cfg_payload), seed=0)
+        checked_int64s([param_version], "checkpoint param_version")
+        cfg = ModelConfig.from_dict(cfg_payload)
+        size = 8 * analysis.count_params(cfg)["total"]
+        if len(blob) - start != size:       # checked before any allocation
+            raise ConfigError(f"checkpoint payload is {len(blob) - start} bytes, "
+                              f"its config needs {size}")
+        model = cls(cfg, seed=0)
         named = model.params()
         if arrays != [{"name": n, "shape": list(t.shape)} for n, t in named]:
             raise ConfigError("checkpoint arrays differ from the model's parameters")
-        size = 8 * sum(t.size for _, t in named)
-        if len(blob) - start != size:
-            raise ConfigError(f"checkpoint payload is {len(blob) - start} bytes, "
-                              f"its header declares {size}")
         offset = start
         for _, t in named:
             t.data = np.frombuffer(blob, dtype="<f8", count=t.size,
@@ -531,7 +580,14 @@ def temporal_split(samples, eval_fraction: float):
 
 
 def evaluate(model, samples) -> tuple:
-    scores = np.array([model.score(s) for s in samples])
+    """(scores, labels) of ``samples``, in sample order. Each chunk of
+    ``cfg.batch_size`` samples is one ``forward_tensor`` pass; each sample
+    still gets its own complete forward and no cache, so the scores are an
+    independent reference for cached serving."""
+    step = model.cfg.batch_size
+    chunks = [model.forward_tensor(samples[i:i + step]).data[:, 0]
+              for i in range(0, len(samples), step)]
+    scores = np.concatenate(chunks) if chunks else np.zeros(0)
     labels = np.array([s.label for s in samples])
     return scores, labels
 
@@ -561,7 +617,7 @@ def batch_backward(model, samples) -> float:
     losses = []
     for s in reversed(samples):
         with T.tape():
-            loss = T.bce(model.forward_tensor(s), s.label)
+            loss = T.bce(model.forward_tensor([s]), s.label)
             value = float(loss.data)
             if not math.isfinite(value):
                 return value
@@ -669,23 +725,29 @@ class SumPoolingModel:
         ])
         return feats
 
-    def forward_tensor(self, sample: Sample) -> Tensor:
+    def _pooled(self, sample: Sample) -> Tensor:
+        """The (1, F) mean feature row of the sample's visible events."""
         events = sample.events[-self.cfg.L:]
-        cand = sample.candidate
-        if len(events):
-            feats = self._features(events.item_id, events.action_type,
-                                   time_deltas(cand.timestamp, events.timestamp))
-            pooled = T.mean_rows(feats)
-        else:
-            pooled = T.zeros((1, self.cfg.feat_width))
+        if not len(events):
+            return T.zeros((1, self.cfg.feat_width))
+        return T.mean_rows(self._features(
+            events.item_id, events.action_type,
+            time_deltas(sample.candidate.timestamp, events.timestamp)))
+
+    def forward_tensor(self, samples) -> Tensor:
+        """The (B, 1) probabilities of a list of B samples; each sample's
+        events are pooled on their own."""
+        B = len(samples)
+        pooled = T.concat_rows([self._pooled(s) for s in samples])
+        items = np.array([s.candidate.item_id for s in samples], dtype=np.int64)
         target = T.concat_cols([
-            T.gather_rows(self.item_table, np.array([cand.item_id])),
-            T.zeros((1, self.cfg.d_act)),
-            T.gather_rows(self.time_table, np.array([0])),
+            T.gather_rows(self.item_table, items),
+            T.zeros((B, self.cfg.d_act)),
+            T.gather_rows(self.time_table, np.zeros(B, dtype=np.int64)),
         ])
         head_in = T.concat_cols([pooled, target])
         hidden = T.gelu(T.linear(head_in, self.head.w1, self.head.b1))
         return T.sigmoid(T.linear(hidden, self.head.w2, self.head.b2))
 
     def score(self, sample: Sample) -> float:
-        return float(self.forward_tensor(sample).data.reshape(-1)[0])
+        return float(self.forward_tensor([sample]).data[0, 0])

@@ -88,8 +88,8 @@ def build_cache(model: LongRecModel, user_events, user_features: UserFeatures,
     this cache must carry ``scoring_time`` as their timestamp, because the
     time-difference features are measured from it.
     """
-    u = model.user_rows(user_events, user_features, scoring_time)
-    layers = model._layers(T.concat_rows([u.selected.tokens, u.globals]),
+    u = model.user_rows([user_events], [user_features], [scoring_time])
+    layers = model._layers(T.concat_rows([u.queries, u.globals]),
                            T.concat_rows([u.merged, u.globals]),
                            u.visible_cross[:-1, :-1], u.visible_self[:-1, :-1])
     k = model.cfg.k

@@ -4,11 +4,19 @@ Every numeric operation the model needs lives here: one matrix product
 (2-D, or batched 3-D, optionally against a transposed right operand), the
 affine map ``linear``, elementwise ``add`` (equal shapes) and ``mul``
 (broadcasting), masked softmax, layer normalization, GELU, sigmoid, the
-transformer FFN, the structural ops (concat, slice, gather, reshape, row
-mean) and the loss ops (``mean_scalars``, ``bce``); attention is composed
-from these. This is deliberately not a general autodiff engine: the op set
-is small, fixed, and auditable, and every backward is validated against
-central finite differences in the test suite.
+transformer FFN, the structural ops (concat, slice, gather, left pad,
+reshape, row mean) and the loss ops (``mean_scalars``, ``bce``); attention
+is composed from these. This is deliberately not a general autodiff engine:
+the op set is small, fixed, and auditable, and every backward is validated
+against central finite differences in the test suite.
+
+Leading axes: ``linear``, ``layer_norm``, ``concat_cols``, ``slice_cols`` and
+the elementwise ops act on the last axis and ``concat_rows`` on the rows
+axis (the second to last), whatever the leading axes before them, so a batch
+of B samples' (rows, width) blocks runs as one (B, rows, width) op; softmax
+takes the last axis too. ``matmul`` takes two 2-D or two equal-batch 3-D
+operands. ``gather_rows``, ``left_pad_rows`` and ``mean_rows`` act on 2-D
+row tables.
 
 Recording is scoped. Inside ``with tape():`` every op with an input that
 requires gradients stores its backward closure on its output and appends
@@ -21,9 +29,10 @@ and with it every intermediate no caller still holds.
 Instrumentation: ``matmul`` adds ``batch*m*p*n`` scalar multiply-accumulate
 operations (MACs) to the module-level ``counter``, batch being 1 for 2-D
 operands, and ``linear`` counts its product exactly as ``matmul`` would
-(``n*p*q`` for (n, p) x (p, q)), its bias add being uncounted. One MAC
-equals two FLOPs under the usual convention, so the analysis module's
-per-layer FLOPs formulas are exactly twice the counts recorded here.
+(``rows*p*q`` for (rows, p) x (p, q), every leading axis counting as rows),
+its bias add being uncounted. One MAC equals two FLOPs under the usual
+convention, so the analysis module's per-layer FLOPs formulas are exactly
+twice the counts recorded here.
 Elementwise ops, normalizations, and softmax are not counted, matching the
 convention of the analytic cost formulas.
 
@@ -245,13 +254,14 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """``x @ w + b`` for x (n, p), w (p, q) and bias b (q,), as one op.
-    Adds n*p*q MACs to the counter, as ``matmul(x, w)`` would."""
+    """``x @ w + b`` over the last axis of x (..., p), for w (p, q) and bias
+    b (q,), as one op; every leading axis of x counts as rows. Adds
+    rows*p*q MACs to the counter, as ``matmul`` would on the (rows, p) view."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] \
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] \
             or b.shape != (wd.shape[1],):
-        raise DimensionError(f"linear needs x (n, p), w (p, q) and b (q,), "
+        raise DimensionError(f"linear needs x (..., p), w (p, q) and b (q,), "
                              f"got {x.shape}, {w.shape} and {b.shape}")
     counter.add(xd.size * wd.shape[1])
     o = xd @ wd
@@ -261,10 +271,11 @@ def linear(x, w, b) -> Tensor:
         def bw(g):
             if x.requires_grad:
                 x._accumulate(g @ wd.T)
+            g2 = g.reshape(-1, wd.shape[1])
             if w.requires_grad:
-                w._accumulate(xd.T @ g)
+                w._accumulate(xd.reshape(-1, wd.shape[0]).T @ g2)
             if b.requires_grad:
-                b._accumulate(g.sum(axis=0))
+                b._accumulate(g2.sum(axis=0))
         _attach(out, bw)
     return out
 
@@ -308,6 +319,8 @@ def gelu(x) -> Tensor:
     Computed in place in two buffers, with the arithmetic of the straight
     line ``0.5 * x * (1 + tanh(C * (x + A * (x * x * x))))``; the cube is
     two products, since ``x ** 3`` goes through the much slower generic pow.
+    Outside a tape the tanh buffer takes the ``1 +`` in place, as no backward
+    reads it, so a large batch holds one buffer fewer.
     """
     x = as_tensor(x)
     xd = x.data
@@ -318,14 +331,17 @@ def gelu(x) -> Tensor:
     t *= _GELU_C
     np.tanh(t, out=t)
     y = 0.5 * xd
+    if not _track(x):
+        t += 1.0
+        y *= t
+        return Tensor(y)
     y *= 1.0 + t
     out = Tensor(y)
-    if _track(x):
-        def bw(g):
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
-            dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
-            x._accumulate(g * dx)
-        _attach(out, bw)
+    def bw(g):
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
+        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
+        x._accumulate(g * dx)
+    _attach(out, bw)
     return out
 
 
@@ -377,7 +393,8 @@ def masked_softmax(logits, visible) -> Tensor:
 
 
 def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
-    """Per-row zero-mean/unit-variance normalization followed by affine.
+    """Per-row zero-mean/unit-variance normalization followed by affine; a
+    row is the last axis, and every leading axis counts as rows.
 
     Zero-variance rows normalize to zeros (then take the bias), so constant
     or padded rows cannot produce NaN. Means are ``sum / n``, the arithmetic
@@ -386,12 +403,12 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     xd = x.data
-    if xd.ndim != 2 or gain.shape != (xd.shape[1],) or bias.shape != (xd.shape[1],):
+    if xd.ndim < 2 or gain.shape != xd.shape[-1:] or bias.shape != xd.shape[-1:]:
         raise DimensionError(
             f"layer_norm shapes: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
-    n = xd.shape[1]
-    xhat = xd - xd.sum(axis=1, keepdims=True) / n
-    var = (xhat * xhat).sum(axis=1, keepdims=True) / n
+    n = xd.shape[-1]
+    xhat = xd - xd.sum(axis=-1, keepdims=True) / n
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv_sigma = 1.0 / np.sqrt(var + eps)
     xhat *= inv_sigma
     y = xhat * gain.data
@@ -401,13 +418,14 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
         def bw(g):
             if x.requires_grad:
                 ghat = g * gain.data
-                m1 = ghat.mean(axis=1, keepdims=True)
-                m2 = (ghat * xhat).mean(axis=1, keepdims=True)
+                m1 = ghat.mean(axis=-1, keepdims=True)
+                m2 = (ghat * xhat).mean(axis=-1, keepdims=True)
                 x._accumulate((ghat - m1 - xhat * m2) * inv_sigma)
+            g2 = g.reshape(-1, n)
             if gain.requires_grad:
-                gain._accumulate((g * xhat).sum(axis=0))
+                gain._accumulate((g2 * xhat.reshape(-1, n)).sum(axis=0))
             if bias.requires_grad:
-                bias._accumulate(g.sum(axis=0))
+                bias._accumulate(g2.sum(axis=0))
         _attach(out, bw)
     return out
 
@@ -421,7 +439,7 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     Two products contribute 8*n*D^2 MACs (16*n*D^2 FLOPs) for input (n, D).
     """
     x = as_tensor(x)
-    width = x.shape[1]
+    width = x.shape[-1]
     w1t, w2t = as_tensor(w1), as_tensor(w2)
     if w1t.shape != (width, 4 * width) or w2t.shape != (4 * width, width):
         raise DimensionError(
@@ -434,43 +452,46 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
 
 
 def concat_rows(parts) -> Tensor:
+    """Join along the rows axis (the second to last)."""
     parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-2))
     if _track(*parts):
-        sizes = [p.shape[0] for p in parts]
+        sizes = [p.shape[-2] for p in parts]
         def bw(g):
             off = 0
             for p, n in zip(parts, sizes):
                 if p.requires_grad:
-                    p._accumulate(g[off:off + n])
+                    p._accumulate(g[..., off:off + n, :])
                 off += n
         _attach(out, bw)
     return out
 
 
 def concat_cols(parts) -> Tensor:
+    """Join along the last axis."""
     parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
     if _track(*parts):
-        widths = [p.shape[1] for p in parts]
+        widths = [p.shape[-1] for p in parts]
         def bw(g):
             off = 0
             for p, w in zip(parts, widths):
                 if p.requires_grad:
-                    p._accumulate(g[:, off:off + w])
+                    p._accumulate(g[..., off:off + w])
                 off += w
         _attach(out, bw)
     return out
 
 
 def slice_cols(x, start: int, stop: int) -> Tensor:
+    """Columns ``start:stop`` of the last axis."""
     x = as_tensor(x)
-    out = Tensor(x.data[:, start:stop].copy())
+    out = Tensor(x.data[..., start:stop].copy())
     if _track(x):
         def bw(g):
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
-            x.grad[:, start:stop] += g
+            x.grad[..., start:stop] += g
         _attach(out, bw)
     return out
 
@@ -498,11 +519,41 @@ def gather_rows(x, idx) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
+    """``x`` viewed in ``shape``; ``x`` itself when the shape is unchanged."""
     x = as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
+    data = x.data.reshape(shape)
+    if data.shape == x.shape:
+        return x
+    out = Tensor(data)
     if _track(x):
         def bw(g):
             x._accumulate(g.reshape(x.shape))
+        _attach(out, bw)
+    return out
+
+
+def left_pad_rows(x, counts, width: int) -> Tensor:
+    """Split x's rows into consecutive blocks of ``counts[b]`` rows and
+    left-pad each block with zero rows to ``width`` rows: a
+    (len(counts) * width, d) grid. Its backward gathers the blocks' rows.
+    """
+    x = as_tensor(x)
+    counts = [int(c) for c in counts]
+    if x.data.ndim != 2 or sum(counts) != x.shape[0] \
+            or not all(0 <= c <= width for c in counts):
+        raise DimensionError(f"left_pad_rows needs x (r, d) with r = sum(counts) and "
+                             f"every count in [0, {width}], got {x.shape} and {counts}")
+    ends = [width * (b + 1) for b in range(len(counts))]
+    grid = np.zeros((len(counts) * width, x.shape[1]))
+    start = 0
+    for end, c in zip(ends, counts):
+        grid[end - c:end] = x.data[start:start + c]
+        start += c
+    out = Tensor(grid)
+    if _track(x):
+        def bw(g):
+            x._accumulate(np.concatenate([g[end - c:end]
+                                          for end, c in zip(ends, counts)]))
         _attach(out, bw)
     return out
 

@@ -213,7 +213,7 @@ def test_criterion_4_gradients():
                 int(rng.integers(2))))
 
         def loss():
-            return T.mean_scalars([T.bce(model.forward_tensor(s), s.label)
+            return T.mean_scalars([T.bce(model.forward_tensor([s]), s.label)
                                    for s in samples])
 
         worst_e2e = max(worst_e2e, fd_check(

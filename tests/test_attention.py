@@ -256,6 +256,34 @@ def test_block_shape_validation():
                         np.ones((2, 2), dtype=bool), blk, heads=3)
 
 
+def test_batched_block_matches_each_sample():
+    """A (B, rows, D) stack through one block equals each sample through the
+    2-D block, cross and self; the width is the last axis, not the rows."""
+    rng = np.random.default_rng(21)
+    B, q, v, D = 3, 3, 5, 4
+    xq, xkv = rng.normal(size=(B, q, D)), rng.normal(size=(B, v, D))
+    vis_cross = rng.random((B, q, v)) < 0.7
+    vis_cross[..., 0] = True
+    vis_self = np.broadcast_to(np.tril(np.ones((q, q), dtype=bool)), (B, q, q)).copy()
+    vis_self[1, 2, 0] = False
+    for heads in (1, 2):
+        blk = make_block(D, 22)
+        x = Tensor(xq)
+        for x_kv, kv, visible in ((Tensor(xkv), xkv, vis_cross), (x, xq, vis_self)):
+            out = attention_block(x, x_kv, visible, blk, heads)
+            for b in range(B):
+                xb = Tensor(xq[b])
+                want = attention_block(xb, xb if x_kv is x else Tensor(kv[b]),
+                                       visible[b], blk, heads)
+                for got, ref in zip(out, want):
+                    assert np.abs(got.data[b] - ref.data).max() <= 1e-12
+    for visible in (vis_cross[:, :, :-1], vis_cross[0]):
+        with pytest.raises(DimensionError):
+            attention_block(Tensor(xq), Tensor(xkv), visible, blk)
+    with pytest.raises(DimensionError):
+        attention_block(x, x, vis_self[0, -1:], blk, prefix_kv=(xq[0], xq[0]))
+
+
 def test_build_mask_is_boolean():
     mask = build_mask([0, 1], [0, 1], [False] * 2, [False] * 2)
     assert mask.dtype == bool

@@ -236,6 +236,23 @@ def test_eval_truncated_checkpoint_exit_2(tmp_path, model_cfg_path, dataset_path
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_eval_oversized_checkpoint_config_exit_2(tmp_path, dataset_path, capsys):
+    """A header whose config would need petabytes is refused before any
+    allocation."""
+    path = tmp_path / "model.bin"
+    LongRecModel(ModelConfig.from_dict(MODEL_CFG)).save(str(path))
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + hlen])
+    header["config"]["vocab"] = 10 ** 15
+    text = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:])
+    assert main(["eval", "--checkpoint", str(path), "--data", dataset_path,
+                 "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert "payload" in err and "Traceback" not in err
+
+
 def test_query_strategy_override_recorded(tmp_path, model_cfg_path, dataset_path):
     out = tmp_path / "t"
     assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
@@ -314,6 +331,22 @@ def test_sweep_bad_epochs_or_grid_exit_2(tmp_path, capsys, field, value):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("model", [
+    {"K": "x"}, {"k": "x"}, [1, 2], {"K": 0}],
+    ids=["K-str", "k-str", "list", "K-0"])
+def test_sweep_bad_model_exit_2(tmp_path, capsys, model):
+    base = {**MODEL_CFG, "k": 2}
+    sweep = {"axis": "seq_len", "grid": [4, 8], "epochs": 1, "generator": GEN_CFG,
+             "model": {**base, **model} if isinstance(model, dict) else model}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "model" in err and "Traceback" not in err
     assert not (out / "sweep.csv").exists()
 
 

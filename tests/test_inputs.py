@@ -135,12 +135,14 @@ def make_sample(n_events, cand_ts=10_000, item=1, uid=0):
 
 def encode(sample, tables, cfg):
     """(seq, pad_mask, n_real), time deltas measured from the candidate."""
-    return encode_events(sample.events, sample.candidate.timestamp, tables, cfg)
+    seq, pad_mask, n_real = encode_events([sample.events], [sample.candidate.timestamp],
+                                          tables, cfg)
+    return seq, pad_mask[0], n_real[0]
 
 
 def global_rows(sample, tables, cfg):
     """Global rows in rank order [UID, CLS..., target], as the model uses them."""
-    return T.concat_rows([nontarget_global_tokens(sample.user_features, tables, cfg),
+    return T.concat_rows([nontarget_global_tokens([sample.user_features], tables, cfg),
                           target_global_token([sample.candidate], tables, cfg)])
 
 
@@ -237,7 +239,7 @@ def test_nontarget_rows_match_full_assembly(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(3))
     s = make_sample(3, uid=4)
     full = global_rows(s, tables, tiny_cfg).data
-    ci = nontarget_global_tokens(s.user_features, tables, tiny_cfg).data
+    ci = nontarget_global_tokens([s.user_features], tables, tiny_cfg).data
     np.testing.assert_allclose(ci, full[:-1], atol=1e-12)
 
 

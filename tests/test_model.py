@@ -333,7 +333,7 @@ def test_batch_backward_grads_equal_one_mean_tape(tiny_cfg):
         for _, t in model.params():
             t.zero_grad()
         with T.tape():
-            loss = T.mean_scalars([T.bce(model.forward_tensor(s), s.label)
+            loss = T.mean_scalars([T.bce(model.forward_tensor([s]), s.label)
                                    for s in samples])
             loss.backward()
         assert value == float(loss.data)
@@ -376,11 +376,28 @@ def test_end_to_end_gradient_check(tiny_cfg):
                    sample_for(tiny_cfg, 3, seed=40 + seed)]
 
         def loss():
-            return T.mean_scalars([T.bce(model.forward_tensor(s), s.label)
+            return T.mean_scalars([T.bce(model.forward_tensor([s]), s.label)
                                    for s in samples])
 
         named = [(n, t) for n, t in model.params()]
         fd_check(loss, named, tol=1e-3, h=1e-5, max_coords=2, seed=seed)
+
+
+def test_batched_forward_gradient_check(tiny_cfg):
+    """Finite differences through one pass over a batch of two samples, one
+    of them shorter than a merge group. The key biases' gradients are 0 in
+    theory and ~1e-17 in practice; ``fd_check`` compares values below 1 by
+    absolute error, so they pass on that."""
+    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "heads": 2})
+    model = LongRecModel(cfg, seed=23)
+    samples = [sample_for(cfg, 6, seed=33), sample_for(cfg, 1, seed=43)]
+
+    def loss():
+        p = model.forward_tensor(samples)
+        return T.mean_scalars([T.bce(T.gather_rows(p, [i]), s.label)
+                               for i, s in enumerate(samples)])
+
+    fd_check(loss, model.params(), tol=1e-4, h=1e-5, max_coords=3, seed=5)
 
 
 def test_tape_is_per_thread(tiny_cfg):
@@ -405,7 +422,7 @@ def test_tape_is_per_thread(tiny_cfg):
         try:
             assert entered.wait(timeout=30)
             assert recorded == []
-            T.bce(model.forward_tensor(s), s.label).backward()
+            T.bce(model.forward_tensor([s]), s.label).backward()
         finally:
             release.set()
             worker.join(timeout=30)
@@ -505,17 +522,33 @@ def _damaged_checkpoints(blob):
     header = json.loads(blob[16:16 + hlen])
     header["arrays"] = header["arrays"][:-1]        # drop head.b2 (8 bytes)
     short = json.dumps(header, sort_keys=True).encode()
+
+    def with_header(**changes):
+        edited = json.loads(blob[16:16 + hlen])
+        for key, value in changes.items():
+            if key in edited:
+                edited[key] = value
+            else:
+                edited["config"][key] = value
+        text = json.dumps(edited, sort_keys=True).encode()
+        return CHECKPOINT_MAGIC + struct.pack("<Q", len(text)) + text + blob[16 + hlen:]
+
     return {
         "truncated_payload": blob[:-3],
         "truncated_header": blob[:16 + hlen // 2],
         "trailing_bytes": blob + b"\x00" * 8,
         "missing_array": (CHECKPOINT_MAGIC + struct.pack("<Q", len(short))
                           + short + blob[16 + hlen:-8]),
+        "param_version_infinity": with_header(param_version=float("inf")),
+        "param_version_float": with_header(param_version=1.5),
+        "huge_vocab": with_header(vocab=10 ** 15),
     }
 
 
 @pytest.mark.parametrize("damage", ["truncated_payload", "truncated_header",
-                                    "trailing_bytes", "missing_array"])
+                                    "trailing_bytes", "missing_array",
+                                    "param_version_infinity",
+                                    "param_version_float", "huge_vocab"])
 def test_checkpoint_damage_raises_config_error(tmp_path, tiny_cfg, damage):
     path = tmp_path / "model.bin"
     LongRecModel(tiny_cfg, seed=21).save(str(path))

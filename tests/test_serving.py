@@ -11,8 +11,8 @@ from conftest import counted_muladds
 from longrec import analysis
 from longrec.config import GeneratorConfig, ModelConfig
 from longrec.errors import ConfigError, StaleCacheError
-from longrec.inputs import Candidate, Sample, generate_dataset
-from longrec.model import Adam, LongRecModel
+from longrec.inputs import Candidate, Events, Sample, generate_dataset
+from longrec.model import Adam, LongRecModel, SumPoolingModel, evaluate
 from longrec.serving import (ScoreRequest, build_cache, cache_size_floats,
                              score_request, score_with_cache)
 from longrec import tensors as T
@@ -90,6 +90,71 @@ def test_cached_equals_full_forward(cfg):
     assert worst_alone <= 1e-12
 
 
+def mixed_length_samples(cfg, seed):
+    """Samples whose histories are empty, one event long (fewer than K for
+    K > 1), longer than L, and generated, each with its own candidate."""
+    base = users_for(cfg, 3, seed=seed)
+    longer = users_for(small_cfg(L=2 * cfg.L), 1, seed=seed + 1, full_length=True)[0]
+    rng = np.random.default_rng(seed)
+    sources = [(Events.of([]), base[0]), (base[1].events[:1], base[1]),
+               (longer.events, longer)] + [(s.events, s) for s in base]
+    return [Sample(events, src.user_features,
+                   Candidate(int(rng.integers(cfg.vocab)), src.candidate.timestamp),
+                   int(rng.integers(2)))
+            for events, src in sources]
+
+
+BATCH_CONFIGS = CONFIG_MATRIX + [small_cfg(heads=2), small_cfg(L=15, heads=2),
+                                 small_cfg(L=15, merge_mode="inner")]
+
+
+@pytest.mark.parametrize("cfg", BATCH_CONFIGS, ids=lambda c: (
+    f"L{c.L}-K{c.K}-{c.query_strategy}-{c.merge_mode}-h{c.heads}"))
+def test_batched_forward_matches_batch_of_one(cfg):
+    """One pass over mixed-length samples gives each sample's probability
+    as that sample alone does, and counts the MACs of the separate passes."""
+    model = LongRecModel(cfg, seed=8)
+    samples = mixed_length_samples(cfg, seed=9)
+    assert len(samples[2].events) > cfg.L
+    with T.count_muladds() as window:
+        batched = model.forward_tensor(samples).data
+    alone = np.array([model.forward_tensor([s]).data[0] for s in samples])
+    assert batched.shape == (len(samples), 1)
+    assert np.abs(batched - alone).max() <= 1e-12
+    assert window.mul_adds == sum(analysis.muladds_full_forward(
+        cfg, min(len(s.events), cfg.L)) for s in samples)
+
+
+@pytest.mark.parametrize("cfg", CONFIG_MATRIX[:2] + [small_cfg(merge_mode="inner")],
+                         ids=lambda c: f"K{c.K}-{c.merge_mode}")
+def test_evaluate_chunks_keep_sample_order_and_macs(cfg):
+    """``evaluate`` over batch_size + 1 samples (one full chunk and one of a
+    single sample) returns each sample's own score in sample order, and its
+    MACs are those of one full forward per sample."""
+    cfg = ModelConfig(**{**cfg.to_dict(), "batch_size": 5})
+    model = LongRecModel(cfg, seed=10)
+    samples = mixed_length_samples(cfg, seed=11)
+    assert len(samples) == cfg.batch_size + 1
+    with T.count_muladds() as window:
+        scores, labels = evaluate(model, samples)
+    assert window.mul_adds == sum(analysis.muladds_full_forward(
+        cfg, min(len(s.events), cfg.L)) for s in samples)
+    assert np.abs(scores - [model.score(s) for s in samples]).max() <= 1e-12
+    assert len(set(scores.tolist())) == len(samples)
+    assert labels.tolist() == [s.label for s in samples]
+    scores_r, _ = evaluate(model, samples[::-1])
+    assert np.abs(scores_r[::-1] - scores).max() <= 1e-12
+
+
+def test_sum_pooling_runs_through_evaluate():
+    cfg = ModelConfig(**{**small_cfg().to_dict(), "batch_size": 4})
+    model = SumPoolingModel(cfg, seed=12)
+    samples = mixed_length_samples(cfg, seed=13)
+    scores, _ = evaluate(model, samples)
+    assert scores.shape == (len(samples),)
+    assert np.abs(scores - [model.score(s) for s in samples]).max() <= 1e-12
+
+
 def test_two_candidates_one_cache_match_independent_forwards():
     cfg = small_cfg()
     model = LongRecModel(cfg, seed=5)
@@ -109,7 +174,7 @@ def test_stale_cache_after_parameter_update():
     # one optimizer step invalidates the fingerprint
     opt = Adam(model.params(), lr=1e-3)
     with T.tape():
-        T.bce(model.forward_tensor(s), s.label).backward()
+        T.bce(model.forward_tensor([s]), s.label).backward()
     opt.step()
     model.param_version += 1
     with pytest.raises(StaleCacheError):

@@ -153,11 +153,78 @@ def test_linear_shape_mismatch():
             (np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5)),        # inner
             (np.zeros((2, 3)), np.zeros((3, 5)), np.zeros(4)),        # bias width
             (np.zeros((2, 3)), np.zeros((3, 5)), np.zeros((1, 5))),   # 2-D bias
-            (np.zeros((2, 2, 3)), np.zeros((3, 5)), np.zeros(5)),     # 3-D x
+            (np.zeros((2, 2, 3)), np.zeros((4, 5)), np.zeros(5)),     # 3-D inner
             (np.zeros(3), np.zeros((3, 5)), np.zeros(5)),             # 1-D x
             (np.zeros((2, 3)), np.zeros((2, 3, 5)), np.zeros(5))]:    # 3-D w
         with pytest.raises(DimensionError):
             T.linear(x, w, b)
+
+
+def _weighted_sum_loss(y, seed):
+    """A scalar loss reading every entry of ``y`` through fixed random weights."""
+    w = np.random.default_rng(seed).normal(size=(y.size, 1)) * 0.3
+    return T.bce(T.sigmoid(T.matmul(T.reshape(y, (1, y.size)), w)), 1.0)
+
+
+def test_leading_axes_match_each_sample():
+    """On a (B, rows, width) stack, linear, layer_norm, concat_rows,
+    concat_cols and slice_cols equal the 2-D op on each sample, and linear
+    counts every leading axis as rows."""
+    rng = np.random.default_rng(30)
+    x, y = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 2, 5))
+    w, b = rng.normal(size=(5, 2)), rng.normal(size=2)
+    gain, bias = rng.normal(size=5), rng.normal(size=5)
+    with T.count_muladds() as count:
+        lin = T.linear(x, w, b).data
+    assert lin.shape == (3, 4, 2) and count.mul_adds == 3 * 4 * 5 * 2
+    norm = T.layer_norm(x, gain, bias).data
+    rows = T.concat_rows([x, y]).data
+    cols = T.concat_cols([x, T.slice_cols(x, 1, 3)]).data
+    for i in range(3):
+        assert np.abs(lin[i] - T.linear(x[i], w, b).data).max() <= 1e-12
+        assert np.abs(norm[i] - T.layer_norm(x[i], gain, bias).data).max() <= 1e-12
+        np.testing.assert_array_equal(rows[i], T.concat_rows([x[i], y[i]]).data)
+        np.testing.assert_array_equal(
+            cols[i], T.concat_cols([x[i], T.slice_cols(x[i], 1, 3)]).data)
+
+
+def test_leading_axes_fd():
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    z = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    gain = Tensor(rng.normal(size=4) + 1.0, requires_grad=True)
+    bias = Tensor(rng.normal(size=4), requires_grad=True)
+
+    def loss():
+        h = T.concat_rows([T.layer_norm(x, gain, bias), z])          # (2, 4, 4)
+        h = T.concat_cols([T.slice_cols(h, 2, 4), T.slice_cols(h, 0, 3)])
+        return _weighted_sum_loss(T.linear(T.slice_cols(h, 0, 4), w, b), 32)
+
+    fd_check(loss, [("x", x), ("z", z), ("w", w), ("b", b), ("gain", gain),
+                    ("bias", bias)])
+
+
+def test_left_pad_rows_blocks_and_fd():
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    grid = T.left_pad_rows(x, [2, 0, 3], 4).data
+    assert grid.shape == (12, 2)
+    np.testing.assert_array_equal(grid[2:4], x.data[:2])
+    np.testing.assert_array_equal(grid[9:12], x.data[2:])
+    np.testing.assert_array_equal(np.delete(grid, [2, 3, 9, 10, 11], axis=0), 0.0)
+    fd_check(lambda: _weighted_sum_loss(T.left_pad_rows(x, [2, 0, 3], 4), 34),
+             [("x", x)])
+
+
+def test_left_pad_rows_rejects_bad_counts():
+    x = np.zeros((3, 2))
+    for counts in ([1, 1], [4, -1], [3]):
+        with pytest.raises(DimensionError):
+            T.left_pad_rows(x, counts, 2)
+    with pytest.raises(DimensionError):
+        T.left_pad_rows(np.zeros((1, 3, 2)), [3], 4)
 
 
 def test_add_needs_equal_shapes():
@@ -448,7 +515,7 @@ def test_gelu_sigmoid_fd():
 
 def test_gelu_bitwise_equals_straight_line():
     """The in-place kernel keeps the arithmetic of the straight-line form,
-    forward and backward."""
+    forward and backward, and outside a tape."""
     rng = np.random.default_rng(25)
     c, a = math.sqrt(2.0 / math.pi), 0.044715
     for scale in (0.1, 1.0, 4.0):
@@ -463,6 +530,7 @@ def test_gelu_bitwise_equals_straight_line():
             out.backward(g)
         np.testing.assert_array_equal(out.data, 0.5 * x * (1.0 + t))
         np.testing.assert_array_equal(xt.grad, g * dx)
+        np.testing.assert_array_equal(T.gelu(x).data, 0.5 * x * (1.0 + t))
 
 
 def test_structural_ops_fd():
