@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import __version__, analysis
-from .config import GeneratorConfig, ModelConfig
+from .config import GeneratorConfig, ModelConfig, check_fields
 from .errors import (ConfigError, EmbeddingLookupError, NumericalError,
                      StaleCacheError, UndefinedMetricError)
 from .inputs import (Candidate, checked_int64s, generate_dataset, load_dataset,
@@ -264,8 +264,10 @@ def cmd_sweep(args) -> int:
     if epochs < 1:
         raise ConfigError(f"sweep 'epochs' must be >= 1, got {epochs}")
     base_model = sweep.get("model", {})
-    if not isinstance(base_model, dict):
-        raise ConfigError("sweep 'model' must be a JSON object")
+    try:
+        check_fields(ModelConfig, base_model)
+    except ConfigError as exc:
+        raise ConfigError(f"sweep 'model': {exc}") from None
     payloads = [{**base_model, **_axis_update(axis, value, base_model)}
                 for value in grid]
     gen_payload = sweep.get("generator")

@@ -204,7 +204,10 @@ _TYPE_CHECKS = {
 }
 
 
-def _strict_build(cls, payload: dict, required):
+def check_fields(cls, payload: dict) -> None:
+    """ConfigError unless ``payload`` is a JSON object whose every key is a
+    field of the config class ``cls`` holding a value of that field's type;
+    values and required fields are not checked."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{cls.__name__} payload must be a JSON object")
     types = {f.name: f.type for f in fields(cls)}
@@ -214,6 +217,10 @@ def _strict_build(cls, payload: dict, required):
         if not _TYPE_CHECKS[types[key]](value):
             raise ConfigError(f"config field {key!r} of {cls.__name__} must be "
                               f"{types[key]}, got {value!r}")
+
+
+def _strict_build(cls, payload: dict, required):
+    check_fields(cls, payload)
     for key in required:
         if key not in payload:
             raise ConfigError(f"missing required config field {key!r}")

@@ -529,24 +529,26 @@ def _emb(rng, rows, width) -> Tensor:
     return Tensor(rng.normal(0.0, 0.3, size=(rows, width)), requires_grad=True)
 
 
-def _checked_ids(name: str, ids, table: Tensor) -> np.ndarray:
-    arr = np.asarray(ids, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= table.shape[0]):
+def _lookup(name: str, table: Tensor, ids) -> Tensor:
+    """The rows ``ids`` of an embedding table. ``gather_rows`` makes the one
+    range check; an id outside the table raises EmbeddingLookupError."""
+    try:
+        return T.gather_rows(table, ids)
+    except IndexError:
+        arr = np.asarray(ids, dtype=np.int64)
         raise EmbeddingLookupError(
-            f"{name} id out of range [0, {table.shape[0]}): {arr.min()}..{arr.max()}")
-    return arr
+            f"{name} id out of range [0, {table.shape[0]}): "
+            f"{arr.min()}..{arr.max()}") from None
 
 
 # ----------------------------- encoding -----------------------------
 
 
 def _event_features(tables: EmbeddingTables, cfg: ModelConfig, items, actions, deltas):
-    item_ids = _checked_ids("item", items, tables.item_table)
-    act_ids = _checked_ids("action", actions, tables.action_table)
     buckets = time_buckets(deltas, cfg.n_time_buckets)
     feats = T.concat_cols([
-        T.gather_rows(tables.item_table, item_ids),
-        T.gather_rows(tables.action_table, act_ids),
+        _lookup("item", tables.item_table, items),
+        _lookup("action", tables.action_table, actions),
         T.gather_rows(tables.time_bucket_table, buckets),
     ])
     return T.linear(feats, tables.mlp.tok_proj_w, tables.mlp.tok_proj_b)
@@ -595,10 +597,8 @@ def target_global_token(candidates, tables: EmbeddingTables,
     featurizer with a zero action slot and zero time delta, lifted to width
     D, through the global MLP."""
     n = len(candidates)
-    item_ids = _checked_ids("item", [c.item_id for c in candidates],
-                            tables.item_table)
     feat = T.concat_cols([
-        T.gather_rows(tables.item_table, item_ids),
+        _lookup("item", tables.item_table, [c.item_id for c in candidates]),
         T.zeros((n, cfg.d_act)),
         T.gather_rows(tables.time_bucket_table, np.zeros(n, dtype=np.int64)),
     ])
@@ -618,8 +618,7 @@ def nontarget_global_tokens(users, tables: EmbeddingTables,
     Each user gets its own copy of the CLS rows.
     """
     B, n_cls = len(users), cfg.m - 2
-    uid = _checked_ids("uid", [u.uid for u in users], tables.uid_table)
-    uid_rows = T.linear(T.gather_rows(tables.uid_table, uid),
+    uid_rows = T.linear(_lookup("uid", tables.uid_table, [u.uid for u in users]),
                         tables.mlp.lift_w, tables.mlp.lift_b)
     order = np.empty((B, 1 + n_cls), dtype=np.int64)    # user b: UID row b,
     order[:, 0] = np.arange(B)                          # then the CLS rows
@@ -631,8 +630,7 @@ def nontarget_global_tokens(users, tables: EmbeddingTables,
 def user_side_features(users, tables: EmbeddingTables) -> Tensor:
     """Candidate-independent (B, 2d) head features of a list of B users'
     features: [uid_emb, profile_emb] per row."""
-    uid = _checked_ids("uid", [u.uid for u in users], tables.uid_table)
-    prof = _checked_ids("profile", [u.profile_bucket for u in users],
-                        tables.profile_table)
-    return T.concat_cols([T.gather_rows(tables.uid_table, uid),
-                          T.gather_rows(tables.profile_table, prof)])
+    return T.concat_cols([
+        _lookup("uid", tables.uid_table, [u.uid for u in users]),
+        _lookup("profile", tables.profile_table,
+                [u.profile_bucket for u in users])])

@@ -39,6 +39,18 @@ convention of the analytic cost formulas.
 Attention visibility is a boolean array (True = the query may see the key);
 ``masked_softmax`` refuses any other dtype.
 
+Memory: a training tape or a batched evaluation chunk frees megabytes at
+once. Under glibc's default thresholds (128 KiB at start-up for both the
+mmap cut-off and the heap trim, raised only as far as the largest mmapped
+block freed so far), much of that goes back to the kernel and the next unit
+faults it in again, one minor fault per page. Importing this module
+therefore sets, once, through ``mallopt``, the mmap threshold to 32 MiB and
+the trim threshold to 64 MiB, the ceilings glibc's own dynamic thresholds
+climb to on a 64-bit host, so freed blocks stay in the heap for the next
+unit to reuse. This changes where memory comes from, never a value; where
+the C library has no ``mallopt`` or refuses a setting, nothing changes and
+``ALLOCATOR_TUNED`` is False.
+
 All arithmetic is 64-bit. Tensors are immutable after construction except
 for gradient accumulation owned by a single training step; read-only
 sharing across threads is safe. The tape is a context variable, so tapes
@@ -50,6 +62,7 @@ is open, and counts are exact only with one thread at a time.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import math
 from contextlib import contextmanager
 
@@ -61,6 +74,24 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _PROB_EPS = 1e-12
 _LN_EPS = 1e-12
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3      # glibc <malloc.h>
+
+
+def _keep_freed_memory() -> bool:
+    """Raise glibc's trim and mmap thresholds; True when both settings took."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):     # no mallopt in this libc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, 32 << 20)    # 1 on success, 0 if refused
+    trim_set = mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return mmap_set == 1 and trim_set == 1
+
+
+ALLOCATOR_TUNED = _keep_freed_memory()
 
 
 class OpCounter:
@@ -338,9 +369,22 @@ def gelu(x) -> Tensor:
     y *= 1.0 + t
     out = Tensor(y)
     def bw(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
-        x._accumulate(g * dx)
+        # du = C * (1 + 3A * x * x), dx = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du:
+        # three buffers, the operation order of that straight line
+        du = xd * xd
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        dx = t * t
+        np.subtract(1.0, dx, out=dx)
+        tail = 0.5 * xd
+        tail *= dx
+        tail *= du
+        np.add(t, 1.0, out=dx)
+        dx *= 0.5
+        dx += tail
+        dx *= g
+        x._accumulate(dx)
     _attach(out, bw)
     return out
 

@@ -334,12 +334,15 @@ def test_sweep_bad_epochs_or_grid_exit_2(tmp_path, capsys, field, value):
     assert not (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("model", [
-    {"K": "x"}, {"k": "x"}, [1, 2], {"K": 0}],
-    ids=["K-str", "k-str", "list", "K-0"])
-def test_sweep_bad_model_exit_2(tmp_path, capsys, model):
+@pytest.mark.parametrize("axis,model", [
+    ("seq_len", {"K": "x"}), ("seq_len", {"k": "x"}), ("seq_len", [1, 2]),
+    ("seq_len", {"K": 0}), ("depth", {"N": 1, "d": "x"})],
+    ids=["K-str", "k-str", "list", "K-0", "depth-d-str"])
+def test_sweep_bad_model_exit_2(tmp_path, capsys, axis, model):
+    """A base model field of the wrong type fails the whole sweep, whether or
+    not the sweep axis reads it, before the dataset is generated."""
     base = {**MODEL_CFG, "k": 2}
-    sweep = {"axis": "seq_len", "grid": [4, 8], "epochs": 1, "generator": GEN_CFG,
+    sweep = {"axis": axis, "grid": [4, 8], "epochs": 1, "generator": GEN_CFG,
              "model": {**base, **model} if isinstance(model, dict) else model}
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(sweep))
@@ -348,6 +351,18 @@ def test_sweep_bad_model_exit_2(tmp_path, capsys, model):
     err = capsys.readouterr().err
     assert "model" in err and "Traceback" not in err
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_bad_grid_value_fails_only_its_point(tmp_path):
+    sweep = {"axis": "depth", "grid": [0, 1], "epochs": 1, "generator": GEN_CFG,
+             "model": {**MODEL_CFG, "k": 2}}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    status = [r["status"] for r in
+              json.loads((out / "manifest.json").read_text())["outputs"]["rows"]]
+    assert status == ["failed: N must be >= 1", "ok"]
 
 
 def test_score_command(tmp_path, model_cfg_path, dataset_path):

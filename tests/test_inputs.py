@@ -16,7 +16,8 @@ from longrec.inputs import (Candidate, EmbeddingTables, Event, Events, Sample,
                             UserFeatures, bayes_window_scores, encode_events,
                             generate_dataset, interest_of, load_dataset,
                             nontarget_global_tokens, save_dataset,
-                            target_global_token, time_buckets, time_deltas)
+                            target_global_token, time_buckets, time_deltas,
+                            user_side_features)
 
 
 def serialize(dataset):
@@ -204,6 +205,16 @@ def test_encode_rejects_unknown_ids(tiny_cfg):
     bad_uid = Sample((), UserFeatures(tiny_cfg.n_users, 0), Candidate(0, 100), 0)
     with pytest.raises(EmbeddingLookupError):
         global_rows(bad_uid, tables, tiny_cfg)
+    bad_action = Sample((Event(item_id=0, action_type=3, timestamp=10),),
+                        UserFeatures(0, 0), Candidate(0, 100), 0)
+    with pytest.raises(EmbeddingLookupError,
+                       match=r"^action id out of range \[0, 3\): 3\.\.3$"):
+        encode(bad_action, tables, tiny_cfg)
+    with pytest.raises(EmbeddingLookupError, match="profile id out of range"):
+        user_side_features([UserFeatures(0, 0), UserFeatures(1, -1)], tables)
+    with pytest.raises(EmbeddingLookupError, match="item id out of range"):
+        target_global_token([Candidate(0, 100), Candidate(tiny_cfg.vocab, 100)],
+                            tables, tiny_cfg)
 
 
 # ----------------------------- global tokens -----------------------------

@@ -18,7 +18,8 @@ from longrec.errors import ConfigError, NumericalError
 from longrec.inputs import (Candidate, Dataset, Event, Sample, UserFeatures,
                             generate_dataset)
 from longrec.model import (CHECKPOINT_MAGIC, LongRecModel, OptConfig,
-                           SumPoolingModel, batch_backward, select_queries, train)
+                           SumPoolingModel, batch_backward, evaluate, select_queries,
+                           train)
 from longrec.tensors import Tensor
 
 
@@ -359,6 +360,28 @@ def test_training_peak_memory_does_not_grow_with_batch():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0]
+
+
+@pytest.mark.skipif(not T.ALLOCATOR_TUNED, reason="mallopt unavailable or refused")
+def test_training_and_eval_reuse_freed_memory():
+    """A tape or eval chunk's freed pages stay in the heap: once one epoch and
+    one evaluate have grown it, a second of each takes (almost) no minor page
+    faults. At glibc's default thresholds they take thousands."""
+    resource = pytest.importorskip("resource")
+    ds = generate_dataset(GeneratorConfig(n_users=16, vocab=200, L_max=512,
+                                          L_min=384), 0)
+    model = LongRecModel(ModelConfig(L=512, k=32, merge_mode="inner",
+                                     batch_size=8), seed=0)
+    opt = OptConfig(eval_fraction=0.0)
+
+    def minor_faults(run):
+        run()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run()
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    assert minor_faults(lambda: train(model, ds, 1, opt)) < 200
+    assert minor_faults(lambda: evaluate(model, ds.samples)) < 200
 
 
 def test_nan_parameters_abort_training(tiny_cfg):
