@@ -155,7 +155,9 @@ def muladds_full_forward(cfg: ModelConfig, n_events: int) -> int:
     Enumerates every matmul the implementation executes: the per-event
     featurizer (real events only), global-token assembly, the per-group
     transformers (batched over the padded grid when enabled), the cross
-    layer, N self layers, and the head.
+    layer, N self layers, and the head. The last self layer projects keys
+    and values for all q = k + m rows but computes only the CLS and target
+    rows the head reads: 2*q*D^2 + 2*(10*D^2 + 2*q*D).
     """
     d, D, F = cfg.d, cfg.D, cfg.feat_width
     q = cfg.k + cfg.m
@@ -165,14 +167,18 @@ def muladds_full_forward(cfg: ModelConfig, n_events: int) -> int:
     if cfg.merge_mode == "inner":
         Lp = cfg.L_padded
         total += cfg.inner_layers * (12 * Lp * d * d + 2 * Lp * cfg.K * d)
-    total += 10 * q * D * D + 2 * v * D * D + 2 * q * v * D   # cross layer
-    total += cfg.N * (12 * q * D * D + 2 * q * q * D)         # self layers
+    total += _block_muladds(D, v, q)                  # cross layer
+    total += (cfg.N - 1) * _block_muladds(D, q, q) + _block_muladds(D, q, 2)
     total += _head_muladds(cfg)
     return total
 
 
 def muladds_cache_build(cfg: ModelConfig, n_events: int) -> int:
-    """MACs to precompute the candidate-independent rows of every layer."""
+    """MACs to precompute the candidate-independent rows of every layer.
+
+    As the full forward without the target row, whose last self layer
+    computes only the CLS row: 2*q*D^2 + (10*D^2 + 2*q*D) for q = k + m - 1.
+    """
     d, D, F = cfg.d, cfg.D, cfg.feat_width
     q = cfg.k + cfg.m - 1             # everything except the target row
     v = cfg.merged_len + cfg.m - 1
@@ -181,9 +187,17 @@ def muladds_cache_build(cfg: ModelConfig, n_events: int) -> int:
     if cfg.merge_mode == "inner":
         Lp = cfg.L_padded
         total += cfg.inner_layers * (12 * Lp * d * d + 2 * Lp * cfg.K * d)
-    total += 10 * q * D * D + 2 * v * D * D + 2 * q * v * D
-    total += cfg.N * (12 * q * D * D + 2 * q * q * D)
+    total += _block_muladds(D, v, q)
+    total += (cfg.N - 1) * _block_muladds(D, q, q) + _block_muladds(D, q, 1)
     return total
+
+
+def _block_muladds(D: int, keys: int, queries: int) -> int:
+    """One block at width D whose ``queries`` rows attend over ``keys`` rows:
+    key and value projections 2*keys*D^2, then per query row the query and
+    output projections and the 4x FFN (10*D^2) and its scores and context
+    (2*keys*D)."""
+    return 2 * keys * D * D + queries * (10 * D * D + 2 * keys * D)
 
 
 def muladds_incremental(cfg: ModelConfig) -> int:

@@ -17,9 +17,11 @@ softmax uses to select logits, never added to them, so a hidden logit can
 never perturb visible probabilities.
 
 The same block serves the cross layer (queries over a different key set),
-the self layers (``x_kv is x_q``) and cached scoring (a block of target
-rows, each against precomputed key/value rows passed as ``prefix_kv`` and
-its own key). Blocks are pre-norm:
+the self layers (``x_kv is x_q``), the last self layer of a full pass or a
+cache build (``rows``: keys and values from every row, output only for the
+CLS and target rows that a later stage reads) and cached scoring (a block
+of target rows, each against precomputed key/value rows passed as
+``prefix_kv`` and its own key). Blocks are pre-norm:
 LN -> multi-head attention -> residual, then LN -> FFN -> residual, with
 per-head scaling 1/sqrt(D/heads). One block at width w holds exactly
 12*w^2 + 13*w parameters (four projections with biases, the 4x FFN with
@@ -170,7 +172,8 @@ def _multi_head_attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
 
 
 def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
-                    params: BlockParams, heads: int = 1, prefix_kv=None):
+                    params: BlockParams, heads: int = 1, prefix_kv=None,
+                    rows=None):
     """The pre-norm block: returns (output rows, key rows, value rows), the
     keys and values being the projections of ``x_kv``.
 
@@ -185,6 +188,15 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
     visibility row. Its scores are [q_i K_prefix^T | q_i k_i] and its context
     P_prefix V_prefix + p_i v_i, with no score between two query rows, so
     each row agrees to rounding with a full pass over prefix + that row.
+
+    ``rows``, a 1-D list of row indices (``T.gather_rows`` checks them),
+    computes only those output rows of each sample in a self-attention
+    block without ``prefix_kv``: keys and values still come from every
+    row, while the queries (taken from the block's one layer norm of
+    ``x_q``), the residual rows, the output projection and the FFN use only
+    ``rows``. ``visible`` is then the (len(rows), keys) visibility of those
+    rows and the output is (len(rows), width) per sample, equal to rounding
+    to those rows of the full block.
     """
     width = params.width
     if x_q.shape[-1] != width or x_kv.shape[-1] != width:
@@ -192,8 +204,11 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
             f"block width {width} does not match inputs {x_q.shape}, {x_kv.shape}")
     if width % heads:
         raise DimensionError(f"width {width} not divisible by heads={heads}")
+    if rows is not None and (x_kv is not x_q or prefix_kv is not None):
+        raise DimensionError("rows takes a self-attention block without prefix_kv")
     if prefix_kv is None:
-        want = x_q.shape[:-1] + x_kv.shape[-2:-1]
+        n_q = x_q.shape[-2] if rows is None else len(rows)
+        want = x_q.shape[:-2] + (n_q,) + x_kv.shape[-2:-1]
     elif x_kv is not x_q or len(x_q.shape) != 2:
         raise DimensionError("prefix_kv scoring takes a 2-D block of rows, each "
                              "its own key")
@@ -203,6 +218,8 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
         raise DimensionError(f"visibility shape {np.shape(visible)} != {want}")
     qn = T.layer_norm(x_q, params.ln1_g, params.ln1_b)
     kn = qn if x_kv is x_q else T.layer_norm(x_kv, params.ln1_g, params.ln1_b)
+    if rows is not None:
+        x_q, qn = T.gather_rows(x_q, rows), T.gather_rows(qn, rows)
     q = T.linear(qn, params.w_q, params.b_q)
     k = T.linear(kn, params.w_k, params.b_k)
     v = T.linear(kn, params.w_v, params.b_v)

@@ -3,8 +3,10 @@
 Pipeline per sample: encode events to width-d tokens -> merge adjacent
 groups to width D -> select k query tokens -> one cross-attention layer
 over the full merged sequence plus globals -> N self-attention layers over
-the retained rows -> prediction head on the target-global and CLS outputs
-concatenated with projected user features -> sigmoid.
+the retained rows, the last of which computes only the CLS and target rows
+(its keys and values still cover every row) -> prediction head on the
+target-global and CLS outputs concatenated with projected user features ->
+sigmoid.
 
 The forward pass runs a list of samples as one batch, each sample with its
 own rows and masks, so only the per-op cost is shared: ``evaluate`` runs
@@ -37,9 +39,9 @@ from . import tensors as T
 from .attention import BlockParams, attention_block, build_mask
 from .config import ModelConfig
 from .errors import ConfigError, NumericalError, UndefinedMetricError
-from .inputs import (EmbeddingTables, Sample, checked_int64s, encode_events,
-                     nontarget_global_tokens, target_global_token, time_buckets,
-                     time_deltas, user_side_features)
+from .inputs import (EmbeddingTables, Sample, _lookup, checked_int64s,
+                     encode_events, nontarget_global_tokens, target_global_token,
+                     time_buckets, time_deltas, user_side_features)
 from .merge import (merge_concat, merge_inner_trans, merged_pad_flags,
                     merged_positions, pad_to_group_multiple)
 from .tensors import Tensor
@@ -361,18 +363,25 @@ class LongRecModel:
             user_side=user_side_features(users, self.tables))
 
     def _layers(self, x_q: Tensor, x_kv: Tensor, visible_cross: np.ndarray,
-                visible_self: np.ndarray, prefix=None) -> list:
+                visible_self: np.ndarray, prefix=None, rows=None) -> list:
         """Run the cross block over (x_q, x_kv), then each self block over the
         previous block's output; returns every block's (output, K, V).
 
         ``prefix``, one (keys, values) pair per block, puts cached key rows
-        ahead of each block's own (see ``attention_block``).
+        ahead of each block's own (see ``attention_block``). ``rows`` makes
+        the last block compute only those rows of each sample, the rows the
+        caller reads; its keys and values still cover every row.
         """
         out = []
+        blocks = [self.cross_block] + self.self_blocks
         x, keys, visible = x_q, x_kv, visible_cross
-        for i, blk in enumerate([self.cross_block] + self.self_blocks):
+        for i, blk in enumerate(blocks):
+            take = rows if i == len(blocks) - 1 else None
+            if take is not None:
+                visible = visible[..., take, :]
             x, k, v = attention_block(x, keys, visible, blk, self.cfg.heads,
-                                      prefix_kv=None if prefix is None else prefix[i])
+                                      prefix_kv=None if prefix is None else prefix[i],
+                                      rows=take)
             out.append((x, k, v))
             keys, visible = x, visible_self
         return out
@@ -409,11 +418,12 @@ class LongRecModel:
         glob = T.concat_rows([u.globals, target])
         layers = self._layers(T.concat_rows([u.queries, glob]),
                               T.concat_rows([u.merged, glob]),
-                              u.visible_cross, u.visible_self)
-        x = T.reshape(layers[-1][0], (B * q, cfg.D))
-        first = q * np.arange(B)
-        target_row = T.gather_rows(x, first + q - 1)
-        cls_row = T.gather_rows(x, first + cfg.k + 1)
+                              u.visible_cross, u.visible_self,
+                              rows=[cfg.k + 1, q - 1])
+        x = T.reshape(layers[-1][0], (2 * B, cfg.D))     # CLS, target per sample
+        first = 2 * np.arange(B)
+        target_row = T.gather_rows(x, first + 1)
+        cls_row = T.gather_rows(x, first)
         return self._head(target_row, cls_row, u.user_side)
 
     def score(self, sample: Sample) -> float:
@@ -686,7 +696,8 @@ class SumPoolingModel:
 
     Events are embedded exactly like the main model's featurizer input
     (item, action, time-bucket concat) but never see positions, so any
-    permutation of the event list scores identically.
+    permutation of the event list scores identically. An item or action id
+    outside its table raises EmbeddingLookupError, as in the main model.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, hidden: int = 32) -> None:
@@ -716,14 +727,12 @@ class SumPoolingModel:
         return out
 
     def _features(self, items, actions, deltas):
-        item_ids = np.asarray(items, dtype=np.int64)
-        feats = T.concat_cols([
-            T.gather_rows(self.item_table, item_ids),
-            T.gather_rows(self.action_table, np.asarray(actions, dtype=np.int64)),
+        return T.concat_cols([
+            _lookup("item", self.item_table, items),
+            _lookup("action", self.action_table, actions),
             T.gather_rows(self.time_table,
                           time_buckets(deltas, self.cfg.n_time_buckets)),
         ])
-        return feats
 
     def _pooled(self, sample: Sample) -> Tensor:
         """The (1, F) mean feature row of the sample's visible events."""
@@ -739,9 +748,8 @@ class SumPoolingModel:
         events are pooled on their own."""
         B = len(samples)
         pooled = T.concat_rows([self._pooled(s) for s in samples])
-        items = np.array([s.candidate.item_id for s in samples], dtype=np.int64)
         target = T.concat_cols([
-            T.gather_rows(self.item_table, items),
+            _lookup("item", self.item_table, [s.candidate.item_id for s in samples]),
             T.zeros((B, self.cfg.d_act)),
             T.gather_rows(self.time_table, np.zeros(B, dtype=np.int64)),
         ])

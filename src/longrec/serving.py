@@ -2,17 +2,19 @@
 
 Stage 1 runs ``LongRecModel.user_rows`` and every layer over the rows that
 do not depend on the candidate item, and keeps each layer's projected
-key/value rows, the CLS output and the user-side head features. Stage 2
-scores all of a request's C candidates at once: their target-global rows
-form one (C, D) block that goes through the same layers
+key/value rows, the CLS output and the user-side head features; its last
+layer computes the CLS output row alone, since no other output row is
+kept. Stage 2 scores all of a request's C candidates at once: their
+target-global rows form one (C, D) block that goes through the same layers
 (``LongRecModel._layers``) with the cached rows as each block's key prefix,
-then through the model's ``_head``. Each row is an independent target: it
-sees the cached rows through the target's visibility row and its own key
-only, so no row sees another candidate and no C x C score is formed.
-Because the visibility rule forbids every other row from attending to the
-target row, stage 2 reproduces the full forward pass for each candidate;
-agreement is asserted at 1e-9 (the products are summed in another order
-than in the full pass), and against scoring each candidate alone at 1e-12.
+then through the model's ``_head``, which reads every one of those rows.
+Each row is an independent target: it sees the cached rows through the
+target's visibility row and its own key only, so no row sees another
+candidate and no C x C score is formed. Because the visibility rule
+forbids every other row from attending to the target row, stage 2
+reproduces the full forward pass for each candidate; agreement is asserted
+at 1e-9 (the products are summed in another order than in the full pass),
+and against scoring each candidate alone at 1e-12.
 
 The cache is keyed by ``LongRecModel.fingerprint()``, a digest of the
 config and the parameter bytes; scoring against a model with any other
@@ -91,15 +93,15 @@ def build_cache(model: LongRecModel, user_events, user_features: UserFeatures,
     u = model.user_rows([user_events], [user_features], [scoring_time])
     layers = model._layers(T.concat_rows([u.queries, u.globals]),
                            T.concat_rows([u.merged, u.globals]),
-                           u.visible_cross[:-1, :-1], u.visible_self[:-1, :-1])
-    k = model.cfg.k
+                           u.visible_cross[:-1, :-1], u.visible_self[:-1, :-1],
+                           rows=[model.cfg.k + 1])
     return KVCache(scoring_time=int(scoring_time),
                    fingerprint=model.fingerprint(),
                    layers=[LayerCache(keys.data, values.data)
                            for _, keys, values in layers],
                    target_visible_cross=u.visible_cross[-1:],
                    target_visible_self=u.visible_self[-1:],
-                   cls_final=layers[-1][0].data[k + 1:k + 2],
+                   cls_final=layers[-1][0].data,
                    user_side=u.user_side.data)
 
 

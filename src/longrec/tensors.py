@@ -14,9 +14,9 @@ Leading axes: ``linear``, ``layer_norm``, ``concat_cols``, ``slice_cols`` and
 the elementwise ops act on the last axis and ``concat_rows`` on the rows
 axis (the second to last), whatever the leading axes before them, so a batch
 of B samples' (rows, width) blocks runs as one (B, rows, width) op; softmax
-takes the last axis too. ``matmul`` takes two 2-D or two equal-batch 3-D
-operands. ``gather_rows``, ``left_pad_rows`` and ``mean_rows`` act on 2-D
-row tables.
+takes the last axis too, and ``gather_rows`` the rows axis. ``matmul``
+takes two 2-D or two equal-batch 3-D operands. ``left_pad_rows`` and
+``mean_rows`` act on 2-D row tables.
 
 Recording is scoped. Inside ``with tape():`` every op with an input that
 requires gradients stores its backward closure on its output and appends
@@ -162,8 +162,9 @@ class Tensor:
     """A dense float64 array with an optional gradient buffer.
 
     ``data`` is row-major (C order). ``grad`` is set on first accumulation
-    to a copy of the incoming gradient. An op output recorded on a tape
-    carries the backward closure of the op that produced it.
+    to the incoming gradient: the buffer itself when the backward closure
+    just made it for this tensor alone, else a copy. An op output recorded
+    on a tape carries the backward closure of the op that produced it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_bw")
@@ -186,9 +187,13 @@ class Tensor:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{req})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``grad``. ``owned`` hands over a buffer the caller
+        just made and holds nowhere else, so a first gradient takes it
+        as is; any other ``g`` (a view, or one array passed to two inputs)
+        is copied before it becomes ``grad``."""
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g if owned else g.copy()
         else:
             self.grad += g
 
@@ -274,12 +279,12 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     if _track(a, b):
         def bw(g):
             if a.requires_grad:
-                a._accumulate(g @ np.swapaxes(bm, -1, -2))
+                a._accumulate(g @ np.swapaxes(bm, -1, -2), owned=True)
             if b.requires_grad:
                 if transpose_b:
-                    b._accumulate(np.swapaxes(g, -1, -2) @ ad)
+                    b._accumulate(np.swapaxes(g, -1, -2) @ ad, owned=True)
                 else:
-                    b._accumulate(np.swapaxes(ad, -1, -2) @ g)
+                    b._accumulate(np.swapaxes(ad, -1, -2) @ g, owned=True)
         _attach(out, bw)
     return out
 
@@ -301,12 +306,12 @@ def linear(x, w, b) -> Tensor:
     if _track(x, w, b):
         def bw(g):
             if x.requires_grad:
-                x._accumulate(g @ wd.T)
+                x._accumulate(g @ wd.T, owned=True)
             g2 = g.reshape(-1, wd.shape[1])
             if w.requires_grad:
-                w._accumulate(xd.reshape(-1, wd.shape[0]).T @ g2)
+                w._accumulate(xd.reshape(-1, wd.shape[0]).T @ g2, owned=True)
             if b.requires_grad:
-                b._accumulate(g2.sum(axis=0))
+                b._accumulate(g2.sum(axis=0), owned=True)
         _attach(out, bw)
     return out
 
@@ -334,9 +339,9 @@ def mul(a, b) -> Tensor:
     if _track(a, b):
         def bw(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
+                a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+                b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
         _attach(out, bw)
     return out
 
@@ -384,7 +389,7 @@ def gelu(x) -> Tensor:
         dx *= 0.5
         dx += tail
         dx *= g
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
     _attach(out, bw)
     return out
 
@@ -397,7 +402,7 @@ def sigmoid(x) -> Tensor:
     out = Tensor(s)
     if _track(x):
         def bw(g):
-            x._accumulate(g * s * (1.0 - s))
+            x._accumulate(g * s * (1.0 - s), owned=True)
         _attach(out, bw)
     return out
 
@@ -431,7 +436,7 @@ def masked_softmax(logits, visible) -> Tensor:
     if _track(x):
         def bw(g):
             dot = (g * p).sum(axis=-1, keepdims=True)
-            x._accumulate(p * (g - dot))
+            x._accumulate(p * (g - dot), owned=True)
         _attach(out, bw)
     return out
 
@@ -464,12 +469,12 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
                 ghat = g * gain.data
                 m1 = ghat.mean(axis=-1, keepdims=True)
                 m2 = (ghat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate((ghat - m1 - xhat * m2) * inv_sigma)
+                x._accumulate((ghat - m1 - xhat * m2) * inv_sigma, owned=True)
             g2 = g.reshape(-1, n)
             if gain.requires_grad:
-                gain._accumulate((g2 * xhat.reshape(-1, n)).sum(axis=0))
+                gain._accumulate((g2 * xhat.reshape(-1, n)).sum(axis=0), owned=True)
             if bias.requires_grad:
-                bias._accumulate(g2.sum(axis=0))
+                bias._accumulate(g2.sum(axis=0), owned=True)
         _attach(out, bw)
     return out
 
@@ -541,23 +546,28 @@ def slice_cols(x, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(x, idx) -> Tensor:
-    """Select rows by integer index (embedding lookup / query selection).
+    """Select rows by integer index along the rows axis (the second to
+    last): an embedding lookup or query selection on a 2-D table, or the
+    same rows of every sample of a (B, rows, width) stack.
 
     Duplicate indices accumulate gradient additively. Out-of-range indices
     raise; negative indices are rejected rather than wrapped.
     """
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DimensionError("gather_rows takes a 1-D index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise IndexError(f"row index out of range for table with {x.shape[0]} rows")
-    out = Tensor(x.data[idx])
+    if idx.ndim != 1 or x.data.ndim < 2:
+        raise DimensionError("gather_rows takes a 1-D index array and rows of "
+                             "at least two axes")
+    n = x.shape[-2]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"row index out of range for table with {n} rows")
+    key = (slice(None),) * (x.data.ndim - 2) + (idx,)
+    out = Tensor(x.data[key])
     if _track(x):
         def bw(g):
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, idx, g)
+            np.add.at(x.grad, key, g)
         _attach(out, bw)
     return out
 
@@ -597,7 +607,8 @@ def left_pad_rows(x, counts, width: int) -> Tensor:
     if _track(x):
         def bw(g):
             x._accumulate(np.concatenate([g[end - c:end]
-                                          for end, c in zip(ends, counts)]))
+                                          for end, c in zip(ends, counts)]),
+                          owned=True)
         _attach(out, bw)
     return out
 
@@ -624,7 +635,7 @@ def mean_scalars(parts) -> Tensor:
             share = float(g) / n
             for p in parts:
                 if p.requires_grad:
-                    p._accumulate(np.full(p.shape, share))
+                    p._accumulate(np.full(p.shape, share), owned=True)
         _attach(out, bw)
     return out
 
@@ -647,6 +658,6 @@ def bce(p, y: float) -> Tensor:
         def bw(g):
             if in_range:
                 d = (pc - y) / (pc * (1.0 - pc))
-                p._accumulate(np.full(p.shape, float(g) * d))
+                p._accumulate(np.full(p.shape, float(g) * d), owned=True)
         _attach(out, bw)
     return out

@@ -181,34 +181,44 @@ def test_zeroed_attention_out_leaves_residual_ffn():
 
 
 def test_block_gradient_check():
+    """Every parameter, with all rows and with ``rows`` (whose unread rows
+    still reach the loss through the keys and values)."""
     rng = np.random.default_rng(9)
     n, D = 5, 4
     x = Tensor(rng.normal(size=(n, D)), requires_grad=True)
     blk = make_block(D, 10)
     mask = np.tril(np.ones((n, n))) > 0
     w = rng.normal(size=(D, 1)) * 0.3
-
-    def loss():
-        y = block(x, mask, blk)
-        return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 1.0)
-
     named = [("x", x)] + [(n_, t) for n_, t in blk.params()]
-    fd_check(loss, named, tol=1e-4)
+    for rows in (None, [1, 4]):
+        visible = mask if rows is None else mask[rows]
+
+        def loss():
+            y = attention_block(x, x, visible, blk, rows=rows)[0]
+            return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 1.0)
+
+        fd_check(loss, named, tol=1e-4)
 
 
 def test_multi_head_gradient_check():
+    """Three heads, 2-D, and a batch of two through ``rows``."""
     rng = np.random.default_rng(11)
     n, D, heads = 4, 6, 3
-    x = Tensor(rng.normal(size=(n, D)), requires_grad=True)
-    blk = make_block(D, 12)
     mask = np.tril(np.ones((n, n))) > 0
+    blk = make_block(D, 12)
     w = rng.normal(size=(D, 1)) * 0.3
+    for lead, rows in (((), None), ((2,), [0, 3])):
+        x = Tensor(rng.normal(size=lead + (n, D)), requires_grad=True)
+        visible = np.broadcast_to(mask if rows is None else mask[rows],
+                                  lead + (n if rows is None else len(rows), n))
 
-    def loss():
-        y = block(x, mask, blk, heads=heads)
-        return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 0.0)
+        def loss():
+            y = attention_block(x, x, visible, blk, heads, rows=rows)[0]
+            y = T.reshape(y, (-1, D))
+            return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 0.0)
 
-    fd_check(loss, [("x", x), ("w_q", blk.w_q), ("w_o", blk.w_o)], tol=1e-4)
+        fd_check(loss, [("x", x), ("w_q", blk.w_q), ("w_k", blk.w_k),
+                        ("w_o", blk.w_o)], tol=1e-4)
 
 
 def test_sequence_rows_exactly_ignore_target_row():
@@ -282,6 +292,37 @@ def test_batched_block_matches_each_sample():
             attention_block(Tensor(xq), Tensor(xkv), visible, blk)
     with pytest.raises(DimensionError):
         attention_block(x, x, vis_self[0, -1:], blk, prefix_kv=(xq[0], xq[0]))
+
+
+def test_rows_match_full_block_rows():
+    """A self block with ``rows`` gives those rows of the full block and the
+    same keys and values, for one sample and a batch, at one and two heads."""
+    rng = np.random.default_rng(25)
+    n, D, rows = 6, 4, [2, 5]
+    for lead in ((), (3,)):
+        x = Tensor(rng.normal(size=lead + (n, D)))
+        visible = rng.random(lead + (n, n)) < 0.6
+        visible[..., 0] = True
+        for heads in (1, 2):
+            blk = make_block(D, 26)
+            full = attention_block(x, x, visible, blk, heads)
+            part = attention_block(x, x, visible[..., rows, :], blk, heads,
+                                   rows=rows)
+            assert part[0].shape == lead + (len(rows), D)
+            assert np.abs(part[0].data - full[0].data[..., rows, :]).max() <= 1e-12
+            for got, ref in zip(part[1:], full[1:]):
+                np.testing.assert_array_equal(got.data, ref.data)
+    x2 = Tensor(x.data[0])
+    bad = [(x2, Tensor(x2.data), visible[0, rows], {"rows": rows}),   # cross
+           (x2, x2, visible[0, [2]], {"rows": [[2]]}),                # not 1-D
+           (x2, x2, visible[0], {"rows": rows}),                      # all-rows mask
+           (x2, x2, visible[0, -1:], {"rows": [5],
+                                      "prefix_kv": (x2.data, x2.data)})]
+    for x_q, x_kv, vis, kwargs in bad:
+        with pytest.raises(DimensionError):
+            attention_block(x_q, x_kv, vis, make_block(D), **kwargs)
+    with pytest.raises(IndexError):
+        attention_block(x2, x2, visible[0, rows], make_block(D), rows=[2, n])
 
 
 def test_build_mask_is_boolean():

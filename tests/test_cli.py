@@ -199,6 +199,25 @@ def test_eval_with_baseline(tmp_path, model_cfg_path, dataset_path):
     assert rows[1].startswith("model,") and rows[2].startswith("sumpooling,")
 
 
+def test_eval_baseline_out_of_range_item_exit_2(tmp_path, model_cfg_path,
+                                                dataset_path, capsys):
+    """An item id outside the vocabulary in the baseline's training split is
+    an embedding-lookup error, exit 2, with no traceback."""
+    train_out = tmp_path / "t"
+    main(["train", "--config", model_cfg_path, "--data", dataset_path,
+          "--out", str(train_out), "--epochs", "1"])
+    rows = [json.loads(line) for line in Path(dataset_path).read_text().splitlines()]
+    first = min(rows, key=lambda r: r["candidate"]["timestamp"])   # trained on
+    first["events"][0]["item_id"] = GEN_CFG["vocab"] + 6
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["eval", "--checkpoint", str(train_out / "checkpoint.bin"),
+                 "--data", str(bad), "--out", str(tmp_path / "e"),
+                 "--baseline", "sumpooling", "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "item id out of range" in err and "Traceback" not in err
+
+
 def test_eval_config_mismatch_exit_4(tmp_path, model_cfg_path, dataset_path):
     train_out = tmp_path / "t"
     main(["train", "--config", model_cfg_path, "--data", dataset_path,

@@ -65,23 +65,36 @@ CONFIG_MATRIX = [
     small_cfg(query_strategy="recent_uniform"),
     small_cfg(heads=3),
     small_cfg(merge_mode="inner"),
+    small_cfg(N=1),              # the only self block computes only CLS/target
+    small_cfg(m=4),              # a second CLS row that the head never reads
 ]
 
 
-@pytest.mark.parametrize("cfg", CONFIG_MATRIX,
-                         ids=lambda c: f"K{c.K}-{c.query_strategy}-{c.merge_mode}-h{c.heads}")
+def depth_id(c):
+    """``-N{N}`` and ``-m{m}`` where they differ from ``small_cfg``'s."""
+    return (f"-N{c.N}" if c.N != 2 else "") + (f"-m{c.m}" if c.m != 3 else "")
+
+
+@pytest.mark.parametrize("cfg", CONFIG_MATRIX, ids=lambda c: (
+    f"K{c.K}-{c.query_strategy}-{c.merge_mode}-h{c.heads}{depth_id(c)}"))
 def test_cached_equals_full_forward(cfg):
     """One batch of 5 candidates matches the full forward of each at 1e-9
-    and each candidate scored alone as a batch of one at 1e-12."""
+    and each candidate scored alone as a batch of one at 1e-12; the cache
+    build and the batch count exactly the analytic MACs."""
     model = LongRecModel(cfg, seed=2)
     rng = np.random.default_rng(3)
     worst = worst_alone = 0.0
     for s in users_for(cfg, 6, seed=4):
-        cache = build_cache(model, s.events, s.user_features,
-                            s.candidate.timestamp)
         cands = [Candidate(int(rng.integers(cfg.vocab)), s.candidate.timestamp)
                  for _ in range(5)]
-        for cand, fast in zip(cands, score_with_cache(model, cache, cands)):
+        with T.count_muladds() as window:
+            cache = build_cache(model, s.events, s.user_features,
+                                s.candidate.timestamp)
+            batch = score_with_cache(model, cache, cands)
+        assert window.mul_adds == (
+            analysis.muladds_cache_build(cfg, min(len(s.events), cfg.L))
+            + len(cands) * analysis.muladds_incremental(cfg))
+        for cand, fast in zip(cands, batch):
             full = model.score(Sample(s.events, s.user_features, cand, 0))
             alone = score_with_cache(model, cache, [cand])[0]
             worst = max(worst, abs(full - fast), abs(full - alone))
@@ -109,7 +122,7 @@ BATCH_CONFIGS = CONFIG_MATRIX + [small_cfg(heads=2), small_cfg(L=15, heads=2),
 
 
 @pytest.mark.parametrize("cfg", BATCH_CONFIGS, ids=lambda c: (
-    f"L{c.L}-K{c.K}-{c.query_strategy}-{c.merge_mode}-h{c.heads}"))
+    f"L{c.L}-K{c.K}-{c.query_strategy}-{c.merge_mode}-h{c.heads}{depth_id(c)}"))
 def test_batched_forward_matches_batch_of_one(cfg):
     """One pass over mixed-length samples gives each sample's probability
     as that sample alone does, and counts the MACs of the separate passes."""

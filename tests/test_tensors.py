@@ -168,8 +168,8 @@ def _weighted_sum_loss(y, seed):
 
 def test_leading_axes_match_each_sample():
     """On a (B, rows, width) stack, linear, layer_norm, concat_rows,
-    concat_cols and slice_cols equal the 2-D op on each sample, and linear
-    counts every leading axis as rows."""
+    concat_cols, slice_cols and gather_rows equal the 2-D op on each
+    sample, and linear counts every leading axis as rows."""
     rng = np.random.default_rng(30)
     x, y = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 2, 5))
     w, b = rng.normal(size=(5, 2)), rng.normal(size=2)
@@ -180,7 +180,9 @@ def test_leading_axes_match_each_sample():
     norm = T.layer_norm(x, gain, bias).data
     rows = T.concat_rows([x, y]).data
     cols = T.concat_cols([x, T.slice_cols(x, 1, 3)]).data
+    picked = T.gather_rows(x, [3, 1, 3]).data
     for i in range(3):
+        np.testing.assert_array_equal(picked[i], T.gather_rows(x[i], [3, 1, 3]).data)
         assert np.abs(lin[i] - T.linear(x[i], w, b).data).max() <= 1e-12
         assert np.abs(norm[i] - T.layer_norm(x[i], gain, bias).data).max() <= 1e-12
         np.testing.assert_array_equal(rows[i], T.concat_rows([x[i], y[i]]).data)
@@ -199,6 +201,7 @@ def test_leading_axes_fd():
 
     def loss():
         h = T.concat_rows([T.layer_norm(x, gain, bias), z])          # (2, 4, 4)
+        h = T.concat_rows([h, T.gather_rows(h, [3, 0, 3])])          # (2, 7, 4)
         h = T.concat_cols([T.slice_cols(h, 2, 4), T.slice_cols(h, 0, 3)])
         return _weighted_sum_loss(T.linear(T.slice_cols(h, 0, 4), w, b), 32)
 
@@ -297,6 +300,32 @@ def test_add_gradients_are_separate_buffers():
     with T.tape():
         T.add(x, x).backward(g)
     np.testing.assert_array_equal(x.grad, 2.0 * g)
+
+
+def test_handed_over_gradients_are_separate_buffers():
+    """Closures hand their fresh buffers to ``_accumulate`` uncopied: a
+    parameter used by two ops, and an op given one tensor twice, still end
+    with correct gradients in buffers no other tensor shares."""
+    rng = np.random.default_rng(29)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    g, g2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
+    with T.tape():
+        h = T.linear(x, w, b)
+        T.add(T.linear(h, w, b), T.mul(h, h)).backward(g)
+    hd = x.data @ w.data + b.data
+    gh = g @ w.data.T + 2.0 * hd * g
+    np.testing.assert_allclose(w.grad, hd.T @ g + x.data.T @ gh, rtol=1e-13)
+    np.testing.assert_allclose(b.grad, g.sum(axis=0) + gh.sum(axis=0), rtol=1e-13)
+    np.testing.assert_allclose(x.grad, gh @ w.data.T, rtol=1e-13)
+    grads = [x.grad, w.grad, b.grad]
+    for i, a in enumerate(grads):
+        assert not any(np.shares_memory(a, c) for c in grads[i + 1:])
+    x.zero_grad()
+    with T.tape():
+        T.matmul(x, x, transpose_b=True).backward(g2)
+    np.testing.assert_allclose(x.grad, g2 @ x.data + g2.T @ x.data, rtol=1e-13)
 
 
 def test_diamond_graph_fd():
@@ -557,6 +586,12 @@ def test_gather_rejects_out_of_range():
         T.gather_rows(t, np.array([3]))
     with pytest.raises(IndexError):
         T.gather_rows(t, np.array([-1]))
+    stack = Tensor(np.zeros((2, 3, 2)))
+    assert T.gather_rows(stack, [2]).shape == (2, 1, 2)     # the rows axis
+    with pytest.raises(IndexError):
+        T.gather_rows(stack, [3])
+    with pytest.raises(DimensionError):
+        T.gather_rows(Tensor(np.zeros(3)), [0])
 
 
 # ----------------------------- bce -----------------------------
