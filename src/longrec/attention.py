@@ -16,16 +16,17 @@ all candidate-independent rows. Visibility is a boolean array that the
 softmax uses to select logits, never added to them, so a hidden logit can
 never perturb visible probabilities.
 
-The same block serves the cross layer (queries over a different key set),
-the self layers (``x_kv is x_q``), the last self layer of a full pass or a
-cache build (``rows``: keys and values from every row, output only for the
-CLS and target rows that a later stage reads) and cached scoring (a block
-of target rows, each against precomputed key/value rows passed as
-``prefix_kv`` and its own key). Blocks are pre-norm:
-LN -> multi-head attention -> residual, then LN -> FFN -> residual, with
-per-head scaling 1/sqrt(D/heads). One block at width w holds exactly
-12*w^2 + 13*w parameters (four projections with biases, the 4x FFN with
-biases, two layer norms).
+The same block serves the inner merge's per-group layers (width d, each
+group of K rows one sample with all-True visibility), the cross layer
+(queries over a different key set), the self layers (``x_kv is x_q``), the
+last self layer of a full pass or a cache build (``rows``: keys and values
+from every row, output only for the CLS and target rows that a later stage
+reads) and cached scoring (a block of target rows, each against
+precomputed key/value rows passed as ``prefix_kv`` and its own key). Blocks
+are pre-norm: LN -> multi-head attention -> residual, then LN -> FFN ->
+residual, with per-head scaling 1/sqrt(width/heads). One block at width w
+holds exactly 12*w^2 + 13*w parameters (four projections with biases, the
+4x FFN with biases, two layer norms).
 """
 
 from __future__ import annotations

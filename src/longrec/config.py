@@ -61,7 +61,8 @@ class ModelConfig:
 
     @property
     def L_padded(self) -> int:
-        """L rounded up to a multiple of K (merge pads on the left)."""
+        """L rounded up to a multiple of K: each sample's row count in the
+        token grid, which ``encode_events`` pads on the left."""
         return -(-self.L // self.K) * self.K
 
     @property

@@ -21,8 +21,9 @@ indexed by recency (0 = most recent) -> a small GELU MLP. Recency indexing
 keeps real-token representations unchanged when extra left padding is
 prepended. Global tokens (UID, CLS..., target) are built at the full model
 width D. Encoding takes a batch: the real events of all its histories are
-encoded as one block and placed into a zero-padded (B*L, d) grid, and the
-global rows of all its users are built at once.
+encoded as one block and placed into a zero-padded (B*L_padded, d) grid,
+L rounded up to a multiple of K so that merge groups never span two
+samples, and the global rows of all its users are built at once.
 """
 
 from __future__ import annotations
@@ -566,19 +567,21 @@ def _global_mlp(tables: EmbeddingTables, rows: Tensor) -> Tensor:
 
 def encode_events(histories, reference_times, tables: EmbeddingTables,
                   cfg: ModelConfig):
-    """Sequence tokens of B histories: (seq Tensor[B*L, d], pad_mask (B, L),
-    n_real (B,)).
+    """Sequence tokens of B histories: (seq Tensor[B*Lp, d], pad_mask (B, Lp),
+    n_real (B,)) for Lp = cfg.L_padded, L rounded up to a multiple of K.
 
     History b's events beyond the most recent cfg.L fall outside the visible
     window and are dropped; the rest become width-d tokens with time deltas
-    measured from ``reference_times[b]``, right-aligned in rows b*L..b*L+L-1
-    and left-padded with zero rows. The real events of all histories are
+    measured from ``reference_times[b]``, right-aligned in rows
+    b*Lp..b*Lp+Lp-1 and left-padded with zero rows, so every sample's rows
+    split into whole merge groups. The real events of all histories are
     encoded as one block and then padded into the grid, so pad rows are never
     computed. Each history is an ``Events`` or a sequence of ``Event`` records.
     """
     hists = [Events.of(h)[-cfg.L:] for h in histories]
     n_real = np.array([len(h) for h in hists], dtype=np.int64)
-    pad_mask = np.arange(cfg.L) < (cfg.L - n_real)[:, None]
+    Lp = cfg.L_padded
+    pad_mask = np.arange(Lp) < (Lp - n_real)[:, None]
     if not n_real.any():
         return T.zeros((pad_mask.size, cfg.d)), pad_mask, n_real
     x = _event_features(
@@ -588,7 +591,7 @@ def encode_events(histories, reference_times, tables: EmbeddingTables,
                         for h, t in zip(hists, reference_times)]))
     recency = np.concatenate([np.arange(n - 1, -1, -1) for n in n_real])  # 0 = newest
     x = T.add(x, T.gather_rows(tables.abs_pos_table, recency))
-    return T.left_pad_rows(_seq_mlp(tables, x), n_real, cfg.L), pad_mask, n_real
+    return T.left_pad_rows(_seq_mlp(tables, x), n_real, Lp), pad_mask, n_real
 
 
 def target_global_token(candidates, tables: EmbeddingTables,

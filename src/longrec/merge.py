@@ -5,41 +5,27 @@ parameters, bijective). ``inner`` first runs one or more small width-d
 transformer blocks with full bidirectional attention inside each group,
 then concatenates; parameters are shared across groups and no positional
 information is injected here (positions are applied upstream), so the
-per-group blocks are permutation-equivariant.
+per-group blocks are permutation-equivariant. Each inner block is the
+model's one ``attention_block``, run on the groups as independent samples.
 
 The merged token standing for group i inherits the chronological position
 of its last (most recent) constituent: a query may see a merged token only
-when it may see every constituent. Groups made entirely of padding are
-zeroed after the inner blocks so pad rows stay inert downstream; groups
-mixing pad and real tokens rely on pad rows entering as zero vectors.
+when it may see every constituent. A group made entirely of padding is a
+pad row downstream, which the boolean visibility hides whatever its value;
+groups mixing pad and real tokens rely on pad rows entering as zero vectors.
 
-A batch of samples merges as one stack of rows: each sample's rows are
-padded to a multiple of K, so no group spans two samples.
+A batch of samples merges as one stack of rows: each sample's row count is
+a multiple of K, so no group spans two samples.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensors as T
+from .attention import attention_block
 from .errors import ConfigError
 from .tensors import Tensor
-
-
-def pad_to_group_multiple(h: Tensor, K: int, pad_mask: np.ndarray):
-    """Left-pad each sample's rows (and its pad mask) so their count divides
-    K. ``h`` stacks the (rows, d) blocks of the samples whose pad masks are
-    the rows of ``pad_mask`` (B, rows), or is one sample's with a 1-D mask."""
-    L = pad_mask.shape[-1]
-    extra = (-L) % K
-    if extra == 0:
-        return h, pad_mask
-    lead, d = pad_mask.shape[:-1], h.shape[-1]
-    padded = T.concat_rows([T.zeros(lead + (extra, d)), T.reshape(h, lead + (L, d))])
-    return (T.reshape(padded, (-1, d)),
-            np.concatenate([np.ones(lead + (extra,), dtype=bool), pad_mask], axis=-1))
 
 
 def merged_positions(L_padded: int, K: int) -> np.ndarray:
@@ -60,37 +46,19 @@ def merge_concat(h: Tensor, K: int) -> Tensor:
     return T.reshape(h, (L // K, K * d))
 
 
-def merge_inner_trans(h: Tensor, K: int, params: list,
-                      pad_mask: np.ndarray | None = None) -> Tensor:
+def merge_inner_trans(h: Tensor, K: int, params: list) -> Tensor:
     """Run the shared per-group transformer blocks, then concatenate.
 
-    ``params`` holds one width-d BlockParams per inner layer. Attention is
-    full (non-causal) inside each K-row group, single head at width d with
-    1/sqrt(d) scaling, realized as batched per-group products over a
-    (L/K, K, d) view so no cross-group work is spent. All-pad groups are
-    zeroed afterwards.
+    ``params`` holds one width-d BlockParams per inner layer. Each layer is a
+    one-head ``attention_block`` over the (L/K, K, d) group view: the groups
+    run as independent samples with full (non-causal) visibility inside
+    each, so no cross-group work is spent.
     """
     L, d = h.shape
     if K < 1 or L % K:
         raise ConfigError(f"K={K} does not divide padded length {L}")
-    groups = (L // K, K, d)
     visible = np.ones((L // K, K, K), dtype=bool)
-    scale = 1.0 / math.sqrt(d)
-    x = h
+    x = T.reshape(h, (L // K, K, d))
     for blk in params:
-        xn = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
-        q = T.reshape(T.linear(xn, blk.w_q, blk.b_q), groups)
-        k = T.reshape(T.linear(xn, blk.w_k, blk.b_k), groups)
-        v = T.reshape(T.linear(xn, blk.w_v, blk.b_v), groups)
-        probs = T.masked_softmax(T.matmul(T.mul(q, scale), k, transpose_b=True),
-                                 visible)
-        ctx = T.reshape(T.matmul(probs, v), (L, d))
-        x = T.add(x, T.linear(ctx, blk.w_o, blk.b_o))
-        x = T.add(x, T.ffn(T.layer_norm(x, blk.ln2_g, blk.ln2_b),
-                           blk.w1, blk.b1, blk.w2, blk.b2))
-    if pad_mask is not None:
-        dead = merged_pad_flags(pad_mask, K)
-        if dead.any():
-            keep = np.repeat(~dead, K).astype(np.float64).reshape(L, 1)
-            x = T.mul(x, keep)
+        x = attention_block(x, x, visible, blk)[0]
     return T.reshape(x, (L // K, K * d))

@@ -43,7 +43,7 @@ from .inputs import (EmbeddingTables, Sample, _lookup, checked_int64s,
                      encode_events, nontarget_global_tokens, target_global_token,
                      time_buckets, time_deltas, user_side_features)
 from .merge import (merge_concat, merge_inner_trans, merged_pad_flags,
-                    merged_positions, pad_to_group_multiple)
+                    merged_positions)
 from .tensors import Tensor
 from . import analysis
 
@@ -322,20 +322,12 @@ class LongRecModel:
 
     # ------------------------- forward -------------------------
 
-    def _merge(self, seq: Tensor, seq_pad_mask: np.ndarray):
-        """Merge the (B*L, d) sequence rows of B samples, whose pad masks are
-        the rows of ``seq_pad_mask``: returns the (B*G, D) merged rows, the G
-        grid positions and the (B, G) all-pad group flags."""
-        cfg = self.cfg
-        h_padded, pad_mask = pad_to_group_multiple(seq, cfg.K, seq_pad_mask)
-        pad_rows = pad_mask.reshape(-1)
-        if cfg.merge_mode == "inner":
-            merged = merge_inner_trans(h_padded, cfg.K, self.inner_blocks, pad_rows)
-        else:
-            merged = merge_concat(h_padded, cfg.K)
-        grid_positions = merged_positions(cfg.L_padded, cfg.K)
-        pad_groups = merged_pad_flags(pad_rows, cfg.K).reshape(len(pad_mask), -1)
-        return merged, grid_positions, pad_groups
+    def _merge(self, seq: Tensor) -> Tensor:
+        """Merge the (B*L_padded, d) token grid of B samples into their
+        (B*G, D) merged rows."""
+        if self.cfg.merge_mode == "inner":
+            return merge_inner_trans(seq, self.cfg.K, self.inner_blocks)
+        return merge_concat(seq, self.cfg.K)
 
     def user_rows(self, histories, users, times) -> UserRows:
         """Encode, merge and select queries for B users, user b with history
@@ -345,8 +337,9 @@ class LongRecModel:
         cfg = self.cfg
         lead = _batch_axis(len(histories))
         seq, pad_mask, _ = encode_events(histories, times, self.tables, cfg)
-        merged, grid_positions, pad_groups = self._merge(seq, pad_mask)
-        pad_groups = pad_groups.reshape(lead + (-1,))
+        merged = self._merge(seq)
+        grid_positions = merged_positions(cfg.L_padded, cfg.K)
+        pad_groups = merged_pad_flags(pad_mask, cfg.K).reshape(lead + (-1,))
         sel = select_queries(merged, cfg.query_strategy, cfg.k, self.query_bank,
                              pad_groups, grid_positions)
         qpos, qglob, qrank, qpad = _row_layout(sel.positions, sel.is_pad, cfg.m)

@@ -292,7 +292,11 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` over the last axis of x (..., p), for w (p, q) and bias
     b (q,), as one op; every leading axis of x counts as rows. Adds
-    rows*p*q MACs to the counter, as ``matmul`` would on the (rows, p) view."""
+    rows*p*q MACs to the counter, as ``matmul`` would on the (rows, p) view.
+
+    An x with more than two axes runs as one product on its (rows, p) view,
+    forward and for x's gradient, so its result equals the 2-D call's
+    bitwise (NumPy would loop a 3-D @ 2-D product over the leading axis)."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] \
@@ -300,14 +304,17 @@ def linear(x, w, b) -> Tensor:
         raise DimensionError(f"linear needs x (..., p), w (p, q) and b (q,), "
                              f"got {x.shape}, {w.shape} and {b.shape}")
     counter.add(xd.size * wd.shape[1])
-    o = xd @ wd
+    o = xd @ wd if xd.ndim == 2 else \
+        (xd.reshape(-1, wd.shape[0]) @ wd).reshape(xd.shape[:-1] + (wd.shape[1],))
     o += b.data
     out = Tensor(o)
     if _track(x, w, b):
         def bw(g):
-            if x.requires_grad:
-                x._accumulate(g @ wd.T, owned=True)
             g2 = g.reshape(-1, wd.shape[1])
+            if x.requires_grad:
+                gx = g2 @ wd.T
+                x._accumulate(gx if xd.ndim == 2 else gx.reshape(xd.shape),
+                              owned=True)
             if w.requires_grad:
                 w._accumulate(xd.reshape(-1, wd.shape[0]).T @ g2, owned=True)
             if b.requires_grad:

@@ -9,9 +9,14 @@ from conftest import fd_check
 from longrec import analysis
 from longrec import tensors as T
 from longrec.attention import BlockParams
+from longrec.config import ModelConfig
 from longrec.errors import ConfigError
+from longrec.inputs import (Candidate, EmbeddingTables, Event, Sample, UserFeatures,
+                            encode_events)
 from longrec.merge import (merge_concat, merge_inner_trans, merged_pad_flags,
-                           merged_positions, pad_to_group_multiple)
+                           merged_positions)
+from longrec.model import LongRecModel, batch_backward
+from longrec.serving import build_cache, score_with_cache
 from longrec.tensors import Tensor
 
 
@@ -44,13 +49,22 @@ def test_merge_concat_rejects_indivisible():
         merge_concat(Tensor(np.zeros((5, 2))), 2)
 
 
-def test_pad_to_group_multiple():
-    h = Tensor(np.ones((5, 2)))
-    mask = np.array([True, False, False, False, False])
-    padded, pmask = pad_to_group_multiple(h, 4, mask)
-    assert padded.shape == (8, 2)
-    np.testing.assert_array_equal(padded.data[:3], 0.0)
-    assert pmask.tolist() == [True, True, True, True, False, False, False, False]
+def test_encode_events_pads_to_group_multiple():
+    """At L % K != 0 the grid is L rounded up to a multiple of K: each
+    sample's rows split into whole groups, the extra rows leading as pads."""
+    cfg = ModelConfig(L=15, d=2, K=2, m=3, k=3, d_item=3, d_act=2, d_time=2,
+                      n_time_buckets=8, vocab=12, n_actions=3, n_users=6,
+                      n_profiles=4)
+    tables = EmbeddingTables.create(cfg, np.random.default_rng(0))
+    events = [Event(i % 12, i % 3, 100 + i) for i in range(15)]
+    seq, pad_mask, n_real = encode_events([events, events[:3]], [200, 200],
+                                          tables, cfg)
+    assert cfg.L_padded == 16 and seq.shape == (32, 2)
+    assert pad_mask.shape == (2, 16) and n_real.tolist() == [15, 3]
+    assert pad_mask[0].tolist() == [True] + [False] * 15
+    assert pad_mask[1].tolist() == [True] * 13 + [False] * 3
+    np.testing.assert_array_equal(seq.data[pad_mask.reshape(-1)], 0.0)
+    assert (np.abs(seq.data[~pad_mask.reshape(-1)]).max(axis=1) > 0).all()
 
 
 def test_merged_positions_and_pad_flags():
@@ -170,16 +184,50 @@ def test_inner_block_param_count():
     assert blk.param_count() == analysis.params_block(5) == 12 * 25 + 13 * 5
 
 
-def test_all_pad_groups_zeroed():
-    rng = np.random.default_rng(9)
-    K = 2
-    blocks = inner_blocks(3, rng)
-    h = np.zeros((6, 3))
-    h[4:] = rng.normal(size=(2, 3))
-    pad_mask = np.array([True, True, True, True, False, False])
-    merged = merge_inner_trans(Tensor(h), K, blocks, pad_mask).data
-    np.testing.assert_array_equal(merged[:2], 0.0)
-    assert np.abs(merged[2]).max() > 0
+def test_all_pad_group_rows_are_inert():
+    """Whatever the merged rows of all-pad groups hold, the boolean
+    visibility hides them: large noise added there leaves scores, cached
+    scores and parameter gradients bitwise unchanged. Short histories leave
+    most groups all-pad and make some of the k queries pad rows."""
+    cfg = ModelConfig(L=16, d=3, K=2, m=3, k=4, N=2, merge_mode="inner",
+                      inner_layers=2, d_item=3, d_act=2, d_time=3,
+                      n_time_buckets=8, vocab=30, n_actions=3, n_users=40,
+                      n_profiles=4, head_hidden=6)
+    samples = [Sample([Event((7 * u + i) % 30, i % 3, 1000 + 10 * i)
+                       for i in range(n)], UserFeatures(u, u % 4),
+                      Candidate((5 * u) % 30, 2000), u % 2)
+               for u, n in enumerate([0, 1, 3, 5])]
+    assert all(len(s.events) < cfg.K * cfg.k for s in samples)   # pad queries
+    cands = [Candidate(c, 2000) for c in (1, 9, 17)]
+
+    def outputs(model):
+        scores = [model.score(s) for s in samples]
+        cached = [score_with_cache(model, build_cache(
+            model, s.events, s.user_features, 2000), cands) for s in samples]
+        for _, t in model.params():
+            t.zero_grad()
+        batch_backward(model, samples)
+        return scores, cached, [t.grad for _, t in model.params()]
+
+    model = LongRecModel(cfg, seed=3)
+    want = outputs(model)
+    merge, rng = model._merge, np.random.default_rng(11)
+    noised = []
+
+    def noisy_merge(seq):
+        merged = merge(seq)
+        pad_groups = ~seq.data.reshape(merged.shape).any(axis=1)   # pad rows are 0
+        noised.append(pad_groups.sum())
+        noise = rng.normal(scale=1e3, size=merged.shape) * pad_groups[:, None]
+        return T.add(merged, noise)
+
+    model._merge = noisy_merge
+    got = outputs(model)
+    assert noised[:len(samples)] == [cfg.merged_len - -(-len(s.events) // cfg.K)
+                                     for s in samples]        # model.score's
+    assert got[0] == want[0] and got[1] == want[1]
+    for g, w in zip(got[2], want[2]):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_inner_merge_fd():

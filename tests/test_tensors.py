@@ -148,6 +148,24 @@ def test_linear_counts_like_matmul():
     assert w.mul_adds == 3 * 4 * 5 + 0 + 6 * 1 * 2
 
 
+def test_linear_leading_axes_equal_the_2d_view_bitwise():
+    """A 3-D x runs as the one product of its (rows, p) view: forward and
+    x-gradient are bitwise those of the 2-D call."""
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(100, 1, 32))
+    w, b, g = rng.normal(size=(32, 32)), rng.normal(size=32), rng.normal(size=(100, 32))
+    outs, grads = [], []
+    for shape in ((100, 1, 32), (100, 32)):
+        xt = Tensor(x.reshape(shape), requires_grad=True)
+        with T.tape():
+            y = T.linear(xt, w, b)
+            y.backward(g.reshape(y.shape))
+        outs.append(y.data.reshape(100, 32))
+        grads.append(xt.grad.reshape(100, 32))
+    np.testing.assert_array_equal(outs[0], outs[1])
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
 def test_linear_shape_mismatch():
     for x, w, b in [
             (np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5)),        # inner
