@@ -5,10 +5,12 @@ Every numeric operation the model needs lives here: one matrix product
 affine map ``linear``, elementwise ``add`` (equal shapes) and ``mul``
 (broadcasting), masked softmax, layer normalization, GELU, sigmoid, the
 transformer FFN, the structural ops (concat, slice, gather, left pad,
-reshape, row mean) and the loss ops (``mean_scalars``, ``bce``); attention
-is composed from these. This is deliberately not a general autodiff engine:
-the op set is small, fixed, and auditable, and every backward is validated
-against central finite differences in the test suite.
+reshape, row mean) and the loss ops (``mean_scalars``, and ``bce``, the
+mean loss of a column of probabilities with one label per row, so a batch
+of samples' (B, 1) output is one loss); attention is composed from these.
+This is deliberately not a general autodiff engine: the op set is small,
+fixed, and auditable, and every backward is validated against central
+finite differences in the test suite.
 
 Leading axes: ``linear``, ``layer_norm``, ``concat_cols``, ``slice_cols`` and
 the elementwise ops act on the last axis and ``concat_rows`` on the rows
@@ -162,9 +164,9 @@ class Tensor:
     """A dense float64 array with an optional gradient buffer.
 
     ``data`` is row-major (C order). ``grad`` is set on first accumulation
-    to the incoming gradient: the buffer itself when the backward closure
-    just made it for this tensor alone, else a copy. An op output recorded
-    on a tape carries the backward closure of the op that produced it.
+    to the incoming gradient: the buffer itself when no other tensor holds
+    it, else a copy. An op output recorded on a tape carries the backward
+    closure of the op that produced it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_bw")
@@ -188,10 +190,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{req})"
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` into ``grad``. ``owned`` hands over a buffer the caller
-        just made and holds nowhere else, so a first gradient takes it
-        as is; any other ``g`` (a view, or one array passed to two inputs)
-        is copied before it becomes ``grad``."""
+        """Add ``g`` into ``grad``. ``owned`` hands over a buffer no other
+        tensor holds, so a first gradient takes it as is: one the closure
+        just made, or the output's own gradient or a disjoint view of it,
+        which ``backward`` has released before calling the closure. Any
+        other ``g`` (a broadcast, or the second input's share of one array
+        passed to two) is copied before it becomes ``grad``."""
         if self.grad is None:
             self.grad = g if owned else g.copy()
         else:
@@ -332,7 +336,7 @@ def add(a, b) -> Tensor:
     if _track(a, b):
         def bw(g):
             if a.requires_grad:
-                a._accumulate(g)
+                a._accumulate(g, owned=True)
             if b.requires_grad:
                 b._accumulate(g)
         _attach(out, bw)
@@ -517,7 +521,7 @@ def concat_rows(parts) -> Tensor:
             off = 0
             for p, n in zip(parts, sizes):
                 if p.requires_grad:
-                    p._accumulate(g[..., off:off + n, :])
+                    p._accumulate(g[..., off:off + n, :], owned=True)
                 off += n
         _attach(out, bw)
     return out
@@ -533,7 +537,7 @@ def concat_cols(parts) -> Tensor:
             off = 0
             for p, w in zip(parts, widths):
                 if p.requires_grad:
-                    p._accumulate(g[..., off:off + w])
+                    p._accumulate(g[..., off:off + w], owned=True)
                 off += w
         _attach(out, bw)
     return out
@@ -557,8 +561,12 @@ def gather_rows(x, idx) -> Tensor:
     last): an embedding lookup or query selection on a 2-D table, or the
     same rows of every sample of a (B, rows, width) stack.
 
-    Duplicate indices accumulate gradient additively. Out-of-range indices
-    raise; negative indices are rejected rather than wrapped.
+    Duplicate indices accumulate gradient additively. Strictly increasing
+    indices (query selection, the last block's rows, the head's reads) are
+    distinct, so their backward adds into the gradient with one indexed
+    ``+=``, bitwise what the ``np.add.at`` scatter that any other index
+    array takes would give. Out-of-range indices raise; negative indices are
+    rejected rather than wrapped.
     """
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
@@ -571,10 +579,14 @@ def gather_rows(x, idx) -> Tensor:
     key = (slice(None),) * (x.data.ndim - 2) + (idx,)
     out = Tensor(x.data[key])
     if _track(x):
+        distinct = bool((idx[1:] > idx[:-1]).all())
         def bw(g):
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, key, g)
+            if distinct:
+                x.grad[key] += g
+            else:
+                np.add.at(x.grad, key, g)
         _attach(out, bw)
     return out
 
@@ -588,7 +600,7 @@ def reshape(x, shape) -> Tensor:
     out = Tensor(data)
     if _track(x):
         def bw(g):
-            x._accumulate(g.reshape(x.shape))
+            x._accumulate(g.reshape(x.shape), owned=True)
         _attach(out, bw)
     return out
 
@@ -647,24 +659,31 @@ def mean_scalars(parts) -> Tensor:
     return out
 
 
-def bce(p, y: float) -> Tensor:
-    """Binary cross-entropy of one probability against a 0/1 label.
+def bce(p, y) -> Tensor:
+    """Mean binary cross-entropy of a column of probabilities, one 0/1 label
+    per row (``y`` a sequence, or one float for a single probability).
 
-    The probability is clamped to [1e-12, 1 - 1e-12] before the logs; the
-    clamp's gradient is zero outside the open interval.
+    Each probability is clamped to [1e-12, 1 - 1e-12] before the logs; the
+    clamp's gradient is zero outside the open interval. A row's loss and
+    gradient are those of the row alone, divided by the number of rows, so
+    a single probability's loss is its own.
     """
     p = as_tensor(p)
-    if p.data.size != 1:
-        raise DimensionError("bce expects a single probability")
-    y = float(y)
-    pc = float(np.clip(p.data.reshape(-1)[0], _PROB_EPS, 1.0 - _PROB_EPS))
-    out = Tensor(np.asarray(-(y * math.log(pc) + (1.0 - y) * math.log(1.0 - pc))))
+    ys = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    n = ys.size
+    if ys.ndim != 1 or n == 0 or p.data.size != n:
+        raise DimensionError(f"bce expects one probability per label, got "
+                             f"{p.shape} for {n} labels")
+    raw = p.data.reshape(-1)
+    pc = np.clip(raw, _PROB_EPS, 1.0 - _PROB_EPS)
+    rows = [-(yi * math.log(pi) + (1.0 - yi) * math.log(1.0 - pi))
+            for yi, pi in zip(ys.tolist(), pc.tolist())]
+    out = Tensor(np.asarray(sum(rows) / n))
     if _track(p):
-        raw = float(p.data.reshape(-1)[0])
-        in_range = _PROB_EPS < raw < 1.0 - _PROB_EPS
+        in_range = (raw > _PROB_EPS) & (raw < 1.0 - _PROB_EPS)
         def bw(g):
-            if in_range:
-                d = (pc - y) / (pc * (1.0 - pc))
-                p._accumulate(np.full(p.shape, float(g) * d), owned=True)
+            if in_range.any():
+                d = np.where(in_range, (pc - ys) / (pc * (1.0 - pc)), 0.0)
+                p._accumulate((float(g) / n * d).reshape(p.shape), owned=True)
         _attach(out, bw)
     return out

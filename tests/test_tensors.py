@@ -346,6 +346,21 @@ def test_handed_over_gradients_are_separate_buffers():
     np.testing.assert_allclose(x.grad, g2 @ x.data + g2.T @ x.data, rtol=1e-13)
 
 
+def test_one_tensor_twice_in_a_concat_gets_both_parts():
+    """Concats and reshape hand on views of the output gradient uncopied: a
+    tensor that is two parts of one concat gets the sum of both views."""
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    g = rng.normal(size=(2, 6))
+    with T.tape():
+        T.concat_cols([x, x]).backward(g)
+    np.testing.assert_array_equal(x.grad, g[:, :3] + g[:, 3:])
+    x.zero_grad()
+    with T.tape():
+        T.reshape(T.concat_rows([x, x]), (2, 2, 3)).backward(g.reshape(2, 2, 3))
+    np.testing.assert_array_equal(x.grad, g.reshape(4, 3)[:2] + g.reshape(4, 3)[2:])
+
+
 def test_diamond_graph_fd():
     """One tensor feeds several consumers that meet again downstream: the
     reverse walk must finish its gradient before passing it on."""
@@ -598,6 +613,41 @@ def test_structural_ops_fd():
     fd_check(loss, [("table", table), ("x", x)])
 
 
+def test_gather_distinct_rows_backward_equals_scatter_bitwise():
+    """Strictly increasing rows add into the gradient with one indexed
+    ``+=``; the same rows in another order take the ``np.add.at`` scatter.
+    Both give the same bits, into a fresh gradient and into one that
+    already holds values."""
+    rng = np.random.default_rng(26)
+    for shape in [(7, 4), (3, 7, 4)]:
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        g = rng.normal(size=shape[:-2] + (3, 4))
+        held = rng.normal(size=shape)
+        for start in (None, held):
+            got = []
+            for idx, gi in (([1, 4, 6], g), ([6, 4, 1], g[..., ::-1, :])):
+                x.grad = None if start is None else start.copy()
+                with T.tape():
+                    T.gather_rows(x, idx).backward(gi)
+                got.append(x.grad.tobytes())
+            want = np.zeros(shape) if start is None else start.copy()
+            np.add.at(want, (slice(None),) * (len(shape) - 2) + ([1, 4, 6],), g)
+            assert got == [want.tobytes()] * 2
+
+
+def test_gather_distinct_rows_fd():
+    rng = np.random.default_rng(27)
+    stack = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+    table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+
+    def loss():
+        picked = T.concat_rows([T.gather_rows(stack, [0, 2, 4]),
+                                T.reshape(T.gather_rows(table, [1, 2, 3, 5]), (2, 2, 3))])
+        return _weighted_sum_loss(picked, 28)
+
+    fd_check(loss, [("stack", stack), ("table", table)])
+
+
 def test_gather_rejects_out_of_range():
     t = Tensor(np.zeros((3, 2)))
     with pytest.raises(IndexError):
@@ -638,6 +688,32 @@ def test_bce_grad_wrt_logit_is_p_minus_y():
         up = float(T.bce(T.sigmoid(Tensor(np.array([[z0 + h]]))), y).data)
         dn = float(T.bce(T.sigmoid(Tensor(np.array([[z0 - h]]))), y).data)
         assert abs((up - dn) / (2 * h) - grad) <= 1e-6
+
+
+def test_bce_column_is_the_mean_of_its_rows():
+    """A column of probabilities with one label per row gives the mean of
+    the rows' losses; each row's gradient is its lone gradient over the
+    number of rows, and a clamped row gets none."""
+    probs, labels = [0.3, 0.8, 1.0], [1.0, 0.0, 1.0]
+    col = Tensor(np.array(probs).reshape(3, 1), requires_grad=True)
+    with T.tape():
+        loss = T.bce(col, labels)
+        loss.backward()
+    lone_losses, lone_grads = [], []
+    for p, y in zip(probs, labels):
+        t = Tensor(np.array([[p]]), requires_grad=True)
+        with T.tape():
+            lone = T.bce(t, y)
+            lone.backward()
+        lone_losses.append(float(lone.data))
+        lone_grads.append(0.0 if t.grad is None else float(t.grad.item()))
+    assert float(loss.data) == sum(lone_losses) / 3
+    assert lone_grads[2] == 0.0 and col.grad[2, 0] == 0.0
+    np.testing.assert_allclose(col.grad[:, 0], np.array(lone_grads) / 3, rtol=1e-15)
+    with pytest.raises(DimensionError):
+        T.bce(col, [1.0, 0.0])
+    with pytest.raises(DimensionError):
+        T.bce(col, [])
 
 
 def test_counter_monotone_and_finite_outputs():
