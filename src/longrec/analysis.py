@@ -50,6 +50,8 @@ def flops_inner(L: int, d: int, K: int, inner_layers: int = 1) -> int:
     """
     if L % K:
         raise ConfigError(f"K={K} does not divide L={L}")
+    if inner_layers < 1:
+        raise ConfigError("inner_layers must be >= 1")
     return inner_layers * (L // K) * (24 * K * d * d + 4 * K * K * d)
 
 
@@ -302,6 +304,8 @@ def fit_power_law(xs, ys) -> FitResult:
     y = np.asarray(ys, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
         raise ConfigError("xs and ys must be equal-length vectors")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigError("xs and ys must be finite")
     if x.size < 4:
         raise ConfigError("need at least 4 points to fit a 3-parameter curve")
     if np.any(x <= 0):

@@ -1,20 +1,18 @@
 """Boolean visibility and the one attention block.
 
-Token ordering everywhere is sequence rows first, global rows last. The
-visibility rule:
+Token ordering everywhere is sequence rows first, global rows last. Every
+row has one integer order: a sequence row's is its chronological position,
+global rank r's is L_padded + r, above every position. The visibility rule:
+a query sees every non-pad key whose order is at most its own.
 
-  (a) a sequence query at chronological position p sees sequence keys at
-      positions <= p and no global keys;
-  (b) a global query sees every non-pad sequence key plus the global keys
-      whose rank is <= its own rank;
-  (c) pad rows are never visible as keys, and pad query rows see nothing.
-
-Rule (a) keeps temporal causality; rule (b) gives the last-ranked global
-(the candidate target) a full receptive field while making every other row
-independent of it — the exact property that lets the serving module cache
-all candidate-independent rows. Visibility is a boolean array that the
-softmax uses to select logits, never added to them, so a hidden logit can
-never perturb visible probabilities.
+So sequence rows keep temporal causality and never see a global; the
+last-ranked global (the candidate target), alone at the top of the order,
+sees every non-pad key while no other row sees it, the exact property that
+lets the serving module cache all candidate-independent rows. Padding is on
+the left, so a pad query row sees only pad keys, that is nothing.
+Visibility is a boolean array that the softmax uses to select logits,
+never added to them, so a hidden logit can never perturb visible
+probabilities.
 
 The same block serves the inner merge's per-group layers (width d, each
 group of K rows one sample with all-True visibility), the cross layer
@@ -37,53 +35,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensors as T
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .tensors import Tensor
 
 
-def build_mask(query_positions, key_positions, is_global_query, is_global_key,
-               global_rank_query=None, global_rank_key=None,
-               is_pad_query=None, is_pad_key=None) -> np.ndarray:
-    """The boolean (query, key) visibility for one query set and key set.
+def build_mask(query_order, key_order, is_pad_key=None) -> np.ndarray:
+    """The boolean (query, key) visibility: key j is visible to query i when
+    it is not a pad and ``key_order[j] <= query_order[i]``.
 
-    ``*_positions`` carry chronological indices for sequence rows and are
-    ignored for global rows, which use ``global_rank_*`` instead. Pad flags
-    default to all-False. Each argument lists its rows along its last axis;
-    arguments with a leading batch axis (B, rows) give a (B, query, key)
-    visibility, one per sample, the others being shared by every sample.
+    Each argument lists its rows along its last axis; arguments with a
+    leading batch axis (B, rows) give a (B, query, key) visibility, one per
+    sample, the others being shared by every sample. Pad flags default to
+    all-False.
     """
-    qp = np.asarray(query_positions, dtype=np.int64)
-    kp = np.asarray(key_positions, dtype=np.int64)
-    gq = np.asarray(is_global_query, dtype=bool)
-    gk = np.asarray(is_global_key, dtype=bool)
-    nq, nk = qp.shape[-1], kp.shape[-1]
-    rq = np.zeros(nq, dtype=np.int64) if global_rank_query is None \
-        else np.asarray(global_rank_query, dtype=np.int64)
-    rk = np.zeros(nk, dtype=np.int64) if global_rank_key is None \
-        else np.asarray(global_rank_key, dtype=np.int64)
-    pq = np.zeros(nq, dtype=bool) if is_pad_query is None \
-        else np.asarray(is_pad_query, dtype=bool)
-    pk = np.zeros(nk, dtype=bool) if is_pad_key is None \
-        else np.asarray(is_pad_key, dtype=bool)
-    if not (nq == gq.shape[-1] == rq.shape[-1] == pq.shape[-1]):
-        raise DimensionError("query metadata arrays differ in length")
-    if not (nk == gk.shape[-1] == rk.shape[-1] == pk.shape[-1]):
-        raise DimensionError("key metadata arrays differ in length")
-
-    # Query metadata runs down the rows ([..., :, None]), key metadata across
-    # the columns ([..., None, :]). A sequence key is visible to a global
-    # query or to a later sequence query; a global key to a global query of
-    # no lower rank.
-    gq_rows = gq[..., :, None]
-    vis = np.where(gk[..., None, :],
-                   gq_rows & (rk[..., None, :] <= rq[..., :, None]),
-                   gq_rows | (kp[..., None, :] <= qp[..., :, None]))
-    vis = vis & ~pk[..., None, :] & ~pq[..., :, None]
-
-    bad = gq & ~pq & ~vis.any(axis=-1)
-    if bad.any():
-        raise ConfigError("a global query row has no visible key")
-    return vis
+    qo = np.asarray(query_order, dtype=np.int64)
+    ko = np.asarray(key_order, dtype=np.int64)
+    vis = ko[..., None, :] <= qo[..., :, None]
+    if is_pad_key is None:
+        return vis
+    pk = np.asarray(is_pad_key, dtype=bool)
+    if pk.shape[-1] != ko.shape[-1]:
+        raise DimensionError("key order and pad flags differ in length")
+    return vis & ~pk[..., None, :]
 
 
 @dataclass

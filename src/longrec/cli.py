@@ -87,16 +87,16 @@ def _model_config(args) -> ModelConfig:
     payload = _load_json(args.config) if args.config else {}
     cfg = ModelConfig.from_dict(payload)
     updates = {}
-    if getattr(args, "seq_len", None):
+    if getattr(args, "seq_len", None) is not None:
         updates["L"] = args.seq_len
-    if getattr(args, "k", None):
+    if getattr(args, "k", None) is not None:
         updates["k"] = args.k
-    if getattr(args, "query_strategy", None):
+    if getattr(args, "query_strategy", None) is not None:
         strategy, count = _parse_strategy(args.query_strategy)
         updates["query_strategy"] = strategy
         if count is not None:
             updates["k"] = count
-    if getattr(args, "lr", None):
+    if getattr(args, "lr", None) is not None:
         updates["lr"] = args.lr
     if updates:
         merged = cfg.to_dict()

@@ -92,6 +92,8 @@ class ModelConfig:
             raise ConfigError(f"width D={self.D} not divisible by heads={self.heads}")
         if self.inner_layers < 1:
             raise ConfigError("inner_layers must be >= 1")
+        if not 0.0 <= self.lr < float("inf"):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         for name in ("head_hidden", "d_item", "d_act", "d_time", "n_time_buckets",
                      "vocab", "n_actions", "n_users", "n_profiles", "batch_size"):
             if getattr(self, name) < 1:

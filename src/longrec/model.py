@@ -151,10 +151,11 @@ class UserRows:
     and its key rows [merged[b]; globals[b]; target], where ``globals`` are
     the UID and CLS rows (ranks 0..m-2) and the target row is the one piece
     that depends on the candidate. ``visible_cross`` (B, k+m, G+m), for G
-    merged rows, and ``visible_self`` (B, k+m, k+m) cover every row, target
-    last, so the target's visibility is their last row and every other row's
-    is the rest. No row of one user sees a row of another. For one user
-    every field lacks the leading B axis.
+    merged rows, and ``visible_self`` (B, k+m, k+m) are ``build_mask`` over
+    the rows' orders (see ``_row_layout``) and cover every row, target last,
+    so the target's visibility is their last row and every other row's is
+    the rest. No row of one user sees a row of another. For one user every
+    field lacks the leading B axis.
     """
 
     queries: Tensor              # (B, k, D) selected query rows
@@ -171,17 +172,16 @@ def _batch_axis(B: int) -> tuple:
     return (B,) if B > 1 else ()
 
 
-def _row_layout(positions: np.ndarray, is_pad: np.ndarray, m: int):
-    """(positions, is_global, rank, is_pad) of sequence rows then m globals,
-    along the last axis of ``positions`` and ``is_pad``."""
-    n = positions.shape[-1]
+def _row_layout(order: np.ndarray, is_pad: np.ndarray, cfg: ModelConfig):
+    """(order, is_pad) of sequence rows then the m globals, along the last
+    axis of ``order`` and ``is_pad``: global rank r has order L_padded + r,
+    above every position, and is never a pad."""
+    def then(a, tail):
+        return np.concatenate([a, np.broadcast_to(tail, a.shape[:-1] + tail.shape)],
+                              axis=-1)
 
-    def then_globals(a):         # position 0 and no padding for the globals
-        return np.concatenate([a, np.zeros(a.shape[:-1] + (m,), a.dtype)], axis=-1)
-
-    return (then_globals(positions), np.arange(n + m) >= n,
-            np.concatenate([np.zeros(n, dtype=np.int64), np.arange(m, dtype=np.int64)]),
-            then_globals(is_pad))
+    return (then(order, cfg.L_padded + np.arange(cfg.m)),
+            then(is_pad, np.zeros(cfg.m, dtype=bool)))
 
 
 # ----------------------------- the model -----------------------------
@@ -342,17 +342,15 @@ class LongRecModel:
         pad_groups = merged_pad_flags(pad_mask, cfg.K).reshape(lead + (-1,))
         sel = select_queries(merged, cfg.query_strategy, cfg.k, self.query_bank,
                              pad_groups, grid_positions)
-        qpos, qglob, qrank, qpad = _row_layout(sel.positions, sel.is_pad, cfg.m)
-        kpos, kglob, krank, kpad = _row_layout(grid_positions, pad_groups, cfg.m)
+        q_order, q_pad = _row_layout(sel.positions, sel.is_pad, cfg)
+        k_order, k_pad = _row_layout(grid_positions, pad_groups, cfg)
         return UserRows(
             queries=T.reshape(sel.tokens, lead + (cfg.k, cfg.D)),
             merged=T.reshape(merged, lead + (cfg.merged_len, cfg.D)),
             globals=T.reshape(nontarget_global_tokens(users, self.tables, cfg),
                               lead + (cfg.m - 1, cfg.D)),
-            visible_cross=build_mask(qpos, kpos, qglob, kglob, qrank, krank,
-                                     qpad, kpad),
-            visible_self=build_mask(qpos, qpos, qglob, qglob, qrank, qrank,
-                                    qpad, qpad),
+            visible_cross=build_mask(q_order, k_order, k_pad),
+            visible_self=build_mask(q_order, q_order, q_pad),
             user_side=user_side_features(users, self.tables))
 
     def _layers(self, x_q: Tensor, x_kv: Tensor, visible_cross: np.ndarray,

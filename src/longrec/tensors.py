@@ -252,16 +252,6 @@ def _attach(out: Tensor, bw) -> None:
     _tape.get().append(out)
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum g down to `shape` (inverse of numpy broadcasting)."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, (gs, ts) in enumerate(zip(g.shape, shape)):
-        if ts == 1 and gs != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 # ----------------------------- arithmetic -----------------------------
 
 
@@ -344,15 +334,19 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise (broadcasting) product; either side may be a constant."""
+    """Elementwise product of two tensors of one shape, or of a tensor and a
+    constant scalar ``b`` that takes no gradient."""
     a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape and (b.shape != () or b.requires_grad):
+        raise DimensionError(f"mul needs equal shapes or a constant scalar, "
+                             f"got {a.shape} and {b.shape}")
     out = Tensor(a.data * b.data)
     if _track(a, b):
         def bw(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
+                a._accumulate(g * b.data, owned=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
+                b._accumulate(g * a.data, owned=True)
         _attach(out, bw)
     return out
 

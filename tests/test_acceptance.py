@@ -230,10 +230,8 @@ def test_criterion_5_mask_and_causality():
     rng = np.random.default_rng(40)
     k, m, D = 3, 3, 4
     blk = BlockParams.create(D, rng)
-    meta = (np.concatenate([np.arange(k), np.zeros(m, dtype=int)]),
-            [False] * k + [True] * m,
-            np.concatenate([np.zeros(k, dtype=int), np.arange(m)]))
-    mask = build_mask(meta[0], meta[0], meta[1], meta[1], meta[2], meta[2])
+    order = np.arange(k + m)             # k sequence rows, then m globals
+    mask = build_mask(order, order)
     x = rng.normal(size=(k + m, D))
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 10
@@ -250,7 +248,7 @@ def test_criterion_5_mask_and_causality():
     cb = self_block(Tensor(y2), causal, blk).data
     prefix_inv = (ca[:3] == cb[:3]).all()
 
-    full = build_mask(np.arange(n), np.arange(n), [False] * n, [False] * n)
+    full = build_mask(np.arange(n), np.arange(n))
     cx = attention_block(Tensor(y), Tensor(y), full, blk)[0].data
     sx = self_block(Tensor(y), full, blk).data
     reduction = np.abs(cx - sx).max()

@@ -55,6 +55,9 @@ def test_ratio_formula_exact_rationals(dk, d, q):
 def test_inner_flops_formula():
     # L/K groups x (24Kd^2 + 4K^2 d) per inner layer
     assert analysis.flops_inner(16, 3, 4, 2) == 2 * 4 * (24 * 4 * 9 + 4 * 16 * 3)
+    for layers in (0, -2):
+        with pytest.raises(ConfigError):
+            analysis.flops_inner(16, 3, 4, layers)
 
 
 def test_block_counter_matches_formula():
@@ -244,6 +247,11 @@ def test_fit_preconditions():
         analysis.fit_power_law([0.0, 1, 2, 3], [1, 2, 3, 4])
     with pytest.raises(ConfigError):
         analysis.fit_power_law([1, 1, 2, 3], [1, 2, 3, 4])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            analysis.fit_power_law([1, 2, 3, 4], [1, 2, 3, bad])
+        with pytest.raises(ConfigError):
+            analysis.fit_power_law([1, 2, 3, bad], [1, 2, 3, 4])
 
 
 def test_cost_report_dict_roundtrip():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import fd_check
+from test_model import sample_for
 from longrec import analysis
 from longrec import tensors as T
 from longrec.attention import (BlockParams, _multi_head_attention,
                                attention_block, build_mask)
-from longrec.errors import ConfigError, DimensionError
+from longrec.errors import DimensionError
+from longrec.model import LongRecModel
 from longrec.tensors import Tensor
 
 
@@ -25,23 +27,18 @@ def block(x_q, visible, params, heads=1, x_kv=None):
 
 def test_mask_reduces_to_lower_triangular():
     L = 5
-    mask = build_mask(np.arange(L), np.arange(L), [False] * L, [False] * L)
+    mask = build_mask(np.arange(L), np.arange(L))
     expected = np.tril(np.ones((L, L))) > 0
     np.testing.assert_array_equal(mask, expected)
 
 
 def mask_for_layout(n_seq_q, n_seq_k, m, pad_k=None):
-    qpos = np.arange(n_seq_q)
-    kpos = np.arange(n_seq_k)
-    qmeta = (np.concatenate([qpos, np.zeros(m, dtype=int)]),
-             [False] * n_seq_q + [True] * m,
-             np.concatenate([np.zeros(n_seq_q, dtype=int), np.arange(m)]))
-    kmeta = (np.concatenate([kpos, np.zeros(m, dtype=int)]),
-             [False] * n_seq_k + [True] * m,
-             np.concatenate([np.zeros(n_seq_k, dtype=int), np.arange(m)]))
-    pads = None if pad_k is None else np.array(pad_k)
-    return build_mask(qmeta[0], kmeta[0], qmeta[1], kmeta[1], qmeta[2], kmeta[2],
-                      None, pads)
+    """Sequence rows at positions 0, 1, ..., then m globals whose orders
+    (rank r at top + r) lie above every position."""
+    top = max(n_seq_q, n_seq_k)
+    return build_mask(np.concatenate([np.arange(n_seq_q), top + np.arange(m)]),
+                      np.concatenate([np.arange(n_seq_k), top + np.arange(m)]),
+                      pad_k)
 
 
 def test_target_global_sees_all_nonpad_keys():
@@ -64,17 +61,28 @@ def test_global_rank_ordering():
     np.testing.assert_array_equal(g, np.tril(np.ones((3, 3))) > 0)
 
 
-def test_pad_queries_see_nothing():
-    mask = build_mask([0, 1], [0, 1], [False, False], [False, False],
-                      is_pad_query=[True, False])
-    assert not mask[0].any()
-    assert mask[1, 0]
+def test_pad_keys_hidden():
+    pads = np.array([[True, True, False], [False, False, False]])
+    mask = build_mask([2, 2], [0, 1, 2], pads)
+    assert mask.shape == (2, 2, 3)
+    np.testing.assert_array_equal(mask[0], [[False, False, True]] * 2)
+    assert mask[1].all()
+    with pytest.raises(DimensionError):
+        build_mask([0, 1], [0, 1], [False])
 
 
-def test_global_query_without_keys_raises():
-    with pytest.raises(ConfigError):
-        build_mask([0], [0], [True], [False], [0], [0],
-                   is_pad_key=[True])
+def test_pad_queries_see_nothing(tiny_cfg):
+    """One event fills one of the k merged groups a query may take, so the
+    other k-1 query rows are pads: they see no key in the cross or the self
+    layers, while the real query row sees its own group and itself."""
+    model = LongRecModel(tiny_cfg, seed=0)
+    s = sample_for(tiny_cfg, 1)
+    u = model.user_rows([s.events], [s.user_features], [s.candidate.timestamp])
+    k = tiny_cfg.k
+    assert not u.visible_cross[:k - 1].any()
+    assert not u.visible_self[:k - 1].any()
+    assert u.visible_cross[k - 1, tiny_cfg.merged_len - 1]
+    assert u.visible_self[k - 1, k - 1]
 
 
 # ----------------------------- blocks -----------------------------
@@ -122,13 +130,8 @@ def test_cross_block_matches_per_query_loop_oracle():
     o = rng.normal(size=(k + m, D))
     r = rng.normal(size=(n_keys + m, D))
     blk = make_block(D, 6)
-    mask = build_mask(
-        np.concatenate([np.array([1, 3, 5]), np.zeros(m, dtype=int)]),
-        np.concatenate([np.arange(n_keys), np.zeros(m, dtype=int)]),
-        [False] * k + [True] * m,
-        [False] * n_keys + [True] * m,
-        np.concatenate([np.zeros(k, dtype=int), np.arange(m)]),
-        np.concatenate([np.zeros(n_keys, dtype=int), np.arange(m)]))
+    # Keys at positions 0..5, queries at 1, 3, 5, globals of rank r at 6 + r.
+    mask = build_mask(np.array([1, 3, 5, 6, 7]), np.arange(n_keys + m))
 
     def ln(x, g, b):
         mu = x.mean(axis=-1, keepdims=True)
@@ -227,12 +230,7 @@ def test_sequence_rows_exactly_ignore_target_row():
     k, m, D = 3, 3, 4
     n = k + m
     blk = make_block(D, 14)
-    mask = build_mask(
-        np.concatenate([np.arange(k), np.zeros(m, dtype=int)]),
-        np.concatenate([np.arange(k), np.zeros(m, dtype=int)]),
-        [False] * k + [True] * m, [False] * k + [True] * m,
-        np.concatenate([np.zeros(k, dtype=int), np.arange(m)]),
-        np.concatenate([np.zeros(k, dtype=int), np.arange(m)]))
+    mask = build_mask(np.arange(n), np.arange(n))   # k sequence rows, m globals
     x = rng.normal(size=(n, D))
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 50.0
@@ -326,7 +324,7 @@ def test_rows_match_full_block_rows():
 
 
 def test_build_mask_is_boolean():
-    mask = build_mask([0, 1], [0, 1], [False] * 2, [False] * 2)
+    mask = build_mask([0, 1], [0, 1])
     assert mask.dtype == bool
     assert mask[1, 0] and not mask[0, 1]
 

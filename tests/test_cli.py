@@ -282,12 +282,38 @@ def test_query_strategy_override_recorded(tmp_path, model_cfg_path, dataset_path
     assert manifest["resolved_config"]["k"] == 3
 
 
+@pytest.mark.parametrize("override,field", [("--k=0", "k"), ("--seq-len=0", "L"),
+                                            ("--lr=-0.5", "lr"), ("--lr=nan", "lr"),
+                                            ("--lr=inf", "lr")])
+def test_train_bad_override_exit_2(tmp_path, capsys, model_cfg_path, dataset_path,
+                                   override, field):
+    assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
+                 "--out", str(tmp_path / "o"), "--epochs", "1", override]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+def test_zero_lr_override_recorded(tmp_path, model_cfg_path, dataset_path):
+    out = tmp_path / "t"
+    assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
+                 "--out", str(out), "--epochs", "1", "--lr", "0"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_config"]["lr"] == 0.0
+
+
 def test_cost_json(tmp_path, capsys):
     assert main(["cost", "--seq-len", "2048", "--width", "32", "--merge", "4",
                  "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["flops_vanilla"] == 587202560
     assert payload["flops_merged"] == 335544320
+
+
+def test_cost_nonpositive_inner_layers_exit_2(capsys):
+    for layers in ("0", "-2"):
+        assert main(["cost", "--seq-len", "2048", "--width", "32", "--merge", "4",
+                     "--inner-layers", layers, "--json"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_fit_roundtrip(tmp_path, capsys):
@@ -307,6 +333,14 @@ def test_fit_too_few_points_exit_2(tmp_path):
     csv_path = tmp_path / "points.csv"
     csv_path.write_text("1,2\n2,3\n3,4\n")
     assert main(["fit", "--csv", str(csv_path)]) == 2
+
+
+@pytest.mark.parametrize("row", ["1,nan", "1,inf", "inf,1"])
+def test_fit_non_finite_point_exit_2(tmp_path, capsys, row):
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text(f"2,3\n3,4\n4,5\n5,7\n{row}\n")
+    assert main(["fit", "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_three_points_refuses_fit(tmp_path):

@@ -142,6 +142,55 @@ def test_pad_growth_leaves_forward_unchanged(tiny_cfg, mode):
     assert abs(big_model.score(s) - small_model.score(s)) <= 1e-12
 
 
+def test_user_rows_masks_match_rule_oracle(tiny_cfg):
+    """Each element of every ``user_rows`` mask follows from each row's
+    position, global flag, global rank and pad flag by the hybrid rule:
+      (a) a sequence query at position p sees the sequence keys at
+          positions <= p and no global key;
+      (b) a global query sees every sequence key and the global keys of
+          rank <= its own;
+      (c) pad keys are never visible, and pad queries see nothing.
+    Every global row sees at least one key. All four strategies, both
+    merges, m = 3 and 4, histories of 0-3 and L events, alone and B = 3."""
+    def layout(positions, pads, m):
+        return ([(int(p), False, 0, bool(pad)) for p, pad in zip(positions, pads)]
+                + [(0, True, r, False) for r in range(m)])
+
+    def rule(q, key):
+        (qp, q_global, q_rank, q_pad), (kp, k_global, k_rank, k_pad) = q, key
+        if q_pad or k_pad:
+            return False
+        if k_global:
+            return q_global and k_rank <= q_rank
+        return q_global or kp <= qp
+
+    for strategy in ("recent", "uniform", "learnable", "recent_uniform"):
+        for mode in ("concat", "inner"):
+            for m in (3, 4):
+                cfg = ModelConfig(**{**tiny_cfg.to_dict(), "m": m, "merge_mode": mode,
+                                     "query_strategy": strategy})
+                model = LongRecModel(cfg, seed=0)
+                G, K, k = cfg.merged_len, cfg.K, cfg.k
+                grid = np.arange(G) * K + K - 1
+                samples = [sample_for(cfg, n, seed=n) for n in (0, 1, 2, 3, cfg.L)]
+                for batch in [[s] for s in samples] + [samples[:3], samples[2:]]:
+                    u = model.user_rows([s.events for s in batch],
+                                        [s.user_features for s in batch],
+                                        [s.candidate.timestamp for s in batch])
+                    cross = u.visible_cross.reshape(len(batch), k + m, G + m)
+                    self_ = u.visible_self.reshape(len(batch), k + m, k + m)
+                    for b, s in enumerate(batch):
+                        pads = (np.arange(G) + 1) * K <= cfg.L_padded - len(s.events)
+                        sel = select_queries(toks(G, cfg.D), strategy, k,
+                                             model.query_bank, pads, grid)
+                        queries = layout(sel.positions, sel.is_pad, m)
+                        for mask, keys in ((cross[b], layout(grid, pads, m)),
+                                           (self_[b], queries)):
+                            want = [[rule(q, key) for key in keys] for q in queries]
+                            np.testing.assert_array_equal(mask, want)
+                            assert mask[k:].any(axis=-1).all()
+
+
 def straightline_forward(model, sample):
     """Independent no-abstraction recomputation of the forward pass."""
     cfg = model.cfg
