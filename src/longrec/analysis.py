@@ -26,7 +26,7 @@ def flops_vanilla(L: int, d: int) -> int:
     """Forward FLOPs of one standard transformer layer: 24*L*d^2 + 4*L^2*d."""
     if L < 1 or d < 1:
         raise ConfigError("L and d must be >= 1")
-    return 24 * L * d * d + 4 * L * L * d
+    return 2 * _block_muladds(d, L, L)
 
 
 def flops_merged(L: int, d: int, K: int) -> int:
@@ -39,7 +39,7 @@ def flops_merged(L: int, d: int, K: int) -> int:
         raise ConfigError("K must be >= 1")
     if L % K:
         raise ConfigError(f"K={K} does not divide L={L}")
-    return 24 * L * K * d * d + (4 * L * L * d) // K
+    return flops_vanilla(L // K, K * d)
 
 
 def flops_inner(L: int, d: int, K: int, inner_layers: int = 1) -> int:
@@ -52,7 +52,7 @@ def flops_inner(L: int, d: int, K: int, inner_layers: int = 1) -> int:
         raise ConfigError(f"K={K} does not divide L={L}")
     if inner_layers < 1:
         raise ConfigError("inner_layers must be >= 1")
-    return inner_layers * (L // K) * (24 * K * d * d + 4 * K * K * d)
+    return inner_layers * (L // K) * flops_vanilla(K, d)
 
 
 def reduction_ratio(L: int, d: int, K: int) -> Fraction:
@@ -71,7 +71,7 @@ def params_block(width: int) -> int:
 
 def params_merged_block(d: int, K: int) -> int:
     """Block parameters after merging: 12*K^2*d^2 + 13*K*d (= params_block(K*d))."""
-    return 12 * K * K * d * d + 13 * K * d
+    return params_block(K * d)
 
 
 @dataclass
@@ -161,18 +161,7 @@ def muladds_full_forward(cfg: ModelConfig, n_events: int) -> int:
     and values for all q = k + m rows but computes only the CLS and target
     rows the head reads: 2*q*D^2 + 2*(10*D^2 + 2*q*D).
     """
-    d, D, F = cfg.d, cfg.D, cfg.feat_width
-    q = cfg.k + cfg.m
-    v = cfg.merged_len + cfg.m
-    total = n_events * (F * d + 4 * d * D)            # featurizer + token MLP
-    total += F * d + 2 * d * D + cfg.m * 4 * D * D    # globals: target feat, lifts, MLP
-    if cfg.merge_mode == "inner":
-        Lp = cfg.L_padded
-        total += cfg.inner_layers * (12 * Lp * d * d + 2 * Lp * cfg.K * d)
-    total += _block_muladds(D, v, q)                  # cross layer
-    total += (cfg.N - 1) * _block_muladds(D, q, q) + _block_muladds(D, q, 2)
-    total += _head_muladds(cfg)
-    return total
+    return _stack_muladds(cfg, n_events, targets=1) + _head_muladds(cfg)
 
 
 def muladds_cache_build(cfg: ModelConfig, n_events: int) -> int:
@@ -181,16 +170,24 @@ def muladds_cache_build(cfg: ModelConfig, n_events: int) -> int:
     As the full forward without the target row, whose last self layer
     computes only the CLS row: 2*q*D^2 + (10*D^2 + 2*q*D) for q = k + m - 1.
     """
+    return _stack_muladds(cfg, n_events, targets=0)
+
+
+def _stack_muladds(cfg: ModelConfig, n_events: int, targets: int) -> int:
+    """The candidate-free tokens and ``targets`` (0 or 1) target tokens
+    through every layer; the last self layer computes the CLS row and the
+    target rows."""
     d, D, F = cfg.d, cfg.D, cfg.feat_width
-    q = cfg.k + cfg.m - 1             # everything except the target row
-    v = cfg.merged_len + cfg.m - 1
-    total = n_events * (F * d + 4 * d * D)
-    total += d * D + (cfg.m - 1) * 4 * D * D          # UID lift + global MLP (no target)
+    q = cfg.k + cfg.m - 1 + targets
+    v = cfg.merged_len + cfg.m - 1 + targets
+    total = n_events * (F * d + 4 * d * D)            # featurizer + token MLP
+    total += d * D + (cfg.m - 1) * 4 * D * D          # UID lift + global MLP
+    total += targets * (F * d + d * D + 4 * D * D)    # target featurizer + MLP
     if cfg.merge_mode == "inner":
         Lp = cfg.L_padded
         total += cfg.inner_layers * (12 * Lp * d * d + 2 * Lp * cfg.K * d)
-    total += _block_muladds(D, v, q)
-    total += (cfg.N - 1) * _block_muladds(D, q, q) + _block_muladds(D, q, 1)
+    total += _block_muladds(D, v, q)                  # cross layer
+    total += (cfg.N - 1) * _block_muladds(D, q, q) + _block_muladds(D, q, 1 + targets)
     return total
 
 
@@ -238,16 +235,10 @@ def auc(scores, labels) -> float:
         raise UndefinedMetricError("labels must be 0/1")
     if pos == 0 or neg == 0:
         raise UndefinedMetricError("AUC undefined with a single class")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0   # average 1-based rank
-        i = j + 1
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True,
+                                 equal_nan=False)
+    last = np.cumsum(counts)               # 1-based rank of each group's last
+    ranks = (last - 0.5 * (counts - 1))[group]   # average 1-based rank
     rank_sum_pos = float(ranks[y == 1].sum())
     return (rank_sum_pos - pos * (pos + 1) / 2.0) / (pos * neg)
 
@@ -264,7 +255,8 @@ def logloss(scores, labels, eps: float = 1e-12) -> float:
 
 @dataclass
 class FitResult:
-    """Fit of y = alpha * x^beta + gamma by damped Gauss-Newton."""
+    """Least-squares fit of y = alpha * x^beta + gamma by variable projection.
+    ``converged`` means a finite SSE at the optimum."""
 
     alpha: float
     beta: float
@@ -284,21 +276,21 @@ class FitResult:
         }
 
 
-_BETA_STARTS = (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0)
-_MAX_ITERS = 200
+_BETA_GRID = np.arange(-1000, 1001) / 20.0      # [-50, 50] in steps of 0.05
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_ITERS = 60
 
 
 def fit_power_law(xs, ys) -> FitResult:
-    """Nonlinear least squares for y = alpha * x^beta + gamma.
+    """Least squares for y = alpha * x^beta + gamma by variable projection.
 
-    Damped Gauss-Newton (Levenberg-Marquardt style): solve
-    (J^T J + lam * diag(J^T J)) * step = -J^T r, accept the step when SSE
-    drops (lam /= 3) and reject otherwise (lam *= 10, retry). Multi-start
-    over beta in {-1, -0.5, -0.1, 0.1, 0.5, 1} with gamma seeded at min(ys)
-    for increasing data (max(ys) for decreasing) and alpha from the closed
-    1-D least squares given (beta, gamma). Best start by SSE wins. The fit
-    runs in untransformed space because a nonzero gamma breaks log-log
-    linearity.
+    For a fixed beta the best alpha and gamma are the linear regression of
+    y on x^beta (Golub and Pereyra 1973), so only beta is searched: a grid
+    of step 0.05 on [-50, 50] where x^beta and alpha are finite, then
+    golden-section search between the best grid point's neighbours. The
+    regression runs on x / geometric_mean(x), which keeps its powers near
+    1. The fit runs in untransformed space because a nonzero gamma breaks
+    log-log linearity.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -321,79 +313,38 @@ def fit_power_law(xs, ys) -> FitResult:
                          residuals=np.zeros_like(y), sse=0.0,
                          converged=True, degenerate=True)
 
-    increasing = float(np.corrcoef(x, y)[0, 1]) >= 0.0
-    gamma0 = float(y.min()) if increasing else float(y.max())
+    scale = math.exp(float(np.log(x).mean()))
+    u = x / scale
+    yc = y - mean_y
 
-    best = None
-    for beta0 in _BETA_STARTS:
-        theta0 = np.array([_alpha_ls(x, y, beta0, gamma0), beta0, gamma0])
-        theta, sse, converged = _lm_minimize(x, y, theta0)
-        if best is None or sse < best[1] - 1e-18:
-            best = (theta, sse, converged)
+    def profile(betas):
+        """Per beta, the regression of y on x^beta: alpha, gamma and the SSE
+        (inf where x^beta or alpha is not finite)."""
+        with np.errstate(all="ignore"):
+            ub = u ** betas[:, None]
+            uc = ub - ub.mean(axis=1, keepdims=True)
+            sxx = (uc * uc).sum(axis=1)
+            a = np.where(sxx > 0, (uc @ yc) / sxx, 0.0)
+            r = yc - a[:, None] * uc
+            sse = (r * r).sum(axis=1)
+            alpha = a * scale ** -betas
+            ok = (np.isfinite(x ** betas[:, None]).all(axis=1)
+                  & np.isfinite(alpha) & np.isfinite(sse))
+        return alpha, mean_y - a * ub.mean(axis=1), np.where(ok, sse, np.inf)
 
-    theta, sse, converged = best
-    resid = _residuals(x, y, theta)
-    r2 = 1.0 - sse / sst
-    return FitResult(alpha=float(theta[0]), beta=float(theta[1]),
-                     gamma=float(theta[2]), r_squared=float(r2),
-                     residuals=resid, sse=float(sse), converged=converged)
-
-
-def _alpha_ls(x, y, beta, gamma) -> float:
-    xb = x ** beta
-    denom = float((xb * xb).sum())
-    if denom <= 0:
-        return 0.0
-    return float(((y - gamma) * xb).sum() / denom)
-
-
-def _residuals(x, y, theta):
-    a, b, c = theta
-    with np.errstate(over="ignore", invalid="ignore"):
-        model = a * np.power(x, b) + c
-    return model - y
-
-
-def _lm_minimize(x, y, theta0):
-    theta = theta0.copy()
-    r = _residuals(x, y, theta)
-    if not np.all(np.isfinite(r)):
-        return theta, math.inf, False
-    sse = float(r @ r)
-    lam = 1e-3
-    for _ in range(_MAX_ITERS):
-        a, b, _ = theta
-        with np.errstate(over="ignore", invalid="ignore"):
-            xb = np.power(x, b)
-        J = np.stack([xb, a * xb * np.log(x), np.ones_like(x)], axis=1)
-        if not np.all(np.isfinite(J)):
-            return theta, sse, False
-        jtj = J.T @ J
-        jtr = J.T @ r
-        accepted = False
-        for _ in range(50):
-            damped = jtj + lam * np.diag(np.diag(jtj).clip(min=1e-12))
-            try:
-                step = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = theta + step
-            trial[1] = float(np.clip(trial[1], -50.0, 50.0))
-            r_trial = _residuals(x, y, trial)
-            if np.all(np.isfinite(r_trial)):
-                sse_trial = float(r_trial @ r_trial)
-                if sse_trial <= sse:
-                    improvement = sse - sse_trial
-                    theta, r, sse = trial, r_trial, sse_trial
-                    lam = max(lam / 3.0, 1e-14)
-                    accepted = True
-                    if improvement <= 1e-15 * max(sse, 1.0):
-                        return theta, sse, True
-                    break
-            lam *= 10.0
-        if not accepted:
-            return theta, sse, True   # damping exhausted: local optimum reached
-        if float(np.abs(step).max()) <= 1e-14 * (1.0 + float(np.abs(theta).max())):
-            return theta, sse, True
-    return theta, sse, False
+    grid_sse = profile(_BETA_GRID)[2]
+    i = int(np.argmin(grid_sse))
+    lo, hi = _BETA_GRID[np.clip([i - 1, i + 1], 0, _BETA_GRID.size - 1)]
+    for _ in range(_REFINE_ITERS):
+        c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        sse_c, sse_d = profile(np.array([c, d]))[2]
+        lo, hi = (lo, d) if sse_c < sse_d else (c, hi)
+    betas = np.array([_BETA_GRID[i], 0.5 * (lo + hi)])
+    alphas, gammas, sses = profile(betas)
+    j = int(np.argmin(sses))
+    alpha, beta, gamma = float(alphas[j]), float(betas[j]), float(gammas[j])
+    resid = alpha * x ** beta + gamma - y
+    sse = float(resid @ resid)
+    return FitResult(alpha=alpha, beta=beta, gamma=gamma,
+                     r_squared=1.0 - sse / sst, residuals=resid, sse=sse,
+                     converged=math.isfinite(sse))

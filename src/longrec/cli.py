@@ -5,9 +5,9 @@ cost and fit writes a ``manifest.json`` into its output directory with the
 resolved configuration, seeds, input digests, and timings — enough to
 reproduce the run bit-identically.
 
-Exit codes are a stable contract for CI: 0 success, 2 config/schema error,
-3 numerical abort (non-finite values), 4 cache/checkpoint fingerprint
-mismatch.
+Exit codes are a stable contract for CI: 0 success, 2 config/schema error
+or an unwritable output path, 3 numerical abort (non-finite values), 4
+cache/checkpoint fingerprint mismatch.
 
 Randomness discipline: each run takes one ``--seed``; module-level streams
 are derived as sha256(seed, stream-name), so adding a consumer never shifts
@@ -167,6 +167,7 @@ def cmd_eval(args) -> int:
         if want.to_dict() != model.cfg.to_dict():
             raise StaleCacheError("checkpoint config does not match --config")
     dataset = load_dataset(args.data)
+    os.makedirs(args.out, exist_ok=True)
     _, eval_idx = temporal_split(dataset.samples, args.eval_fraction)
     eval_samples = [dataset.samples[int(i)] for i in eval_idx] or dataset.samples
     rows = [("model",) + _finite_metrics(model, eval_samples)]
@@ -176,7 +177,6 @@ def cmd_eval(args) -> int:
                         eval_fraction=args.eval_fraction)
         train(base, dataset, args.epochs, opt)
         rows.append(("sumpooling",) + _finite_metrics(base, eval_samples))
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "eval.csv")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("model,auc,logloss\n")
@@ -465,7 +465,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError, EmbeddingLookupError, UndefinedMetricError) as exc:
+    except (ConfigError, EmbeddingLookupError, UndefinedMetricError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

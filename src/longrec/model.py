@@ -60,10 +60,6 @@ class SelectedQueries:
     is_pad: np.ndarray
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _chosen(strategy: str, k: int, pad_groups: np.ndarray) -> np.ndarray:
     """The sorted merged-grid indices of one sample's k token queries."""
     nonpad = np.flatnonzero(~pad_groups)
@@ -74,21 +70,18 @@ def _chosen(strategy: str, k: int, pad_groups: np.ndarray) -> np.ndarray:
     if strategy == "recent":
         return nonpad[-k:]
     if strategy == "uniform":
-        return nonpad[_ceil_div(np.arange(1, k + 1) * n_m, k) - 1]
+        return nonpad[_spread(n_m, k)]
     if strategy != "recent_uniform":
         raise ConfigError(f"unknown query strategy {strategy!r}")
-    r = _ceil_div(k, 2)
-    u = k - r
-    picked = set(int(i) for i in nonpad[-r:])
-    prefix = nonpad[:n_m - r]
-    plen = prefix.size
-    for j in range(u):
-        picked.add(int(prefix[_ceil_div((j + 1) * plen, u) - 1]))
-    for idx in reversed(nonpad):          # backfill newest unused first
-        if len(picked) >= k:
-            break
-        picked.add(int(idx))
-    return np.array(sorted(picked), dtype=np.int64)
+    # n_m > k, so the prefix before the ceil(k/2) recent tokens holds more
+    # than floor(k/2): the uniform picks strictly increase and precede them.
+    r = (k + 1) // 2
+    return np.concatenate([nonpad[_spread(n_m - r, k - r)], nonpad[-r:]])
+
+
+def _spread(n: int, k: int) -> np.ndarray:
+    """k indices evenly spread over range(n): ceil((j+1) * n / k) - 1."""
+    return (np.arange(1, k + 1) * n + k - 1) // k - 1
 
 
 def select_queries(h_merged: Tensor, strategy: str, k: int,
@@ -100,10 +93,11 @@ def select_queries(h_merged: Tensor, strategy: str, k: int,
     recent: the last k non-pad tokens. uniform: evenly spaced over the
     non-pad suffix by idx_j = ceil((j+1) * n / k) - 1. learnable: k learned
     vectors with synthetic position equal to the maximum grid position (full
-    sequence visibility). recent_uniform: the most recent ceil(k/2) plus
-    floor(k/2) uniform over the remaining prefix, deduplicated and backfilled
-    from the most recent unused tokens. When fewer than k non-pad tokens
-    exist, all are taken and the remainder are pad queries masked downstream.
+    sequence visibility). recent_uniform: floor(k/2) uniform, by the same
+    formula, over the prefix before the most recent ceil(k/2), then those
+    recent ones; the picks are distinct and in order. When at most k
+    non-pad tokens exist, all are taken and the remainder are pad queries
+    masked downstream.
 
     For B samples, ``h_merged`` stacks their G merged rows each and
     ``pad_groups`` is (B, G); ``indices``, ``positions`` and ``is_pad`` are

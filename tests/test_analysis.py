@@ -262,3 +262,44 @@ def test_cost_report_dict_roundtrip():
     assert math.isclose(payload["reduction_ratio"], 3 / 7)
     assert payload["params_per_block"] == 12_704
     assert payload["params_merged_block"] == 198_272
+
+
+def fit_battery(count=300, seed=14):
+    """Seeded (x, y) sets of 4-9 distinct points with x from 1e-3 to 1e9:
+    noisy increasing and decreasing power laws, and pure noise."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(4, 10))
+        x = np.sort(rng.choice(np.arange(1, 1001), n, replace=False)) \
+            * 10.0 ** int(rng.integers(-3, 7))
+        size = 10.0 ** rng.uniform(-2, 3)
+        if i % 3 == 2:
+            yield x, size * rng.normal(size=n)
+            continue
+        beta = rng.uniform(0.1, 1.5) * (1 if i % 3 == 0 else -1)
+        curve = (x / x[0]) ** beta
+        curve = (curve - curve.min()) / (curve.max() - curve.min())
+        noise = 10.0 ** rng.uniform(-4, -1) * rng.normal(size=n)
+        yield x, size * (curve + noise + rng.uniform(-1, 1))
+
+
+def grid_lstsq_sse(x, y):
+    """The least SSE of y on [x^beta, 1] over beta in [-50, 50] in steps of
+    0.01, skipping betas at which some x^beta overflows. ``np.linalg.pinv``
+    gives the least-squares solution for the whole stack of designs at once,
+    where ``np.linalg.lstsq`` takes one design per call."""
+    with np.errstate(over="ignore", under="ignore"):
+        cols = x ** (np.arange(-5000, 5001) / 100.0)[:, None]
+    cols = cols[np.isfinite(cols).all(axis=1)]
+    design = np.stack([cols, np.ones_like(cols)], axis=2)
+    coef = np.linalg.pinv(design) @ y
+    resid = np.einsum("bij,bj->bi", design, coef) - y
+    return float((resid * resid).sum(axis=1).min())
+
+
+def test_fit_battery_reaches_grid_optimum():
+    for x, y in fit_battery():
+        fit = analysis.fit_power_law(x, y)
+        assert np.isfinite([fit.alpha, fit.beta, fit.gamma, fit.r_squared]).all()
+        best = grid_lstsq_sse(x, y)
+        assert fit.sse <= (1 + 1e-9) * best + 1e-15, (x, y, fit.sse, best)

@@ -117,7 +117,9 @@ def test_train_malformed_dataset_field_exit_2(tmp_path, capsys, model_cfg_path,
 
 @pytest.mark.parametrize("case", [
     "truncated-gz-data", "non-utf8-data", "non-utf8-config", "missing-data",
-    "missing-checkpoint", "missing-requests", "missing-fit-csv", "zero-epochs"])
+    "missing-checkpoint", "missing-requests", "missing-fit-csv", "zero-epochs",
+    "fit-out-is-file", "fit-out-under-file", "cost-out-is-file",
+    "cost-out-under-file", "train-out-is-file", "train-out-under-file"])
 def test_unreadable_input_exit_2(tmp_path, capsys, model_cfg_path, dataset_path,
                                  case):
     missing = str(tmp_path / "missing")
@@ -129,6 +131,13 @@ def test_unreadable_input_exit_2(tmp_path, capsys, model_cfg_path, dataset_path,
     checkpoint = tmp_path / "model.bin"
     LongRecModel(ModelConfig.from_dict(MODEL_CFG)).save(str(checkpoint))
     train = ["train", "--config", model_cfg_path, "--out", out]
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    points = tmp_path / "points.csv"
+    points.write_text("1,1\n2,3\n4,4\n8,7\n")
+    fit = ["fit", "--csv", str(points), "--out"]
+    cost = ["cost", "--seq-len", "64", "--width", "4", "--out"]
+    train_to = ["train", "--config", model_cfg_path, "--data", dataset_path, "--out"]
     argv = {
         "truncated-gz-data": train + ["--data", str(truncated)],
         "non-utf8-data": train + ["--data", str(latin1)],
@@ -141,6 +150,12 @@ def test_unreadable_input_exit_2(tmp_path, capsys, model_cfg_path, dataset_path,
                              dataset_path, "--requests", missing, "--out", out],
         "missing-fit-csv": ["fit", "--csv", missing],
         "zero-epochs": train + ["--data", dataset_path, "--epochs", "0"],
+        "fit-out-is-file": fit + [str(afile)],
+        "fit-out-under-file": fit + [str(afile / "x")],
+        "cost-out-is-file": cost + [str(afile)],
+        "cost-out-under-file": cost + [str(afile / "x")],
+        "train-out-is-file": train_to + [str(afile)],
+        "train-out-under-file": train_to + [str(afile / "x")],
     }[case]
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err

@@ -70,6 +70,38 @@ def test_recent_uniform_backfills_after_dedup():
     np.testing.assert_array_equal(sel.indices, [7, 8, 9])
 
 
+def set_and_backfill(k, pad_groups):
+    """recent_uniform as a set: the ceil(k/2) most recent non-pad tokens,
+    floor(k/2) uniform over the prefix before them, then the newest unused
+    tokens until k are picked."""
+    nonpad = np.flatnonzero(~pad_groups)
+    r = -(-k // 2)
+    u = k - r
+    picked = set(int(i) for i in nonpad[-r:])
+    prefix = nonpad[:nonpad.size - r]
+    for j in range(u):
+        picked.add(int(prefix[-(-(j + 1) * prefix.size // u) - 1]))
+    for idx in reversed(nonpad):
+        if len(picked) >= k:
+            break
+        picked.add(int(idx))
+    return sorted(picked)
+
+
+def test_recent_uniform_matches_set_and_backfill():
+    rng = np.random.default_rng(5)
+    for G in range(1, 65):
+        pads = rng.random((20, G)) < rng.random((20, 1))
+        pads[0] = False
+        pads[1] = np.arange(G) < rng.integers(0, G)      # leading pads
+        h = toks(20 * G, D=1)
+        for k in range(1, G + 1):
+            sel = select_queries(h, "recent_uniform", k, pad_groups=pads)
+            for b in range(20):
+                if (~pads[b]).sum() > k:
+                    assert sel.indices[b].tolist() == set_and_backfill(k, pads[b])
+
+
 def test_invalid_k_raises():
     with pytest.raises(ConfigError):
         select_queries(toks(4), "recent", 0)
