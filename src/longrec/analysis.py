@@ -48,6 +48,8 @@ def flops_inner(L: int, d: int, K: int, inner_layers: int = 1) -> int:
     L/K groups, each a width-d layer over K tokens: (L/K) * (24*K*d^2 + 4*K^2*d)
     per inner layer. Reported separately from the merged-layer headline cost.
     """
+    if K < 1:
+        raise ConfigError("K must be >= 1")
     if L % K:
         raise ConfigError(f"K={K} does not divide L={L}")
     if inner_layers < 1:

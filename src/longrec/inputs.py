@@ -32,6 +32,7 @@ import gzip
 import json
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -556,13 +557,15 @@ def _event_features(tables: EmbeddingTables, cfg: ModelConfig, items, actions, d
 
 
 def _seq_mlp(tables: EmbeddingTables, x: Tensor) -> Tensor:
-    h = T.gelu(T.linear(x, tables.mlp.seq_w1, tables.mlp.seq_b1))
-    return T.linear(h, tables.mlp.seq_w2, tables.mlp.seq_b2)
+    """Per event, d -> 2D -> d: the widest activations of a training tape
+    per sample, so its backward recomputes them from the width-d input."""
+    m = tables.mlp
+    return T.mlp(x, m.seq_w1, m.seq_b1, m.seq_w2, m.seq_b2, keep_hidden=False)
 
 
 def _global_mlp(tables: EmbeddingTables, rows: Tensor) -> Tensor:
-    h = T.gelu(T.linear(rows, tables.mlp.glob_w1, tables.mlp.glob_b1))
-    return T.linear(h, tables.mlp.glob_w2, tables.mlp.glob_b2)
+    m = tables.mlp
+    return T.mlp(rows, m.glob_w1, m.glob_b1, m.glob_w2, m.glob_b2)
 
 
 def encode_events(histories, reference_times, tables: EmbeddingTables,
@@ -577,6 +580,9 @@ def encode_events(histories, reference_times, tables: EmbeddingTables,
     split into whole merge groups. The real events of all histories are
     encoded as one block and then padded into the grid, so pad rows are never
     computed. Each history is an ``Events`` or a sequence of ``Event`` records.
+    On a tape the featurizer (lookups and projection) is a ``T.checkpoint``
+    and the sequence MLP keeps only its input, so backward recomputes both
+    rather than keep the largest per-sample activations of the tape.
     """
     hists = [Events.of(h)[-cfg.L:] for h in histories]
     n_real = np.array([len(h) for h in hists], dtype=np.int64)
@@ -584,11 +590,11 @@ def encode_events(histories, reference_times, tables: EmbeddingTables,
     pad_mask = np.arange(Lp) < (Lp - n_real)[:, None]
     if not n_real.any():
         return T.zeros((pad_mask.size, cfg.d)), pad_mask, n_real
-    x = _event_features(
-        tables, cfg, np.concatenate([h.item_id for h in hists]),
+    x = T.checkpoint(partial(
+        _event_features, tables, cfg, np.concatenate([h.item_id for h in hists]),
         np.concatenate([h.action_type for h in hists]),
         np.concatenate([time_deltas(t, h.timestamp)
-                        for h, t in zip(hists, reference_times)]))
+                        for h, t in zip(hists, reference_times)])))
     recency = np.concatenate([np.arange(n - 1, -1, -1) for n in n_real])  # 0 = newest
     x = T.add(x, T.gather_rows(tables.abs_pos_table, recency))
     return T.left_pad_rows(_seq_mlp(tables, x), n_real, Lp), pad_mask, n_real

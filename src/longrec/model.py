@@ -15,9 +15,13 @@ each chunk of ``cfg.batch_size`` samples as one pass, ``score`` one sample.
 Training is plain Adam (beta1=0.9, beta2=0.999, eps=1e-8) at a fixed
 learning rate on mean batch BCE, with a temporal held-out split: the last
 fraction of samples by candidate timestamp is never trained on. No weight
-decay and no schedule, to keep scaling sweeps unconfounded. Each pair of
-training samples runs as one batched pass on a gradient tape of its own
-(an odd last sample alone), so only one pair's tape is alive at a time.
+decay and no schedule, to keep scaling sweeps unconfounded. Each group of
+``SAMPLES_PER_TAPE`` (four) training samples runs as one batched pass on a
+gradient tape of its own (a shorter last group alone), so only one group's
+tape is alive at a time. A tape keeps only what its backward reads, and its
+backward recomputes the cheapest large activations (the event featurizer,
+the sequence MLP's hidden layer and every GELU output) rather than keep
+them, as LONGER does for long sequences.
 
 A training step exclusively owns the parameters it updates; inference over
 read-shared parameters is thread-safe, and tapes are per thread. MAC
@@ -347,10 +351,13 @@ class LongRecModel:
             visible_self=build_mask(q_order, q_order, q_pad),
             user_side=user_side_features(users, self.tables))
 
-    def _layers(self, x_q: Tensor, x_kv: Tensor, visible_cross: np.ndarray,
+    def _layers(self, x: Tensor, keys: Tensor, visible: np.ndarray,
                 visible_self: np.ndarray, prefix=None, rows=None) -> list:
-        """Run the cross block over (x_q, x_kv), then each self block over the
-        previous block's output; returns every block's (output, K, V).
+        """Run the cross block over queries ``x`` and key rows ``keys`` with
+        visibility ``visible``, then each self block over the previous
+        block's output with ``visible_self``; returns every block's
+        (output, K, V). The loop rebinds its arguments, so no reference here
+        keeps the first block's inputs alive once it has run.
 
         ``prefix``, one (keys, values) pair per block, puts cached key rows
         ahead of each block's own (see ``attention_block``). ``rows`` makes
@@ -359,7 +366,6 @@ class LongRecModel:
         """
         out = []
         blocks = [self.cross_block] + self.self_blocks
-        x, keys, visible = x_q, x_kv, visible_cross
         for i, blk in enumerate(blocks):
             take = rows if i == len(blocks) - 1 else None
             if take is not None:
@@ -380,8 +386,8 @@ class LongRecModel:
         head_in = T.concat_cols([target_row, cls_row,
                                  T.mul(target_row, cls_row),
                                  T.mul(target_row, target_row), user_side])
-        hidden = T.gelu(T.linear(head_in, self.head_w1, self.head_b1))
-        return T.sigmoid(T.linear(hidden, self.head_w2, self.head_b2))
+        return T.sigmoid(T.mlp(head_in, self.head_w1, self.head_b1,
+                               self.head_w2, self.head_b2))
 
     def forward_tensor(self, samples) -> Tensor:
         """The (B, 1) probabilities of a list of B samples, in one pass.
@@ -390,7 +396,7 @@ class LongRecModel:
         come from ``user_rows``, its candidate's target row is appended last
         to its first layer's queries and keys, and no row sees another
         sample's. Only the per-op cost is shared. ``score`` is the batch of
-        one; a training tape is a pair of samples (see ``batch_backward``).
+        one; a training tape is a group of samples (see ``batch_backward``).
         """
         cfg = self.cfg
         B, q = len(samples), cfg.k + cfg.m
@@ -596,25 +602,28 @@ def eval_metrics(model, samples) -> tuple:
     return a, analysis.logloss(scores, labels)
 
 
-SAMPLES_PER_TAPE = 2
+SAMPLES_PER_TAPE = 4
 """Training samples per gradient tape. One tape runs consecutive samples as
 one batched forward and backward, so they share the per-op cost, and holds
-all their intermediates until its backward. At the config of
+what their backward reads until it runs. At the config of
 ``test_training_peak_memory_does_not_grow_with_batch``, the traced peak of
-an epoch at batch 8 over one at batch 1 is 1.47 with two samples per tape,
-within that test's bound of 2, but 2.26 with four and 3.94 with eight."""
+an epoch at batch 8 over one at batch 1, measured in a run of the whole
+``test_model.py``, is 1.42 with two samples per tape, 1.65 with three and
+1.88 with four, within that test's bound of 2 (2.15 with four before tapes
+kept only what backward reads and recomputed the featurizer, the sequence
+MLP's hidden layer and the GELU outputs)."""
 
 
 def batch_backward(model, samples) -> float:
     """Accumulate the gradient of the batch's mean BCE into the parameters'
     ``.grad`` and return that mean loss.
 
-    Consecutive groups of ``SAMPLES_PER_TAPE`` samples (an odd last one
-    alone) each run as one ``forward_tensor`` pass on a tape of their own,
-    and each group's mean loss backpropagates seeded with its share of the
-    batch, so only one group's tape is alive at a time. Stops before the
-    backward of the first group whose loss is non-finite, a non-finite loss
-    of any of its samples, and returns that loss.
+    Consecutive groups of ``SAMPLES_PER_TAPE`` samples (the last group
+    holding what is left) each run as one ``forward_tensor`` pass on a tape
+    of their own, and each group's mean loss backpropagates seeded with its
+    share of the batch, so only one group's tape is alive at a time. Stops
+    before the backward of the first group whose loss is non-finite, a
+    non-finite loss of any of its samples, and returns that loss.
     """
     total = 0.0
     for start in range(0, len(samples), SAMPLES_PER_TAPE):
@@ -747,8 +756,8 @@ class SumPoolingModel:
             T.gather_rows(self.time_table, np.zeros(B, dtype=np.int64)),
         ])
         head_in = T.concat_cols([pooled, target])
-        hidden = T.gelu(T.linear(head_in, self.head.w1, self.head.b1))
-        return T.sigmoid(T.linear(hidden, self.head.w2, self.head.b2))
+        h = self.head
+        return T.sigmoid(T.mlp(head_in, h.w1, h.b1, h.w2, h.b2))
 
     def score(self, sample: Sample) -> float:
         return float(self.forward_tensor([sample]).data[0, 0])

@@ -4,29 +4,47 @@ Every numeric operation the model needs lives here: one matrix product
 (2-D, or batched 3-D, optionally against a transposed right operand), the
 affine map ``linear``, elementwise ``add`` (equal shapes) and ``mul``
 (broadcasting), masked softmax, layer normalization, GELU, sigmoid, the
-transformer FFN, the structural ops (concat, slice, gather, left pad,
-reshape, row mean) and the loss ops (``mean_scalars``, and ``bce``, the
-mean loss of a column of probabilities with one label per row, so a batch
-of samples' (B, 1) output is one loss); attention is composed from these.
-This is deliberately not a general autodiff engine: the op set is small,
-fixed, and auditable, and every backward is validated against central
-finite differences in the test suite.
+linear-GELU-linear ``mlp`` and its 4x-wide case, the transformer ``ffn``,
+the structural ops (concat, slice, gather, left pad, reshape, row mean) and
+the loss ops (``mean_scalars``, and ``bce``, the mean loss of a column of
+probabilities with one label per row, so a batch of samples' (B, 1) output
+is one loss); attention is composed from these. This is deliberately not a
+general autodiff engine: the op set is small, fixed, and auditable, and
+every backward is validated against central finite differences in the test
+suite.
 
-Leading axes: ``linear``, ``layer_norm``, ``concat_cols``, ``slice_cols`` and
-the elementwise ops act on the last axis and ``concat_rows`` on the rows
-axis (the second to last), whatever the leading axes before them, so a batch
-of B samples' (rows, width) blocks runs as one (B, rows, width) op; softmax
-takes the last axis too, and ``gather_rows`` the rows axis. ``matmul``
-takes two 2-D or two equal-batch 3-D operands. ``left_pad_rows`` and
-``mean_rows`` act on 2-D row tables.
+Leading axes: ``linear``, ``mlp``, ``layer_norm``, ``concat_cols``,
+``slice_cols`` and the elementwise ops act on the last axis and
+``concat_rows`` on the rows axis (the second to last), whatever the leading
+axes before them, so a batch of B samples' (rows, width) blocks runs as one
+(B, rows, width) op; softmax takes the last axis too, and ``gather_rows``
+the rows axis. ``matmul`` takes two 2-D or two equal-batch 3-D operands.
+``left_pad_rows`` and ``mean_rows`` act on 2-D row tables.
 
 Recording is scoped. Inside ``with tape():`` every op with an input that
-requires gradients stores its backward closure on its output and appends
-the output to the tape, a list in creation order; ``Tensor.backward()``
-walks that list in reverse, which visits every tensor after all of its
-consumers. Outside a tape no op records anything (inference pays nothing
-for gradients) and ``backward`` raises. Leaving the scope drops the list
-and with it every intermediate no caller still holds.
+requires gradients gives its output a gradient node (its ``grad`` and its
+backward closure) and appends the node, not the tensor, to the tape, a list
+in creation order; ``Tensor.backward()`` walks that list in reverse, which
+visits every node after all of its consumers, and drops each node as it
+passes. Outside a tape no op records anything (inference pays nothing for
+gradients) and ``backward`` raises.
+
+A closure holds its inputs' nodes and only the arrays its own backward
+reads: ``mul`` by a constant, ``add``, the concats and ``reshape`` keep no
+array, ``gather_rows`` and ``slice_cols`` keep shapes and indices,
+``layer_norm`` its normalized rows, and ``linear``, ``matmul`` and ``mul``
+each operand only when the other needs a gradient. So an output that only
+such ops consume is freed as soon as the forward moves past it, and a tape
+holds what its backward reads plus what callers still reference. Two ops
+recompute cheap activations rather than keep them (Chen et al. 2016,
+arXiv:1604.06174): ``mlp`` keeps its pre-activation and tanh and rebuilds
+the GELU output in backward (with ``keep_hidden=False`` it keeps only its
+input and recomputes the hidden layer too), and ``checkpoint(fn)`` records
+a subgraph built only from leaves as one node whose backward reruns ``fn``
+on a fresh tape. Both repeat the forward's arithmetic, so gradients are
+bitwise those of the unfused ops. A recomputed product counts its MACs
+again, so during training the counter reads more than the forward alone;
+forward-only counts are unchanged.
 
 Instrumentation: ``matmul`` adds ``batch*m*p*n`` scalar multiply-accumulate
 operations (MACs) to the module-level ``counter``, batch being 1 for 2-D
@@ -149,7 +167,7 @@ _tape = contextvars.ContextVar("longrec_tape", default=None)
 @contextmanager
 def tape():
     """Record tracked ops inside the block, in this thread only; yields the
-    tape, the list of recorded outputs in creation order.
+    tape, the list of recorded outputs' gradient nodes in creation order.
 
     A nested ``tape()`` opens a fresh, separate tape for its own block.
     """
@@ -160,22 +178,45 @@ def tape():
         _tape.reset(token)
 
 
-class Tensor:
-    """A dense float64 array with an optional gradient buffer.
+class _Node:
+    """The gradient side of a tensor that requires gradients: its ``grad``
+    and, for an op output, the backward closure that passes ``grad`` on to
+    its inputs' nodes."""
 
-    ``data`` is row-major (C order). ``grad`` is set on first accumulation
-    to the incoming gradient: the buffer itself when no other tensor holds
-    it, else a copy. An op output recorded on a tape carries the backward
-    closure of the op that produced it.
+    __slots__ = ("grad", "bw")
+
+    def __init__(self, bw=None) -> None:
+        self.grad = None
+        self.bw = bw
+
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``grad``. ``owned`` hands over a buffer no other
+        node holds, so a first gradient takes it as is: one the closure just
+        made, or the output's own gradient or a disjoint view of it, which
+        ``backward`` has released before calling the closure. Any other
+        ``g`` (a broadcast, or the second input's share of one array passed
+        to two) is copied before it becomes ``grad``."""
+        if self.grad is None:
+            self.grad = g if owned else g.copy()
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A dense float64 array and, when it requires gradients, its node.
+
+    ``data`` is row-major (C order). ``node`` holds the gradient, set on
+    first accumulation to the incoming gradient (the buffer itself when no
+    other node holds it, else a copy); an op output recorded on a tape has
+    the op's backward closure there. ``requires_grad`` and ``grad`` read
+    through the node.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_bw")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._bw = None
+        self.node = _Node() if requires_grad else None
 
     @property
     def shape(self):
@@ -185,38 +226,42 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self.node.grad = value
+
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{req})"
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` into ``grad``. ``owned`` hands over a buffer no other
-        tensor holds, so a first gradient takes it as is: one the closure
-        just made, or the output's own gradient or a disjoint view of it,
-        which ``backward`` has released before calling the closure. Any
-        other ``g`` (a broadcast, or the second input's share of one array
-        passed to two) is copied before it becomes ``grad``."""
-        if self.grad is None:
-            self.grad = g if owned else g.copy()
-        else:
-            self.grad += g
-
     def zero_grad(self) -> None:
-        self.grad = None
+        if self.node is not None:
+            self.node.grad = None
 
     def backward(self, seed=None) -> None:
         """Reverse-accumulate gradients through the active tape.
 
-        Walks the tape from its last op to its first; every consumer of a
+        Walks the tape from its last node to its first; every consumer of a
         tensor was recorded after it, so its gradient is complete when the
-        walk reaches it. The walk consumes the tape: each recorded op's
-        closure and gradient are released as it passes, and the list is
-        emptied. Leaves (tensors no op produced) keep their gradients.
-        Raises RuntimeError outside a ``tape()`` block.
+        walk reaches it. The walk consumes the tape: it drops each node, its
+        closure and its gradient as it passes, and leaves the list empty.
+        Leaves (tensors no op produced) keep their gradients. Raises
+        RuntimeError outside a ``tape()`` block or for a tensor that
+        requires no gradient.
         """
         recorded = _tape.get()
         if recorded is None:
             raise RuntimeError("backward() needs an open tape() block")
+        if self.node is None:
+            raise RuntimeError("backward() of a tensor that requires no gradient")
         if seed is None:
             if self.data.size != 1:
                 raise DimensionError("backward() without seed needs a scalar output")
@@ -225,13 +270,13 @@ class Tensor:
             seed = np.asarray(seed, dtype=np.float64)
             if seed.shape != self.shape:
                 raise DimensionError(f"seed shape {seed.shape} != output {self.shape}")
-        self._accumulate(seed)
-        for node in reversed(recorded):
-            g, bw = node.grad, node._bw
-            node.grad = node._bw = None
+        self.node.accumulate(seed)
+        while recorded:
+            node = recorded.pop()
+            g, bw = node.grad, node.bw
+            node.grad = node.bw = None
             if g is not None:
                 bw(g)
-        recorded.clear()
 
 
 def as_tensor(x) -> Tensor:
@@ -243,13 +288,32 @@ def zeros(shape) -> Tensor:
 
 
 def _track(*tensors) -> bool:
-    return _tape.get() is not None and any(t.requires_grad for t in tensors)
+    return _tape.get() is not None and any(t.node is not None for t in tensors)
 
 
 def _attach(out: Tensor, bw) -> None:
-    out.requires_grad = True
-    out._bw = bw
-    _tape.get().append(out)
+    out.node = _Node(bw)
+    _tape.get().append(out.node)
+
+
+def checkpoint(fn) -> Tensor:
+    """``fn()``, a tensor computed only from leaves (parameters and
+    constants), recorded as one node that keeps nothing of ``fn``'s
+    intermediates: its backward reruns ``fn`` on a fresh tape and
+    backpropagates through that. The rerun repeats the forward's arithmetic,
+    so the gradients equal the unchecked ones bitwise, and its MACs count
+    again. Outside a tape this is ``fn()``.
+    """
+    if _tape.get() is None:
+        return fn()
+    with tape() as inner:
+        out = Tensor(fn().data)
+    if inner:
+        def bw(g):
+            with tape():
+                fn().backward(g)
+        _attach(out, bw)
+    return out
 
 
 # ----------------------------- arithmetic -----------------------------
@@ -271,16 +335,34 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     counter.add(ad.size * bm.shape[-1])
     out = Tensor(ad @ bm)
     if _track(a, b):
+        an, bn = a.node, b.node
+        ad = ad if bn is not None else None       # each side's gradient
+        bm = bm if an is not None else None       # reads the other's data
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(g @ np.swapaxes(bm, -1, -2), owned=True)
-            if b.requires_grad:
+            if an is not None:
+                an.accumulate(g @ np.swapaxes(bm, -1, -2), owned=True)
+            if bn is not None:
                 if transpose_b:
-                    b._accumulate(np.swapaxes(g, -1, -2) @ ad, owned=True)
+                    bn.accumulate(np.swapaxes(g, -1, -2) @ ad, owned=True)
                 else:
-                    b._accumulate(np.swapaxes(ad, -1, -2) @ g, owned=True)
+                    bn.accumulate(np.swapaxes(ad, -1, -2) @ g, owned=True)
         _attach(out, bw)
     return out
+
+
+def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x2 @ w + b`` for a 2-D x2, counting rows*p*q MACs, as ``linear``."""
+    counter.add(x2.size * w.shape[1])
+    o = x2 @ w
+    o += b
+    return o
+
+
+def _check_affine(name: str, x_shape: tuple, w: Tensor, b: Tensor) -> None:
+    if len(x_shape) < 2 or w.data.ndim != 2 or x_shape[-1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise DimensionError(f"{name} needs x (..., p), w (p, q) and b (q,), "
+                             f"got {x_shape}, {w.shape} and {b.shape}")
 
 
 def linear(x, w, b) -> Tensor:
@@ -293,26 +375,27 @@ def linear(x, w, b) -> Tensor:
     bitwise (NumPy would loop a 3-D @ 2-D product over the leading axis)."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
-    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] \
-            or b.shape != (wd.shape[1],):
-        raise DimensionError(f"linear needs x (..., p), w (p, q) and b (q,), "
-                             f"got {x.shape}, {w.shape} and {b.shape}")
-    counter.add(xd.size * wd.shape[1])
-    o = xd @ wd if xd.ndim == 2 else \
-        (xd.reshape(-1, wd.shape[0]) @ wd).reshape(xd.shape[:-1] + (wd.shape[1],))
+    shape = xd.shape
+    _check_affine("linear", shape, w, b)
+    q = wd.shape[1]
+    x2 = xd if xd.ndim == 2 else xd.reshape(-1, wd.shape[0])
+    counter.add(x2.size * q)
+    o = x2 @ wd
     o += b.data
-    out = Tensor(o)
+    out = Tensor(o if xd.ndim == 2 else o.reshape(shape[:-1] + (q,)))
     if _track(x, w, b):
+        xn, wn, bn = x.node, w.node, b.node
+        wd = wd if xn is not None else None
+        x2 = x2 if wn is not None else None
         def bw(g):
-            g2 = g.reshape(-1, wd.shape[1])
-            if x.requires_grad:
+            g2 = g.reshape(-1, q)
+            if xn is not None:
                 gx = g2 @ wd.T
-                x._accumulate(gx if xd.ndim == 2 else gx.reshape(xd.shape),
-                              owned=True)
-            if w.requires_grad:
-                w._accumulate(xd.reshape(-1, wd.shape[0]).T @ g2, owned=True)
-            if b.requires_grad:
-                b._accumulate(g2.sum(axis=0), owned=True)
+                xn.accumulate(gx if len(shape) == 2 else gx.reshape(shape), owned=True)
+            if wn is not None:
+                wn.accumulate(x2.T @ g2, owned=True)
+            if bn is not None:
+                bn.accumulate(g2.sum(axis=0), owned=True)
         _attach(out, bw)
     return out
 
@@ -324,11 +407,12 @@ def add(a, b) -> Tensor:
         raise DimensionError(f"add needs equal shapes, got {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
     if _track(a, b):
+        an, bn = a.node, b.node
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(g, owned=True)
-            if b.requires_grad:
-                b._accumulate(g)
+            if an is not None:
+                an.accumulate(g, owned=True)
+            if bn is not None:
+                bn.accumulate(g)
         _attach(out, bw)
     return out
 
@@ -342,11 +426,14 @@ def mul(a, b) -> Tensor:
                              f"got {a.shape} and {b.shape}")
     out = Tensor(a.data * b.data)
     if _track(a, b):
+        an, bn = a.node, b.node
+        ad = a.data if bn is not None else None
+        bd = b.data if an is not None else None
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(g * b.data, owned=True)
-            if b.requires_grad:
-                b._accumulate(g * a.data, owned=True)
+            if an is not None:
+                an.accumulate(g * bd, owned=True)
+            if bn is not None:
+                bn.accumulate(g * ad, owned=True)
         _attach(out, bw)
     return out
 
@@ -354,23 +441,48 @@ def mul(a, b) -> Tensor:
 # ----------------------------- nonlinearities -----------------------------
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``tanh(C * (x + A * (x * x * x)))`` in one buffer; the cube is two
+    products, since ``x ** 3`` goes through the much slower generic pow."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` times GELU's derivative at x, t its tanh: du = C * (1 + 3A * x * x),
+    dx = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du, with the operation
+    order of that straight line in two buffers besides ``g``."""
+    dx = t * t
+    np.subtract(1.0, dx, out=dx)
+    tail = 0.5 * x
+    tail *= dx
+    du = np.multiply(x, x, out=dx)
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    tail *= du
+    np.add(t, 1.0, out=dx)
+    dx *= 0.5
+    dx += tail
+    dx *= g
+    return dx
+
+
 def gelu(x) -> Tensor:
     """GELU via the tanh approximation (documented, derivative exact for it).
 
     Computed in place in two buffers, with the arithmetic of the straight
-    line ``0.5 * x * (1 + tanh(C * (x + A * (x * x * x))))``; the cube is
-    two products, since ``x ** 3`` goes through the much slower generic pow.
-    Outside a tape the tanh buffer takes the ``1 +`` in place, as no backward
-    reads it, so a large batch holds one buffer fewer.
+    line ``0.5 * x * (1 + tanh(C * (x + A * (x * x * x))))``. Outside a tape
+    the tanh buffer takes the ``1 +`` in place, as no backward reads it, so
+    a large batch holds one buffer fewer. The backward keeps x and the tanh.
     """
     x = as_tensor(x)
     xd = x.data
-    t = xd * xd
-    t *= xd
-    t *= _GELU_A
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
+    t = _gelu_tanh(xd)
     y = 0.5 * xd
     if not _track(x):
         t += 1.0
@@ -378,23 +490,9 @@ def gelu(x) -> Tensor:
         return Tensor(y)
     y *= 1.0 + t
     out = Tensor(y)
+    xn = x.node
     def bw(g):
-        # du = C * (1 + 3A * x * x), dx = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du:
-        # three buffers, the operation order of that straight line
-        du = xd * xd
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C
-        dx = t * t
-        np.subtract(1.0, dx, out=dx)
-        tail = 0.5 * xd
-        tail *= dx
-        tail *= du
-        np.add(t, 1.0, out=dx)
-        dx *= 0.5
-        dx += tail
-        dx *= g
-        x._accumulate(dx, owned=True)
+        xn.accumulate(_gelu_grad(xd, t, g), owned=True)
     _attach(out, bw)
     return out
 
@@ -406,8 +504,9 @@ def sigmoid(x) -> Tensor:
                  np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
     out = Tensor(s)
     if _track(x):
+        xn = x.node
         def bw(g):
-            x._accumulate(g * s * (1.0 - s), owned=True)
+            xn.accumulate(g * s * (1.0 - s), owned=True)
         _attach(out, bw)
     return out
 
@@ -419,11 +518,11 @@ def masked_softmax(logits, visible) -> Tensor:
     """Row-wise softmax over the positions where boolean ``visible`` is True.
 
     Visibility selects logits rather than being added to them, so hidden
-    logits cannot perturb visible probabilities even at the last bit.
-    Hidden positions are exactly 0 in the output. Rows with nothing visible
-    return all zeros rather than NaN so padded rows stay inert in downstream
-    sums. Any dtype but bool raises: a 0/-inf float mask read as booleans
-    would be inverted.
+    logits cannot perturb visible probabilities even at the last bit: a
+    hidden logit becomes -inf, whose exponential is exactly 0 in the output.
+    Rows with nothing visible return all zeros rather than NaN so padded
+    rows stay inert in downstream sums. Any dtype but bool raises: a 0/-inf
+    float mask read as booleans would be inverted.
     """
     x = as_tensor(logits)
     vis = np.asarray(visible)
@@ -431,17 +530,21 @@ def masked_softmax(logits, visible) -> Tensor:
         raise DimensionError(f"visibility must be a bool array, got {vis.dtype}")
     if vis.shape != x.shape:
         raise DimensionError(f"visibility shape {vis.shape} != logits shape {x.shape}")
-    z = np.where(vis, x.data, -np.inf)
-    rowmax = np.max(z, axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)  # fully-masked guard
-    e = np.exp(np.where(vis, x.data - rowmax, 0.0)) * vis
-    s = e.sum(axis=-1, keepdims=True)
-    p = np.divide(e, s, out=np.zeros_like(e), where=s > 0)
+    p = np.where(vis, x.data, -np.inf)
+    rowmax = p.max(axis=-1, keepdims=True)
+    finite = np.isfinite(rowmax)
+    if not finite.all():                                 # fully-masked guard
+        rowmax = np.where(finite, rowmax, 0.0)
+    p -= rowmax
+    np.exp(p, out=p)
+    s = p.sum(axis=-1, keepdims=True)
+    np.divide(p, s, out=p, where=s > 0)
     out = Tensor(p)
     if _track(x):
+        xn = x.node
         def bw(g):
             dot = (g * p).sum(axis=-1, keepdims=True)
-            x._accumulate(p * (g - dot), owned=True)
+            xn.accumulate(p * (g - dot), owned=True)
         _attach(out, bw)
     return out
 
@@ -454,6 +557,7 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
     or padded rows cannot produce NaN. Means are ``sum / n``, the arithmetic
     of ``np.mean``, so the result equals the straight-line
     ``(x - mu) * (1 / sqrt(mean((x - mu) ** 2) + eps)) * gain + bias``.
+    The backward keeps the normalized rows, not x.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     xd = x.data
@@ -469,17 +573,18 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
     y += bias.data
     out = Tensor(y)
     if _track(x, gain, bias):
+        xn, gn, bn, gd = x.node, gain.node, bias.node, gain.data
         def bw(g):
-            if x.requires_grad:
-                ghat = g * gain.data
+            if xn is not None:
+                ghat = g * gd
                 m1 = ghat.mean(axis=-1, keepdims=True)
                 m2 = (ghat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate((ghat - m1 - xhat * m2) * inv_sigma, owned=True)
+                xn.accumulate((ghat - m1 - xhat * m2) * inv_sigma, owned=True)
             g2 = g.reshape(-1, n)
-            if gain.requires_grad:
-                gain._accumulate((g2 * xhat.reshape(-1, n)).sum(axis=0), owned=True)
-            if bias.requires_grad:
-                bias._accumulate(g2.sum(axis=0), owned=True)
+            if gn is not None:
+                gn.accumulate((g2 * xhat.reshape(-1, n)).sum(axis=0), owned=True)
+            if bn is not None:
+                bn.accumulate(g2.sum(axis=0), owned=True)
         _attach(out, bw)
     return out
 
@@ -487,8 +592,72 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
 # ----------------------------- composite layers -----------------------------
 
 
+def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op, bitwise equal
+    to those three forward and backward, with their MAC counts.
+
+    Its backward keeps x, the pre-activation and its tanh, not the GELU
+    output: it rebuilds that with the forward's arithmetic. With
+    ``keep_hidden=False`` it keeps only x and recomputes the pre-activation
+    and tanh as well, counting the first product's MACs again: the choice
+    for a narrow x under a wide hidden layer, where that product is cheap
+    next to the two hidden-width buffers it frees.
+    """
+    x, w1, b1 = as_tensor(x), as_tensor(w1), as_tensor(b1)
+    w2, b2 = as_tensor(w2), as_tensor(b2)
+    xd, w1d, b1d = x.data, w1.data, b1.data
+    shape = xd.shape
+    _check_affine("mlp", shape, w1, b1)
+    _check_affine("mlp", shape[:-1] + w1d.shape[1:], w2, b2)
+    q = w2.data.shape[1]
+    x2 = xd if xd.ndim == 2 else xd.reshape(-1, w1d.shape[0])
+    h = _affine(x2, w1d, b1d)
+    t = _gelu_tanh(h)
+    tracked = _track(x, w1, b1, w2, b2)
+    y = 0.5 * h
+    if tracked:
+        y *= 1.0 + t
+    else:
+        t += 1.0
+        y *= t
+    o = _affine(y, w2.data, b2.data)
+    out = Tensor(o if xd.ndim == 2 else o.reshape(shape[:-1] + (q,)))
+    if tracked:
+        xn, w1n, b1n, w2n, b2n = x.node, w1.node, b1.node, w2.node, b2.node
+        first = xn is not None or w1n is not None or b1n is not None
+        w2d = w2.data if first else None
+        hidden = (h, t) if keep_hidden else None
+        def bw(g):
+            g2 = g.reshape(-1, q)
+            if hidden is None:
+                h = _affine(x2, w1d, b1d)
+                t = _gelu_tanh(h)
+            else:
+                h, t = hidden
+            if w2n is not None:
+                y = 0.5 * h
+                y *= 1.0 + t
+                w2n.accumulate(y.T @ g2, owned=True)
+                del y
+            if b2n is not None:
+                b2n.accumulate(g2.sum(axis=0), owned=True)
+            if not first:
+                return
+            gh = _gelu_grad(h, t, g2 @ w2d.T)
+            if xn is not None:
+                gx = gh @ w1d.T
+                xn.accumulate(gx if len(shape) == 2 else gx.reshape(shape), owned=True)
+            if w1n is not None:
+                w1n.accumulate(x2.T @ gh, owned=True)
+            if b1n is not None:
+                b1n.accumulate(gh.sum(axis=0), owned=True)
+        _attach(out, bw)
+    return out
+
+
 def ffn(x, w1, b1, w2, b2) -> Tensor:
-    """Transformer feed-forward: GELU MLP with hidden width 4x the model width.
+    """Transformer feed-forward: the GELU ``mlp`` with hidden width 4x the
+    model width.
 
     Two products contribute 8*n*D^2 MACs (16*n*D^2 FLOPs) for input (n, D).
     """
@@ -499,7 +668,7 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
         raise DimensionError(
             f"ffn expects ({width},{4*width}) and ({4*width},{width}) weights, "
             f"got {w1t.shape} and {w2t.shape}")
-    return linear(gelu(linear(x, w1t, b1)), w2t, b2)
+    return mlp(x, w1t, b1, w2t, b2)
 
 
 # ----------------------------- structural ops -----------------------------
@@ -510,12 +679,12 @@ def concat_rows(parts) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out = Tensor(np.concatenate([p.data for p in parts], axis=-2))
     if _track(*parts):
-        sizes = [p.shape[-2] for p in parts]
+        spans = [(p.node, p.shape[-2]) for p in parts]
         def bw(g):
             off = 0
-            for p, n in zip(parts, sizes):
-                if p.requires_grad:
-                    p._accumulate(g[..., off:off + n, :], owned=True)
+            for node, n in spans:
+                if node is not None:
+                    node.accumulate(g[..., off:off + n, :], owned=True)
                 off += n
         _attach(out, bw)
     return out
@@ -526,12 +695,12 @@ def concat_cols(parts) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
     if _track(*parts):
-        widths = [p.shape[-1] for p in parts]
+        spans = [(p.node, p.shape[-1]) for p in parts]
         def bw(g):
             off = 0
-            for p, w in zip(parts, widths):
-                if p.requires_grad:
-                    p._accumulate(g[..., off:off + w], owned=True)
+            for node, w in spans:
+                if node is not None:
+                    node.accumulate(g[..., off:off + w], owned=True)
                 off += w
         _attach(out, bw)
     return out
@@ -542,10 +711,11 @@ def slice_cols(x, start: int, stop: int) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.data[..., start:stop].copy())
     if _track(x):
+        xn, shape = x.node, x.shape
         def bw(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[..., start:stop] += g
+            if xn.grad is None:
+                xn.grad = np.zeros(shape)
+            xn.grad[..., start:stop] += g
         _attach(out, bw)
     return out
 
@@ -573,14 +743,15 @@ def gather_rows(x, idx) -> Tensor:
     key = (slice(None),) * (x.data.ndim - 2) + (idx,)
     out = Tensor(x.data[key])
     if _track(x):
+        xn, shape = x.node, x.shape
         distinct = bool((idx[1:] > idx[:-1]).all())
         def bw(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
+            if xn.grad is None:
+                xn.grad = np.zeros(shape)
             if distinct:
-                x.grad[key] += g
+                xn.grad[key] += g
             else:
-                np.add.at(x.grad, key, g)
+                np.add.at(xn.grad, key, g)
         _attach(out, bw)
     return out
 
@@ -593,8 +764,9 @@ def reshape(x, shape) -> Tensor:
         return x
     out = Tensor(data)
     if _track(x):
+        xn, old = x.node, x.shape
         def bw(g):
-            x._accumulate(g.reshape(x.shape), owned=True)
+            xn.accumulate(g.reshape(old), owned=True)
         _attach(out, bw)
     return out
 
@@ -618,8 +790,9 @@ def left_pad_rows(x, counts, width: int) -> Tensor:
         start += c
     out = Tensor(grid)
     if _track(x):
+        xn = x.node
         def bw(g):
-            x._accumulate(np.concatenate([g[end - c:end]
+            xn.accumulate(np.concatenate([g[end - c:end]
                                           for end, c in zip(ends, counts)]),
                           owned=True)
         _attach(out, bw)
@@ -632,8 +805,9 @@ def mean_rows(x) -> Tensor:
     n = x.shape[0]
     out = Tensor(x.data.mean(axis=0, keepdims=True) if n else np.zeros((1, x.shape[1])))
     if n and _track(x):
+        xn, shape = x.node, x.shape
         def bw(g):
-            x._accumulate(np.broadcast_to(g / n, x.shape))
+            xn.accumulate(np.broadcast_to(g / n, shape))
         _attach(out, bw)
     return out
 
@@ -644,11 +818,12 @@ def mean_scalars(parts) -> Tensor:
     n = len(parts)
     out = Tensor(np.asarray(sum(float(p.data.reshape(-1)[0]) for p in parts) / n))
     if _track(*parts):
+        shares = [(p.node, p.shape) for p in parts]
         def bw(g):
             share = float(g) / n
-            for p in parts:
-                if p.requires_grad:
-                    p._accumulate(np.full(p.shape, share), owned=True)
+            for node, shape in shares:
+                if node is not None:
+                    node.accumulate(np.full(shape, share), owned=True)
         _attach(out, bw)
     return out
 
@@ -674,10 +849,11 @@ def bce(p, y) -> Tensor:
             for yi, pi in zip(ys.tolist(), pc.tolist())]
     out = Tensor(np.asarray(sum(rows) / n))
     if _track(p):
+        pn, shape = p.node, p.shape
         in_range = (raw > _PROB_EPS) & (raw < 1.0 - _PROB_EPS)
         def bw(g):
             if in_range.any():
                 d = np.where(in_range, (pc - ys) / (pc * (1.0 - pc)), 0.0)
-                p._accumulate((float(g) / n * d).reshape(p.shape), owned=True)
+                pn.accumulate((float(g) / n * d).reshape(shape), owned=True)
         _attach(out, bw)
     return out

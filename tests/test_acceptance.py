@@ -291,6 +291,7 @@ def trained_runs():
             "bayes": bayes_auc}
 
 
+@pytest.mark.slow
 def test_criterion_6a_beats_baseline(trained_runs):
     gap = trained_runs["sweep"][256] - trained_runs["baseline"]
     # The generative-state oracle bounds what is achievable; the trained
@@ -303,6 +304,7 @@ def test_criterion_6a_beats_baseline(trained_runs):
            f"oracle={trained_runs['bayes']:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_6b_monotone_in_window(trained_runs):
     sweep = trained_runs["sweep"]
     pairs = list(zip(SWEEP_LENGTHS, SWEEP_LENGTHS[1:]))
@@ -311,6 +313,7 @@ def test_criterion_6b_monotone_in_window(trained_runs):
            " -> ".join(f"{L}:{sweep[L]:.4f}" for L in SWEEP_LENGTHS))
 
 
+@pytest.mark.slow
 def test_criterion_6c_query_subsampling(trained_runs):
     base = trained_runs["baseline"]
     gain_full = trained_runs["sweep"][256] - base
@@ -324,6 +327,7 @@ def test_criterion_6c_query_subsampling(trained_runs):
 # ----------------------------- criterion 7 -----------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_scaling_fitter(trained_runs):
     xs = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     fit = analysis.fit_power_law(xs, 2.0 * xs ** 0.5 + 1.0)

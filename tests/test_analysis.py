@@ -58,6 +58,9 @@ def test_inner_flops_formula():
     for layers in (0, -2):
         with pytest.raises(ConfigError):
             analysis.flops_inner(16, 3, 4, layers)
+    for K in (0, -1):              # checked before L % K divides by it
+        with pytest.raises(ConfigError):
+            analysis.flops_inner(16, 3, K)
 
 
 def test_block_counter_matches_formula():

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import fd_check
 from longrec import analysis
 from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
@@ -215,6 +216,43 @@ def test_encode_rejects_unknown_ids(tiny_cfg):
     with pytest.raises(EmbeddingLookupError, match="item id out of range"):
         target_global_token([Candidate(0, 100), Candidate(tiny_cfg.vocab, 100)],
                             tables, tiny_cfg)
+
+
+def test_checkpointed_encoding_matches_recorded_ops(tiny_cfg, monkeypatch):
+    """On a tape the featurizer of ``encode_events`` is one
+    ``T.checkpoint``: the parameter gradients, through it and the sequence
+    MLP, equal those of the same ops recorded one by one, bitwise, finite
+    differences pass, and an out-of-range item still raises."""
+    rng = np.random.default_rng(40)
+    tables = EmbeddingTables.create(tiny_cfg, rng)
+    hists = [make_sample(6).events, make_sample(3, item=5).events]
+    times = [10_000, 20_000]
+    w = rng.normal(size=(2 * tiny_cfg.L_padded * tiny_cfg.d, 1)) * 0.3
+
+    def loss():
+        seq = encode_events(hists, times, tables, tiny_cfg)[0]
+        return T.bce(T.sigmoid(T.matmul(T.reshape(seq, (1, seq.size)), w)), 1.0)
+
+    def grads():
+        for _, t in tables.params():
+            t.zero_grad()
+        with T.tape():
+            loss().backward()
+        return [None if t.grad is None else t.grad.tobytes() for _, t in tables.params()]
+
+    checked = grads()
+    with monkeypatch.context() as m:
+        m.setattr(T, "checkpoint", lambda fn: fn())
+        recorded = grads()
+    assert checked == recorded
+    assert [n for (n, _), g in zip(tables.params(), checked) if g is not None] == [
+        "item_table", "action_table", "time_bucket_table", "abs_pos_table",
+        "mlp.tok_proj_w", "mlp.tok_proj_b", "mlp.seq_w1", "mlp.seq_b1",
+        "mlp.seq_w2", "mlp.seq_b2"]
+    fd_check(loss, tables.params(), tol=1e-4, h=1e-5, max_coords=3, seed=41)
+    bad = Events([tiny_cfg.vocab], [0], [10])
+    with T.tape(), pytest.raises(EmbeddingLookupError, match="item id out of range"):
+        encode_events([bad], [100], tables, tiny_cfg)
 
 
 # ----------------------------- global tokens -----------------------------

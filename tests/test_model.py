@@ -402,7 +402,7 @@ def test_training_is_deterministic(tiny_cfg):
 
 
 def test_pair_tapes_match_one_mean_tape(tiny_cfg):
-    """Two samples per tape (the odd fifth alone) give the gradients of one
+    """Four samples per tape (the fifth alone) give the gradients of one
     per-sample ``mean_scalars`` tape over the batch within 1e-12 of the
     model's largest gradient, and the same mean loss. Comparing against the
     model-wide maximum holds the key biases, whose exact gradient is 0, to
@@ -429,8 +429,8 @@ def test_pair_tapes_match_one_mean_tape(tiny_cfg):
                 assert np.abs(g - w).max() <= 1e-12 * scale, name
 
 
-def test_batch_backward_runs_one_forward_per_pair(tiny_cfg):
-    """Five samples take three passes: two pairs and the last sample alone."""
+def test_batch_backward_runs_one_forward_per_tape(tiny_cfg):
+    """Five samples take two passes: a tape of four and the last sample alone."""
     cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24})
     model = LongRecModel(cfg, seed=12)
     sizes, forward = [], model.forward_tensor
@@ -441,7 +441,7 @@ def test_batch_backward_runs_one_forward_per_pair(tiny_cfg):
 
     model.forward_tensor = spy
     batch_backward(model, tiny_dataset(cfg).samples[:5])
-    assert sizes == [2, 2, 1]
+    assert sizes == [4, 1]
 
 
 def test_non_finite_loss_of_a_pairs_second_sample_stops_training(tiny_cfg):
@@ -465,8 +465,9 @@ def test_non_finite_loss_of_a_pairs_second_sample_stops_training(tiny_cfg):
 
 
 def test_training_peak_memory_does_not_grow_with_batch():
-    """Only one pair of samples' tape is alive at a time: the traced peak of
-    one epoch at batch 8 stays below twice the peak at batch 1."""
+    """Only one tape of four samples is alive at a time, and it keeps only
+    what its backward reads: the traced peak of one epoch at batch 8 stays
+    below twice the peak at batch 1."""
     ds = generate_dataset(GeneratorConfig(n_users=16, vocab=24, L_max=64,
                                           n_interests=5, interests_per_user=2,
                                           n_profiles=4), 0)
@@ -630,6 +631,7 @@ def _dominance_run(plant_side, gap, strategy, users, epochs):
     return train(model, ds, epochs, OptConfig(seed=1)).final.auc
 
 
+@pytest.mark.slow
 def test_query_strategy_dominance_directions():
     """Recent queries win on recent-planted data, uniform on uniform-planted.
 

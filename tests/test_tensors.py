@@ -267,14 +267,16 @@ def test_mul_takes_equal_shapes_or_a_constant_scalar():
 
 
 def test_nothing_recorded_outside_a_tape():
+    """Only an op inside a tape with an input that requires gradients gets
+    a node, and the tape holds that node, not the tensor."""
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     y = T.gelu(T.linear(x, np.ones((3, 3)), np.zeros(3)))
-    assert not y.requires_grad
+    assert not y.requires_grad and y.node is None
     with T.tape() as recorded:
         z = T.gelu(x)
-        assert z.requires_grad and recorded == [z]
+        assert z.requires_grad and recorded == [z.node]
         T.gelu(Tensor(np.ones((2, 3))))       # no input requires gradients
-        assert recorded == [z]
+        assert recorded == [z.node]
 
 
 def test_backward_outside_a_tape_raises():
@@ -308,6 +310,27 @@ def test_tape_frees_intermediates_on_scope_exit():
         loss.backward()
     assert ref() is None              # backward dropped loss's closures
     assert x.grad is not None
+
+
+def test_tape_keeps_only_what_backward_reads():
+    """A lookup output that only a concat consumes is freed inside the tape
+    before backward; a linear's input lives until backward passes it."""
+    rng = np.random.default_rng(30)
+    table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+    with T.tape():
+        rows = T.gather_rows(table, [0, 2, 4])
+        lookup = weakref.ref(rows.data)
+        feats = T.concat_cols([rows, Tensor(rng.normal(size=(3, 3)))])
+        del rows
+        assert lookup() is None
+        h = T.linear(feats, w, np.zeros(2))
+        linear_input = weakref.ref(feats.data)
+        del feats
+        assert linear_input() is not None
+        _weighted_sum_loss(h, 31).backward()
+        assert linear_input() is None
+    assert table.grad is not None and w.grad is not None
 
 
 def test_add_gradients_are_separate_buffers():
@@ -515,6 +538,46 @@ def test_layer_norm_bitwise_equals_straight_line():
 
 
 # ----------------------------- ffn -----------------------------
+
+
+def test_mlp_equals_linear_gelu_linear_bitwise():
+    """The fused MLP's output and five gradients equal those of ``linear``,
+    ``gelu`` and ``linear`` recorded one by one, bitwise, on 2-D and 3-D
+    inputs, outside a tape, and when backward recomputes the hidden layer,
+    which counts the first product's MACs once more."""
+    rng = np.random.default_rng(33)
+    for shape in [(5, 3), (2, 4, 3)]:
+        x = rng.normal(size=shape) * 2.0
+        ws = [rng.normal(size=s) for s in [(3, 7), (7,), (7, 2), (2,)]]
+        g = rng.normal(size=shape[:-1] + (2,))
+        got = {}
+        for way in ("keep", "recompute", "unfused"):
+            ts = [Tensor(v, requires_grad=True) for v in [x] + ws]
+            with T.count_muladds() as count, T.tape():
+                if way == "unfused":
+                    out = T.linear(T.gelu(T.linear(ts[0], ts[1], ts[2])), ts[3], ts[4])
+                else:
+                    out = T.mlp(*ts, keep_hidden=way == "keep")
+                out.backward(g)
+            got[way] = [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+            got[way + " MACs"] = count.mul_adds
+        assert got["keep"] == got["recompute"] == got["unfused"]
+        assert got["keep MACs"] == got["unfused MACs"] \
+            == got["recompute MACs"] - x.size // 3 * 7 * 3
+        assert T.mlp(x, *ws).data.tobytes() == got["keep"][0]
+
+
+def test_mlp_fd():
+    rng = np.random.default_rng(34)
+    named = [(n, Tensor(rng.normal(size=s) * 0.7, requires_grad=True))
+             for n, s in [("x", (2, 2, 3)), ("w1", (3, 5)), ("b1", (5,)),
+                          ("w2", (5, 2)), ("b2", (2,))]]
+    for keep_hidden in (True, False):
+        def loss():
+            return _weighted_sum_loss(
+                T.mlp(*(t for _, t in named), keep_hidden=keep_hidden), 35)
+
+        fd_check(loss, named)
 
 
 def test_ffn_zero_weights_give_bias():
