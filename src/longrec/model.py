@@ -23,6 +23,11 @@ backward recomputes the cheapest large activations (the event featurizer,
 the sequence MLP's hidden layer and every GELU output) rather than keep
 them, as LONGER does for long sequences.
 
+Both models keep their parameters in one float64 vector ``flat``, each
+parameter's ``data`` a C-contiguous view of it in ``params()`` order, so
+checkpoints, ``fingerprint`` and Adam handle one buffer. Code that changes a
+parameter writes into its ``data`` in place and bumps ``param_version``.
+
 A training step exclusively owns the parameters it updates; inference over
 read-shared parameters is thread-safe, and tapes are per thread. MAC
 counting is process-wide: a ``count_muladds`` window counts every thread.
@@ -218,13 +223,36 @@ def _identity_mlp_init(w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         w2.data[width + i, i] = -1.0
 
 
+def _lay_out(named, flat=None) -> np.ndarray:
+    """Rebind each parameter's ``data`` to its C-contiguous view of one
+    vector, in ``named`` order, and return the vector: ``flat``, which holds
+    their values, or else a new one that takes them."""
+    if flat is None:
+        flat = np.concatenate([t.data.reshape(-1) for _, t in named])
+    start = 0
+    for _, t in named:
+        t.data = flat[start:start + t.size].reshape(t.shape)
+        start += t.size
+    return flat
+
+
+class _NoDraws:
+    """``load``'s generator: its draws are unwritten arrays, not random numbers."""
+    normal = staticmethod(lambda loc, scale, size: np.empty(size))
+
+
 class LongRecModel:
     """Long-sequence recommender transformer (see module docstring)."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0) -> None:
+        self._create(cfg, np.random.default_rng(seed))
+        self.flat = _lay_out(self.params())
+        self._identity_biased_init()
+
+    def _create(self, cfg: ModelConfig, rng) -> None:
+        """Make the parameters from ``rng``'s draws, in ``params()`` order."""
         cfg.validate()
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
         self.tables = EmbeddingTables.create(cfg, rng)
         self.inner_blocks = ([BlockParams.create(cfg.d, rng)
                               for _ in range(cfg.inner_layers)]
@@ -243,7 +271,6 @@ class LongRecModel:
                                          size=(cfg.head_hidden, 1)),
                               requires_grad=True)
         self.head_b2 = Tensor(np.zeros(1), requires_grad=True)
-        self._identity_biased_init()
         self.param_version = 0
         self._fingerprint = None     # (param_version, digest) memo
 
@@ -267,11 +294,11 @@ class LongRecModel:
             for i in range(cfg.d):
                 t.mlp.lift_w.data[i, s * cfg.d + i] = 1.0
         for blk in [self.cross_block] + self.self_blocks:
-            blk.w_k.data = blk.w_q.data * _QK_GAIN
-            blk.w_q.data = blk.w_q.data * _QK_GAIN
-            blk.w_v.data = np.eye(cfg.D)
+            blk.w_k.data[...] = blk.w_q.data * _QK_GAIN
+            blk.w_q.data *= _QK_GAIN
+            blk.w_v.data[...] = np.eye(cfg.D)
             scale = _WO_SCALE_CROSS if blk is self.cross_block else _WO_SCALE_SELF
-            blk.w_o.data = np.eye(cfg.D) * scale
+            blk.w_o.data[...] = np.eye(cfg.D) * scale
             blk.w2.data *= _FFN_OUT_DAMP
         D = cfg.D
         self.head_w1.data *= _HEAD_DAMP
@@ -299,22 +326,20 @@ class LongRecModel:
         return out
 
     def param_count(self) -> int:
-        return sum(t.size for _, t in self.params())
+        return self.flat.size
 
     def fingerprint(self) -> str:
-        """sha256 of the config and every parameter's bytes.
+        """sha256 of the config and the parameter vector ``flat``.
 
         Memoized per ``param_version``: every mutation path (``train``'s
-        Adam steps, ``load``) moves the version, and code that writes a
-        parameter's ``.data`` directly must bump ``param_version`` too, or
+        Adam steps, ``load``) moves the version, and code that writes into a
+        parameter's ``.data`` in place must bump ``param_version`` too, or
         caches built before the write stay accepted.
         """
         memo = self._fingerprint
         if memo is None or memo[0] != self.param_version:
             h = hashlib.sha256(json.dumps(self.cfg.to_dict(), sort_keys=True).encode())
-            for name, t in self.params():
-                h.update(name.encode())
-                h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            h.update(self.flat.astype("<f8", copy=False))
             memo = self._fingerprint = (self.param_version, h.hexdigest()[:16])
         return memo[1]
 
@@ -428,22 +453,20 @@ class LongRecModel:
         Layout: 8-byte magic ``LRCKPT01``; uint64 little-endian header
         length; UTF-8 JSON header {format_version, config, param_version,
         arrays: [{name, shape}]}; then each array's float64 little-endian
-        bytes concatenated in header order.
+        bytes concatenated in header order: the vector ``flat``.
         """
-        named = self.params()
         header = {
             "format_version": 1,
             "config": self.cfg.to_dict(),
             "param_version": self.param_version,
-            "arrays": [{"name": n, "shape": list(t.shape)} for n, t in named],
+            "arrays": [{"name": n, "shape": list(t.shape)} for n, t in self.params()],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            for _, t in named:
-                fh.write(t.data.astype("<f8").tobytes())
+            fh.write(self.flat.astype("<f8", copy=False))
 
     @classmethod
     def load(cls, path: str) -> "LongRecModel":
@@ -453,7 +476,7 @@ class LongRecModel:
         parameter count must match the payload's length (checked before the
         model is built), the header must list exactly the names and shapes
         of ``params()`` for that config, and the file must end exactly after
-        their bytes.
+        their bytes. Its vector is one copy of the payload, with no random init.
         """
         try:
             with open(path, "rb") as fh:
@@ -484,15 +507,12 @@ class LongRecModel:
         if len(blob) - start != size:       # checked before any allocation
             raise ConfigError(f"checkpoint payload is {len(blob) - start} bytes, "
                               f"its config needs {size}")
-        model = cls(cfg, seed=0)
+        model = cls.__new__(cls)
+        model._create(cfg, _NoDraws)
         named = model.params()
         if arrays != [{"name": n, "shape": list(t.shape)} for n, t in named]:
             raise ConfigError("checkpoint arrays differ from the model's parameters")
-        offset = start
-        for _, t in named:
-            t.data = np.frombuffer(blob, dtype="<f8", count=t.size,
-                                   offset=offset).reshape(t.shape).copy()
-            offset += 8 * t.size
+        model.flat = _lay_out(named, np.frombuffer(blob, dtype="<f8", offset=start).copy())
         model.param_version = param_version
         return model
 
@@ -510,14 +530,18 @@ class OptConfig:
 
 
 class Adam:
-    """Adam with fixed hyperparameters (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with fixed hyperparameters (beta1=0.9, beta2=0.999, eps=1e-8),
+    one update of the model's vector ``flat`` per step, with moment vectors
+    ``m`` and ``v``; a parameter rebound rather than written in place would
+    leave the vector."""
 
-    def __init__(self, named_params, lr: float) -> None:
-        self.named = list(named_params)
+    def __init__(self, model, lr: float) -> None:
+        self.named = model.params()
+        self.flat = model.flat
         self.lr = float(lr)
         self.t = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in self.named}
-        self.v = {n: np.zeros_like(t.data) for n, t in self.named}
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def zero_grads(self) -> None:
         for _, t in self.named:
@@ -528,17 +552,29 @@ class Adam:
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for n, t in self.named:
-            g = t.grad
-            if g is None:
-                continue
-            m = self.m[n]
-            v = self.v[n]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m, v, flat = self.m, self.v, self.flat
+        # A parameter no gradient reached (e.g. only empty histories) is left as it is.
+        lost = [t.grad is None for _, t in self.named]
+        have = np.repeat(np.logical_not(lost), [t.size for _, t in self.named]) \
+            if any(lost) else True
+        g = np.concatenate([np.zeros(t.size) if t.grad is None else t.grad.reshape(-1)
+                            for _, t in self.named])
+        # With the operation order of m += (1 - b1) * g; v += (1 - b2) * g * g;
+        # flat -= lr * (m / c1) / (sqrt(v / c2) + eps), in g and one scratch vector.
+        work = g * (1 - b2)
+        work *= g
+        np.multiply(v, b2, out=v, where=have)
+        np.add(v, work, out=v, where=have)
+        g *= 1 - b1
+        np.multiply(m, b1, out=m, where=have)
+        np.add(m, g, out=m, where=have)
+        np.divide(m, c1, out=g)
+        g *= self.lr
+        np.divide(v, c2, out=work)
+        np.sqrt(work, out=work)
+        work += eps
+        g /= work
+        np.subtract(flat, g, out=flat, where=have)
 
 
 @dataclass
@@ -654,7 +690,7 @@ def train(model, dataset, epochs: int, opt: Optional[OptConfig] = None) -> Train
     train_idx, eval_idx = temporal_split(dataset.samples, opt.eval_fraction)
     if train_idx.size == 0:
         raise ConfigError("temporal split left no training samples")
-    adam = Adam(model.params(), model.cfg.lr)
+    adam = Adam(model, model.cfg.lr)
     rng = np.random.default_rng(opt.seed)
     rows = []
     for epoch in range(1, epochs + 1):
@@ -720,6 +756,7 @@ class SumPoolingModel:
             w2=Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, 1)),
                       requires_grad=True),
             b2=Tensor(np.zeros(1), requires_grad=True))
+        self.flat = _lay_out(self.params())
         self.param_version = 0
 
     def params(self):

@@ -3,12 +3,12 @@
 Every numeric operation the model needs lives here: one matrix product
 (2-D, or batched 3-D, optionally against a transposed right operand), the
 affine map ``linear``, elementwise ``add`` (equal shapes) and ``mul``
-(broadcasting), masked softmax, layer normalization, GELU, sigmoid, the
+(broadcasting), masked softmax, layer normalization, sigmoid, the
 linear-GELU-linear ``mlp`` and its 4x-wide case, the transformer ``ffn``,
 the structural ops (concat, slice, gather, left pad, reshape, row mean) and
-the loss ops (``mean_scalars``, and ``bce``, the mean loss of a column of
-probabilities with one label per row, so a batch of samples' (B, 1) output
-is one loss); attention is composed from these. This is deliberately not a
+the loss op ``bce``, the mean loss of a column of probabilities with one
+label per row, so a batch of samples' (B, 1) output is one loss; attention
+is composed from these. This is deliberately not a
 general autodiff engine: the op set is small, fixed, and auditable, and
 every backward is validated against central finite differences in the test
 suite.
@@ -472,31 +472,6 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     return dx
 
 
-def gelu(x) -> Tensor:
-    """GELU via the tanh approximation (documented, derivative exact for it).
-
-    Computed in place in two buffers, with the arithmetic of the straight
-    line ``0.5 * x * (1 + tanh(C * (x + A * (x * x * x))))``. Outside a tape
-    the tanh buffer takes the ``1 +`` in place, as no backward reads it, so
-    a large batch holds one buffer fewer. The backward keeps x and the tanh.
-    """
-    x = as_tensor(x)
-    xd = x.data
-    t = _gelu_tanh(xd)
-    y = 0.5 * xd
-    if not _track(x):
-        t += 1.0
-        y *= t
-        return Tensor(y)
-    y *= 1.0 + t
-    out = Tensor(y)
-    xn = x.node
-    def bw(g):
-        xn.accumulate(_gelu_grad(xd, t, g), owned=True)
-    _attach(out, bw)
-    return out
-
-
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     d = x.data
@@ -593,8 +568,11 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
 
 
 def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
-    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op, bitwise equal
-    to those three forward and backward, with their MAC counts.
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op, GELU being the
+    tanh approximation ``0.5 * h * (1 + tanh(C * (h + A * (h * h * h))))``
+    with its exact derivative. Forward and backward keep the operation order
+    of the straight-line formulas, so they equal them bitwise, and the two
+    products count their MACs as ``linear`` would.
 
     Its backward keeps x, the pre-activation and its tanh, not the GELU
     output: it rebuilds that with the forward's arithmetic. With
@@ -808,22 +786,6 @@ def mean_rows(x) -> Tensor:
         xn, shape = x.node, x.shape
         def bw(g):
             xn.accumulate(np.broadcast_to(g / n, shape))
-        _attach(out, bw)
-    return out
-
-
-def mean_scalars(parts) -> Tensor:
-    """Mean of scalar tensors (batch loss reduction)."""
-    parts = [as_tensor(p) for p in parts]
-    n = len(parts)
-    out = Tensor(np.asarray(sum(float(p.data.reshape(-1)[0]) for p in parts) / n))
-    if _track(*parts):
-        shares = [(p.node, p.shape) for p in parts]
-        def bw(g):
-            share = float(g) / n
-            for node, shape in shares:
-                if node is not None:
-                    node.accumulate(np.full(shape, share), owned=True)
         _attach(out, bw)
     return out
 

@@ -1,4 +1,5 @@
-"""Shared fixtures, the central finite-difference gradient checker and the
+"""Shared fixtures, the central finite-difference gradient checker, the
+per-sample mean loss that batched tapes are checked against, and the
 counted-vs-analytic MAC check of naive and cached scoring."""
 
 import numpy as np
@@ -51,6 +52,22 @@ def fd_check(build_loss, named_tensors, tol=1e-4, h=1e-5, max_coords=6, seed=0):
     for _, t in named_tensors:
         t.zero_grad()
     return worst
+
+
+def mean_scalars(parts) -> T.Tensor:
+    """Mean of scalar tensors (batch loss reduction)."""
+    parts = [T.as_tensor(p) for p in parts]
+    n = len(parts)
+    out = T.Tensor(np.asarray(sum(float(p.data.reshape(-1)[0]) for p in parts) / n))
+    if T._track(*parts):
+        shares = [(p.node, p.shape) for p in parts]
+        def bw(g):
+            share = float(g) / n
+            for node, shape in shares:
+                if node is not None:
+                    node.accumulate(np.full(shape, share), owned=True)
+        T._attach(out, bw)
+    return out
 
 
 def counted_muladds(model, users, n_candidates, seed=0):

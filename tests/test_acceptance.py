@@ -20,7 +20,7 @@ Criteria (tolerances pinned here, nothing deferred):
 import numpy as np
 import pytest
 
-from conftest import counted_muladds, fd_check
+from conftest import counted_muladds, fd_check, mean_scalars
 from longrec import analysis
 from longrec import tensors as T
 from longrec.attention import BlockParams, attention_block, build_mask
@@ -213,8 +213,8 @@ def test_criterion_4_gradients():
                 int(rng.integers(2))))
 
         def loss():
-            return T.mean_scalars([T.bce(model.forward_tensor([s]), s.label)
-                                   for s in samples])
+            return mean_scalars([T.bce(model.forward_tensor([s]), s.label)
+                                 for s in samples])
 
         worst_e2e = max(worst_e2e, fd_check(
             loss, model.params(), tol=1e-3, max_coords=2, seed=seed))

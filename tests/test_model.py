@@ -10,14 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fd_check
+from conftest import fd_check, mean_scalars
 from longrec import analysis
+from longrec import model as model_module
 from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
 from longrec.errors import ConfigError, NumericalError
 from longrec.inputs import (Candidate, Dataset, Event, Sample, UserFeatures,
                             generate_dataset)
-from longrec.model import (CHECKPOINT_MAGIC, LongRecModel, OptConfig,
+from longrec.model import (CHECKPOINT_MAGIC, Adam, LongRecModel, OptConfig,
                            SumPoolingModel, batch_backward, evaluate, select_queries,
                            train)
 from longrec.tensors import Tensor
@@ -169,7 +170,7 @@ def test_pad_growth_leaves_forward_unchanged(tiny_cfg, mode):
         if name == "tables.abs_pos_table":
             t.data[:small.L] = sp[name].data
         else:
-            t.data = sp[name].data.copy()
+            t.data[...] = sp[name].data
     s = sample_for(small, 5, seed=4)
     assert abs(big_model.score(s) - small_model.score(s)) <= 1e-12
 
@@ -417,8 +418,8 @@ def test_pair_tapes_match_one_mean_tape(tiny_cfg):
         for _, t in model.params():
             t.zero_grad()
         with T.tape():
-            loss = T.mean_scalars([T.bce(model.forward_tensor([s]), s.label)
-                                   for s in samples])
+            loss = mean_scalars([T.bce(model.forward_tensor([s]), s.label)
+                                 for s in samples])
             loss.backward()
         want = [t.grad for _, t in model.params()]
         assert math.isclose(value, float(loss.data), rel_tol=1e-12)
@@ -467,15 +468,20 @@ def test_non_finite_loss_of_a_pairs_second_sample_stops_training(tiny_cfg):
 def test_training_peak_memory_does_not_grow_with_batch():
     """Only one tape of four samples is alive at a time, and it keeps only
     what its backward reads: the traced peak of one epoch at batch 8 stays
-    below twice the peak at batch 1."""
+    below twice the peak at batch 1. A warm-up epoch runs first, so the
+    one-time allocations of a cold process fall in neither peak."""
     ds = generate_dataset(GeneratorConfig(n_users=16, vocab=24, L_max=64,
                                           n_interests=5, interests_per_user=2,
                                           n_profiles=4), 0)
+
+    def config(batch):
+        return ModelConfig(L=64, d=4, K=2, k=8, N=1, vocab=24, n_users=16,
+                           n_profiles=4, head_hidden=8, batch_size=batch)
+
+    train(LongRecModel(config(1), seed=0), ds, 1, OptConfig(eval_fraction=0.0))
     peaks = []
     for batch in (1, 8):
-        cfg = ModelConfig(L=64, d=4, K=2, k=8, N=1, vocab=24, n_users=16,
-                          n_profiles=4, head_hidden=8, batch_size=batch)
-        model = LongRecModel(cfg, seed=0)
+        model = LongRecModel(config(batch), seed=0)
         tracemalloc.start()
         try:
             train(model, ds, 1, OptConfig(eval_fraction=0.0))
@@ -515,6 +521,38 @@ def test_nan_parameters_abort_training(tiny_cfg):
         train(model, tiny_dataset(cfg), epochs=1, opt=OptConfig(seed=4))
 
 
+def test_adam_matches_per_array_reference(tiny_cfg):
+    """Adam's one vector update equals the straight-line Adam of each array
+    bitwise, over a step with every gradient and one where every history is
+    empty: no gradient reaches the action table, which then keeps its
+    values and moments."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "lr": 0.01})
+    model = SumPoolingModel(cfg, seed=5)
+    full = tiny_dataset(cfg, n=6).samples
+    empty = [Sample((), s.user_features, s.candidate, s.label) for s in full]
+    adam = Adam(model, cfg.lr)
+    want = {n: t.data.copy() for n, t in model.params()}
+    moments = {n: (np.zeros_like(a), np.zeros_like(a)) for n, a in want.items()}
+    for step, batch in enumerate([full, empty], start=1):
+        adam.zero_grads()
+        batch_backward(model, batch)
+        adam.step()
+        c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for n, t in model.params():
+            if t.grad is None:
+                continue
+            m, v = moments[n]
+            m *= b1
+            m += (1 - b1) * t.grad
+            v *= b2
+            v += (1 - b2) * t.grad * t.grad
+            want[n] -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        for n, t in model.params():
+            np.testing.assert_array_equal(t.data, want[n], err_msg=n)
+    assert [n for n, t in model.params() if t.grad is None] == ["action_table"]
+
+
 def test_end_to_end_gradient_check(tiny_cfg):
     for seed in range(2):
         model = LongRecModel(tiny_cfg, seed=20 + seed)
@@ -522,8 +560,8 @@ def test_end_to_end_gradient_check(tiny_cfg):
                    sample_for(tiny_cfg, 3, seed=40 + seed)]
 
         def loss():
-            return T.mean_scalars([T.bce(model.forward_tensor([s]), s.label)
-                                   for s in samples])
+            return mean_scalars([T.bce(model.forward_tensor([s]), s.label)
+                                 for s in samples])
 
         named = [(n, t) for n, t in model.params()]
         fd_check(loss, named, tol=1e-3, h=1e-5, max_coords=2, seed=seed)
@@ -540,8 +578,8 @@ def test_batched_forward_gradient_check(tiny_cfg):
 
     def loss():
         p = model.forward_tensor(samples)
-        return T.mean_scalars([T.bce(T.gather_rows(p, [i]), s.label)
-                               for i, s in enumerate(samples)])
+        return mean_scalars([T.bce(T.gather_rows(p, [i]), s.label)
+                             for i, s in enumerate(samples)])
 
     fd_check(loss, model.params(), tol=1e-4, h=1e-5, max_coords=3, seed=5)
 
@@ -718,6 +756,84 @@ def test_checkpoint_mistyped_config_raises_config_error(tmp_path, tiny_cfg):
                     + blob[16 + hlen:])
     with pytest.raises(ConfigError, match="lr"):
         LongRecModel.load(str(bad))
+
+
+def assert_views_of_flat(model):
+    """Every parameter is a C-contiguous view of ``model.flat``, in
+    ``params()`` order and covering it: a pattern written into the vector
+    reads back through the parameters."""
+    named = model.params()
+    assert all(np.shares_memory(t.data, model.flat) and t.data.flags.c_contiguous
+               for _, t in named)
+    saved = model.flat.copy()
+    model.flat[:] = np.arange(model.flat.size)
+    seen = np.concatenate([t.data.ravel() for _, t in named])
+    model.flat[:] = saved
+    np.testing.assert_array_equal(seen, np.arange(model.flat.size))
+
+
+@pytest.mark.parametrize("kind", ["concat", "inner-learnable", "sumpooling"])
+def test_parameters_are_views_of_one_vector(tmp_path, tiny_cfg, kind):
+    """After construction, after a training epoch and after ``load``."""
+    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24, "batch_size": 4,
+                         "merge_mode": "inner" if kind == "inner-learnable" else "concat",
+                         "query_strategy": "learnable" if kind == "inner-learnable"
+                         else "recent"})
+    model = SumPoolingModel(cfg, seed=1) if kind == "sumpooling" else LongRecModel(cfg, seed=1)
+    assert_views_of_flat(model)
+    train(model, tiny_dataset(cfg, n=8), epochs=1, opt=OptConfig(seed=1))
+    assert_views_of_flat(model)
+    if kind != "sumpooling":
+        model.save(str(tmp_path / "model.bin"))
+        loaded = LongRecModel.load(str(tmp_path / "model.bin"))
+        assert_views_of_flat(loaded)
+        np.testing.assert_array_equal(loaded.flat, model.flat)
+
+
+def test_load_draws_no_random_numbers(tmp_path, tiny_cfg, monkeypatch):
+    model = LongRecModel(tiny_cfg, seed=2)
+    path = str(tmp_path / "model.bin")
+    model.save(path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load made a random generator")
+
+    monkeypatch.setattr(model_module.np.random, "default_rng", no_draws)
+    loaded = LongRecModel.load(path)
+    for (_, a), (_, b) in zip(model.params(), loaded.params()):
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_save_writes_format_one_bytes(tmp_path, tiny_cfg):
+    """``save`` writes exactly what a straight-line format-1 writer over
+    ``params()`` writes, so checkpoints written array by array still load."""
+    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "n_users": 24})
+    model = LongRecModel(cfg, seed=3)
+    train(model, tiny_dataset(cfg, n=8), epochs=1, opt=OptConfig(seed=2))
+    path = tmp_path / "model.bin"
+    model.save(str(path))
+    header = json.dumps({
+        "format_version": 1, "config": cfg.to_dict(),
+        "param_version": model.param_version,
+        "arrays": [{"name": n, "shape": list(t.shape)} for n, t in model.params()],
+    }, sort_keys=True).encode("utf-8")
+    want = (CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header
+            + b"".join(t.data.astype("<f8").tobytes() for _, t in model.params()))
+    assert path.read_bytes() == want
+
+
+def test_fingerprint_sees_one_ulp_of_first_and_last_parameter(tiny_cfg):
+    model = LongRecModel(tiny_cfg, seed=4)
+    named = model.params()
+    base = model.fingerprint()
+    for values, i in ((named[0][1].data.reshape(-1), 0), (named[-1][1].data.reshape(-1), -1)):
+        old = values[i]
+        values[i] = np.nextafter(old, np.inf)
+        model.param_version += 1
+        assert model.fingerprint() != base
+        values[i] = old
+        model.param_version += 1
+        assert model.fingerprint() == base
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -185,7 +185,7 @@ def test_stale_cache_after_parameter_update():
     s = users_for(cfg, 1, seed=8)[0]
     cache = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
     # one optimizer step invalidates the fingerprint
-    opt = Adam(model.params(), lr=1e-3)
+    opt = Adam(model, lr=1e-3)
     with T.tape():
         T.bce(model.forward_tensor([s]), s.label).backward()
     opt.step()

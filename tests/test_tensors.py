@@ -33,6 +33,14 @@ def scalar_gelu(u):
                                       * (u + 0.044715 * u ** 3)))
 
 
+def gelu_and_slope(x):
+    """The straight-line tanh GELU of an array and its derivative."""
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + a * (x * x * x)))
+    du = c * (1.0 + 3.0 * a * (x * x))
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
 # ----------------------------- matmul -----------------------------
 
 
@@ -270,12 +278,12 @@ def test_nothing_recorded_outside_a_tape():
     """Only an op inside a tape with an input that requires gradients gets
     a node, and the tape holds that node, not the tensor."""
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    y = T.gelu(T.linear(x, np.ones((3, 3)), np.zeros(3)))
+    y = T.sigmoid(T.linear(x, np.ones((3, 3)), np.zeros(3)))
     assert not y.requires_grad and y.node is None
     with T.tape() as recorded:
-        z = T.gelu(x)
+        z = T.sigmoid(x)
         assert z.requires_grad and recorded == [z.node]
-        T.gelu(Tensor(np.ones((2, 3))))       # no input requires gradients
+        T.sigmoid(Tensor(np.ones((2, 3))))    # no input requires gradients
         assert recorded == [z.node]
 
 
@@ -294,7 +302,7 @@ def test_tape_frees_intermediates_on_scope_exit():
     still held."""
     x = Tensor(np.random.default_rng(22).normal(size=(2, 3)), requires_grad=True)
     with T.tape():
-        h = T.gelu(x)
+        h = T.sigmoid(x)
         ref = weakref.ref(h.data)     # freed with h
         loss = T.bce(T.sigmoid(T.reshape(
             T.matmul(T.reshape(T.mul(h, h), (1, 6)), np.ones((6, 1))), (1, 1))), 1.0)
@@ -302,7 +310,7 @@ def test_tape_frees_intermediates_on_scope_exit():
         assert ref() is not None      # the tape still holds it
     assert ref() is None
     with T.tape():
-        h = T.gelu(x)
+        h = T.sigmoid(x)
         ref = weakref.ref(h.data)     # freed with h
         loss = T.bce(T.sigmoid(T.reshape(
             T.matmul(T.reshape(h, (1, 6)), np.ones((6, 1))), (1, 1))), 1.0)
@@ -401,7 +409,7 @@ def test_diamond_graph_fd():
 
     def loss():
         h = T.linear(x, w, np.zeros(3))
-        left = T.gelu(h)
+        left = T.mul(h, h)
         right = T.mul(h, T.sigmoid(h))
         top = T.add(T.mul(left, right), h)
         return T.bce(T.sigmoid(T.reshape(
@@ -541,28 +549,32 @@ def test_layer_norm_bitwise_equals_straight_line():
 
 
 def test_mlp_equals_linear_gelu_linear_bitwise():
-    """The fused MLP's output and five gradients equal those of ``linear``,
-    ``gelu`` and ``linear`` recorded one by one, bitwise, on 2-D and 3-D
-    inputs, outside a tape, and when backward recomputes the hidden layer,
-    which counts the first product's MACs once more."""
+    """The fused MLP's output and five gradients equal the straight-line
+    NumPy linear, GELU and linear forward and backward, bitwise, on 2-D and
+    3-D inputs, outside a tape, and when backward recomputes the hidden
+    layer, which counts the first product's MACs once more."""
     rng = np.random.default_rng(33)
     for shape in [(5, 3), (2, 4, 3)]:
         x = rng.normal(size=shape) * 2.0
         ws = [rng.normal(size=s) for s in [(3, 7), (7,), (7, 2), (2,)]]
         g = rng.normal(size=shape[:-1] + (2,))
+        w1, b1, w2, b2 = ws
+        x2, g2 = x.reshape(-1, 3), g.reshape(-1, 2)
+        y, slope = gelu_and_slope(x2 @ w1 + b1)
+        gh = (g2 @ w2.T) * slope
+        want = [(y @ w2 + b2).reshape(g.shape), (gh @ w1.T).reshape(shape),
+                x2.T @ gh, gh.sum(axis=0), y.T @ g2, g2.sum(axis=0)]
+        forward_macs = x2.shape[0] * (3 * 7 + 7 * 2)
         got = {}
-        for way in ("keep", "recompute", "unfused"):
+        for way in ("keep", "recompute"):
             ts = [Tensor(v, requires_grad=True) for v in [x] + ws]
             with T.count_muladds() as count, T.tape():
-                if way == "unfused":
-                    out = T.linear(T.gelu(T.linear(ts[0], ts[1], ts[2])), ts[3], ts[4])
-                else:
-                    out = T.mlp(*ts, keep_hidden=way == "keep")
+                out = T.mlp(*ts, keep_hidden=way == "keep")
                 out.backward(g)
             got[way] = [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
             got[way + " MACs"] = count.mul_adds
-        assert got["keep"] == got["recompute"] == got["unfused"]
-        assert got["keep MACs"] == got["unfused MACs"] \
+        assert got["keep"] == got["recompute"] == [w.tobytes() for w in want]
+        assert got["keep MACs"] == forward_macs \
             == got["recompute MACs"] - x.size // 3 * 7 * 3
         assert T.mlp(x, *ws).data.tobytes() == got["keep"][0]
 
@@ -635,11 +647,12 @@ def test_ffn_fd():
 
 
 def test_gelu_sigmoid_fd():
+    """GELU alone: an ``mlp`` with identity weights and zero biases."""
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
     def loss():
-        y = T.gelu(x)
+        y = T.mlp(x, np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
         return T.bce(T.sigmoid(T.reshape(
             T.matmul(T.reshape(y, (1, 6)), np.ones((6, 1)) * 0.3), (1, 1))), 0.0)
 
@@ -647,10 +660,13 @@ def test_gelu_sigmoid_fd():
 
 
 def test_gelu_bitwise_equals_straight_line():
-    """The in-place kernel keeps the arithmetic of the straight-line form,
-    forward and backward, and outside a tape."""
+    """The in-place GELU kernel keeps the arithmetic of the straight-line
+    form, forward and backward, and outside a tape. It runs as an ``mlp``
+    with identity weights and zero biases, whose products and bias adds are
+    exact, so the GELU alone decides the bits."""
     rng = np.random.default_rng(25)
     c, a = math.sqrt(2.0 / math.pi), 0.044715
+    eye, zero = np.eye(13), np.zeros(13)
     for scale in (0.1, 1.0, 4.0):
         x = rng.normal(size=(7, 13)) * scale
         g = rng.normal(size=x.shape)
@@ -659,11 +675,12 @@ def test_gelu_bitwise_equals_straight_line():
         dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
         xt = Tensor(x, requires_grad=True)
         with T.tape():
-            out = T.gelu(xt)
+            out = T.mlp(xt, eye, zero, eye, zero)
             out.backward(g)
         np.testing.assert_array_equal(out.data, 0.5 * x * (1.0 + t))
         np.testing.assert_array_equal(xt.grad, g * dx)
-        np.testing.assert_array_equal(T.gelu(x).data, 0.5 * x * (1.0 + t))
+        np.testing.assert_array_equal(T.mlp(x, eye, zero, eye, zero).data,
+                                      0.5 * x * (1.0 + t))
 
 
 def test_structural_ops_fd():
