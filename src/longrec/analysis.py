@@ -156,7 +156,7 @@ def count_params(cfg: ModelConfig) -> dict:
 def muladds_full_forward(cfg: ModelConfig, n_events: int) -> int:
     """Exact MACs of one full forward pass with ``n_events`` real events.
 
-    Enumerates every matmul the implementation executes: the per-event
+    Enumerates every matrix product the implementation executes: the per-event
     featurizer (real events only), global-token assembly, the per-group
     transformers (batched over the padded grid when enabled), the cross
     layer, N self layers, and the head. The last self layer projects keys

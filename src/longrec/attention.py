@@ -10,8 +10,8 @@ last-ranked global (the candidate target), alone at the top of the order,
 sees every non-pad key while no other row sees it, the exact property that
 lets the serving module cache all candidate-independent rows. Padding is on
 the left, so a pad query row sees only pad keys, that is nothing.
-Visibility is a boolean array that the softmax uses to select logits,
-never added to them, so a hidden logit can never perturb visible
+Visibility is a boolean array that ``T.attention`` uses to select scores,
+never added to them, so a hidden score can never perturb visible
 probabilities.
 
 The same block serves the inner merge's per-group layers (width d, each
@@ -20,8 +20,9 @@ group of K rows one sample with all-True visibility), the cross layer
 last self layer of a full pass or a cache build (``rows``: keys and values
 from every row, output only for the CLS and target rows that a later stage
 reads) and cached scoring (a block of target rows, each against
-precomputed key/value rows passed as ``prefix_kv`` and its own key). Blocks
-are pre-norm: LN -> multi-head attention -> residual, then LN -> FFN ->
+precomputed key/value rows passed as ``prefix_kv`` and its own key), all
+through the one op ``T.attention``. Blocks are pre-norm: LN -> multi-head
+attention -> residual, then LN -> FFN (``T.mlp`` at hidden width 4x) ->
 residual, with per-head scaling 1/sqrt(width/heads). One block at width w
 holds exactly 12*w^2 + 13*w parameters (four projections with biases, the
 4x FFN with biases, two layer norms).
@@ -114,37 +115,6 @@ class BlockParams:
         return self.w_q.shape[0]
 
 
-def _multi_head_attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
-                          heads: int, prefix_kv=None) -> Tensor:
-    width = q.shape[-1]
-    dh = width // heads
-    scale = 1.0 / math.sqrt(dh)
-    parts = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = T.slice_cols(q, lo, hi) if heads > 1 else q
-        kh = T.slice_cols(k, lo, hi) if heads > 1 else k
-        vh = T.slice_cols(v, lo, hi) if heads > 1 else v
-        qs = T.mul(qh, scale)
-        if prefix_kv is None:
-            probs = T.masked_softmax(T.matmul(qs, kh, transpose_b=True), visible)
-            parts.append(T.matmul(probs, vh))
-            continue
-        # Row i is its own target: the cached keys, then its own key only.
-        n, c = prefix_kv[0].shape[0], q.shape[0]
-        own = T.matmul(T.reshape(qs, (c, 1, dh)), T.reshape(kh, (c, dh, 1)))
-        scores = T.concat_cols([
-            T.matmul(qs, Tensor(prefix_kv[0][:, lo:hi]), transpose_b=True),
-            T.reshape(own, (c, 1))])
-        probs = T.masked_softmax(scores, np.broadcast_to(visible, scores.shape))
-        own_v = T.matmul(T.reshape(T.slice_cols(probs, n, n + 1), (c, 1, 1)),
-                         T.reshape(vh, (c, 1, dh)))
-        parts.append(T.add(T.matmul(T.slice_cols(probs, 0, n),
-                                    Tensor(prefix_kv[1][:, lo:hi])),
-                           T.reshape(own_v, (c, dh))))
-    return T.concat_cols(parts) if heads > 1 else parts[0]
-
-
 def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
                     params: BlockParams, heads: int = 1, prefix_kv=None,
                     rows=None):
@@ -155,7 +125,8 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
     ``x_kv`` are (rows, width), or (B, rows, width) for B independent
     samples run as one batch. Self-attention when ``x_kv`` is ``x_q``;
     ``visible`` is the boolean (queries, keys) visibility, with the same
-    leading B axis as the rows. ``prefix_kv``, a pair of already-projected
+    leading B axis as the rows (``T.attention`` checks it and that the
+    heads divide the width). ``prefix_kv``, a pair of already-projected
     (keys, values) arrays, makes every row of a 2-D ``x_q`` an independent
     target (so ``x_kv`` must be ``x_q``): row i sees the prefix rows and its
     own key row only, through ``visible``, the target's (1, prefix + 1)
@@ -176,20 +147,14 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
     if x_q.shape[-1] != width or x_kv.shape[-1] != width:
         raise DimensionError(
             f"block width {width} does not match inputs {x_q.shape}, {x_kv.shape}")
-    if width % heads:
-        raise DimensionError(f"width {width} not divisible by heads={heads}")
     if rows is not None and (x_kv is not x_q or prefix_kv is not None):
         raise DimensionError("rows takes a self-attention block without prefix_kv")
-    if prefix_kv is None:
-        n_q = x_q.shape[-2] if rows is None else len(rows)
-        want = x_q.shape[:-2] + (n_q,) + x_kv.shape[-2:-1]
-    elif x_kv is not x_q or len(x_q.shape) != 2:
-        raise DimensionError("prefix_kv scoring takes a 2-D block of rows, each "
-                             "its own key")
-    else:
-        want = (1, prefix_kv[0].shape[0] + 1)
-    if np.shape(visible) != want:
-        raise DimensionError(f"visibility shape {np.shape(visible)} != {want}")
+    if prefix_kv is not None:
+        want = (1, len(prefix_kv[0]) + 1)
+        if x_kv is not x_q or np.shape(visible) != want:
+            raise DimensionError(f"prefix_kv scoring takes a block of rows, each its "
+                                 f"own key, and a {want} visibility row")
+        visible = np.broadcast_to(visible, x_q.shape[:-1] + want[1:])
     qn = T.layer_norm(x_q, params.ln1_g, params.ln1_b)
     kn = qn if x_kv is x_q else T.layer_norm(x_kv, params.ln1_g, params.ln1_b)
     if rows is not None:
@@ -197,7 +162,7 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
     q = T.linear(qn, params.w_q, params.b_q)
     k = T.linear(kn, params.w_k, params.b_k)
     v = T.linear(kn, params.w_v, params.b_v)
-    ctx = _multi_head_attention(q, k, v, visible, heads, prefix_kv)
+    ctx = T.attention(q, k, v, visible, heads, prefix_kv)
     x1 = T.add(x_q, T.linear(ctx, params.w_o, params.b_o))
     x1n = T.layer_norm(x1, params.ln2_g, params.ln2_b)
-    return T.add(x1, T.ffn(x1n, params.w1, params.b1, params.w2, params.b2)), k, v
+    return T.add(x1, T.mlp(x1n, params.w1, params.b1, params.w2, params.b2)), k, v

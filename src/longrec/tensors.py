@@ -1,25 +1,24 @@
 """Dense float64 tensor kernel with hand-written backward passes.
 
-Every numeric operation the model needs lives here: one matrix product
-(2-D, or batched 3-D, optionally against a transposed right operand), the
-affine map ``linear``, elementwise ``add`` (equal shapes) and ``mul``
-(broadcasting), masked softmax, layer normalization, sigmoid, the
-linear-GELU-linear ``mlp`` and its 4x-wide case, the transformer ``ffn``,
-the structural ops (concat, slice, gather, left pad, reshape, row mean) and
-the loss op ``bce``, the mean loss of a column of probabilities with one
-label per row, so a batch of samples' (B, 1) output is one loss; attention
-is composed from these. This is deliberately not a
-general autodiff engine: the op set is small, fixed, and auditable, and
-every backward is validated against central finite differences in the test
+Every numeric operation the model needs lives here: the affine map
+``linear``, elementwise ``add`` (equal shapes) and ``mul`` (equal shapes or
+a constant scalar), layer normalization, sigmoid, the linear-GELU-linear
+``mlp`` (the transformer FFN at hidden width 4x), multi-head ``attention``
+(with or without a cached key/value prefix), the structural ops (concat,
+gather, left pad, reshape, row mean) and the loss op ``bce``, the mean loss
+of a column of probabilities with one label per row, so a batch of
+samples' (B, 1) output is one loss. This is deliberately not a general
+autodiff engine: the op set is small, fixed, and auditable, and every
+backward is validated against central finite differences in the test
 suite.
 
-Leading axes: ``linear``, ``mlp``, ``layer_norm``, ``concat_cols``,
-``slice_cols`` and the elementwise ops act on the last axis and
-``concat_rows`` on the rows axis (the second to last), whatever the leading
-axes before them, so a batch of B samples' (rows, width) blocks runs as one
-(B, rows, width) op; softmax takes the last axis too, and ``gather_rows``
-the rows axis. ``matmul`` takes two 2-D or two equal-batch 3-D operands.
-``left_pad_rows`` and ``mean_rows`` act on 2-D row tables.
+Leading axes: ``linear``, ``mlp``, ``layer_norm``, ``concat_cols`` and the
+elementwise ops act on the last axis and ``concat_rows`` on the rows axis
+(the second to last), whatever the leading axes before them, so a batch of
+B samples' (rows, width) blocks runs as one (B, rows, width) op;
+``attention`` takes (..., rows, width) queries over (..., keys, width) keys
+and values, and ``gather_rows`` the rows axis. ``left_pad_rows`` and
+``mean_rows`` act on 2-D row tables.
 
 Recording is scoped. Inside ``with tape():`` every op with an input that
 requires gradients gives its output a gradient node (its ``grad`` and its
@@ -31,33 +30,36 @@ gradients) and ``backward`` raises.
 
 A closure holds its inputs' nodes and only the arrays its own backward
 reads: ``mul`` by a constant, ``add``, the concats and ``reshape`` keep no
-array, ``gather_rows`` and ``slice_cols`` keep shapes and indices,
-``layer_norm`` its normalized rows, and ``linear``, ``matmul`` and ``mul``
-each operand only when the other needs a gradient. So an output that only
-such ops consume is freed as soon as the forward moves past it, and a tape
-holds what its backward reads plus what callers still reference. Two ops
-recompute cheap activations rather than keep them (Chen et al. 2016,
-arXiv:1604.06174): ``mlp`` keeps its pre-activation and tanh and rebuilds
-the GELU output in backward (with ``keep_hidden=False`` it keeps only its
-input and recomputes the hidden layer too), and ``checkpoint(fn)`` records
-a subgraph built only from leaves as one node whose backward reruns ``fn``
-on a fresh tape. Both repeat the forward's arithmetic, so gradients are
-bitwise those of the unfused ops. A recomputed product counts its MACs
-again, so during training the counter reads more than the forward alone;
-forward-only counts are unchanged.
+array, ``gather_rows`` keeps shapes and indices, ``layer_norm`` its
+normalized rows, ``linear`` and ``mul`` each operand only when the other
+needs a gradient, and ``attention`` its probabilities, plus the scaled
+queries when the keys need a gradient, the keys when the queries do and
+the values when either does. So an output that only such ops consume is
+freed as soon as the forward moves past it, and a tape holds what its
+backward reads plus what callers still reference. Two ops recompute cheap
+activations rather than keep them (Chen et al. 2016, arXiv:1604.06174):
+``mlp`` keeps its pre-activation and tanh and rebuilds the GELU output in
+backward (with ``keep_hidden=False`` it keeps only its input and recomputes
+the hidden layer too), and ``checkpoint(fn)`` records a subgraph built only
+from leaves as one node whose backward reruns ``fn`` on a fresh tape. Both
+repeat the forward's arithmetic, so gradients are bitwise those of the
+unfused ops. A recomputed product counts its MACs again, so during training
+the counter reads more than the forward alone; forward-only counts are
+unchanged.
 
-Instrumentation: ``matmul`` adds ``batch*m*p*n`` scalar multiply-accumulate
-operations (MACs) to the module-level ``counter``, batch being 1 for 2-D
-operands, and ``linear`` counts its product exactly as ``matmul`` would
-(``rows*p*q`` for (rows, p) x (p, q), every leading axis counting as rows),
-its bias add being uncounted. One MAC equals two FLOPs under the usual
-convention, so the analysis module's per-layer FLOPs formulas are exactly
-twice the counts recorded here.
-Elementwise ops, normalizations, and softmax are not counted, matching the
-convention of the analytic cost formulas.
+Instrumentation: each matrix product of a forward adds its scalar
+multiply-accumulate operations (MACs) to the module-level ``counter``:
+``linear`` ``rows*p*q`` for (rows, p) x (p, q), every leading axis counting
+as rows, its bias add uncounted; ``mlp`` its two products likewise; and
+``attention`` ``2*rows*w*keys``, the scores and the weighted values, over
+every head. One MAC equals two FLOPs under the usual convention, so the
+analysis module's per-layer FLOPs formulas are exactly twice the counts
+recorded here. Elementwise ops, normalizations, and softmax are not
+counted, matching the convention of the analytic cost formulas, and so
+are the gradient products of a backward.
 
 Attention visibility is a boolean array (True = the query may see the key);
-``masked_softmax`` refuses any other dtype.
+``attention`` refuses any other dtype.
 
 Memory: a training tape or a batched evaluation chunk frees megabytes at
 once. Under glibc's default thresholds (128 KiB at start-up for both the
@@ -117,8 +119,8 @@ ALLOCATOR_TUNED = _keep_freed_memory()
 class OpCounter:
     """Counts scalar multiply-accumulate operations across forward passes.
 
-    Monotonically non-decreasing between resets; one matmul of shapes
-    (batch, m, p) x (batch, p, n) contributes batch*m*p*n.
+    Monotonically non-decreasing between resets; one product of shapes
+    (m, p) x (p, n) contributes m*p*n.
     """
 
     __slots__ = ("mul_adds",)
@@ -319,37 +321,6 @@ def checkpoint(fn) -> Tensor:
 # ----------------------------- arithmetic -----------------------------
 
 
-def matmul(a, b, transpose_b: bool = False) -> Tensor:
-    """``a @ b``, or ``a @ b^T`` with ``transpose_b``, for two 2-D tensors
-    or two 3-D tensors with one shared leading (batch) size; nothing
-    broadcasts. Adds batch*m*p*n MACs to the counter."""
-    a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
-    if ad.ndim not in (2, 3) or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]:
-        raise DimensionError(f"matmul needs two 2-D or two equal-batch 3-D "
-                             f"operands, got {a.shape} and {b.shape}")
-    bm = np.swapaxes(bd, -1, -2) if transpose_b else bd
-    if ad.shape[-1] != bm.shape[-2]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}"
-                             + ("^T" if transpose_b else ""))
-    counter.add(ad.size * bm.shape[-1])
-    out = Tensor(ad @ bm)
-    if _track(a, b):
-        an, bn = a.node, b.node
-        ad = ad if bn is not None else None       # each side's gradient
-        bm = bm if an is not None else None       # reads the other's data
-        def bw(g):
-            if an is not None:
-                an.accumulate(g @ np.swapaxes(bm, -1, -2), owned=True)
-            if bn is not None:
-                if transpose_b:
-                    bn.accumulate(np.swapaxes(g, -1, -2) @ ad, owned=True)
-                else:
-                    bn.accumulate(np.swapaxes(ad, -1, -2) @ g, owned=True)
-        _attach(out, bw)
-    return out
-
-
 def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``x2 @ w + b`` for a 2-D x2, counting rows*p*q MACs, as ``linear``."""
     counter.add(x2.size * w.shape[1])
@@ -368,7 +339,7 @@ def _check_affine(name: str, x_shape: tuple, w: Tensor, b: Tensor) -> None:
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` over the last axis of x (..., p), for w (p, q) and bias
     b (q,), as one op; every leading axis of x counts as rows. Adds
-    rows*p*q MACs to the counter, as ``matmul`` would on the (rows, p) view.
+    rows*p*q MACs to the counter, those of the product on the (rows, p) view.
 
     An x with more than two axes runs as one product on its (rows, p) view,
     forward and for x's gradient, so its result equals the 2-D call's
@@ -486,42 +457,7 @@ def sigmoid(x) -> Tensor:
     return out
 
 
-# ----------------------------- normalization / softmax -----------------------------
-
-
-def masked_softmax(logits, visible) -> Tensor:
-    """Row-wise softmax over the positions where boolean ``visible`` is True.
-
-    Visibility selects logits rather than being added to them, so hidden
-    logits cannot perturb visible probabilities even at the last bit: a
-    hidden logit becomes -inf, whose exponential is exactly 0 in the output.
-    Rows with nothing visible return all zeros rather than NaN so padded
-    rows stay inert in downstream sums. Any dtype but bool raises: a 0/-inf
-    float mask read as booleans would be inverted.
-    """
-    x = as_tensor(logits)
-    vis = np.asarray(visible)
-    if vis.dtype != np.bool_:
-        raise DimensionError(f"visibility must be a bool array, got {vis.dtype}")
-    if vis.shape != x.shape:
-        raise DimensionError(f"visibility shape {vis.shape} != logits shape {x.shape}")
-    p = np.where(vis, x.data, -np.inf)
-    rowmax = p.max(axis=-1, keepdims=True)
-    finite = np.isfinite(rowmax)
-    if not finite.all():                                 # fully-masked guard
-        rowmax = np.where(finite, rowmax, 0.0)
-    p -= rowmax
-    np.exp(p, out=p)
-    s = p.sum(axis=-1, keepdims=True)
-    np.divide(p, s, out=p, where=s > 0)
-    out = Tensor(p)
-    if _track(x):
-        xn = x.node
-        def bw(g):
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            xn.accumulate(p * (g - dot), owned=True)
-        _attach(out, bw)
-    return out
+# ----------------------------- normalization -----------------------------
 
 
 def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
@@ -633,20 +569,110 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     return out
 
 
-def ffn(x, w1, b1, w2, b2) -> Tensor:
-    """Transformer feed-forward: the GELU ``mlp`` with hidden width 4x the
-    model width.
+def _split(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., rows, w) viewed as (..., heads, rows, w / heads)."""
+    return np.swapaxes(x.reshape(x.shape[:-1] + (heads, -1)), -2, -3)
 
-    Two products contribute 8*n*D^2 MACs (16*n*D^2 FLOPs) for input (n, D).
+
+def _join(x: np.ndarray) -> np.ndarray:
+    """(..., heads, rows, dh) as (..., rows, heads * dh)."""
+    x = np.swapaxes(x, -2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one op. The last axis of
+    q (..., rows, w) and of k and v (..., keys, w) splits into ``heads``
+    blocks of width dh; each head's row weighs v_h by softmax(q_h k_h^T /
+    sqrt(dh)) over the keys that the boolean (..., rows, keys) ``visible``
+    marks, and the heads' contexts join along the last axis. Visibility
+    selects scores, never adds to them, so a hidden key cannot move a
+    visible probability by one bit, and a row that sees nothing returns
+    zeros. Any dtype but bool raises: a 0/-inf float mask would be inverted.
+
+    ``prefix``, (p, w) key and value arrays that take no gradient, makes
+    each row of a 2-D q its own query over the prefix rows and its own k
+    and v row (``visible`` is (rows, p + 1)): row i scores [q_i K_p^T |
+    q_i . k_i], and its context is P_p V_p + p_i v_i.
+
+    Counts 2*rows*w*keys MACs (keys = p + 1 with a prefix), those of the
+    per-head products. The arithmetic is that of the per-head products and
+    softmax composed one by one; backward keeps the probabilities, and the
+    scaled queries, keys and values only as the input gradients read them.
     """
-    x = as_tensor(x)
-    width = x.shape[-1]
-    w1t, w2t = as_tensor(w1), as_tensor(w2)
-    if w1t.shape != (width, 4 * width) or w2t.shape != (4 * width, width):
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    vis = np.asarray(visible)
+    if vis.dtype != np.bool_:
+        raise DimensionError(f"visibility must be a bool array, got {vis.dtype}")
+    shape, cached = q.shape, prefix is not None
+    if cached:
+        prefix = [np.asarray(a, dtype=np.float64) for a in prefix]
+        n = prefix[0].shape[0] if prefix[0].ndim == 2 else 0
+        ok = len(shape) == 2 and k.shape == v.shape == shape \
+            and prefix[0].shape == prefix[1].shape == (n, shape[-1])
+    else:
+        ok = len(shape) >= 2 and k.shape == v.shape \
+            and k.shape[:-2] + k.shape[-1:] == shape[:-2] + shape[-1:]
+        n = k.shape[-2] if ok else 0
+    if not ok or heads < 1 or shape[-1] % heads:
         raise DimensionError(
-            f"ffn expects ({width},{4*width}) and ({4*width},{width}) weights, "
-            f"got {w1t.shape} and {w2t.shape}")
-    return mlp(x, w1t, b1, w2t, b2)
+            f"attention needs q (..., rows, w), k and v (..., keys, w) (q's shape "
+            f"with a (p, w) prefix) and heads dividing w, got {shape}, {k.shape}, "
+            f"{v.shape} and heads={heads}")
+    want = shape[:-1] + (n + cached,)
+    if vis.shape != want:
+        raise DimensionError(f"visibility shape {vis.shape} != {want}")
+    scale = 1.0 / math.sqrt(shape[-1] // heads)
+    qs = np.multiply(_split(q.data, heads), scale, order="C")
+    kh, vh = (np.ascontiguousarray(_split(t.data, heads)) for t in (k, v))
+    keys, vals = (_split(a, heads) for a in prefix) if cached else (kh, vh)
+    p = qs @ np.swapaxes(keys, -1, -2)        # the scores, then in place the weights
+    if cached:                                # each row's own key: one dot product
+        p = np.concatenate([p, (qs[..., None, :] @ kh[..., None])[..., 0]], axis=-1)
+    counter.add(2 * q.data.size * p.shape[-1])
+    np.copyto(p, -np.inf, where=~vis[..., None, :, :])
+    rowmax = p.max(axis=-1, keepdims=True)
+    finite = np.isfinite(rowmax)
+    if not finite.all():                                 # fully-masked guard
+        rowmax = np.where(finite, rowmax, 0.0)
+    p -= rowmax
+    np.exp(p, out=p)
+    s = p.sum(axis=-1, keepdims=True)
+    np.divide(p, s, out=p, where=s > 0)
+    ctx = p[..., :n] @ vals
+    if cached:
+        ctx += p[..., n:] * vh
+    out = Tensor(_join(ctx))
+    if _track(q, k, v):
+        qn, kn, vn = q.node, k.node, v.node
+        to_scores = qn is not None or kn is not None
+        # the closure keeps only what the input gradients read
+        qs = qs if kn is not None else None
+        keys, kh = (keys, kh) if qn is not None else (None, None)
+        vals, vh = (vals, vh) if to_scores else (None, None)
+        def bw(g):
+            gh = _split(g, heads)
+            if vn is not None:
+                gv = p[..., n:] * gh if cached else np.swapaxes(p, -1, -2) @ gh
+                vn.accumulate(_join(gv), owned=True)
+            if not to_scores:
+                return
+            gp = gh @ np.swapaxes(vals, -1, -2)
+            if cached:
+                gp = np.concatenate([gp, (gh[..., None, :] @ vh[..., None])[..., 0]],
+                                    axis=-1)
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            if qn is not None:
+                gq = gs[..., :n] @ keys
+                if cached:
+                    gq += gs[..., n:] * kh
+                gq *= scale
+                qn.accumulate(_join(gq), owned=True)
+            if kn is not None:
+                gk = gs[..., n:] * qs if cached else np.swapaxes(gs, -1, -2) @ qs
+                kn.accumulate(_join(gk), owned=True)
+        _attach(out, bw)
+    return out
 
 
 # ----------------------------- structural ops -----------------------------
@@ -680,20 +706,6 @@ def concat_cols(parts) -> Tensor:
                 if node is not None:
                     node.accumulate(g[..., off:off + w], owned=True)
                 off += w
-        _attach(out, bw)
-    return out
-
-
-def slice_cols(x, start: int, stop: int) -> Tensor:
-    """Columns ``start:stop`` of the last axis."""
-    x = as_tensor(x)
-    out = Tensor(x.data[..., start:stop].copy())
-    if _track(x):
-        xn, shape = x.node, x.shape
-        def bw(g):
-            if xn.grad is None:
-                xn.grad = np.zeros(shape)
-            xn.grad[..., start:stop] += g
         _attach(out, bw)
     return out
 

@@ -1,6 +1,7 @@
 """Shared fixtures, the central finite-difference gradient checker, the
-per-sample mean loss that batched tapes are checked against, and the
-counted-vs-analytic MAC check of naive and cached scoring."""
+constant readout that turns a tensor into a loss, the per-sample mean loss
+that batched tapes are checked against, and the counted-vs-analytic MAC
+check of naive and cached scoring."""
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ def fd_check(build_loss, named_tensors, tol=1e-4, h=1e-5, max_coords=6, seed=0):
     for _, t in named_tensors:
         t.zero_grad()
     return worst
+
+
+def readout(y, w) -> T.Tensor:
+    """``y @ w`` for a constant (p, q) ``w``: ``T.linear`` with a zero bias,
+    the tests' way to read a tensor out into a scalar loss."""
+    w = np.asarray(w, dtype=np.float64)
+    return T.linear(y, w, np.zeros(w.shape[1]))
 
 
 def mean_scalars(parts) -> T.Tensor:

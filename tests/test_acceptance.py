@@ -20,7 +20,7 @@ Criteria (tolerances pinned here, nothing deferred):
 import numpy as np
 import pytest
 
-from conftest import counted_muladds, fd_check, mean_scalars
+from conftest import counted_muladds, fd_check, mean_scalars, readout
 from longrec import analysis
 from longrec import tensors as T
 from longrec.attention import BlockParams, attention_block, build_mask
@@ -137,26 +137,30 @@ def test_criterion_3_kv_cache_equivalence():
 
 
 def scalar_loss(y_tensor, w):
-    return T.bce(T.sigmoid(T.matmul(T.mean_rows(y_tensor), w)), 1.0)
+    return T.bce(T.sigmoid(readout(T.mean_rows(y_tensor), w)), 1.0)
 
 
 def test_criterion_4_gradients():
     worst_ops = 0.0
     for seed in range(3):
         rng = np.random.default_rng(100 + seed)
-        w5 = rng.normal(size=(5, 1)) * 0.3
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        w6 = rng.normal(size=(6, 1)) * 0.3
+        qkv = [Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True) for _ in "qkv"]
+        vis = rng.random((2, 3, 3)) >= 0.3
+        vis[..., 0] = True
+        for heads in (1, 2):
+            worst_ops = max(worst_ops, fd_check(
+                lambda heads=heads: scalar_loss(
+                    T.reshape(T.attention(*qkv, vis, heads), (6, 6)), w6),
+                [(f"attention.{n}", t) for n, t in zip("qkv", qkv)],
+                tol=1e-4, seed=seed))
+        own = [Tensor(rng.normal(size=(3, 6)), requires_grad=True) for _ in "qkv"]
+        prefix = (rng.normal(size=(4, 6)), rng.normal(size=(4, 6)))
+        pvis = rng.random((3, 5)) >= 0.3
+        pvis[:, -1] = True
         worst_ops = max(worst_ops, fd_check(
-            lambda: scalar_loss(T.matmul(a, b), w5), [("a", a), ("b", b)],
-            tol=1e-4, seed=seed))
-
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        mask = rng.random((3, 5)) >= 0.3
-        mask[:, 0] = True
-        worst_ops = max(worst_ops, fd_check(
-            lambda: scalar_loss(T.masked_softmax(x, mask), w5),
-            [("softmax.x", x)], tol=1e-4, seed=seed))
+            lambda: scalar_loss(T.attention(*own, pvis, 2, prefix), w6),
+            [(f"prefix.{n}", t) for n, t in zip("qkv", own)], tol=1e-4, seed=seed))
 
         g = Tensor(rng.normal(size=4) + 1.0, requires_grad=True)
         bb = Tensor(rng.normal(size=4), requires_grad=True)
@@ -171,15 +175,8 @@ def test_criterion_4_gradients():
              for s in ((2, D), (D, 4 * D), (4 * D,), (4 * D, D), (D,))]
         w3 = rng.normal(size=(3, 1)) * 0.3
         worst_ops = max(worst_ops, fd_check(
-            lambda: scalar_loss(T.ffn(*f), w3),
+            lambda: scalar_loss(T.mlp(*f), w3),
             [(f"ffn.{i}", t) for i, t in enumerate(f)], tol=1e-4, seed=seed))
-
-        q, kk, v = (Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
-                    for _ in range(3))
-        worst_ops = max(worst_ops, fd_check(
-            lambda: scalar_loss(T.reshape(T.matmul(
-                T.matmul(q, kk, transpose_b=True), v), (4, 3)), w3),
-            [("bmm.q", q), ("bmm.k", kk), ("bmm.v", v)], tol=1e-4, seed=seed))
 
         blk = BlockParams.create(4, rng)
         xb = Tensor(rng.normal(size=(5, 4)), requires_grad=True)

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_check
+from conftest import fd_check, readout
 from test_model import sample_for
 from longrec import analysis
 from longrec import tensors as T
-from longrec.attention import (BlockParams, _multi_head_attention,
-                               attention_block, build_mask)
+from longrec.attention import BlockParams, attention_block, build_mask
 from longrec.errors import DimensionError
 from longrec.model import LongRecModel
 from longrec.tensors import Tensor
@@ -118,7 +117,7 @@ def test_single_visible_key_returns_its_value():
     visible = [2, 0, 3]
     for i, j in enumerate(visible):
         mask[i, j] = True
-    context = _multi_head_attention(queries, keys, values, mask, 1).data
+    context = T.attention(queries, keys, values, mask).data
     for i, j in enumerate(visible):
         np.testing.assert_allclose(context[i], values.data[j], atol=1e-12)
 
@@ -178,7 +177,7 @@ def test_zeroed_attention_out_leaves_residual_ffn():
     blk.w_o.data[:] = 0.0
     blk.b_o.data[:] = 0.0
     out = block(Tensor(x), np.ones((n, n), dtype=bool), blk).data
-    ffn_branch = T.ffn(T.layer_norm(Tensor(x), blk.ln2_g, blk.ln2_b),
+    ffn_branch = T.mlp(T.layer_norm(Tensor(x), blk.ln2_g, blk.ln2_b),
                        blk.w1, blk.b1, blk.w2, blk.b2).data
     np.testing.assert_allclose(out, x + ffn_branch, atol=1e-12)
 
@@ -198,7 +197,7 @@ def test_block_gradient_check():
 
         def loss():
             y = attention_block(x, x, visible, blk, rows=rows)[0]
-            return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 1.0)
+            return T.bce(T.sigmoid(readout(T.mean_rows(y), w)), 1.0)
 
         fd_check(loss, named, tol=1e-4)
 
@@ -218,7 +217,7 @@ def test_multi_head_gradient_check():
         def loss():
             y = attention_block(x, x, visible, blk, heads, rows=rows)[0]
             y = T.reshape(y, (-1, D))
-            return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 0.0)
+            return T.bce(T.sigmoid(readout(T.mean_rows(y), w)), 0.0)
 
         fd_check(loss, [("x", x), ("w_q", blk.w_q), ("w_k", blk.w_k),
                         ("w_o", blk.w_o)], tol=1e-4)
@@ -358,7 +357,8 @@ def test_prefix_kv_row_matches_full_block():
 
 
 def test_prefix_kv_gradient_check():
-    """The batched prefix path records its own-row products on the tape."""
+    """Cached scoring passes gradients to every target row's query, key and
+    value through the op's prefix case."""
     rng = np.random.default_rng(19)
     n, D, C, heads = 4, 6, 3, 3
     targets = Tensor(rng.normal(size=(C, D)), requires_grad=True)
@@ -370,7 +370,7 @@ def test_prefix_kv_gradient_check():
     def loss():
         y = attention_block(targets, targets, visible, blk, heads,
                             prefix_kv=prefix_kv)[0]
-        return T.bce(T.sigmoid(T.matmul(T.mean_rows(y), w)), 1.0)
+        return T.bce(T.sigmoid(readout(T.mean_rows(y), w)), 1.0)
 
     fd_check(loss, [("targets", targets), ("w_q", blk.w_q), ("w_k", blk.w_k),
                     ("w_v", blk.w_v)], tol=1e-4)

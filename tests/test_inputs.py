@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fd_check
+from conftest import fd_check, readout
 from longrec import analysis
 from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
@@ -231,7 +231,7 @@ def test_checkpointed_encoding_matches_recorded_ops(tiny_cfg, monkeypatch):
 
     def loss():
         seq = encode_events(hists, times, tables, tiny_cfg)[0]
-        return T.bce(T.sigmoid(T.matmul(T.reshape(seq, (1, seq.size)), w)), 1.0)
+        return T.bce(T.sigmoid(readout(T.reshape(seq, (1, seq.size)), w)), 1.0)
 
     def grads():
         for _, t in tables.params():

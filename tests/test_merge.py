@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_check
+from conftest import fd_check, readout
 from longrec import analysis
 from longrec import tensors as T
 from longrec.attention import BlockParams
@@ -239,7 +239,7 @@ def test_inner_merge_fd():
 
     def loss():
         merged = merge_inner_trans(h, K, blocks)
-        return T.bce(T.sigmoid(T.matmul(T.mean_rows(merged), w)), 1.0)
+        return T.bce(T.sigmoid(readout(T.mean_rows(merged), w)), 1.0)
 
     named = [("h", h)] + [(f"blk.{n}", t) for n, t in blocks[0].params()]
     fd_check(loss, named, tol=1e-4)

@@ -5,10 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import fd_check
+from conftest import fd_check, readout
 from longrec import tensors as T
 from longrec.errors import DimensionError
 from longrec.tensors import Tensor
@@ -41,93 +39,6 @@ def gelu_and_slope(x):
     return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
-# ----------------------------- matmul -----------------------------
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, -4.0]])
-    out = T.matmul(np.eye(2), a)
-    np.testing.assert_array_equal(out.data, a)
-
-
-def test_matmul_hand_case():
-    out = T.matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-    np.testing.assert_array_equal(out.data, [[17.0], [39.0]])
-
-
-def test_matmul_vs_triple_loop():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(4, 3))
-    b = rng.normal(size=(3, 5))
-    assert np.abs(T.matmul(a, b).data - triple_loop_matmul(a, b)).max() <= 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(batch=st.integers(0, 4), m=st.integers(1, 16), p=st.integers(1, 16),
-       n=st.integers(1, 16), transpose_b=st.booleans(), seed=st.integers(0, 10_000))
-def test_matmul_triple_loop_property(batch, m, p, n, transpose_b, seed):
-    """Each product of a batch (0 means plain 2-D operands) against the
-    triple loop, with b stored transposed under ``transpose_b``."""
-    rng = np.random.default_rng(seed)
-    lead = (batch,) if batch else ()
-    a = rng.normal(size=lead + (m, p))
-    b = rng.normal(size=lead + ((n, p) if transpose_b else (p, n)))
-    out = T.matmul(a, b, transpose_b=transpose_b).data
-    assert out.shape == lead + (m, n)
-    for i in range(batch or 1):
-        ai, bi, oi = (x[i] if batch else x for x in (a, b, out))
-        want = triple_loop_matmul(ai, bi.T if transpose_b else bi)
-        assert np.abs(oi - want).max() <= 1e-12
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(DimensionError):
-        T.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    for a, b, transpose_b in [
-            (np.zeros(3), np.zeros(3), False),                        # ndim 1
-            (np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 4, 3)), False),  # ndim 4
-            (np.zeros((2, 3, 4)), np.zeros((4, 5)), False),           # mixed ndim
-            (np.zeros((3, 4)), np.zeros((2, 4, 5)), False),
-            (np.zeros((3, 2, 4)), np.zeros((2, 4, 2)), False),        # batch sizes
-            (np.zeros((2, 3)), np.zeros((3, 4)), True),               # inner, b^T
-            (np.zeros((2, 2, 3)), np.zeros((2, 3, 2)), True)]:
-        with pytest.raises(DimensionError):
-            T.matmul(a, b, transpose_b=transpose_b)
-
-
-def test_matmul_counter_is_exact():
-    T.counter.reset()
-    with T.count_muladds() as w:
-        T.matmul(np.zeros((3, 4)), np.zeros((4, 5)))
-        T.matmul(np.zeros((2, 7)), np.zeros((7, 2)))
-        T.matmul(np.zeros((5, 6)), np.zeros((3, 6)), transpose_b=True)
-        T.matmul(np.zeros((4, 1, 3)), np.zeros((4, 3, 2)))
-    assert w.mul_adds == 3 * 4 * 5 + 2 * 7 * 2 + 5 * 6 * 3 + 4 * 1 * 3 * 2
-
-
-def test_matmul_backward_exact():
-    rng = np.random.default_rng(1)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    fd_check(lambda: T.bce(T.sigmoid(T.matmul(
-        np.ones((1, 3)) * 0.2, T.matmul(T.matmul(a, b), np.ones((2, 1))))), 1.0),
-        [("a", a), ("b", b)])
-
-
-@pytest.mark.parametrize("transpose_b", [False, True])
-def test_matmul_batched_fd(transpose_b):
-    """The 3-D backward, as in per-row cached scoring ((n,1,p) x (n,p,1)) and
-    per-group inner-merge attention ((G,K,d) x (G,K,d)^T)."""
-    rng = np.random.default_rng(2)
-    a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 2, 4) if transpose_b else (3, 4, 2)),
-               requires_grad=True)
-    fd_check(lambda: T.bce(T.sigmoid(T.matmul(
-        np.ones((1, 12)) * 0.2,
-        T.reshape(T.matmul(a, b, transpose_b=transpose_b), (12, 1)))), 1.0),
-        [("a", a), ("b", b)])
-
-
 # ----------------------------- linear -----------------------------
 
 
@@ -143,9 +54,8 @@ def test_linear_fd():
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     b = Tensor(rng.normal(size=2), requires_grad=True)
-    fd_check(lambda: T.bce(T.sigmoid(T.matmul(
-        np.ones((1, 3)) * 0.2, T.matmul(T.linear(x, w, b), np.ones((2, 1))))), 1.0),
-        [("x", x), ("w", w), ("b", b)])
+    fd_check(lambda: _weighted_sum_loss(T.linear(x, w, b), 21),
+             [("x", x), ("w", w), ("b", b)])
 
 
 def test_linear_counts_like_matmul():
@@ -189,13 +99,13 @@ def test_linear_shape_mismatch():
 def _weighted_sum_loss(y, seed):
     """A scalar loss reading every entry of ``y`` through fixed random weights."""
     w = np.random.default_rng(seed).normal(size=(y.size, 1)) * 0.3
-    return T.bce(T.sigmoid(T.matmul(T.reshape(y, (1, y.size)), w)), 1.0)
+    return T.bce(T.sigmoid(readout(T.reshape(y, (1, y.size)), w)), 1.0)
 
 
 def test_leading_axes_match_each_sample():
     """On a (B, rows, width) stack, linear, layer_norm, concat_rows,
-    concat_cols, slice_cols and gather_rows equal the 2-D op on each
-    sample, and linear counts every leading axis as rows."""
+    concat_cols and gather_rows equal the 2-D op on each sample, and linear
+    counts every leading axis as rows."""
     rng = np.random.default_rng(30)
     x, y = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 2, 5))
     w, b = rng.normal(size=(5, 2)), rng.normal(size=2)
@@ -205,22 +115,21 @@ def test_leading_axes_match_each_sample():
     assert lin.shape == (3, 4, 2) and count.mul_adds == 3 * 4 * 5 * 2
     norm = T.layer_norm(x, gain, bias).data
     rows = T.concat_rows([x, y]).data
-    cols = T.concat_cols([x, T.slice_cols(x, 1, 3)]).data
+    cols = T.concat_cols([x, lin]).data
     picked = T.gather_rows(x, [3, 1, 3]).data
     for i in range(3):
         np.testing.assert_array_equal(picked[i], T.gather_rows(x[i], [3, 1, 3]).data)
         assert np.abs(lin[i] - T.linear(x[i], w, b).data).max() <= 1e-12
         assert np.abs(norm[i] - T.layer_norm(x[i], gain, bias).data).max() <= 1e-12
         np.testing.assert_array_equal(rows[i], T.concat_rows([x[i], y[i]]).data)
-        np.testing.assert_array_equal(
-            cols[i], T.concat_cols([x[i], T.slice_cols(x[i], 1, 3)]).data)
+        np.testing.assert_array_equal(cols[i], T.concat_cols([x[i], lin[i]]).data)
 
 
 def test_leading_axes_fd():
     rng = np.random.default_rng(31)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     z = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
     gain = Tensor(rng.normal(size=4) + 1.0, requires_grad=True)
     bias = Tensor(rng.normal(size=4), requires_grad=True)
@@ -228,8 +137,7 @@ def test_leading_axes_fd():
     def loss():
         h = T.concat_rows([T.layer_norm(x, gain, bias), z])          # (2, 4, 4)
         h = T.concat_rows([h, T.gather_rows(h, [3, 0, 3])])          # (2, 7, 4)
-        h = T.concat_cols([T.slice_cols(h, 2, 4), T.slice_cols(h, 0, 3)])
-        return _weighted_sum_loss(T.linear(T.slice_cols(h, 0, 4), w, b), 32)
+        return _weighted_sum_loss(T.linear(T.concat_cols([h, h]), w, b), 32)
 
     fd_check(loss, [("x", x), ("z", z), ("w", w), ("b", b), ("gain", gain),
                     ("bias", bias)])
@@ -305,7 +213,7 @@ def test_tape_frees_intermediates_on_scope_exit():
         h = T.sigmoid(x)
         ref = weakref.ref(h.data)     # freed with h
         loss = T.bce(T.sigmoid(T.reshape(
-            T.matmul(T.reshape(T.mul(h, h), (1, 6)), np.ones((6, 1))), (1, 1))), 1.0)
+            readout(T.reshape(T.mul(h, h), (1, 6)), np.ones((6, 1))), (1, 1))), 1.0)
         del h, loss
         assert ref() is not None      # the tape still holds it
     assert ref() is None
@@ -313,7 +221,7 @@ def test_tape_frees_intermediates_on_scope_exit():
         h = T.sigmoid(x)
         ref = weakref.ref(h.data)     # freed with h
         loss = T.bce(T.sigmoid(T.reshape(
-            T.matmul(T.reshape(h, (1, 6)), np.ones((6, 1))), (1, 1))), 1.0)
+            readout(T.reshape(h, (1, 6)), np.ones((6, 1))), (1, 1))), 1.0)
         del h
         loss.backward()
     assert ref() is None              # backward dropped loss's closures
@@ -367,7 +275,7 @@ def test_handed_over_gradients_are_separate_buffers():
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=4), requires_grad=True)
-    g, g2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
+    g = rng.normal(size=(3, 4))
     with T.tape():
         h = T.linear(x, w, b)
         T.add(T.linear(h, w, b), T.mul(h, h)).backward(g)
@@ -380,9 +288,14 @@ def test_handed_over_gradients_are_separate_buffers():
     for i, a in enumerate(grads):
         assert not any(np.shares_memory(a, c) for c in grads[i + 1:])
     x.zero_grad()
+    apart = [Tensor(x.data.copy(), requires_grad=True) for _ in range(3)]
+    visible = np.tril(np.ones((3, 3), dtype=bool))
     with T.tape():
-        T.matmul(x, x, transpose_b=True).backward(g2)
-    np.testing.assert_allclose(x.grad, g2 @ x.data + g2.T @ x.data, rtol=1e-13)
+        T.attention(x, x, x, visible, 2).backward(g)
+    with T.tape():
+        T.attention(*apart, visible, 2).backward(g)
+    gq, gk, gv = (t.grad for t in apart)
+    np.testing.assert_allclose(x.grad, gq + gk + gv, rtol=1e-13)
 
 
 def test_one_tensor_twice_in_a_concat_gets_both_parts():
@@ -413,35 +326,112 @@ def test_diamond_graph_fd():
         right = T.mul(h, T.sigmoid(h))
         top = T.add(T.mul(left, right), h)
         return T.bce(T.sigmoid(T.reshape(
-            T.matmul(T.reshape(top, (1, 6)), np.ones((6, 1)) * 0.2), (1, 1))), 1.0)
+            readout(T.reshape(top, (1, 6)), np.ones((6, 1)) * 0.2), (1, 1))), 1.0)
 
     fd_check(loss, [("x", x), ("w", w)])
 
 
-# ----------------------------- masked softmax -----------------------------
+# ----------------------------- attention -----------------------------
+
+
+def softmax_of(logits, visible):
+    """The op's masked softmax of (rows, n) logits: with q = 4 * logits and
+    keys and values the identity, each padded to width 16 (so the scale
+    1/sqrt(16) undoes the 4 exactly), the output's first n columns are the
+    probabilities."""
+    logits = np.asarray(logits, dtype=np.float64)
+    n = logits.shape[-1]
+    q = np.zeros(logits.shape[:-1] + (16,))
+    q[..., :n] = 4.0 * logits
+    return T.attention(q, np.eye(n, 16), np.eye(n, 16), visible).data[..., :n]
+
+
+def loop_attention(q, k, v, visible, heads, prefix=None):
+    """Per query row and per head, from the definition: the scores of the
+    keys the row sees, their softmax and the weighted sum of their values.
+    Under ``prefix`` a row's keys are the prefix rows and then its own row.
+    A row that sees nothing stays zero."""
+    out = np.zeros(q.shape)
+    dh = q.shape[-1] // heads
+    for idx in np.ndindex(*q.shape[:-1]):
+        keys, vals = k[idx[:-1]], v[idx[:-1]]
+        if prefix is not None:
+            keys, vals = np.vstack([prefix[0], k[idx]]), np.vstack([prefix[1], v[idx]])
+        seen = np.flatnonzero(visible[idx])
+        for h in range(heads if seen.size else 0):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = [float(q[idx][cols] @ keys[j, cols]) / math.sqrt(dh) for j in seen]
+            e = np.exp(np.array(scores) - max(scores))
+            out[idx][cols] = (e / e.sum()) @ vals[seen, cols]
+    return out
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_attention_matches_per_query_loop_oracle(heads):
+    """2-D, batched 3-D and prefix rows, each with a row that sees nothing
+    (it returns exact zeros)."""
+    rng = np.random.default_rng(40 + heads)
+    w = 6
+    prefix = (rng.normal(size=(5, w)), rng.normal(size=(5, w)))
+    for lead, keys, pre in (((), 5, None), ((3,), 5, None), ((), 4, prefix)):
+        q = rng.normal(size=lead + (4, w))
+        k, v = (rng.normal(size=lead + (keys if pre is None else 4, w)) for _ in "kv")
+        visible = rng.random(lead + (4, keys if pre is None else 6)) < 0.6
+        visible[..., 1, :] = False
+        visible[..., 2, :] = True
+        out = T.attention(q, k, v, visible, heads, pre).data
+        assert np.abs(out - loop_attention(q, k, v, visible, heads, pre)).max() <= 1e-12
+        assert (out[..., 1, :] == 0.0).all()
+
+
+def test_attention_counts_its_two_products():
+    """2 * rows * w * keys MACs, every leading axis counting as rows, and
+    2 * c * w * (p + 1) for c rows over a p-row prefix."""
+    with T.count_muladds() as plain:
+        T.attention(np.zeros((2, 4, 6)), np.zeros((2, 5, 6)), np.zeros((2, 5, 6)),
+                    np.ones((2, 4, 5), dtype=bool), 3)
+    with T.count_muladds() as cached:
+        T.attention(np.zeros((4, 6)), np.zeros((4, 6)), np.zeros((4, 6)),
+                    np.ones((4, 8), dtype=bool), 2, prefix=(np.zeros((7, 6)),) * 2)
+    assert plain.mul_adds == 2 * (2 * 4) * 6 * 5
+    assert cached.mul_adds == 2 * 4 * 6 * (7 + 1)
+
+
+def test_attention_shape_validation():
+    q, kv, vis = np.zeros((2, 6)), np.zeros((3, 6)), np.ones((2, 3), dtype=bool)
+    for args, kwargs in [((q, kv, np.zeros((3, 4)), vis), {}),          # v differs
+                         ((q, np.zeros((3, 4)), np.zeros((3, 4)), vis), {}),  # width
+                         ((q, kv, kv, vis), {"heads": 4}),               # 6 % 4
+                         ((q, kv, kv, vis[:, :2]), {}),                  # visibility
+                         ((q, kv, kv, np.ones((2, 4), dtype=bool)),      # prefix k rows
+                          {"prefix": (kv, kv)}),
+                         ((q, q, q, np.ones((2, 3), dtype=bool)),        # prefix width
+                          {"prefix": (np.zeros((2, 4)),) * 2})]:
+        with pytest.raises(DimensionError):
+            T.attention(*args, **kwargs)
 
 
 def test_softmax_uniform_row():
-    out = T.masked_softmax(np.zeros((1, 3)), np.ones((1, 3), dtype=bool))
-    np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
+    out = softmax_of(np.zeros((1, 3)), np.ones((1, 3), dtype=bool))
+    np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
 
 
 def test_softmax_single_visible():
-    out = T.masked_softmax(np.array([[5.0, 1.0]]), np.array([[True, False]]))
-    np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
+    out = softmax_of(np.array([[5.0, 1.0]]), np.array([[True, False]]))
+    np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
 
 def test_softmax_matches_exp_normalize_oracle():
     row = np.array([[1.0, 2.0, 3.0]])
     e = np.exp(row - row.max())
     expected = e / e.sum()
-    out = T.masked_softmax(row, np.ones((1, 3), dtype=bool))
-    assert np.abs(out.data - expected).max() <= 1e-12
+    out = softmax_of(row, np.ones((1, 3), dtype=bool))
+    assert np.abs(out - expected).max() <= 1e-12
 
 
 def test_softmax_fully_masked_row_returns_zeros():
-    out = T.masked_softmax(np.array([[4.0, 2.0]]), np.zeros((1, 2), dtype=bool))
-    np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
+    out = softmax_of(np.array([[4.0, 2.0]]), np.zeros((1, 2), dtype=bool))
+    np.testing.assert_array_equal(out, [[0.0, 0.0]])
 
 
 def test_softmax_masked_positions_exact_zero_and_rows_sum_to_one():
@@ -450,7 +440,7 @@ def test_softmax_masked_positions_exact_zero_and_rows_sum_to_one():
     visible = rng.random((6, 9)) >= 0.4
     visible[0] = False         # one fully masked row
     visible[1] = True          # one fully visible row
-    out = T.masked_softmax(logits, visible).data
+    out = softmax_of(logits, visible)
     assert (out[~visible] == 0.0).all()
     sums = out.sum(axis=1)
     assert abs(sums[0]) == 0.0
@@ -465,32 +455,28 @@ def test_softmax_exactly_ignores_masked_logits():
     bumped = logits.copy()
     bumped[:, 1] = 1e6
     bumped[:, 3] = -1e6
-    a = T.masked_softmax(logits, mask).data
-    b = T.masked_softmax(bumped, mask).data
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(softmax_of(logits, mask), softmax_of(bumped, mask))
 
 
 def test_softmax_backward_fd():
+    """Through the queries that carry the logits: the probabilities'
+    gradient, and every padding column's zero."""
     rng = np.random.default_rng(4)
-    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    q = Tensor(np.zeros((3, 16)), requires_grad=True)
+    q.data[:, :5] = 4.0 * rng.normal(size=(3, 5))
     mask = rng.random((3, 5)) >= 0.3
     mask[:, 0] = True  # keep every row alive
-    w = rng.normal(size=(15, 1))
-
-    def loss():
-        probs = T.masked_softmax(x, mask)
-        return T.bce(T.sigmoid(T.reshape(
-            T.matmul(T.reshape(probs, (1, 15)), w), (1, 1))), 1.0)
-
-    fd_check(loss, [("logits", x)])
+    eye = np.eye(5, 16)
+    fd_check(lambda: _weighted_sum_loss(T.attention(q, eye, eye, mask), 4),
+             [("queries", q)], max_coords=q.size)
 
 
 def test_softmax_rejects_non_boolean_visibility():
     # A 0 / -inf additive mask read as booleans would be inverted.
     with pytest.raises(DimensionError):
-        T.masked_softmax(np.zeros((1, 2)), np.array([[0.0, -np.inf]]))
+        softmax_of(np.zeros((1, 2)), np.array([[0.0, -np.inf]]))
     with pytest.raises(DimensionError):
-        T.masked_softmax(np.zeros((1, 2)), np.ones((1, 3), dtype=bool))
+        softmax_of(np.zeros((1, 2)), np.ones((1, 3), dtype=bool))
 
 
 # ----------------------------- layer norm -----------------------------
@@ -516,7 +502,7 @@ def test_layer_norm_fd():
     def loss():
         y = T.layer_norm(x, g, b)
         return T.bce(T.sigmoid(T.reshape(
-            T.matmul(T.reshape(y, (1, 24)), np.ones((24, 1)) * 0.1), (1, 1))), 0.0)
+            readout(T.reshape(y, (1, 24)), np.ones((24, 1)) * 0.1), (1, 1))), 0.0)
 
     fd_check(loss, [("x", x), ("gain", g), ("bias", b)], tol=1e-4, h=1e-5)
     _ = w
@@ -545,7 +531,7 @@ def test_layer_norm_bitwise_equals_straight_line():
         np.testing.assert_array_equal(xt.grad, dx)
 
 
-# ----------------------------- ffn -----------------------------
+# ----------------------------- mlp -----------------------------
 
 
 def test_mlp_equals_linear_gelu_linear_bitwise():
@@ -593,10 +579,11 @@ def test_mlp_fd():
 
 
 def test_ffn_zero_weights_give_bias():
+    """The block's feed-forward, the mlp at hidden width 4 * D."""
     D = 3
     x = np.random.default_rng(6).normal(size=(4, D))
     b2 = np.array([0.5, -1.0, 2.0])
-    out = T.ffn(x, np.zeros((D, 4 * D)), np.zeros(4 * D), np.zeros((4 * D, D)), b2)
+    out = T.mlp(x, np.zeros((D, 4 * D)), np.zeros(4 * D), np.zeros((4 * D, D)), b2)
     np.testing.assert_allclose(out.data, np.tile(b2, (4, 1)), atol=1e-15)
 
 
@@ -615,14 +602,8 @@ def test_ffn_hand_arithmetic_oracle():
     h = [scalar_gelu(1.0 * 1.0 + 0.25),        # unit 0: x0*1 + 0.25
          scalar_gelu(-2.0 * -0.5 + 0.25)] + [scalar_gelu(0.25)] * 6
     expected = np.array([[2.0 * h[0] + 0.5 * h[2] + 0.1, -1.0 * h[1] - 0.2]])
-    out = T.ffn(x, w1, b1, w2, b2)
+    out = T.mlp(x, w1, b1, w2, b2)
     assert np.abs(out.data - expected).max() <= 1e-12
-
-
-def test_ffn_shape_validation():
-    with pytest.raises(DimensionError):
-        T.ffn(np.zeros((2, 3)), np.zeros((3, 11)), np.zeros(11),
-              np.zeros((11, 3)), np.zeros(3))
 
 
 def test_ffn_fd():
@@ -635,10 +616,9 @@ def test_ffn_fd():
     b2 = Tensor(rng.normal(size=D) * 0.1, requires_grad=True)
 
     def loss():
-        y = T.ffn(x, w1, b1, w2, b2)
-        return T.bce(T.sigmoid(T.reshape(
-            T.matmul(T.reshape(y, (1, 2 * D)), np.ones((2 * D, 1)) * 0.2),
-            (1, 1))), 1.0)
+        y = T.mlp(x, w1, b1, w2, b2)
+        return T.bce(T.sigmoid(readout(T.reshape(y, (1, 2 * D)),
+                                       np.ones((2 * D, 1)) * 0.2)), 1.0)
 
     fd_check(loss, [("x", x), ("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)])
 
@@ -654,7 +634,7 @@ def test_gelu_sigmoid_fd():
     def loss():
         y = T.mlp(x, np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
         return T.bce(T.sigmoid(T.reshape(
-            T.matmul(T.reshape(y, (1, 6)), np.ones((6, 1)) * 0.3), (1, 1))), 0.0)
+            readout(T.reshape(y, (1, 6)), np.ones((6, 1)) * 0.3), (1, 1))), 0.0)
 
     fd_check(loss, [("x", x)])
 
@@ -690,13 +670,9 @@ def test_structural_ops_fd():
 
     def loss():
         rows = T.gather_rows(table, np.array([0, 2, 2, 4]))   # duplicate index
-        left = T.slice_cols(x, 0, 2)
-        right = T.slice_cols(x, 2, 4)
-        joined = T.concat_cols([T.concat_rows([left, right]),
-                                T.slice_cols(rows, 0, 2)])
+        joined = T.concat_cols([T.concat_rows([x, T.mul(x, x)]), rows])
         pooled = T.mean_rows(joined)
-        return T.bce(T.sigmoid(T.reshape(
-            T.matmul(pooled, np.ones((4, 1))), (1, 1))), 1.0)
+        return T.bce(T.sigmoid(readout(pooled, np.ones((7, 1)) * 0.3)), 1.0)
 
     fd_check(loss, [("table", table), ("x", x)])
 
@@ -808,6 +784,7 @@ def test_counter_monotone_and_finite_outputs():
     T.counter.reset()
     before = T.counter.mul_adds
     rng = np.random.default_rng(12)
-    out = T.matmul(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+    q, kv = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+    out = T.attention(q, kv, kv, np.ones((3, 5), dtype=bool), 2)
     assert T.counter.mul_adds >= before
     assert np.isfinite(out.data).all()
