@@ -10,7 +10,7 @@ scaling-curve fitter.
 __version__ = "0.1.0"
 
 from .config import GeneratorConfig, ModelConfig
-from .inputs import (Candidate, Dataset, Event, Events, Sample, UserFeatures,
+from .inputs import (Candidate, Dataset, Events, Sample, UserFeatures,
                      generate_dataset, load_dataset, save_dataset)
 from .model import (LongRecModel, OptConfig, SumPoolingModel, TrainingReport,
                     select_queries, train)
@@ -21,7 +21,7 @@ from .analysis import (auc, cost_report, count_params, fit_power_law,
 __all__ = [
     "__version__",
     "GeneratorConfig", "ModelConfig",
-    "Candidate", "Dataset", "Event", "Events", "Sample", "UserFeatures",
+    "Candidate", "Dataset", "Events", "Sample", "UserFeatures",
     "generate_dataset", "load_dataset", "save_dataset",
     "LongRecModel", "OptConfig", "SumPoolingModel", "TrainingReport",
     "select_queries", "train",

@@ -5,7 +5,8 @@ The FLOPs convention is forward-only with one multiply-accumulate counted
 as two FLOPs: QKV/output projections plus the 4x FFN give 24*L*d^2 per
 layer and the two attention products give 4*L^2*d. The instrumented
 counter in the tensors module records MACs, so instrumented counts match
-these formulas after multiplying by two.
+these formulas after multiplying by two. ``cost_report`` gathers one working
+point's figures into the plain dict that ``longrec cost --json`` prints.
 """
 
 from __future__ import annotations
@@ -76,46 +77,21 @@ def params_merged_block(d: int, K: int) -> int:
     return params_block(K * d)
 
 
-@dataclass
-class CostReport:
-    """Exact per-layer cost comparison for a (L, d, K) working point."""
-
-    L: int
-    d: int
-    K: int
-    inner_layers: int
-    flops_vanilla: int
-    flops_merged: int
-    flops_inner_trans: int
-    reduction_ratio: Fraction
-    params_per_block: int
-    params_merged_block: int
-
-    def to_dict(self) -> dict:
-        out = {
-            "L": self.L, "d": self.d, "K": self.K, "inner_layers": self.inner_layers,
-            "flops_vanilla": self.flops_vanilla,
-            "flops_merged": self.flops_merged,
-            "flops_inner_trans": self.flops_inner_trans,
-            "reduction_ratio": float(self.reduction_ratio),
-            "reduction_ratio_exact": [self.reduction_ratio.numerator,
-                                      self.reduction_ratio.denominator],
-            "params_per_block": self.params_per_block,
-            "params_merged_block": self.params_merged_block,
-        }
-        return out
-
-
-def cost_report(L: int, d: int, K: int, inner_layers: int = 1) -> CostReport:
-    return CostReport(
-        L=L, d=d, K=K, inner_layers=inner_layers,
-        flops_vanilla=flops_vanilla(L, d),
-        flops_merged=flops_merged(L, d, K),
-        flops_inner_trans=flops_inner(L, d, K, inner_layers),
-        reduction_ratio=reduction_ratio(L, d, K),
-        params_per_block=params_block(d),
-        params_merged_block=params_merged_block(d, K),
-    )
+def cost_report(L: int, d: int, K: int, inner_layers: int = 1) -> dict:
+    """The exact per-layer cost comparison at (L, d, K), as ``longrec cost
+    --json`` prints it: the reduction ratio as a float and as its exact
+    [numerator, denominator]."""
+    ratio = reduction_ratio(L, d, K)
+    return {
+        "L": L, "d": d, "K": K, "inner_layers": inner_layers,
+        "flops_vanilla": flops_vanilla(L, d),
+        "flops_merged": flops_merged(L, d, K),
+        "flops_inner_trans": flops_inner(L, d, K, inner_layers),
+        "reduction_ratio": float(ratio),
+        "reduction_ratio_exact": [ratio.numerator, ratio.denominator],
+        "params_per_block": params_block(d),
+        "params_merged_block": params_merged_block(d, K),
+    }
 
 
 def count_params(cfg: ModelConfig) -> dict:
@@ -245,9 +221,10 @@ def auc(scores, labels) -> float:
     return (rank_sum_pos - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
-def logloss(scores, labels, eps: float = 1e-12) -> float:
-    """Mean binary cross-entropy with probabilities clamped away from {0, 1}."""
-    p = np.clip(np.asarray(scores, dtype=np.float64), eps, 1.0 - eps)
+def logloss(scores, labels) -> float:
+    """Mean binary cross-entropy with probabilities clamped to
+    [1e-12, 1 - 1e-12]."""
+    p = np.clip(np.asarray(scores, dtype=np.float64), 1e-12, 1.0 - 1e-12)
     y = np.asarray(labels, dtype=np.float64)
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
 

@@ -10,9 +10,10 @@ last-ranked global (the candidate target), alone at the top of the order,
 sees every non-pad key while no other row sees it, the exact property that
 lets the serving module cache all candidate-independent rows. Padding is on
 the left, so a pad query row sees only pad keys, that is nothing.
-Visibility is a boolean array that ``T.attention`` uses to select scores,
-never added to them, so a hidden score can never perturb visible
-probabilities.
+Visibility is a boolean array, built by ``build_mask`` from the query
+orders, the key orders and the key pad flags, that ``T.attention`` uses to
+select scores, never added to them, so a hidden score can never perturb
+visible probabilities.
 
 The same block serves the inner merge's per-group layers (width d, each
 group of K rows one sample with all-True visibility), the cross layer
@@ -25,7 +26,7 @@ through the one op ``T.attention``. Blocks are pre-norm: LN -> multi-head
 attention -> residual, then LN -> FFN (``T.mlp`` at hidden width 4x) ->
 residual, with per-head scaling 1/sqrt(width/heads). One block at width w
 holds exactly 12*w^2 + 13*w parameters (four projections with biases, the
-4x FFN with biases, two layer norms).
+4x FFN with biases, two layer norms), listed in ``BlockParams`` field order.
 """
 
 from __future__ import annotations
@@ -40,24 +41,20 @@ from .errors import DimensionError
 from .tensors import Tensor
 
 
-def build_mask(query_order, key_order, is_pad_key=None) -> np.ndarray:
+def build_mask(query_order, key_order, is_pad_key) -> np.ndarray:
     """The boolean (query, key) visibility: key j is visible to query i when
     it is not a pad and ``key_order[j] <= query_order[i]``.
 
     Each argument lists its rows along its last axis; arguments with a
     leading batch axis (B, rows) give a (B, query, key) visibility, one per
-    sample, the others being shared by every sample. Pad flags default to
-    all-False.
+    sample, the others being shared by every sample.
     """
     qo = np.asarray(query_order, dtype=np.int64)
     ko = np.asarray(key_order, dtype=np.int64)
-    vis = ko[..., None, :] <= qo[..., :, None]
-    if is_pad_key is None:
-        return vis
     pk = np.asarray(is_pad_key, dtype=bool)
     if pk.shape[-1] != ko.shape[-1]:
         raise DimensionError("key order and pad flags differ in length")
-    return vis & ~pk[..., None, :]
+    return (ko[..., None, :] <= qo[..., :, None]) & ~pk[..., None, :]
 
 
 @dataclass
@@ -101,11 +98,8 @@ class BlockParams:
             ln2_g=Tensor(np.ones(width), requires_grad=True), ln2_b=b(width),
         )
 
-    _ORDER = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o",
-              "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
-
     def params(self):
-        return [(name, getattr(self, name)) for name in self._ORDER]
+        return T.named_fields(self)
 
     def param_count(self) -> int:
         return sum(t.size for _, t in self.params())

@@ -25,8 +25,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, analysis
 from .config import GeneratorConfig, ModelConfig, check_fields
 from .errors import (ConfigError, EmbeddingLookupError, NumericalError,
@@ -92,10 +90,7 @@ def _model_config(args) -> ModelConfig:
     if getattr(args, "k", None) is not None:
         updates["k"] = args.k
     if getattr(args, "query_strategy", None) is not None:
-        strategy, count = _parse_strategy(args.query_strategy)
-        updates["query_strategy"] = strategy
-        if count is not None:
-            updates["k"] = count
+        updates["query_strategy"] = args.query_strategy
     if getattr(args, "lr", None) is not None:
         updates["lr"] = args.lr
     if updates:
@@ -103,13 +98,6 @@ def _model_config(args) -> ModelConfig:
         merged.update(updates)
         cfg = ModelConfig.from_dict(merged)
     return cfg
-
-
-def _parse_strategy(text: str):
-    """Accept names like 'recent' or 'recent100' (strategy plus query count)."""
-    stem = text.rstrip("0123456789")
-    digits = text[len(stem):]
-    return stem, (int(digits) if digits else None)
 
 
 # ----------------------------- subcommands -----------------------------
@@ -203,9 +191,8 @@ def _finite_metrics(model, samples):
 
 
 def cmd_cost(args) -> int:
-    report = analysis.cost_report(args.seq_len, args.width, args.merge,
-                                  args.inner_layers)
-    payload = report.to_dict()
+    payload = analysis.cost_report(args.seq_len, args.width, args.merge,
+                                   args.inner_layers)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -414,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seq-len", type=int, help="override config L")
     t.add_argument("--k", type=int, help="override config k")
     t.add_argument("--lr", type=float, help="override config lr")
-    t.add_argument("--query-strategy",
-                   help="strategy name, optionally with a count: recent100")
+    t.add_argument("--query-strategy", help="override config query_strategy "
+                   "(recent, uniform, recent_uniform or learnable)")
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -7,13 +7,14 @@ interest ever occurred in the user's history, so longer visible context
 strictly increases achievable ranking quality. Items map to interests by
 ``item_id % n_interests``.
 
-A user's history is an ``Events``: three read-only int64 columns
-(``item_id``, ``action_type``, ``timestamp``) rather than one object per
-event, so a stored history costs about 24 bytes per event. Slices are views;
-indexing or iterating yields ``Event`` records. The generators and the JSONL
-reader fill the columns directly, and the encoder reads them whole: time
-deltas are one int64 subtraction (``time_deltas``, which refuses a wrapped
-difference) and their log-2 buckets one ``searchsorted``.
+A user's history is an ``Events``, the one history type: three read-only
+int64 columns (``item_id``, ``action_type``, ``timestamp``) rather than one
+object per event, so a stored history costs about 24 bytes per event.
+Slices are views; there are no per-event records, so a history is read by
+its columns, never by event. The generators and the JSONL reader fill the
+columns directly, and the encoder reads them whole: time deltas are one
+int64 subtraction (``time_deltas``, which refuses a wrapped difference) and
+their log-2 buckets one ``searchsorted``.
 
 Encoding turns events into width-d tokens: concat(item, action, time-bucket
 embeddings) -> linear projection to d -> plus a learned positional embedding
@@ -45,13 +46,6 @@ from .tensors import Tensor
 # ----------------------------- samples -----------------------------
 
 
-@dataclass(frozen=True)
-class Event:
-    item_id: int
-    action_type: int
-    timestamp: int
-
-
 _EVENT_FIELDS = ("item_id", "action_type", "timestamp")
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
@@ -71,9 +65,9 @@ def _frozen_int64(values) -> np.ndarray:
 class Events:
     """An immutable event history as three read-only int64 columns.
 
-    ``len()`` counts events; a slice is an ``Events`` view of the same
-    columns; an integer index or iteration yields ``Event`` records. Two
-    histories are equal when their columns are.
+    ``len()`` counts events and a slice is an ``Events`` view of the same
+    columns; an integer index or iteration raises TypeError. Two histories
+    are equal when their columns are.
     """
 
     item_id: np.ndarray
@@ -87,27 +81,15 @@ class Events:
         for f, c in zip(_EVENT_FIELDS, cols):
             object.__setattr__(self, f, c)
 
-    @classmethod
-    def of(cls, events) -> "Events":
-        """``events`` as is when it is an ``Events``, else its ``Event``
-        records converted to columns."""
-        if isinstance(events, Events):
-            return events
-        records = tuple(events)
-        return cls(*([getattr(e, f) for e in records] for f in _EVENT_FIELDS))
-
     def __len__(self) -> int:
         return self.item_id.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Events(self.item_id[i], self.action_type[i], self.timestamp[i])
-        return Event(int(self.item_id[i]), int(self.action_type[i]),
-                     int(self.timestamp[i]))
+    def __getitem__(self, i: slice) -> "Events":
+        if not isinstance(i, slice):
+            raise TypeError("an Events takes slices only; read its columns")
+        return Events(self.item_id[i], self.action_type[i], self.timestamp[i])
 
-    def __iter__(self):
-        return map(Event, self.item_id.tolist(), self.action_type.tolist(),
-                   self.timestamp.tolist())
+    __iter__ = None              # no per-event iteration: iter() raises TypeError
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Events):
@@ -144,8 +126,7 @@ class Candidate:
 class Sample:
     """One training record: ordered events, user features, candidate, label.
 
-    ``events`` is always an ``Events``; a sequence of ``Event`` records is
-    converted once, here.
+    ``events`` must be an ``Events`` (ConfigError otherwise).
     """
 
     events: Events
@@ -154,7 +135,8 @@ class Sample:
     label: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "events", Events.of(self.events))
+        if not isinstance(self.events, Events):
+            raise ConfigError("a sample's history must be an Events")
 
     def validate(self, L_max: Optional[int] = None) -> "Sample":
         ts = self.events.timestamp
@@ -472,11 +454,6 @@ class InputMLP:
             glob_w2=_w(rng, 2 * D, D), glob_b2=_b(D),
         )
 
-    def params(self):
-        return [(name, getattr(self, name)) for name in (
-            "tok_proj_w", "tok_proj_b", "seq_w1", "seq_b1", "seq_w2", "seq_b2",
-            "lift_w", "lift_b", "glob_w1", "glob_b1", "glob_w2", "glob_b2")]
-
 
 @dataclass
 class EmbeddingTables:
@@ -510,12 +487,8 @@ class EmbeddingTables:
         )
 
     def params(self):
-        out = [("item_table", self.item_table), ("action_table", self.action_table),
-               ("time_bucket_table", self.time_bucket_table),
-               ("uid_table", self.uid_table), ("profile_table", self.profile_table),
-               ("abs_pos_table", self.abs_pos_table), ("cls_vector", self.cls_vector)]
-        out.extend((f"mlp.{n}", t) for n, t in self.mlp.params())
-        return out
+        """(name, Tensor) in field order, the ``mlp`` ones as ``mlp.name``."""
+        return T.named_fields(self)
 
 
 def _w(rng, fan_in, fan_out) -> Tensor:
@@ -570,8 +543,8 @@ def _global_mlp(tables: EmbeddingTables, rows: Tensor) -> Tensor:
 
 def encode_events(histories, reference_times, tables: EmbeddingTables,
                   cfg: ModelConfig):
-    """Sequence tokens of B histories: (seq Tensor[B*Lp, d], pad_mask (B, Lp),
-    n_real (B,)) for Lp = cfg.L_padded, L rounded up to a multiple of K.
+    """Sequence tokens of B ``Events`` histories: (seq Tensor[B*Lp, d],
+    pad_mask (B, Lp)) for Lp = cfg.L_padded, L rounded up to a multiple of K.
 
     History b's events beyond the most recent cfg.L fall outside the visible
     window and are dropped; the rest become width-d tokens with time deltas
@@ -579,17 +552,17 @@ def encode_events(histories, reference_times, tables: EmbeddingTables,
     b*Lp..b*Lp+Lp-1 and left-padded with zero rows, so every sample's rows
     split into whole merge groups. The real events of all histories are
     encoded as one block and then padded into the grid, so pad rows are never
-    computed. Each history is an ``Events`` or a sequence of ``Event`` records.
-    On a tape the featurizer (lookups and projection) is a ``T.checkpoint``
-    and the sequence MLP keeps only its input, so backward recomputes both
-    rather than keep the largest per-sample activations of the tape.
+    computed. On a tape the featurizer (lookups and projection) is a
+    ``T.checkpoint`` and the sequence MLP keeps only its input, so backward
+    recomputes both rather than keep the largest per-sample activations of
+    the tape.
     """
-    hists = [Events.of(h)[-cfg.L:] for h in histories]
+    hists = [h[-cfg.L:] for h in histories]
     n_real = np.array([len(h) for h in hists], dtype=np.int64)
     Lp = cfg.L_padded
     pad_mask = np.arange(Lp) < (Lp - n_real)[:, None]
     if not n_real.any():
-        return T.zeros((pad_mask.size, cfg.d)), pad_mask, n_real
+        return T.zeros((pad_mask.size, cfg.d)), pad_mask
     x = T.checkpoint(partial(
         _event_features, tables, cfg, np.concatenate([h.item_id for h in hists]),
         np.concatenate([h.action_type for h in hists]),
@@ -597,7 +570,7 @@ def encode_events(histories, reference_times, tables: EmbeddingTables,
                         for h, t in zip(hists, reference_times)])))
     recency = np.concatenate([np.arange(n - 1, -1, -1) for n in n_real])  # 0 = newest
     x = T.add(x, T.gather_rows(tables.abs_pos_table, recency))
-    return T.left_pad_rows(_seq_mlp(tables, x), n_real, Lp), pad_mask, n_real
+    return T.left_pad_rows(_seq_mlp(tables, x), n_real, Lp), pad_mask
 
 
 def target_global_token(candidates, tables: EmbeddingTables,

@@ -64,7 +64,6 @@ CHECKPOINT_MAGIC = b"LRCKPT01"
 @dataclass
 class SelectedQueries:
     tokens: Tensor               # (B*k, D) selected rows, sample by sample
-    indices: np.ndarray          # merged-grid indices, -1 for learnable rows
     positions: np.ndarray        # chronological token positions
     is_pad: np.ndarray
 
@@ -94,9 +93,8 @@ def _spread(n: int, k: int) -> np.ndarray:
 
 
 def select_queries(h_merged: Tensor, strategy: str, k: int,
-                   learnable_bank: Optional[Tensor] = None,
-                   pad_groups: Optional[np.ndarray] = None,
-                   grid_positions: Optional[np.ndarray] = None) -> SelectedQueries:
+                   learnable_bank: Optional[Tensor], pad_groups: np.ndarray,
+                   grid_positions: np.ndarray) -> SelectedQueries:
     """Pick the k merged tokens that act as attention queries.
 
     recent: the last k non-pad tokens. uniform: evenly spaced over the
@@ -108,31 +106,26 @@ def select_queries(h_merged: Tensor, strategy: str, k: int,
     non-pad tokens exist, all are taken and the remainder are pad queries
     masked downstream.
 
-    For B samples, ``h_merged`` stacks their G merged rows each and
-    ``pad_groups`` is (B, G); ``indices``, ``positions`` and ``is_pad`` are
-    then (B, k), and ``tokens`` the B*k picked rows (for one sample, the bank
-    itself).
+    ``pad_groups`` flags the G merged rows that are all padding and
+    ``grid_positions`` gives their chronological positions. For B samples,
+    ``h_merged`` stacks their G merged rows each and ``pad_groups`` is
+    (B, G); ``positions`` and ``is_pad`` are then (B, k), and ``tokens`` the
+    B*k picked rows (for one sample, the bank itself).
     """
     if k < 1:
         raise ConfigError("query count k must be >= 1")
-    if pad_groups is None:
-        pad_groups = np.zeros(h_merged.shape[0], dtype=bool)
     G = pad_groups.shape[-1]
     per_sample = pad_groups.reshape(-1, G)
     B = per_sample.shape[0]
     shape = pad_groups.shape[:-1] + (k,)
-    if grid_positions is None:
-        grid_positions = np.arange(G, dtype=np.int64)
 
     if strategy == "learnable":
         if learnable_bank is None or learnable_bank.shape[0] != k:
             raise ConfigError("learnable strategy needs a (k, D) query bank")
-        top = int(grid_positions.max()) if G else 0
         return SelectedQueries(
             tokens=learnable_bank if B == 1 else
             T.gather_rows(learnable_bank, np.arange(B * k) % k),
-            indices=np.full(shape, -1, dtype=np.int64),
-            positions=np.full(shape, top, dtype=np.int64),
+            positions=np.full(shape, grid_positions.max(), dtype=np.int64),
             is_pad=np.zeros(shape, dtype=bool))
 
     if k > G:
@@ -141,7 +134,6 @@ def select_queries(h_merged: Tensor, strategy: str, k: int,
     sample = np.arange(B)[:, None]
     return SelectedQueries(
         tokens=T.gather_rows(h_merged, (idx + G * sample).ravel()),
-        indices=idx.reshape(shape),
         positions=grid_positions[idx].reshape(shape),
         is_pad=per_sample[sample, idx].reshape(shape))
 
@@ -359,7 +351,7 @@ class LongRecModel:
         features and the visibility of all k+m query rows."""
         cfg = self.cfg
         lead = _batch_axis(len(histories))
-        seq, pad_mask, _ = encode_events(histories, times, self.tables, cfg)
+        seq, pad_mask = encode_events(histories, times, self.tables, cfg)
         merged = self._merge(seq)
         grid_positions = merged_positions(cfg.L_padded, cfg.K)
         pad_groups = merged_pad_flags(pad_mask, cfg.K).reshape(lead + (-1,))
@@ -718,52 +710,42 @@ def train(model, dataset, epochs: int, opt: Optional[OptConfig] = None) -> Train
 # ----------------------------- sum-pooling baseline -----------------------------
 
 
-@dataclass
-class SumPoolHead:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def params(self):
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
-
-
 class SumPoolingModel:
     """Order-invariant reference: mean of event features, candidate-aware head.
 
     Events are embedded exactly like the main model's featurizer input
     (item, action, time-bucket concat) but never see positions, so any
     permutation of the event list scores identically. An item or action id
-    outside its table raises EmbeddingLookupError, as in the main model.
+    outside its table raises EmbeddingLookupError, as in the main model. Its
+    head is a width-32 GELU MLP whose parameters, ``head_w1`` .. ``head_b2``,
+    are attributes of the model, as in the main model.
     """
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0, hidden: int = 32) -> None:
+    def __init__(self, cfg: ModelConfig, seed: int = 0) -> None:
         cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng(seed)
-        F = cfg.feat_width
+        F, hidden = cfg.feat_width, 32
         self.item_table = Tensor(rng.normal(0.0, 0.3, (cfg.vocab, cfg.d_item)),
                                  requires_grad=True)
         self.action_table = Tensor(rng.normal(0.0, 0.3, (cfg.n_actions, cfg.d_act)),
                                    requires_grad=True)
         self.time_table = Tensor(rng.normal(0.0, 0.3, (cfg.n_time_buckets, cfg.d_time)),
                                  requires_grad=True)
-        self.head = SumPoolHead(
-            w1=Tensor(rng.normal(0.0, 1.0 / math.sqrt(2 * F), (2 * F, hidden)),
-                      requires_grad=True),
-            b1=Tensor(np.zeros(hidden), requires_grad=True),
-            w2=Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, 1)),
-                      requires_grad=True),
-            b2=Tensor(np.zeros(1), requires_grad=True))
+        self.head_w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(2 * F), (2 * F, hidden)),
+                              requires_grad=True)
+        self.head_b1 = Tensor(np.zeros(hidden), requires_grad=True)
+        self.head_w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, 1)),
+                              requires_grad=True)
+        self.head_b2 = Tensor(np.zeros(1), requires_grad=True)
         self.flat = _lay_out(self.params())
         self.param_version = 0
 
     def params(self):
-        out = [("item_table", self.item_table), ("action_table", self.action_table),
-               ("time_table", self.time_table)]
-        out.extend((f"head.{n}", t) for n, t in self.head.params())
-        return out
+        return [("item_table", self.item_table), ("action_table", self.action_table),
+                ("time_table", self.time_table),
+                ("head.w1", self.head_w1), ("head.b1", self.head_b1),
+                ("head.w2", self.head_w2), ("head.b2", self.head_b2)]
 
     def _features(self, items, actions, deltas):
         return T.concat_cols([
@@ -793,8 +775,8 @@ class SumPoolingModel:
             T.gather_rows(self.time_table, np.zeros(B, dtype=np.int64)),
         ])
         head_in = T.concat_cols([pooled, target])
-        h = self.head
-        return T.sigmoid(T.mlp(head_in, h.w1, h.b1, h.w2, h.b2))
+        return T.sigmoid(T.mlp(head_in, self.head_w1, self.head_b1,
+                               self.head_w2, self.head_b2))
 
     def score(self, sample: Sample) -> float:
         return float(self.forward_tensor([sample]).data[0, 0])

@@ -2,12 +2,13 @@
 
 Stage 1 runs ``LongRecModel.user_rows`` and every layer over the rows that
 do not depend on the candidate item, and keeps each layer's projected
-key/value rows, the CLS output and the user-side head features; its last
-layer computes the CLS output row alone, since no other output row is
-kept. Stage 2 scores all of a request's C candidates at once: their
-target-global rows form one (C, D) block that goes through the same layers
-(``LongRecModel._layers``) with the cached rows as each block's key prefix,
-then through the model's ``_head``, which reads every one of those rows.
+key/value rows as a (keys, values) pair of arrays, the CLS output and the
+user-side head features; its last layer computes the CLS output row alone,
+since no other output row is kept. Stage 2 scores all of a request's C
+candidates at once: their target-global rows form one (C, D) block that
+goes through the same layers (``LongRecModel._layers``) with the cached
+rows as each block's key prefix, then through the model's ``_head``, which
+reads every one of those rows.
 Each row is an independent target: it sees the cached rows through the
 target's visibility row and its own key only, so no row sees another
 candidate and no C x C score is formed. Because the visibility rule
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,29 +45,19 @@ from .model import LongRecModel
 from .tensors import Tensor
 
 
-class LayerCache(NamedTuple):
-    """One block's candidate-independent key rows and value rows, in forward
-    order; a (keys, values) pair as ``attention_block``'s ``prefix_kv``."""
-
-    keys: np.ndarray
-    values: np.ndarray
-
-
 @dataclass
 class KVCache:
     scoring_time: int
     fingerprint: str
-    layers: list                 # one LayerCache per block (cross + N self)
+    layers: list                 # (keys, values) per block: cross, then N self
     target_visible_cross: np.ndarray   # (1, G+m) bool: the target's key row
     target_visible_self: np.ndarray    # (1, k+m) bool
     cls_final: np.ndarray        # (1, D) CLS output of the last layer
     user_side: np.ndarray        # (1, 2d) head features
 
     def size_floats(self) -> int:
-        total = self.cls_final.size + self.user_side.size
-        for layer in self.layers:
-            total += layer.keys.size + layer.values.size
-        return total
+        return self.cls_final.size + self.user_side.size + sum(
+            keys.size + values.size for keys, values in self.layers)
 
 
 def cache_size_floats(cfg) -> int:
@@ -97,8 +87,7 @@ def build_cache(model: LongRecModel, user_events, user_features: UserFeatures,
                            rows=[model.cfg.k + 1])
     return KVCache(scoring_time=int(scoring_time),
                    fingerprint=model.fingerprint(),
-                   layers=[LayerCache(keys.data, values.data)
-                           for _, keys, values in layers],
+                   layers=[(keys.data, values.data) for _, keys, values in layers],
                    target_visible_cross=u.visible_cross[-1:],
                    target_visible_self=u.visible_self[-1:],
                    cls_final=layers[-1][0].data,

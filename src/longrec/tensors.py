@@ -1,11 +1,11 @@
 """Dense float64 tensor kernel with hand-written backward passes.
 
 Every numeric operation the model needs lives here: the affine map
-``linear``, elementwise ``add`` (equal shapes) and ``mul`` (equal shapes or
-a constant scalar), layer normalization, sigmoid, the linear-GELU-linear
-``mlp`` (the transformer FFN at hidden width 4x), multi-head ``attention``
-(with or without a cached key/value prefix), the structural ops (concat,
-gather, left pad, reshape, row mean) and the loss op ``bce``, the mean loss
+``linear``, elementwise ``add`` and ``mul`` (equal shapes), layer
+normalization, sigmoid, the linear-GELU-linear ``mlp`` (the transformer FFN
+at hidden width 4x), multi-head ``attention`` (with or without a cached
+key/value prefix), the structural ops (concat, gather, left pad, reshape,
+row mean) and the loss op ``bce``, the mean loss
 of a column of probabilities with one label per row, so a batch of
 samples' (B, 1) output is one loss. This is deliberately not a general
 autodiff engine: the op set is small, fixed, and auditable, and every
@@ -29,10 +29,10 @@ passes. Outside a tape no op records anything (inference pays nothing for
 gradients) and ``backward`` raises.
 
 A closure holds its inputs' nodes and only the arrays its own backward
-reads: ``mul`` by a constant, ``add``, the concats and ``reshape`` keep no
-array, ``gather_rows`` keeps shapes and indices, ``layer_norm`` its
-normalized rows, ``linear`` and ``mul`` each operand only when the other
-needs a gradient, and ``attention`` its probabilities, plus the scaled
+reads: ``add``, the concats and ``reshape`` keep no array,
+``gather_rows`` keeps shapes and indices, ``layer_norm`` its normalized
+rows, ``linear`` and ``mul`` each operand only when the other needs a
+gradient, and ``attention`` its probabilities, plus the scaled
 queries when the keys need a gradient, the keys when the queries do and
 the values when either does. So an output that only such ops consume is
 freed as soon as the forward moves past it, and a tape holds what its
@@ -289,6 +289,20 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
+def named_fields(obj, prefix: str = "") -> list:
+    """(name, Tensor) of each field of dataclass ``obj`` in declaration order;
+    a field that is not a Tensor is a nested dataclass, whose fields are
+    named ``field.name``."""
+    out = []
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        if isinstance(value, Tensor):
+            out.append((prefix + name, value))
+        else:
+            out.extend(named_fields(value, f"{prefix}{name}."))
+    return out
+
+
 def _track(*tensors) -> bool:
     return _tape.get() is not None and any(t.node is not None for t in tensors)
 
@@ -389,12 +403,10 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product of two tensors of one shape, or of a tensor and a
-    constant scalar ``b`` that takes no gradient."""
+    """Elementwise product of two tensors of one shape."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape and (b.shape != () or b.requires_grad):
-        raise DimensionError(f"mul needs equal shapes or a constant scalar, "
-                             f"got {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise DimensionError(f"mul needs equal shapes, got {a.shape} and {b.shape}")
     out = Tensor(a.data * b.data)
     if _track(a, b):
         an, bn = a.node, b.node
@@ -460,14 +472,14 @@ def sigmoid(x) -> Tensor:
 # ----------------------------- normalization -----------------------------
 
 
-def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Per-row zero-mean/unit-variance normalization followed by affine; a
     row is the last axis, and every leading axis counts as rows.
 
     Zero-variance rows normalize to zeros (then take the bias), so constant
     or padded rows cannot produce NaN. Means are ``sum / n``, the arithmetic
     of ``np.mean``, so the result equals the straight-line
-    ``(x - mu) * (1 / sqrt(mean((x - mu) ** 2) + eps)) * gain + bias``.
+    ``(x - mu) * (1 / sqrt(mean((x - mu) ** 2) + 1e-12)) * gain + bias``.
     The backward keeps the normalized rows, not x.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -478,7 +490,7 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
     n = xd.shape[-1]
     xhat = xd - xd.sum(axis=-1, keepdims=True) / n
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
-    inv_sigma = 1.0 / np.sqrt(var + eps)
+    inv_sigma = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv_sigma
     y = xhat * gain.data
     y += bias.data

@@ -201,9 +201,9 @@ def test_criterion_4_gradients():
                 t0 += int(rng.integers(5, 50))
                 events.append((int(rng.integers(tiny.vocab)),
                                int(rng.integers(tiny.n_actions)), t0))
-            from longrec.inputs import Event, UserFeatures
+            from longrec.inputs import Events, UserFeatures
             samples.append(Sample(
-                tuple(Event(*e) for e in events),
+                Events(*zip(*events)),
                 UserFeatures(int(rng.integers(tiny.n_users)),
                              int(rng.integers(tiny.n_profiles))),
                 Candidate(int(rng.integers(tiny.vocab)), t0 + 60),
@@ -228,7 +228,7 @@ def test_criterion_5_mask_and_causality():
     k, m, D = 3, 3, 4
     blk = BlockParams.create(D, rng)
     order = np.arange(k + m)             # k sequence rows, then m globals
-    mask = build_mask(order, order)
+    mask = build_mask(order, order, np.zeros(k + m, dtype=bool))
     x = rng.normal(size=(k + m, D))
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 10
@@ -245,7 +245,7 @@ def test_criterion_5_mask_and_causality():
     cb = self_block(Tensor(y2), causal, blk).data
     prefix_inv = (ca[:3] == cb[:3]).all()
 
-    full = build_mask(np.arange(n), np.arange(n))
+    full = build_mask(np.arange(n), np.arange(n), np.zeros(n, dtype=bool))
     cx = attention_block(Tensor(y), Tensor(y), full, blk)[0].data
     sx = self_block(Tensor(y), full, blk).data
     reduction = np.abs(cx - sx).max()

@@ -1,5 +1,6 @@
 """Cost model, metrics, and fitter against brute-force oracles."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -39,7 +40,8 @@ def test_flops_merged_requires_divisibility():
 
 def test_reduction_ratio_identity():
     r = analysis.cost_report(64, 4, 2)
-    assert r.reduction_ratio == 1 - Fraction(r.flops_merged, r.flops_vanilla)
+    assert Fraction(*r["reduction_ratio_exact"]) == \
+        1 - Fraction(r["flops_merged"], r["flops_vanilla"])
 
 
 @settings(max_examples=20, deadline=None)
@@ -258,7 +260,12 @@ def test_fit_preconditions():
 
 
 def test_cost_report_dict_roundtrip():
-    payload = analysis.cost_report(2048, 32, 4).to_dict()
+    payload = analysis.cost_report(2048, 32, 4)
+    assert set(payload) == {
+        "L", "d", "K", "inner_layers", "flops_vanilla", "flops_merged",
+        "flops_inner_trans", "reduction_ratio", "reduction_ratio_exact",
+        "params_per_block", "params_merged_block"}
+    assert json.loads(json.dumps(payload)) == payload
     assert payload["flops_vanilla"] == 587_202_560
     assert payload["flops_merged"] == 335_544_320
     assert payload["reduction_ratio_exact"] == [3, 7]

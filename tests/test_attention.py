@@ -26,7 +26,7 @@ def block(x_q, visible, params, heads=1, x_kv=None):
 
 def test_mask_reduces_to_lower_triangular():
     L = 5
-    mask = build_mask(np.arange(L), np.arange(L))
+    mask = build_mask(np.arange(L), np.arange(L), np.zeros(L, dtype=bool))
     expected = np.tril(np.ones((L, L))) > 0
     np.testing.assert_array_equal(mask, expected)
 
@@ -35,6 +35,8 @@ def mask_for_layout(n_seq_q, n_seq_k, m, pad_k=None):
     """Sequence rows at positions 0, 1, ..., then m globals whose orders
     (rank r at top + r) lie above every position."""
     top = max(n_seq_q, n_seq_k)
+    if pad_k is None:
+        pad_k = np.zeros(n_seq_k + m, dtype=bool)
     return build_mask(np.concatenate([np.arange(n_seq_q), top + np.arange(m)]),
                       np.concatenate([np.arange(n_seq_k), top + np.arange(m)]),
                       pad_k)
@@ -130,7 +132,8 @@ def test_cross_block_matches_per_query_loop_oracle():
     r = rng.normal(size=(n_keys + m, D))
     blk = make_block(D, 6)
     # Keys at positions 0..5, queries at 1, 3, 5, globals of rank r at 6 + r.
-    mask = build_mask(np.array([1, 3, 5, 6, 7]), np.arange(n_keys + m))
+    mask = build_mask(np.array([1, 3, 5, 6, 7]), np.arange(n_keys + m),
+                      np.zeros(n_keys + m, dtype=bool))
 
     def ln(x, g, b):
         mu = x.mean(axis=-1, keepdims=True)
@@ -229,7 +232,8 @@ def test_sequence_rows_exactly_ignore_target_row():
     k, m, D = 3, 3, 4
     n = k + m
     blk = make_block(D, 14)
-    mask = build_mask(np.arange(n), np.arange(n))   # k sequence rows, m globals
+    mask = build_mask(np.arange(n), np.arange(n),   # k sequence rows, m globals
+                      np.zeros(n, dtype=bool))
     x = rng.normal(size=(n, D))
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 50.0
@@ -323,7 +327,7 @@ def test_rows_match_full_block_rows():
 
 
 def test_build_mask_is_boolean():
-    mask = build_mask([0, 1], [0, 1])
+    mask = build_mask([0, 1], [0, 1], [False, False])
     assert mask.dtype == bool
     assert mask[1, 0] and not mask[0, 1]
 

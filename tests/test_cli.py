@@ -291,10 +291,23 @@ def test_query_strategy_override_recorded(tmp_path, model_cfg_path, dataset_path
     out = tmp_path / "t"
     assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
                  "--out", str(out), "--epochs", "1",
-                 "--query-strategy", "uniform3"]) == 0
+                 "--query-strategy", "uniform", "--k", "3"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_config"]["query_strategy"] == "uniform"
     assert manifest["resolved_config"]["k"] == 3
+
+
+def test_query_strategy_with_a_count_exits_2(tmp_path, capsys, model_cfg_path,
+                                             dataset_path):
+    """``--query-strategy`` takes a bare name; k is set by ``--k`` alone, so a
+    count suffix is an unknown strategy, never a second way to set k."""
+    out = tmp_path / "t"
+    assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
+                 "--out", str(out), "--epochs", "1", "--k", "8",
+                 "--query-strategy", "recent16"]) == 2
+    err = capsys.readouterr().err
+    assert "query_strategy" in err and "recent16" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("override,field", [("--k=0", "k"), ("--seq-len=0", "L"),

@@ -13,7 +13,7 @@ from longrec import analysis
 from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
 from longrec.errors import ConfigError, EmbeddingLookupError
-from longrec.inputs import (Candidate, EmbeddingTables, Event, Events, Sample,
+from longrec.inputs import (Candidate, EmbeddingTables, Events, Sample,
                             UserFeatures, bayes_window_scores, encode_events,
                             generate_dataset, interest_of, load_dataset,
                             nontarget_global_tokens, save_dataset,
@@ -130,16 +130,16 @@ def test_time_deltas_refuse_int64_wrap():
 
 
 def make_sample(n_events, cand_ts=10_000, item=1, uid=0):
-    events = tuple(Event(item_id=(item + i) % 12, action_type=i % 3,
-                         timestamp=1000 + 10 * i) for i in range(n_events))
+    i = np.arange(n_events)
+    events = Events((item + i) % 12, i % 3, 1000 + 10 * i)
     return Sample(events, UserFeatures(uid, 1), Candidate(3, cand_ts), 1)
 
 
 def encode(sample, tables, cfg):
-    """(seq, pad_mask, n_real), time deltas measured from the candidate."""
-    seq, pad_mask, n_real = encode_events([sample.events], [sample.candidate.timestamp],
-                                          tables, cfg)
-    return seq, pad_mask[0], n_real[0]
+    """(seq, pad_mask), time deltas measured from the candidate."""
+    seq, pad_mask = encode_events([sample.events], [sample.candidate.timestamp],
+                                  tables, cfg)
+    return seq, pad_mask[0]
 
 
 def global_rows(sample, tables, cfg):
@@ -151,16 +151,16 @@ def global_rows(sample, tables, cfg):
 def test_encode_full_length_no_pads(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(0))
     s = make_sample(tiny_cfg.L)
-    seq, pad_mask, n_real = encode(s, tables, tiny_cfg)
+    seq, pad_mask = encode(s, tables, tiny_cfg)
     assert not pad_mask.any()
-    assert n_real == tiny_cfg.L
+    assert (~pad_mask).sum() == tiny_cfg.L
     assert seq.shape == (tiny_cfg.L, tiny_cfg.d)
     assert global_rows(s, tables, tiny_cfg).shape == (tiny_cfg.m, tiny_cfg.D)
 
 
 def test_encode_empty_sequence(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(0))
-    seq, pad_mask, _ = encode(make_sample(0), tables, tiny_cfg)
+    seq, pad_mask = encode(make_sample(0), tables, tiny_cfg)
     assert pad_mask.all()
     np.testing.assert_array_equal(seq.data, 0.0)
 
@@ -199,14 +199,15 @@ def test_padding_inertness_across_window_sizes(tiny_cfg):
 
 def test_encode_rejects_unknown_ids(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(0))
-    bad = Sample((Event(item_id=tiny_cfg.vocab, action_type=0, timestamp=10),),
+    bad = Sample(Events([tiny_cfg.vocab], [0], [10]),
                  UserFeatures(0, 0), Candidate(0, 100), 0)
     with pytest.raises(EmbeddingLookupError):
         encode(bad, tables, tiny_cfg)
-    bad_uid = Sample((), UserFeatures(tiny_cfg.n_users, 0), Candidate(0, 100), 0)
+    bad_uid = Sample(Events([], [], []), UserFeatures(tiny_cfg.n_users, 0),
+                     Candidate(0, 100), 0)
     with pytest.raises(EmbeddingLookupError):
         global_rows(bad_uid, tables, tiny_cfg)
-    bad_action = Sample((Event(item_id=0, action_type=3, timestamp=10),),
+    bad_action = Sample(Events([0], [3], [10]),
                         UserFeatures(0, 0), Candidate(0, 100), 0)
     with pytest.raises(EmbeddingLookupError,
                        match=r"^action id out of range \[0, 3\): 3\.\.3$"):
@@ -305,9 +306,31 @@ def test_jsonl_roundtrip(tmp_path, tiny_gen_cfg):
     assert loaded.samples == ds.samples
     events = ds.samples[0].events
     assert isinstance(events, Events)
-    assert events[1:-1] == Events.of(list(events)[1:-1])
-    assert events[-1] == Event(int(events.item_id[-1]), int(events.action_type[-1]),
-                               int(events.timestamp[-1]))
+    assert events[1:-1] == Events(events.item_id[1:-1], events.action_type[1:-1],
+                                  events.timestamp[1:-1])
+
+
+def test_events_refuse_integer_index_and_iteration():
+    """A history is read by its columns: an integer index, iteration and
+    unpacking raise TypeError, while a slice is an ``Events`` view."""
+    events = Events([4, 5, 6], [0, 1, 2], [10, 20, 30])
+    for read in (lambda: events[0], lambda: events[-1], lambda: iter(events),
+                 lambda: list(events), lambda: [e for e in events]):
+        with pytest.raises(TypeError):
+            read()
+    tail = events[1:]
+    assert isinstance(tail, Events) and len(tail) == 2
+    assert tail.timestamp.tolist() == [20, 30]
+    assert tail.item_id.base is not None       # a view, not a copy
+
+
+def test_sample_refuses_a_history_that_is_not_events():
+    """A sample's history is an ``Events``: a tuple, a list or a bare column
+    raises ConfigError at construction."""
+    for history in ((), [], ((1, 0, 5),), [(1, 0, 5), (2, 0, 9)],
+                    np.array([1, 2], dtype=np.int64)):
+        with pytest.raises(ConfigError, match="must be an Events"):
+            Sample(history, UserFeatures(0, 0), Candidate(1, 10), 1)
 
 
 def test_generated_jsonl_bytes_pinned(tmp_path, tiny_gen_cfg):
@@ -368,14 +391,14 @@ def test_malformed_jsonl_raises(tmp_path):
 
 
 def test_sample_validation():
-    good = Sample((Event(1, 0, 5), Event(2, 0, 9)), UserFeatures(0, 0),
+    good = Sample(Events([1, 2], [0, 0], [5, 9]), UserFeatures(0, 0),
                   Candidate(1, 10), 1)
     good.validate()
-    unsorted = Sample((Event(1, 0, 9), Event(2, 0, 5)), UserFeatures(0, 0),
+    unsorted = Sample(Events([1, 2], [0, 0], [9, 5]), UserFeatures(0, 0),
                       Candidate(1, 10), 1)
     with pytest.raises(ConfigError):
         unsorted.validate()
-    future = Sample((Event(1, 0, 50),), UserFeatures(0, 0), Candidate(1, 10), 1)
+    future = Sample(Events([1], [0], [50]), UserFeatures(0, 0), Candidate(1, 10), 1)
     with pytest.raises(ConfigError):
         future.validate()
 

@@ -11,7 +11,7 @@ from longrec import tensors as T
 from longrec.attention import BlockParams
 from longrec.config import ModelConfig
 from longrec.errors import ConfigError
-from longrec.inputs import (Candidate, EmbeddingTables, Event, Sample, UserFeatures,
+from longrec.inputs import (Candidate, EmbeddingTables, Events, Sample, UserFeatures,
                             encode_events)
 from longrec.merge import (merge_concat, merge_inner_trans, merged_pad_flags,
                            merged_positions)
@@ -56,11 +56,11 @@ def test_encode_events_pads_to_group_multiple():
                       n_time_buckets=8, vocab=12, n_actions=3, n_users=6,
                       n_profiles=4)
     tables = EmbeddingTables.create(cfg, np.random.default_rng(0))
-    events = [Event(i % 12, i % 3, 100 + i) for i in range(15)]
-    seq, pad_mask, n_real = encode_events([events, events[:3]], [200, 200],
-                                          tables, cfg)
+    i = np.arange(15)
+    events = Events(i % 12, i % 3, 100 + i)
+    seq, pad_mask = encode_events([events, events[:3]], [200, 200], tables, cfg)
     assert cfg.L_padded == 16 and seq.shape == (32, 2)
-    assert pad_mask.shape == (2, 16) and n_real.tolist() == [15, 3]
+    assert pad_mask.shape == (2, 16) and (~pad_mask).sum(axis=1).tolist() == [15, 3]
     assert pad_mask[0].tolist() == [True] + [False] * 15
     assert pad_mask[1].tolist() == [True] * 13 + [False] * 3
     np.testing.assert_array_equal(seq.data[pad_mask.reshape(-1)], 0.0)
@@ -193,8 +193,8 @@ def test_all_pad_group_rows_are_inert():
                       inner_layers=2, d_item=3, d_act=2, d_time=3,
                       n_time_buckets=8, vocab=30, n_actions=3, n_users=40,
                       n_profiles=4, head_hidden=6)
-    samples = [Sample([Event((7 * u + i) % 30, i % 3, 1000 + 10 * i)
-                       for i in range(n)], UserFeatures(u, u % 4),
+    samples = [Sample(Events((7 * u + np.arange(n)) % 30, np.arange(n) % 3,
+                             1000 + 10 * np.arange(n)), UserFeatures(u, u % 4),
                       Candidate((5 * u) % 30, 2000), u % 2)
                for u, n in enumerate([0, 1, 3, 5])]
     assert all(len(s.events) < cfg.K * cfg.k for s in samples)   # pad queries

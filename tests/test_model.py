@@ -16,7 +16,7 @@ from longrec import model as model_module
 from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
 from longrec.errors import ConfigError, NumericalError
-from longrec.inputs import (Candidate, Dataset, Event, Sample, UserFeatures,
+from longrec.inputs import (Candidate, Dataset, Events, Sample, UserFeatures,
                             generate_dataset)
 from longrec.model import (CHECKPOINT_MAGIC, Adam, LongRecModel, OptConfig,
                            SumPoolingModel, batch_backward, evaluate, select_queries,
@@ -31,44 +31,50 @@ def toks(n, D=4, seed=0):
     return Tensor(np.random.default_rng(seed).normal(size=(n, D)))
 
 
+def select(strategy, k, pads, bank=None):
+    """``select_queries`` over G = pads.shape[-1] merged rows per sample at
+    grid positions 0..G-1, so each pick's position is its grid index."""
+    G = pads.shape[-1]
+    return select_queries(toks(pads.size), strategy, k, bank, pads, np.arange(G))
+
+
 def test_recent_identity_when_k_covers_all():
-    sel = select_queries(toks(6), "recent", 6)
-    np.testing.assert_array_equal(sel.indices, np.arange(6))
+    sel = select("recent", 6, np.zeros(6, dtype=bool))
+    np.testing.assert_array_equal(sel.positions, np.arange(6))
     assert not sel.is_pad.any()
 
 
 def test_uniform_documented_rule():
-    sel = select_queries(toks(10), "uniform", 5)
-    np.testing.assert_array_equal(sel.indices, [1, 3, 5, 7, 9])
+    sel = select("uniform", 5, np.zeros(10, dtype=bool))
+    np.testing.assert_array_equal(sel.positions, [1, 3, 5, 7, 9])
 
 
 def test_recent_short_sequence_pads_queries():
     pads = np.array([True] * 7 + [False] * 3)
-    sel = select_queries(toks(10), "recent", 5, pad_groups=pads)
-    np.testing.assert_array_equal(sel.indices, [5, 6, 7, 8, 9])
+    sel = select("recent", 5, pads)
+    np.testing.assert_array_equal(sel.positions, [5, 6, 7, 8, 9])
     np.testing.assert_array_equal(sel.is_pad, [True, True, False, False, False])
 
 
 def test_learnable_queries_have_max_position():
     bank = Tensor(np.zeros((4, 4)), requires_grad=True)
-    sel = select_queries(toks(10), "learnable", 4, learnable_bank=bank,
-                         grid_positions=np.arange(10) * 2 + 1)
+    sel = select_queries(toks(10), "learnable", 4, bank, np.zeros(10, dtype=bool),
+                         np.arange(10) * 2 + 1)
     assert (sel.positions == 19).all()
-    assert (sel.indices == -1).all()
     assert sel.tokens is bank
 
 
 def test_recent_uniform_mix():
-    sel = select_queries(toks(10), "recent_uniform", 5)
+    sel = select("recent_uniform", 5, np.zeros(10, dtype=bool))
     # recent ceil(5/2)=3 -> {7,8,9}; uniform 2 over prefix len 7 -> {3,6}
-    np.testing.assert_array_equal(sel.indices, [3, 6, 7, 8, 9])
+    np.testing.assert_array_equal(sel.positions, [3, 6, 7, 8, 9])
 
 
 def test_recent_uniform_backfills_after_dedup():
     pads = np.array([True] * 6 + [False] * 4)
-    sel = select_queries(toks(10), "recent_uniform", 3, pad_groups=pads)
+    sel = select("recent_uniform", 3, pads)
     # nonpad {6,7,8,9}: recent 2 -> {8,9}; uniform 1 over prefix {6,7} -> {7}
-    np.testing.assert_array_equal(sel.indices, [7, 8, 9])
+    np.testing.assert_array_equal(sel.positions, [7, 8, 9])
 
 
 def set_and_backfill(k, pad_groups):
@@ -97,17 +103,17 @@ def test_recent_uniform_matches_set_and_backfill():
         pads[1] = np.arange(G) < rng.integers(0, G)      # leading pads
         h = toks(20 * G, D=1)
         for k in range(1, G + 1):
-            sel = select_queries(h, "recent_uniform", k, pad_groups=pads)
+            sel = select_queries(h, "recent_uniform", k, None, pads, np.arange(G))
             for b in range(20):
                 if (~pads[b]).sum() > k:
-                    assert sel.indices[b].tolist() == set_and_backfill(k, pads[b])
+                    assert sel.positions[b].tolist() == set_and_backfill(k, pads[b])
 
 
 def test_invalid_k_raises():
     with pytest.raises(ConfigError):
-        select_queries(toks(4), "recent", 0)
+        select("recent", 0, np.zeros(4, dtype=bool))
     with pytest.raises(ConfigError):
-        select_queries(toks(4), "recent", 5)
+        select("recent", 5, np.zeros(4, dtype=bool))
 
 
 # ----------------------------- forward -----------------------------
@@ -116,14 +122,16 @@ def test_invalid_k_raises():
 def sample_for(cfg, n_events, seed=0, uid=0, cand_item=None):
     rng = np.random.default_rng(seed)
     t = 5_000
-    events = []
+    items, actions, times = [], [], []
     for _ in range(n_events):
         t += int(rng.integers(5, 50))
-        events.append(Event(int(rng.integers(cfg.vocab)),
-                            int(rng.integers(cfg.n_actions)), t))
+        items.append(int(rng.integers(cfg.vocab)))
+        actions.append(int(rng.integers(cfg.n_actions)))
+        times.append(t)
     cand = Candidate(int(rng.integers(cfg.vocab)) if cand_item is None
                      else cand_item, t + 60)
-    return Sample(tuple(events), UserFeatures(uid, int(rng.integers(cfg.n_profiles))),
+    return Sample(Events(items, actions, times),
+                  UserFeatures(uid, int(rng.integers(cfg.n_profiles))),
                   cand, int(rng.integers(2)))
 
 
@@ -269,11 +277,12 @@ def straightline_forward(model, sample):
 
     # sequence tokens
     h = np.zeros((cfg.L, cfg.d))
-    for t, e in enumerate(events):
-        delta = cand.timestamp - e.timestamp
+    for t in range(n):
+        item, action = int(events.item_id[t]), int(events.action_type[t])
+        delta = cand.timestamp - int(events.timestamp[t])
         bucket = min(int(delta).bit_length(), cfg.n_time_buckets - 1)
-        feat = np.concatenate([P["tables.item_table"][e.item_id],
-                               P["tables.action_table"][e.action_type],
+        feat = np.concatenate([P["tables.item_table"][item],
+                               P["tables.action_table"][action],
                                P["tables.time_bucket_table"][bucket]])
         x = feat @ P["tables.mlp.tok_proj_w"] + P["tables.mlp.tok_proj_b"]
         x = x + P["tables.abs_pos_table"][n - 1 - t]
@@ -530,7 +539,8 @@ def test_adam_matches_per_array_reference(tiny_cfg):
     cfg = ModelConfig(**{**tiny_cfg.to_dict(), "lr": 0.01})
     model = SumPoolingModel(cfg, seed=5)
     full = tiny_dataset(cfg, n=6).samples
-    empty = [Sample((), s.user_features, s.candidate, s.label) for s in full]
+    empty = [Sample(Events([], [], []), s.user_features, s.candidate, s.label)
+             for s in full]
     adam = Adam(model, cfg.lr)
     want = {n: t.data.copy() for n, t in model.params()}
     moments = {n: (np.zeros_like(a), np.zeros_like(a)) for n, a in want.items()}
@@ -621,7 +631,7 @@ def test_tape_is_per_thread(tiny_cfg):
 def test_pooling_identical_tokens(tiny_cfg):
     base = SumPoolingModel(tiny_cfg, seed=12)
     ts = 1_000
-    events = tuple(Event(3, 1, ts) for _ in range(5))
+    events = Events([3] * 5, [1] * 5, [ts] * 5)
     s = Sample(events, UserFeatures(0, 0), Candidate(1, ts), 1)
     feats = base._features([3], [1], [0])
     pooled = T.mean_rows(base._features([3] * 5, [1] * 5, [0] * 5))
@@ -631,22 +641,22 @@ def test_pooling_identical_tokens(tiny_cfg):
 
 def test_pooling_empty_sequence_zero_vector(tiny_cfg):
     base = SumPoolingModel(tiny_cfg, seed=13)
-    s = Sample((), UserFeatures(0, 0), Candidate(1, 10), 0)
+    s = Sample(Events([], [], []), UserFeatures(0, 0), Candidate(1, 10), 0)
     p = base.score(s)
     # zero pooled vector: probability determined by the target row alone
-    zeroed = Sample((), UserFeatures(1, 1), Candidate(1, 10), 0)
+    zeroed = Sample(Events([], [], []), UserFeatures(1, 1), Candidate(1, 10), 0)
     assert p == base.score(zeroed)
 
 
 def test_pooling_order_invariance(tiny_cfg):
     base = SumPoolingModel(tiny_cfg, seed=14)
     rng = np.random.default_rng(15)
-    events = [Event(int(rng.integers(tiny_cfg.vocab)),
-                    int(rng.integers(tiny_cfg.n_actions)), int(50 + i))
-              for i in range(6)]
-    s = Sample(tuple(events), UserFeatures(0, 0), Candidate(2, 100), 1)
-    perm = [events[i] for i in [3, 0, 5, 1, 4, 2]]
-    s2 = Sample(tuple(perm), s.user_features, s.candidate, s.label)
+    rows = [(int(rng.integers(tiny_cfg.vocab)),
+             int(rng.integers(tiny_cfg.n_actions)), int(50 + i))
+            for i in range(6)]
+    s = Sample(Events(*zip(*rows)), UserFeatures(0, 0), Candidate(2, 100), 1)
+    perm = [rows[i] for i in [3, 0, 5, 1, 4, 2]]
+    s2 = Sample(Events(*zip(*perm)), s.user_features, s.candidate, s.label)
     assert base.score(s) == base.score(s2)
 
 

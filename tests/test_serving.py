@@ -42,9 +42,9 @@ def test_cache_build_is_deterministic():
     a = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
     b = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
     assert a.fingerprint == b.fingerprint
-    for la, lb in zip(a.layers, b.layers):
-        np.testing.assert_array_equal(la.keys, lb.keys)
-        np.testing.assert_array_equal(la.values, lb.values)
+    for (ka, va), (kb, vb) in zip(a.layers, b.layers):
+        np.testing.assert_array_equal(ka, kb)
+        np.testing.assert_array_equal(va, vb)
     np.testing.assert_array_equal(a.cls_final, b.cls_final)
 
 
@@ -109,7 +109,7 @@ def mixed_length_samples(cfg, seed):
     base = users_for(cfg, 3, seed=seed)
     longer = users_for(small_cfg(L=2 * cfg.L), 1, seed=seed + 1, full_length=True)[0]
     rng = np.random.default_rng(seed)
-    sources = [(Events.of([]), base[0]), (base[1].events[:1], base[1]),
+    sources = [(Events([], [], []), base[0]), (base[1].events[:1], base[1]),
                (longer.events, longer)] + [(s.events, s) for s in base]
     return [Sample(events, src.user_features,
                    Candidate(int(rng.integers(cfg.vocab)), src.candidate.timestamp),
@@ -236,9 +236,9 @@ def test_cache_candidate_independence_is_structural():
     first = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
     score_with_cache(model, first, [Candidate(3, s.candidate.timestamp)])
     second = build_cache(model, s.events, s.user_features, s.candidate.timestamp)
-    for la, lb in zip(first.layers, second.layers):
-        np.testing.assert_array_equal(la.keys, lb.keys)
-        np.testing.assert_array_equal(la.values, lb.values)
+    for (ka, va), (kb, vb) in zip(first.layers, second.layers):
+        np.testing.assert_array_equal(ka, kb)
+        np.testing.assert_array_equal(va, vb)
 
 
 # ----------------------------- counted MACs -----------------------------

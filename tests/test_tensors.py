@@ -171,10 +171,11 @@ def test_add_needs_equal_shapes():
         T.add(np.zeros((2, 3)), np.zeros((1, 3)))
 
 
-def test_mul_takes_equal_shapes_or_a_constant_scalar():
+def test_mul_takes_equal_shapes_only():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    np.testing.assert_array_equal(T.mul(a, 0.5).data, a.data * 0.5)
-    for b in (np.ones(3), np.ones((1, 3)), Tensor(np.array(0.5), requires_grad=True)):
+    np.testing.assert_array_equal(T.mul(a, a).data, a.data * a.data)
+    for b in (0.5, np.ones(3), np.ones((1, 3)),
+              Tensor(np.array(0.5), requires_grad=True)):
         with pytest.raises(DimensionError):
             T.mul(a, b)
 
