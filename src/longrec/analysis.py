@@ -134,7 +134,8 @@ def muladds_full_forward(cfg: ModelConfig, n_events: int) -> int:
 
     Enumerates every matrix product the implementation executes: the per-event
     featurizer (real events only), global-token assembly, the per-group
-    transformers (batched over the padded grid when enabled), the cross
+    transformers (when enabled; over the history's whole groups, K*ceil(n/K)
+    rows, never over a group without an event), the cross
     layer, N self layers, and the head. The last self layer projects keys
     and values for all q = k + m rows but computes only the CLS and target
     rows the head reads: 2*q*D^2 + 2*(10*D^2 + 2*q*D).
@@ -162,8 +163,8 @@ def _stack_muladds(cfg: ModelConfig, n_events: int, targets: int) -> int:
     total += d * D + (cfg.m - 1) * 4 * D * D          # UID lift + global MLP
     total += targets * (F * d + d * D + 4 * D * D)    # target featurizer + MLP
     if cfg.merge_mode == "inner":
-        Lp = cfg.L_padded
-        total += cfg.inner_layers * (12 * Lp * d * d + 2 * Lp * cfg.K * d)
+        rows = -(-n_events // cfg.K) * cfg.K          # the history's whole groups
+        total += cfg.inner_layers * (12 * rows * d * d + 2 * rows * cfg.K * d)
     total += _block_muladds(D, v, q)                  # cross layer
     total += (cfg.N - 1) * _block_muladds(D, q, q) + _block_muladds(D, q, 1 + targets)
     return total

@@ -101,9 +101,6 @@ class BlockParams:
     def params(self):
         return T.named_fields(self)
 
-    def param_count(self) -> int:
-        return sum(t.size for _, t in self.params())
-
     @property
     def width(self) -> int:
         return self.w_q.shape[0]

@@ -62,7 +62,8 @@ class ModelConfig:
     @property
     def L_padded(self) -> int:
         """L rounded up to a multiple of K: each sample's row count in the
-        token grid, which ``encode_events`` pads on the left."""
+        token grid that the merge lays its real tokens out in, right-aligned
+        after pad rows (see ``LongRecModel._merge``)."""
         return -(-self.L // self.K) * self.K
 
     @property

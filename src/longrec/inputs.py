@@ -22,9 +22,8 @@ indexed by recency (0 = most recent) -> a small GELU MLP. Recency indexing
 keeps real-token representations unchanged when extra left padding is
 prepended. Global tokens (UID, CLS..., target) are built at the full model
 width D. Encoding takes a batch: the real events of all its histories are
-encoded as one block and placed into a zero-padded (B*L_padded, d) grid,
-L rounded up to a multiple of K so that merge groups never span two
-samples, and the global rows of all its users are built at once.
+encoded as one block of real rows, with no padding (the merge lays them out
+in whole groups), and the global rows of all its users are built at once.
 """
 
 from __future__ import annotations
@@ -543,26 +542,24 @@ def _global_mlp(tables: EmbeddingTables, rows: Tensor) -> Tensor:
 
 def encode_events(histories, reference_times, tables: EmbeddingTables,
                   cfg: ModelConfig):
-    """Sequence tokens of B ``Events`` histories: (seq Tensor[B*Lp, d],
-    pad_mask (B, Lp)) for Lp = cfg.L_padded, L rounded up to a multiple of K.
+    """Sequence tokens of B ``Events`` histories: (rows Tensor[sum(n_real), d],
+    n_real (B,) int64), history b's n_real[b] real tokens in chronological
+    order after those of histories 0..b-1.
 
     History b's events beyond the most recent cfg.L fall outside the visible
     window and are dropped; the rest become width-d tokens with time deltas
-    measured from ``reference_times[b]``, right-aligned in rows
-    b*Lp..b*Lp+Lp-1 and left-padded with zero rows, so every sample's rows
-    split into whole merge groups. The real events of all histories are
-    encoded as one block and then padded into the grid, so pad rows are never
-    computed. On a tape the featurizer (lookups and projection) is a
+    measured from ``reference_times[b]``. The real events of all histories
+    are encoded as one block and no pad row is ever computed or laid out
+    here: the merge (``LongRecModel._merge``) left-pads them into whole
+    groups. On a tape the featurizer (lookups and projection) is a
     ``T.checkpoint`` and the sequence MLP keeps only its input, so backward
     recomputes both rather than keep the largest per-sample activations of
     the tape.
     """
     hists = [h[-cfg.L:] for h in histories]
     n_real = np.array([len(h) for h in hists], dtype=np.int64)
-    Lp = cfg.L_padded
-    pad_mask = np.arange(Lp) < (Lp - n_real)[:, None]
     if not n_real.any():
-        return T.zeros((pad_mask.size, cfg.d)), pad_mask
+        return T.zeros((0, cfg.d)), n_real
     x = T.checkpoint(partial(
         _event_features, tables, cfg, np.concatenate([h.item_id for h in hists]),
         np.concatenate([h.action_type for h in hists]),
@@ -570,7 +567,7 @@ def encode_events(histories, reference_times, tables: EmbeddingTables,
                         for h, t in zip(hists, reference_times)])))
     recency = np.concatenate([np.arange(n - 1, -1, -1) for n in n_real])  # 0 = newest
     x = T.add(x, T.gather_rows(tables.abs_pos_table, recency))
-    return T.left_pad_rows(_seq_mlp(tables, x), n_real, Lp), pad_mask
+    return _seq_mlp(tables, x), n_real
 
 
 def target_global_token(candidates, tables: EmbeddingTables,

@@ -15,7 +15,10 @@ pad row downstream, which the boolean visibility hides whatever its value;
 groups mixing pad and real tokens rely on pad rows entering as zero vectors.
 
 A batch of samples merges as one stack of rows: each sample's row count is
-a multiple of K, so no group spans two samples.
+a multiple of K, so no group spans two samples. Each sample's history ends
+a grid of merged_len = L_padded/K groups, the ones before it all padding;
+``LongRecModel._merge`` lays the grid out and runs the inner blocks only on
+the groups that hold events.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ def merged_positions(L_padded: int, K: int) -> np.ndarray:
     return np.arange(L_padded // K, dtype=np.int64) * K + (K - 1)
 
 
-def merged_pad_flags(pad_mask: np.ndarray, K: int) -> np.ndarray:
-    """True where a group consists entirely of padding."""
-    return pad_mask.reshape(-1, K).all(axis=1)
+def merged_pad_flags(n_real: np.ndarray, K: int, G: int) -> np.ndarray:
+    """(B, G): True where a merged row of a grid of G groups holds no event,
+    the leading G - ceil(n/K) rows of a sample with n events."""
+    return np.arange(G) < G - -(-np.asarray(n_real)[:, None] // K)
 
 
 def merge_concat(h: Tensor, K: int) -> Tensor:
@@ -49,10 +53,11 @@ def merge_concat(h: Tensor, K: int) -> Tensor:
 def merge_inner_trans(h: Tensor, K: int, params: list) -> Tensor:
     """Run the shared per-group transformer blocks, then concatenate.
 
-    ``params`` holds one width-d BlockParams per inner layer. Each layer is a
-    one-head ``attention_block`` over the (L/K, K, d) group view: the groups
-    run as independent samples with full (non-causal) visibility inside
-    each, so no cross-group work is spent.
+    ``h`` stacks whole groups of K rows, L in all. ``params`` holds one
+    width-d BlockParams per inner layer. Each layer is a one-head
+    ``attention_block`` over the (L/K, K, d) group view: the groups run as
+    independent samples with full (non-causal) visibility inside each, so no
+    cross-group work is spent.
     """
     L, d = h.shape
     if K < 1 or L % K:

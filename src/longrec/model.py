@@ -26,7 +26,9 @@ them, as LONGER does for long sequences.
 Both models keep their parameters in one float64 vector ``flat``, each
 parameter's ``data`` a C-contiguous view of it in ``params()`` order, so
 checkpoints, ``fingerprint`` and Adam handle one buffer. Code that changes a
-parameter writes into its ``data`` in place and bumps ``param_version``.
+parameter writes into its ``data`` in place and bumps ``param_version``. The
+vector is allocated before any parameter is made, so a config whose
+parameters do not fit in memory raises ConfigError naming their count.
 
 A training step exclusively owns the parameters it updates; inference over
 read-shared parameters is thread-safe, and tapes are per thread. MAC
@@ -215,17 +217,27 @@ def _identity_mlp_init(w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         w2.data[width + i, i] = -1.0
 
 
-def _lay_out(named, flat=None) -> np.ndarray:
-    """Rebind each parameter's ``data`` to its C-contiguous view of one
-    vector, in ``named`` order, and return the vector: ``flat``, which holds
-    their values, or else a new one that takes them."""
-    if flat is None:
-        flat = np.concatenate([t.data.reshape(-1) for _, t in named])
+def _parameter_vector(n: int) -> np.ndarray:
+    """The unwritten vector ``flat`` of ``n`` parameters, made before any
+    parameter is, so a config too large for memory raises ConfigError."""
+    try:
+        return np.empty(n)
+    except (MemoryError, ValueError):       # ValueError: beyond the address space
+        raise ConfigError(f"cannot allocate the {n:,} parameters of this config") from None
+
+
+def _lay_out(named, flat: np.ndarray, values=None) -> None:
+    """Rebind each parameter's ``data`` to its C-contiguous view of ``flat``,
+    in ``named`` order, after writing ``values`` into ``flat``: a vector, or
+    by default the parameters' own values."""
+    if values is None:
+        np.concatenate([t.data.reshape(-1) for _, t in named], out=flat)
+    else:
+        flat[...] = values
     start = 0
     for _, t in named:
         t.data = flat[start:start + t.size].reshape(t.shape)
         start += t.size
-    return flat
 
 
 class _NoDraws:
@@ -238,13 +250,15 @@ class LongRecModel:
 
     def __init__(self, cfg: ModelConfig, seed: int = 0) -> None:
         self._create(cfg, np.random.default_rng(seed))
-        self.flat = _lay_out(self.params())
+        _lay_out(self.params(), self.flat)
         self._identity_biased_init()
 
     def _create(self, cfg: ModelConfig, rng) -> None:
-        """Make the parameters from ``rng``'s draws, in ``params()`` order."""
+        """Make the unwritten vector ``flat`` and then the parameters from
+        ``rng``'s draws, in ``params()`` order."""
         cfg.validate()
         self.cfg = cfg
+        self.flat = _parameter_vector(analysis.count_params(cfg)["total"])
         self.tables = EmbeddingTables.create(cfg, rng)
         self.inner_blocks = ([BlockParams.create(cfg.d, rng)
                               for _ in range(cfg.inner_layers)]
@@ -317,9 +331,6 @@ class LongRecModel:
                     ("head.w2", self.head_w2), ("head.b2", self.head_b2)])
         return out
 
-    def param_count(self) -> int:
-        return self.flat.size
-
     def fingerprint(self) -> str:
         """sha256 of the config and the parameter vector ``flat``.
 
@@ -337,12 +348,20 @@ class LongRecModel:
 
     # ------------------------- forward -------------------------
 
-    def _merge(self, seq: Tensor) -> Tensor:
-        """Merge the (B*L_padded, d) token grid of B samples into their
-        (B*G, D) merged rows."""
-        if self.cfg.merge_mode == "inner":
-            return merge_inner_trans(seq, self.cfg.K, self.inner_blocks)
-        return merge_concat(seq, self.cfg.K)
+    def _merge(self, rows: Tensor, n_real: np.ndarray) -> Tensor:
+        """Merge B samples' real token rows, ``n_real[b]`` of sample b, into
+        their (B*G, D) merged grid, each history after its G - ceil(n/K)
+        all-pad groups. Concat pads the tokens to L_padded rows per sample
+        and reshapes. Inner pads them only to whole groups, K*ceil(n/K) rows,
+        runs the inner blocks on those alone and pads the merged rows to G
+        with zero rows: a group without an event costs no inner work."""
+        cfg = self.cfg
+        if cfg.merge_mode == "inner":
+            groups = -(-n_real // cfg.K)
+            merged = merge_inner_trans(T.left_pad_rows(rows, n_real, cfg.K * groups),
+                                       cfg.K, self.inner_blocks)
+            return T.left_pad_rows(merged, groups, cfg.merged_len)
+        return merge_concat(T.left_pad_rows(rows, n_real, cfg.L_padded), cfg.K)
 
     def user_rows(self, histories, users, times) -> UserRows:
         """Encode, merge and select queries for B users, user b with history
@@ -351,10 +370,11 @@ class LongRecModel:
         features and the visibility of all k+m query rows."""
         cfg = self.cfg
         lead = _batch_axis(len(histories))
-        seq, pad_mask = encode_events(histories, times, self.tables, cfg)
-        merged = self._merge(seq)
+        rows, n_real = encode_events(histories, times, self.tables, cfg)
+        merged = self._merge(rows, n_real)
         grid_positions = merged_positions(cfg.L_padded, cfg.K)
-        pad_groups = merged_pad_flags(pad_mask, cfg.K).reshape(lead + (-1,))
+        pad_groups = merged_pad_flags(n_real, cfg.K, cfg.merged_len).reshape(
+            lead + (-1,))
         sel = select_queries(merged, cfg.query_strategy, cfg.k, self.query_bank,
                              pad_groups, grid_positions)
         q_order, q_pad = _row_layout(sel.positions, sel.is_pad, cfg)
@@ -504,7 +524,7 @@ class LongRecModel:
         named = model.params()
         if arrays != [{"name": n, "shape": list(t.shape)} for n, t in named]:
             raise ConfigError("checkpoint arrays differ from the model's parameters")
-        model.flat = _lay_out(named, np.frombuffer(blob, dtype="<f8", offset=start).copy())
+        _lay_out(named, model.flat, np.frombuffer(blob, dtype="<f8", offset=start))
         model.param_version = param_version
         return model
 
@@ -726,6 +746,9 @@ class SumPoolingModel:
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         F, hidden = cfg.feat_width, 32
+        self.flat = _parameter_vector(
+            cfg.vocab * cfg.d_item + cfg.n_actions * cfg.d_act
+            + cfg.n_time_buckets * cfg.d_time + 2 * F * hidden + 2 * hidden + 1)
         self.item_table = Tensor(rng.normal(0.0, 0.3, (cfg.vocab, cfg.d_item)),
                                  requires_grad=True)
         self.action_table = Tensor(rng.normal(0.0, 0.3, (cfg.n_actions, cfg.d_act)),
@@ -738,7 +761,7 @@ class SumPoolingModel:
         self.head_w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, 1)),
                               requires_grad=True)
         self.head_b2 = Tensor(np.zeros(1), requires_grad=True)
-        self.flat = _lay_out(self.params())
+        _lay_out(self.params(), self.flat)
         self.param_version = 0
 
     def params(self):

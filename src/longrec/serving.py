@@ -55,10 +55,6 @@ class KVCache:
     cls_final: np.ndarray        # (1, D) CLS output of the last layer
     user_side: np.ndarray        # (1, 2d) head features
 
-    def size_floats(self) -> int:
-        return self.cls_final.size + self.user_side.size + sum(
-            keys.size + values.size for keys, values in self.layers)
-
 
 def cache_size_floats(cfg) -> int:
     """Analytic cache footprint in float64 values, asserted against builds.

@@ -583,13 +583,13 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
 
 def _split(x: np.ndarray, heads: int) -> np.ndarray:
     """(..., rows, w) viewed as (..., heads, rows, w / heads)."""
-    return np.swapaxes(x.reshape(x.shape[:-1] + (heads, -1)), -2, -3)
+    return np.swapaxes(x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)), -2, -3)
 
 
 def _join(x: np.ndarray) -> np.ndarray:
     """(..., heads, rows, dh) as (..., rows, heads * dh)."""
     x = np.swapaxes(x, -2, -3)
-    return x.reshape(x.shape[:-2] + (-1,))
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
 def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
@@ -773,19 +773,23 @@ def reshape(x, shape) -> Tensor:
     return out
 
 
-def left_pad_rows(x, counts, width: int) -> Tensor:
+def left_pad_rows(x, counts, widths) -> Tensor:
     """Split x's rows into consecutive blocks of ``counts[b]`` rows and
-    left-pad each block with zero rows to ``width`` rows: a
-    (len(counts) * width, d) grid. Its backward gathers the blocks' rows.
+    left-pad block b with zero rows to ``widths[b]`` rows (one int: the
+    width of every block): a (sum of widths, d) grid. Its backward gathers
+    the blocks' rows.
     """
     x = as_tensor(x)
     counts = [int(c) for c in counts]
-    if x.data.ndim != 2 or sum(counts) != x.shape[0] \
-            or not all(0 <= c <= width for c in counts):
+    widths = ([int(widths)] * len(counts) if np.ndim(widths) == 0
+              else [int(w) for w in widths])
+    if x.data.ndim != 2 or sum(counts) != x.shape[0] or len(widths) != len(counts) \
+            or not all(0 <= c <= w for c, w in zip(counts, widths)):
         raise DimensionError(f"left_pad_rows needs x (r, d) with r = sum(counts) and "
-                             f"every count in [0, {width}], got {x.shape} and {counts}")
-    ends = [width * (b + 1) for b in range(len(counts))]
-    grid = np.zeros((len(counts) * width, x.shape[1]))
+                             f"every count in [0, its width], got {x.shape}, "
+                             f"{counts} and widths {widths}")
+    ends = np.cumsum(widths).tolist()
+    grid = np.zeros((sum(widths), x.shape[1]))
     start = 0
     for end, c in zip(ends, counts):
         grid[end - c:end] = x.data[start:start + c]

@@ -55,6 +55,11 @@ def fd_check(build_loss, named_tensors, tol=1e-4, h=1e-5, max_coords=6, seed=0):
     return worst
 
 
+def n_params(obj) -> int:
+    """The values of the parameters that ``obj.params()`` lists."""
+    return sum(t.size for _, t in obj.params())
+
+
 def readout(y, w) -> T.Tensor:
     """``y @ w`` for a constant (p, q) ``w``: ``T.linear`` with a zero bias,
     the tests' way to read a tensor out into a scalar loss."""

@@ -20,7 +20,7 @@ Criteria (tolerances pinned here, nothing deferred):
 import numpy as np
 import pytest
 
-from conftest import counted_muladds, fd_check, mean_scalars, readout
+from conftest import counted_muladds, fd_check, mean_scalars, n_params, readout
 from longrec import analysis
 from longrec import tensors as T
 from longrec.attention import BlockParams, attention_block, build_mask
@@ -81,10 +81,10 @@ def test_criterion_2_parameter_identities():
     for payload in ACCEPT_CFGS:
         cfg = ModelConfig(**payload)
         model = LongRecModel(cfg, seed=checked)
-        assert model.cross_block.param_count() == analysis.params_block(cfg.D)
+        assert n_params(model.cross_block) == analysis.params_block(cfg.D)
         assert (analysis.params_merged_block(cfg.d, cfg.K)
                 == analysis.params_block(cfg.D))
-        assert model.param_count() == analysis.count_params(cfg)["total"]
+        assert model.flat.size == n_params(model) == analysis.count_params(cfg)["total"]
         checked += 1
     report("criterion 2 (parameter identities)",
            checked == len(ACCEPT_CFGS),

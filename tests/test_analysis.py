@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import n_params
 from longrec import analysis
 from longrec.attention import BlockParams, attention_block
 from longrec.config import ModelConfig
@@ -130,12 +131,12 @@ def test_count_params_matches_enumeration(payload):
     cfg = ModelConfig(**payload)
     model = LongRecModel(cfg, seed=1)
     breakdown = analysis.count_params(cfg)
-    assert model.param_count() == breakdown["total"]
-    block_sizes = {model.cross_block.param_count()}
-    block_sizes.update(b.param_count() for b in model.self_blocks)
+    assert model.flat.size == n_params(model) == breakdown["total"]
+    block_sizes = {n_params(model.cross_block)}
+    block_sizes.update(n_params(b) for b in model.self_blocks)
     assert block_sizes == {analysis.params_block(cfg.D)}
     for blk in model.inner_blocks:
-        assert blk.param_count() == analysis.params_block(cfg.d)
+        assert n_params(blk) == analysis.params_block(cfg.d)
 
 
 # ----------------------------- AUC / logloss -----------------------------

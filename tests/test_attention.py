@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_check, readout
+from conftest import fd_check, n_params, readout
 from test_model import sample_for
 from longrec import analysis
 from longrec import tensors as T
@@ -95,7 +95,7 @@ def make_block(width, seed=0):
 
 def test_block_param_count():
     blk = make_block(6)
-    assert blk.param_count() == analysis.params_block(6)
+    assert n_params(blk) == analysis.params_block(6)
 
 
 def test_cross_equals_self_when_sources_coincide():

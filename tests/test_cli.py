@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from longrec import cli
+from longrec import analysis, cli
 from longrec.cli import main
 from longrec.config import ModelConfig
 from longrec.model import CHECKPOINT_MAGIC, LongRecModel
@@ -87,6 +87,18 @@ def test_train_bad_config_value_exit_2(tmp_path, capsys, dataset_path, field, va
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+def test_train_unallocatable_config_exit_2(tmp_path, capsys, dataset_path):
+    """A config whose parameters cannot be allocated exits 2 naming their
+    count, not with a MemoryError traceback."""
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vocab": 10 ** 12, "L": 16, "k": 4}))
+    assert main(["train", "--config", str(big), "--data", dataset_path,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    n = analysis.count_params(ModelConfig(vocab=10 ** 12, L=16, k=4))["total"]
+    assert f"{n:,} parameters" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field,value", [("p_hit", 7.0), ("p_miss", -0.5)])

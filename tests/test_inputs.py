@@ -136,10 +136,11 @@ def make_sample(n_events, cand_ts=10_000, item=1, uid=0):
 
 
 def encode(sample, tables, cfg):
-    """(seq, pad_mask), time deltas measured from the candidate."""
-    seq, pad_mask = encode_events([sample.events], [sample.candidate.timestamp],
-                                  tables, cfg)
-    return seq, pad_mask[0]
+    """(rows, n_real): the sample's real token rows and their count, time
+    deltas measured from the candidate."""
+    rows, n_real = encode_events([sample.events], [sample.candidate.timestamp],
+                                 tables, cfg)
+    return rows, int(n_real[0])
 
 
 def global_rows(sample, tables, cfg):
@@ -151,18 +152,16 @@ def global_rows(sample, tables, cfg):
 def test_encode_full_length_no_pads(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(0))
     s = make_sample(tiny_cfg.L)
-    seq, pad_mask = encode(s, tables, tiny_cfg)
-    assert not pad_mask.any()
-    assert (~pad_mask).sum() == tiny_cfg.L
-    assert seq.shape == (tiny_cfg.L, tiny_cfg.d)
+    rows, n_real = encode(s, tables, tiny_cfg)
+    assert n_real == tiny_cfg.L == tiny_cfg.L_padded
+    assert rows.shape == (tiny_cfg.L, tiny_cfg.d)
     assert global_rows(s, tables, tiny_cfg).shape == (tiny_cfg.m, tiny_cfg.D)
 
 
 def test_encode_empty_sequence(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(0))
-    seq, pad_mask = encode(make_sample(0), tables, tiny_cfg)
-    assert pad_mask.all()
-    np.testing.assert_array_equal(seq.data, 0.0)
+    rows, n_real = encode(make_sample(0), tables, tiny_cfg)
+    assert n_real == 0 and rows.shape == (0, tiny_cfg.d)
 
 
 def test_encode_deterministic(tiny_cfg):
@@ -187,14 +186,14 @@ def test_encode_truncates_to_visible_window(tiny_cfg):
 
 def test_padding_inertness_across_window_sizes(tiny_cfg):
     # Same events encoded under a larger L: real-token rows are unchanged
-    # because positions are recency-indexed.
+    # because positions are recency-indexed, and no pad row is produced.
     big = ModelConfig(**{**tiny_cfg.to_dict(), "L": tiny_cfg.L + 2 * tiny_cfg.K})
     tables = EmbeddingTables.create(big, np.random.default_rng(0))
     s = make_sample(5)
     h_small = encode(s, tables, tiny_cfg)[0].data
     h_big = encode(s, tables, big)[0].data
-    np.testing.assert_array_equal(h_small[-5:], h_big[-5:])
-    np.testing.assert_array_equal(h_big[:-5], 0.0)
+    assert h_small.shape == h_big.shape == (5, tiny_cfg.d)
+    np.testing.assert_array_equal(h_small, h_big)
 
 
 def test_encode_rejects_unknown_ids(tiny_cfg):
@@ -228,11 +227,11 @@ def test_checkpointed_encoding_matches_recorded_ops(tiny_cfg, monkeypatch):
     tables = EmbeddingTables.create(tiny_cfg, rng)
     hists = [make_sample(6).events, make_sample(3, item=5).events]
     times = [10_000, 20_000]
-    w = rng.normal(size=(2 * tiny_cfg.L_padded * tiny_cfg.d, 1)) * 0.3
+    w = rng.normal(size=(9 * tiny_cfg.d, 1)) * 0.3      # the 6 + 3 real rows
 
     def loss():
-        seq = encode_events(hists, times, tables, tiny_cfg)[0]
-        return T.bce(T.sigmoid(readout(T.reshape(seq, (1, seq.size)), w)), 1.0)
+        rows = encode_events(hists, times, tables, tiny_cfg)[0]
+        return T.bce(T.sigmoid(readout(T.reshape(rows, (1, rows.size)), w)), 1.0)
 
     def grads():
         for _, t in tables.params():

@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_check, readout
+from conftest import fd_check, n_params, readout
 from longrec import analysis
 from longrec import tensors as T
 from longrec.attention import BlockParams
 from longrec.config import ModelConfig
 from longrec.errors import ConfigError
-from longrec.inputs import (Candidate, EmbeddingTables, Events, Sample, UserFeatures,
-                            encode_events)
+from longrec.inputs import Candidate, Events, Sample, UserFeatures, encode_events
 from longrec.merge import (merge_concat, merge_inner_trans, merged_pad_flags,
                            merged_positions)
-from longrec.model import LongRecModel, batch_backward
-from longrec.serving import build_cache, score_with_cache
+from longrec.model import LongRecModel, batch_backward, evaluate
+from longrec.serving import ScoreRequest, build_cache, score_request, score_with_cache
 from longrec.tensors import Tensor
 
 
@@ -50,27 +49,34 @@ def test_merge_concat_rejects_indivisible():
 
 
 def test_encode_events_pads_to_group_multiple():
-    """At L % K != 0 the grid is L rounded up to a multiple of K: each
-    sample's rows split into whole groups, the extra rows leading as pads."""
+    """At L % K != 0 the grid is L rounded up to a multiple of K: encoding
+    returns the real rows alone, and the concat merge lays each sample's
+    rows out in whole groups, the extra rows leading as zero pads."""
     cfg = ModelConfig(L=15, d=2, K=2, m=3, k=3, d_item=3, d_act=2, d_time=2,
                       n_time_buckets=8, vocab=12, n_actions=3, n_users=6,
                       n_profiles=4)
-    tables = EmbeddingTables.create(cfg, np.random.default_rng(0))
+    model = LongRecModel(cfg, seed=0)
     i = np.arange(15)
     events = Events(i % 12, i % 3, 100 + i)
-    seq, pad_mask = encode_events([events, events[:3]], [200, 200], tables, cfg)
+    rows, n_real = encode_events([events, events[:3]], [200, 200], model.tables, cfg)
+    assert rows.shape == (18, 2) and n_real.tolist() == [15, 3]
+    assert (np.abs(rows.data).max(axis=1) > 0).all()
+    seq = model._merge(rows, n_real).data.reshape(-1, cfg.d)     # the token grid
+    pad_mask = np.arange(cfg.L_padded) < (cfg.L_padded - n_real)[:, None]
     assert cfg.L_padded == 16 and seq.shape == (32, 2)
-    assert pad_mask.shape == (2, 16) and (~pad_mask).sum(axis=1).tolist() == [15, 3]
     assert pad_mask[0].tolist() == [True] + [False] * 15
     assert pad_mask[1].tolist() == [True] * 13 + [False] * 3
-    np.testing.assert_array_equal(seq.data[pad_mask.reshape(-1)], 0.0)
-    assert (np.abs(seq.data[~pad_mask.reshape(-1)]).max(axis=1) > 0).all()
+    np.testing.assert_array_equal(seq[pad_mask.reshape(-1)], 0.0)
+    np.testing.assert_array_equal(seq[~pad_mask.reshape(-1)], rows.data)
+    np.testing.assert_array_equal(merged_pad_flags(n_real, cfg.K, cfg.merged_len),
+                                  pad_mask.reshape(2, -1, cfg.K).all(axis=2))
 
 
 def test_merged_positions_and_pad_flags():
     np.testing.assert_array_equal(merged_positions(8, 4), [3, 7])
-    mask = np.array([True] * 4 + [True, False, False, False])
-    np.testing.assert_array_equal(merged_pad_flags(mask, 4), [True, False])
+    np.testing.assert_array_equal(merged_pad_flags(np.array([4, 5, 0, 8]), 4, 2),
+                                  [[True, False], [False, False], [True, True],
+                                   [False, False]])
 
 
 # ----------------------------- per-group transformer -----------------------------
@@ -181,14 +187,15 @@ def test_concat_group_locality():
 def test_inner_block_param_count():
     rng = np.random.default_rng(8)
     blk = inner_blocks(5, rng)[0]
-    assert blk.param_count() == analysis.params_block(5) == 12 * 25 + 13 * 5
+    assert n_params(blk) == analysis.params_block(5) == 12 * 25 + 13 * 5
 
 
 def test_all_pad_group_rows_are_inert():
-    """Whatever the merged rows of all-pad groups hold, the boolean
-    visibility hides them: large noise added there leaves scores, cached
-    scores and parameter gradients bitwise unchanged. Short histories leave
-    most groups all-pad and make some of the k queries pad rows."""
+    """The merged rows of all-pad groups are zero rows, and whatever they
+    hold, the boolean visibility hides them: large noise added to them in
+    the merged grid leaves scores, cached scores and parameter gradients
+    bitwise unchanged. Short histories leave most groups all-pad and make
+    some of the k queries pad rows."""
     cfg = ModelConfig(L=16, d=3, K=2, m=3, k=4, N=2, merge_mode="inner",
                       inner_layers=2, d_item=3, d_act=2, d_time=3,
                       n_time_buckets=8, vocab=30, n_actions=3, n_users=40,
@@ -214,9 +221,10 @@ def test_all_pad_group_rows_are_inert():
     merge, rng = model._merge, np.random.default_rng(11)
     noised = []
 
-    def noisy_merge(seq):
-        merged = merge(seq)
-        pad_groups = ~seq.data.reshape(merged.shape).any(axis=1)   # pad rows are 0
+    def noisy_merge(rows, n_real):
+        merged = merge(rows, n_real)
+        pad_groups = merged_pad_flags(n_real, cfg.K, cfg.merged_len).reshape(-1)
+        np.testing.assert_array_equal(merged.data[pad_groups], 0.0)
         noised.append(pad_groups.sum())
         noise = rng.normal(scale=1e3, size=merged.shape) * pad_groups[:, None]
         return T.add(merged, noise)
@@ -243,3 +251,104 @@ def test_inner_merge_fd():
 
     named = [("h", h)] + [(f"blk.{n}", t) for n, t in blocks[0].params()]
     fd_check(loss, named, tol=1e-4)
+
+
+# ----------------------------- pad-free layout -----------------------------
+
+
+# Inner merge, two inner layers, two heads in the main blocks: K=4, G=8.
+PAD_FREE_CFG = ModelConfig(L=30, d=3, K=4, m=3, k=4, N=2, heads=2,
+                           merge_mode="inner", inner_layers=2, d_item=3, d_act=2,
+                           d_time=2, n_time_buckets=8, vocab=25, n_actions=3,
+                           n_users=10, n_profiles=4, head_hidden=6, batch_size=4)
+
+
+def mixed_samples(cfg, lengths, t=5000):
+    rng = np.random.default_rng(12)
+    return [Sample(Events(rng.integers(cfg.vocab, size=n),
+                          rng.integers(cfg.n_actions, size=n), 100 + 7 * np.arange(n)),
+                   UserFeatures(u, u % cfg.n_profiles),
+                   Candidate(int(rng.integers(cfg.vocab)), t), u % 2)
+            for u, n in enumerate(lengths)]
+
+
+def padded_grid_merge(model):
+    """The reference merge: every one of the G groups of the full L_padded
+    grid goes through the inner blocks, those without an event too."""
+    cfg = model.cfg
+
+    def merge(rows, n_real):
+        grid = T.left_pad_rows(rows, n_real, cfg.L_padded)
+        return merge_inner_trans(grid, cfg.K, model.inner_blocks)
+    return merge
+
+
+def test_pad_free_merge_matches_padded_grid_reference():
+    """The inner merge runs only the groups that hold events: each such
+    group's merged row is bitwise the padded-grid reference's, every all-pad
+    group is a zero row, and scores, batched scores, ``evaluate`` and cached
+    scores equal the reference's bitwise. Histories of 0, 1, K-1, K+1, L and
+    more than L events in one batch, and a batch of empty histories."""
+    cfg = PAD_FREE_CFG
+    K, G, L = cfg.K, cfg.merged_len, cfg.L
+    model = LongRecModel(cfg, seed=4)
+    rng = np.random.default_rng(13)
+    for blk in model.inner_blocks:          # nonzero biases: an all-pad group
+        for _, t in blk.params():           # then merges to a nonzero row
+            t.data += rng.normal(scale=0.1, size=t.shape)
+    mixed = mixed_samples(cfg, [0, 1, K - 1, K + 1, L, L + 7])
+    empty = mixed_samples(cfg, [0, 0, 0])
+    cands = [Candidate(c, 5000) for c in (2, 11, 19)]
+    for batch in (mixed, empty):
+        rows, n_real = encode_events([s.events for s in batch], [5000] * len(batch),
+                                     model.tables, cfg)
+        got = model._merge(rows, n_real).data
+        want = padded_grid_merge(model)(rows, n_real).data
+        pads = merged_pad_flags(n_real, K, G).reshape(-1)
+        assert got.shape == want.shape == (len(batch) * G, cfg.D)
+        np.testing.assert_array_equal(got[~pads], want[~pads])
+        np.testing.assert_array_equal(got[pads], 0.0)
+        assert np.abs(want[pads]).max() > 0        # the reference's wasted work
+
+    def outputs(batch):
+        return (model.forward_tensor(batch).data.tolist(),
+                [model.score(s) for s in batch],
+                evaluate(model, batch)[0].tolist(),
+                [score_with_cache(model, build_cache(
+                    model, s.events, s.user_features, 5000), cands) for s in batch])
+
+    want = [outputs(b) for b in (mixed, empty)]
+    model._merge = padded_grid_merge(model)
+    assert [outputs(b) for b in (mixed, empty)] == want
+
+
+def test_pad_free_merge_counts_the_analytic_macs():
+    """On a mixed batch the counted MACs of ``forward_tensor``, ``evaluate``
+    and ``score_request`` equal the analytic model, whose inner term counts
+    K*ceil(n/K) rows per sample, and finite differences pass through the
+    pad-free merge's per-sample-width ``left_pad_rows``."""
+    cfg = PAD_FREE_CFG
+    model = LongRecModel(cfg, seed=6)
+    samples = mixed_samples(cfg, [0, 1, cfg.K - 1, cfg.K + 1, cfg.L, cfg.L + 7])
+    full = sum(analysis.muladds_full_forward(cfg, min(len(s.events), cfg.L))
+               for s in samples)
+    with T.count_muladds() as window:
+        model.forward_tensor(samples)
+    assert window.mul_adds == full
+    with T.count_muladds() as window:
+        evaluate(model, samples)
+    assert window.mul_adds == full
+    cands = [Candidate(c, 5000) for c in (3, 8)]
+    for s in samples:
+        with T.count_muladds() as window:
+            score_request(model, {0: s}, ScoreRequest(0, cands))
+        assert window.mul_adds == (
+            analysis.muladds_cache_build(cfg, min(len(s.events), cfg.L))
+            + len(cands) * analysis.muladds_incremental(cfg))
+    named = [(n, t) for n, t in model.params()
+             if n.startswith("inner.") or n.startswith("tables.mlp.seq_")]
+
+    def loss():
+        return T.bce(model.forward_tensor(samples), [s.label for s in samples])
+
+    fd_check(loss, named, tol=1e-4, max_coords=2)

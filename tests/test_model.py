@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fd_check, mean_scalars
+from conftest import fd_check, mean_scalars, n_params
 from longrec import analysis
 from longrec import model as model_module
 from longrec import tensors as T
@@ -367,7 +367,7 @@ def test_forward_matches_straightline_oracle(tiny_cfg):
 
 def test_forward_param_count_matches_analysis(tiny_cfg):
     model = LongRecModel(tiny_cfg, seed=6)
-    assert model.param_count() == analysis.count_params(tiny_cfg)["total"]
+    assert model.flat.size == n_params(model) == analysis.count_params(tiny_cfg)["total"]
 
 
 # ----------------------------- training -----------------------------
@@ -623,6 +623,20 @@ def test_tape_is_per_thread(tiny_cfg):
     assert not worker.is_alive()
     assert held == [0]
     assert [n for n, t in model.params() if t.grad is None] == []
+
+
+def test_unallocatable_parameters_raise_config_error(tiny_cfg):
+    """A config whose parameters do not fit in memory raises ConfigError
+    naming their count, from either model, before any table is drawn: one
+    array too large for memory (10^12 rows), and one beyond the address
+    space (10^18)."""
+    for vocab in (10 ** 12, 10 ** 18):
+        cfg = ModelConfig(**{**tiny_cfg.to_dict(), "vocab": vocab})
+        n = analysis.count_params(cfg)["total"]
+        with pytest.raises(ConfigError, match=f"{n:,} parameters"):
+            LongRecModel(cfg)
+        with pytest.raises(ConfigError, match="parameters"):
+            SumPoolingModel(cfg)
 
 
 # ----------------------------- baseline -----------------------------

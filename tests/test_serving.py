@@ -54,7 +54,9 @@ def test_cache_size_matches_analytic_formula():
         s = users_for(cfg, 1)[0]
         cache = build_cache(model, s.events, s.user_features,
                             s.candidate.timestamp)
-        assert cache.size_floats() == cache_size_floats(cfg)
+        stored = cache.cls_final.size + cache.user_side.size + sum(
+            keys.size + values.size for keys, values in cache.layers)
+        assert stored == cache_size_floats(cfg)
 
 
 CONFIG_MATRIX = [

@@ -153,6 +153,14 @@ def test_left_pad_rows_blocks_and_fd():
     np.testing.assert_array_equal(np.delete(grid, [2, 3, 9, 10, 11], axis=0), 0.0)
     fd_check(lambda: _weighted_sum_loss(T.left_pad_rows(x, [2, 0, 3], 4), 34),
              [("x", x)])
+    # Per-sample widths: block b is left-padded to widths[b] rows.
+    grid = T.left_pad_rows(x, [2, 0, 3], [3, 1, 4]).data
+    assert grid.shape == (8, 2)
+    np.testing.assert_array_equal(grid[1:3], x.data[:2])
+    np.testing.assert_array_equal(grid[5:8], x.data[2:])
+    np.testing.assert_array_equal(grid[[0, 3, 4]], 0.0)
+    fd_check(lambda: _weighted_sum_loss(T.left_pad_rows(x, [2, 0, 3], [3, 1, 4]), 35),
+             [("x", x)])
 
 
 def test_left_pad_rows_rejects_bad_counts():
@@ -160,6 +168,9 @@ def test_left_pad_rows_rejects_bad_counts():
     for counts in ([1, 1], [4, -1], [3]):
         with pytest.raises(DimensionError):
             T.left_pad_rows(x, counts, 2)
+    for widths in ([2, 0], [1, 3], [2, 2, 2]):     # a count above its width, or
+        with pytest.raises(DimensionError):          # not one width per block
+            T.left_pad_rows(x, [2, 1], widths)
     with pytest.raises(DimensionError):
         T.left_pad_rows(np.zeros((1, 3, 2)), [3], 4)
 
