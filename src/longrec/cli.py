@@ -77,7 +77,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:     # too deeply nested
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -213,7 +213,11 @@ def cmd_cost(args) -> int:
 
 def cmd_fit(args) -> int:
     xs, ys = [], []
-    for row in csv.reader(read_lines(args.csv)):
+    try:
+        rows = list(csv.reader(read_lines(args.csv)))
+    except csv.Error as exc:        # e.g. a field over the module's size limit
+        raise ConfigError(f"cannot parse {args.csv}: {exc}") from exc
+    for row in rows:
         if not row:
             continue
         try:
@@ -361,7 +365,7 @@ def cmd_score(args) -> int:
                         Candidate(*checked_int64s([c["item_id"], c["timestamp"]],
                                                   "candidate item_id/timestamp"))
                         for c in rec["candidates"]])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ConfigError(f"malformed score request: {exc}") from exc
             response = score_request(model, store, request)
             fout.write(json.dumps(response.to_json_dict(), separators=(",", ":")))

@@ -390,7 +390,7 @@ def load_dataset(path: str, L_max: Optional[int] = None) -> Dataset:
         try:
             rec = json.loads(line)
             samples.append(Sample.from_json_dict(rec).validate(L_max))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"malformed dataset record: {exc}") from exc
     return Dataset(samples)
 

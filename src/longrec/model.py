@@ -509,7 +509,7 @@ class LongRecModel:
             version = header.get("format_version")
             cfg_payload, arrays = header["config"], header["arrays"]
             param_version = header["param_version"]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"malformed checkpoint header: {exc}") from exc
         if version != 1:
             raise ConfigError("unsupported checkpoint format version")

@@ -73,6 +73,14 @@ unit to reuse. This changes where memory comes from, never a value; where
 the C library has no ``mallopt`` or refuses a setting, nothing changes and
 ``ALLOCATOR_TUNED`` is False.
 
+``mlp`` runs the elementwise work of a hidden layer larger than
+``MLP_TILE_ABOVE`` floats (1 MiB) in row tiles of ``MLP_TILE`` floats, so
+the GELU chain's passes stay in L2 instead of streaming the block from
+memory each time, and it reuses the pre-activation's buffer for the GELU
+output, so one such block is alive, not three. Its products still run once
+over the whole block, so every value, gradient and MAC count is that of
+the untiled op.
+
 All arithmetic is 64-bit. Tensors are immutable after construction except
 for gradient accumulation owned by a single training step; read-only
 sharing across threads is safe. The tape is a context variable, so tapes
@@ -424,10 +432,11 @@ def mul(a, b) -> Tensor:
 # ----------------------------- nonlinearities -----------------------------
 
 
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """``tanh(C * (x + A * (x * x * x)))`` in one buffer; the cube is two
-    products, since ``x ** 3`` goes through the much slower generic pow."""
-    t = x * x
+def _gelu_tanh(x: np.ndarray, out=None) -> np.ndarray:
+    """``tanh(C * (x + A * (x * x * x)))`` in one buffer, ``out`` when given;
+    the cube is two products, since ``x ** 3`` goes through the much slower
+    generic pow."""
+    t = np.multiply(x, x, out=out)
     t *= x
     t *= _GELU_A
     t += x
@@ -436,9 +445,10 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g`` times GELU's derivative at x, t its tanh: du = C * (1 + 3A * x * x),
-    dx = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du, with the operation
-    order of that straight line in two buffers besides ``g``."""
+    """``g`` times GELU's derivative at x, t its tanh, written into ``g``:
+    du = C * (1 + 3A * x * x), dx = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du,
+    with the operation order of that straight line in two buffers besides
+    ``g``."""
     dx = t * t
     np.subtract(1.0, dx, out=dx)
     tail = 0.5 * x
@@ -451,8 +461,8 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     np.add(t, 1.0, out=dx)
     dx *= 0.5
     dx += tail
-    dx *= g
-    return dx
+    g *= dx
+    return g
 
 
 def sigmoid(x) -> Tensor:
@@ -515,6 +525,37 @@ def layer_norm(x, gain, bias) -> Tensor:
 # ----------------------------- composite layers -----------------------------
 
 
+MLP_TILE = 16_384
+"""Floats per row tile of ``mlp``'s hidden layer (128 KiB): a tile's
+pre-activation, tanh and GELU-gradient buffers fit in a 2 MiB per-core L2
+together. Medians of 12 interleaved in-process rounds on a 2-vCPU VM with
+one BLAS thread, at tiles of 4,096 / 8,192 / 16,384 / 32,768 / 65,536
+floats and as one tile: an untracked (6400, 8) -> 64 -> 8 ``mlp`` took
+3.97 / 3.86 / 3.44 / 3.67 / 3.72 and 4.53 ms, and a recomputing forward
+and backward on 4,096 rows 8.19 / 8.34 / 7.16 / 7.46 / 8.86 and 10.60 ms."""
+
+MLP_TILE_ABOVE = 131_072
+"""``mlp`` tiles a (rows, hidden) block only above this many floats (1 MiB);
+a smaller block runs as one tile. At the benchmark configs that tiles the
+sequence MLP of serve-wide's evaluation chunks (up to 6,400 x 64 floats)
+and of serve-long's training tapes (about 2,048 to 4,096 x 64). Every other
+MLP there stays one tile: serving, every block FFN, serve-long's evaluation
+(at most 2 x 1,024 x 64 = 131,072 floats) and all of train-planted (at most
+65,536). Smaller blocks do not gain: with every block tiled, in 16
+interleaved in-process rounds (2-vCPU VM, one BLAS thread), an untracked
+(rows, 8) -> 64 -> 8 ``mlp`` was 4.6% and 6.8% slower at 32,768 and 65,536
+floats (tiled faster in 2 and 0 rounds); at 131,072 floats it read x0.985
+forward and x0.894 for a recomputing forward and backward, at 262,144
+x0.833 and x0.729."""
+
+
+def _first_product(x2: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """``x2 @ w1``, ``mlp``'s first product without its bias, counting its
+    rows*p*q MACs; each row tile adds the bias."""
+    counter.add(x2.size * w1.shape[1])
+    return x2 @ w1
+
+
 def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op, GELU being the
     tanh approximation ``0.5 * h * (1 + tanh(C * (h + A * (h * h * h))))``
@@ -528,6 +569,22 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     and tanh as well, counting the first product's MACs again: the choice
     for a narrow x under a wide hidden layer, where that product is cheap
     next to the two hidden-width buffers it frees.
+
+    A (rows, hidden) block larger than ``MLP_TILE_ABOVE`` floats runs its
+    elementwise work (the bias, the tanh chain, the GELU output and, in
+    backward, its gradient) in row tiles of ``MLP_TILE`` floats, so each
+    tile's passes stay in cache. Where the hidden layer is not kept (outside
+    a tape, with ``keep_hidden=False``, and always in backward) the GELU
+    output overwrites the pre-activation, so the forward holds one hidden
+    block, not three (pre-activation, tanh and GELU output), and the
+    recomputing backward two, not five. Only elementwise work is tiled,
+    since an elementwise float64 result does not depend on where its row
+    sits, but a row block of a product need not equal those rows of the
+    whole product bitwise: a 1-row block goes through GEMV, and OpenBLAS
+    picks other kernels for smaller products (rows of (256, 64) @ (64, 12)
+    differ from the same rows of (2054, 64) @ (64, 12) by rounding). Both
+    products therefore run once over the whole block, and every value,
+    gradient and MAC count is the untiled op's at every shape.
     """
     x, w1, b1 = as_tensor(x), as_tensor(w1), as_tensor(b1)
     w2, b2 = as_tensor(w2), as_tensor(b2)
@@ -537,39 +594,53 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     _check_affine("mlp", shape[:-1] + w1d.shape[1:], w2, b2)
     q = w2.data.shape[1]
     x2 = xd if xd.ndim == 2 else xd.reshape(-1, w1d.shape[0])
-    h = _affine(x2, w1d, b1d)
-    t = _gelu_tanh(h)
+    h = _first_product(x2, w1d)
+    rows, width = h.shape
+    step = max(1, rows if h.size <= MLP_TILE_ABOVE else MLP_TILE // width)
     tracked = _track(x, w1, b1, w2, b2)
-    y = 0.5 * h
-    if tracked:
-        y *= 1.0 + t
-    else:
-        t += 1.0
-        y *= t
+    keep = tracked and keep_hidden
+    t_all, y = (np.empty_like(h), np.empty_like(h)) if keep else (None, h)
+    for a in range(0, rows, step):
+        ha = h[a:a + step]
+        ha += b1d
+        t = _gelu_tanh(ha, None if t_all is None else t_all[a:a + step])
+        ya = np.multiply(ha, 0.5, out=y[a:a + step])
+        if keep:
+            ya *= 1.0 + t
+        else:
+            t += 1.0
+            ya *= t
     o = _affine(y, w2.data, b2.data)
     out = Tensor(o if xd.ndim == 2 else o.reshape(shape[:-1] + (q,)))
     if tracked:
         xn, w1n, b1n, w2n, b2n = x.node, w1.node, b1.node, w2.node, b2.node
         first = xn is not None or w1n is not None or b1n is not None
         w2d = w2.data if first else None
-        hidden = (h, t) if keep_hidden else None
+        hidden = (h, t_all) if keep else None
         def bw(g):
+            # The closure runs once, so it may overwrite the kept arrays:
+            # each tile's pre-activation becomes its GELU output.
             g2 = g.reshape(-1, q)
-            if hidden is None:
-                h = _affine(x2, w1d, b1d)
-                t = _gelu_tanh(h)
-            else:
-                h, t = hidden
+            h, t_all = hidden if hidden is not None else (_first_product(x2, w1d), None)
+            gh = g2 @ w2d.T if first else None
+            for a in range(0, rows, step):
+                ha = h[a:a + step]
+                if t_all is None:
+                    ha += b1d
+                    t = _gelu_tanh(ha)
+                else:
+                    t = t_all[a:a + step]
+                if gh is not None:
+                    _gelu_grad(ha, t, gh[a:a + step])
+                t += 1.0
+                ha *= 0.5
+                ha *= t
             if w2n is not None:
-                y = 0.5 * h
-                y *= 1.0 + t
-                w2n.accumulate(y.T @ g2, owned=True)
-                del y
+                w2n.accumulate(h.T @ g2, owned=True)
             if b2n is not None:
                 b2n.accumulate(g2.sum(axis=0), owned=True)
             if not first:
                 return
-            gh = _gelu_grad(h, t, g2 @ w2d.T)
             if xn is not None:
                 gx = gh @ w1d.T
                 xn.accumulate(gx if len(shape) == 2 else gx.reshape(shape), owned=True)

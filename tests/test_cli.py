@@ -299,6 +299,37 @@ def test_eval_oversized_checkpoint_config_exit_2(tmp_path, dataset_path, capsys)
     assert "payload" in err and "Traceback" not in err
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000       # past the parser's recursion limit
+
+
+@pytest.mark.parametrize("site", ["config", "data", "checkpoint", "requests"])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, model_cfg_path, dataset_path,
+                                   site):
+    """A JSON document nested deeper than the parser can recurse is a config
+    error at every parse site: the config, a dataset line, a checkpoint
+    header and a score request."""
+    deep, out = tmp_path / "deep", str(tmp_path / "out")
+    if site == "checkpoint":
+        header = DEEP_JSON.encode()
+        deep.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header)
+    else:
+        deep.write_text(DEEP_JSON + "\n")
+    if site == "requests":
+        main(["train", "--config", model_cfg_path, "--data", dataset_path,
+              "--out", str(tmp_path / "t"), "--epochs", "1"])
+    argv = {
+        "config": ["train", "--config", str(deep), "--data", dataset_path],
+        "data": ["train", "--config", model_cfg_path, "--data", str(deep)],
+        "checkpoint": ["eval", "--checkpoint", str(deep), "--data", dataset_path],
+        "requests": ["score", "--checkpoint", str(tmp_path / "t" / "checkpoint.bin"),
+                     "--data", dataset_path, "--requests", str(deep)],
+    }[site]
+    capsys.readouterr()
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "recursion" in err and "Traceback" not in err
+
+
 def test_query_strategy_override_recorded(tmp_path, model_cfg_path, dataset_path):
     out = tmp_path / "t"
     assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
@@ -373,6 +404,16 @@ def test_fit_too_few_points_exit_2(tmp_path):
     csv_path = tmp_path / "points.csv"
     csv_path.write_text("1,2\n2,3\n3,4\n")
     assert main(["fit", "--csv", str(csv_path)]) == 2
+
+
+def test_fit_oversized_field_exit_2(tmp_path, capsys):
+    """A field over the csv module's size limit is a config error naming the
+    file."""
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text("2,3\n3,4\n4,5\n" + "9" * 200_000 + ",7\n")
+    assert main(["fit", "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert str(csv_path) in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("row", ["1,nan", "1,inf", "inf,1"])

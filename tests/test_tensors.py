@@ -1,6 +1,7 @@
 """Kernel ops against independent oracles and finite differences."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -550,9 +551,14 @@ def test_mlp_equals_linear_gelu_linear_bitwise():
     """The fused MLP's output and five gradients equal the straight-line
     NumPy linear, GELU and linear forward and backward, bitwise, on 2-D and
     3-D inputs, outside a tape, and when backward recomputes the hidden
-    layer, which counts the first product's MACs once more."""
+    layer, which counts the first product's MACs once more. The last three
+    shapes have hidden blocks above ``MLP_TILE_ABOVE`` that span several row
+    tiles: with a 1-row tail, with a 17-row tail, and 3-D."""
     rng = np.random.default_rng(33)
-    for shape in [(5, 3), (2, 4, 3)]:
+    tile = T.MLP_TILE // 7
+    rows = (T.MLP_TILE_ABOVE // 7 // tile + 1) * tile       # whole tiles only
+    for shape in [(5, 3), (2, 4, 3), (rows + 1, 3), (rows + 17, 3),
+                  (3, rows // 3 + 5, 3)]:
         x = rng.normal(size=shape) * 2.0
         ws = [rng.normal(size=s) for s in [(3, 7), (7,), (7, 2), (2,)]]
         g = rng.normal(size=shape[:-1] + (2,))
@@ -575,6 +581,32 @@ def test_mlp_equals_linear_gelu_linear_bitwise():
         assert got["keep MACs"] == forward_macs \
             == got["recompute MACs"] - x.size // 3 * 7 * 3
         assert T.mlp(x, *ws).data.tobytes() == got["keep"][0]
+
+
+def test_mlp_tiles_hold_fewer_hidden_blocks():
+    """Above ``MLP_TILE_ABOVE`` floats the hidden layer runs in row tiles. An
+    untracked (6400, 8) -> 64 -> 8 mlp peaks below two (6400, 64) float64
+    blocks, where the untiled op holds three (the pre-activation, its tanh
+    and the GELU output), and the backward of the recomputing path below
+    three, where the untiled one holds five."""
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(6400, 8))
+    ws = [rng.normal(size=s) for s in [(8, 64), (64,), (64, 8), (8,)]]
+    block = 6400 * 64 * 8
+    tracemalloc.start()
+    try:
+        T.mlp(x, *ws)
+        forward = tracemalloc.get_traced_memory()[1]
+        ts = [Tensor(v, requires_grad=True) for v in [x] + ws]
+        with T.tape():
+            out = T.mlp(*ts, keep_hidden=False)
+            tracemalloc.reset_peak()
+            out.backward(np.ones(out.shape))
+            backward = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward < 2 * block
+    assert backward < 3 * block
 
 
 def test_mlp_fd():
