@@ -1,19 +1,20 @@
 """Boolean visibility and the one attention block.
 
 Token ordering everywhere is sequence rows first, global rows last. Every
-row has one integer order: a sequence row's is its chronological position,
-global rank r's is L_padded + r, above every position. The visibility rule:
-a query sees every non-pad key whose order is at most its own.
+row has one integer order: a merged sequence row's is its group index i in
+the G merged rows, a learnable query's G, global rank r's G + 1 + r, above
+both. The visibility rule: a query sees every non-pad key whose order is at
+most its own.
 
 So sequence rows keep temporal causality and never see a global; the
 last-ranked global (the candidate target), alone at the top of the order,
 sees every non-pad key while no other row sees it, the exact property that
 lets the serving module cache all candidate-independent rows. Padding is on
-the left, so a pad query row sees only pad keys, that is nothing.
-Visibility is a boolean array, built by ``build_mask`` from the query
-orders, the key orders and the key pad flags, that ``T.attention`` uses to
-select scores, never added to them, so a hidden score can never perturb
-visible probabilities.
+the left, the rows whose order is below a sample's first event group, so a
+pad query row sees only pad keys, that is nothing. Visibility is a boolean
+array, built by ``build_mask`` from the query orders, the key orders and
+the key pad flags, that ``T.attention`` uses to select scores, never added
+to them, so a hidden score can never perturb visible probabilities.
 
 The same block serves the inner merge's per-group layers (width d, each
 group of K rows one sample with all-True visibility), the cross layer

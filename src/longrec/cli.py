@@ -2,8 +2,9 @@
 
 Subcommands: gen, train, eval, cost, fit, sweep, score. Every run except
 cost and fit writes a ``manifest.json`` into its output directory with the
-resolved configuration, seeds, input digests, and timings — enough to
-reproduce the run bit-identically.
+resolved configuration, seeds, input digests, timings, and the NumPy
+version, BLAS build and BLAS thread settings — enough to reproduce the run
+bit-identically.
 
 Exit codes are a stable contract for CI: 0 success, 2 config/schema error
 or an unwritable output path, 3 numerical abort (non-finite values), 4
@@ -24,6 +25,8 @@ import math
 import os
 import sys
 import time
+
+import numpy as np
 
 from . import __version__, analysis
 from .config import GeneratorConfig, ModelConfig, check_fields
@@ -55,6 +58,19 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _runtime() -> dict:
+    """NumPy's version, its BLAS and the BLAS thread settings: a rerun is
+    bit-identical only with all three the same, since a product's bits can
+    depend on the BLAS build and its thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "configuration": next((v for key, v in blas.items()
+                                            if key.endswith("configuration")), None)},
+            "threads": {var: os.environ.get(var) for var in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def _write_manifest(out_dir: str, command: str, args: dict, resolved: dict,
                     outputs: dict, started: float) -> None:
     manifest = {
@@ -63,6 +79,7 @@ def _write_manifest(out_dir: str, command: str, args: dict, resolved: dict,
         "resolved_config": resolved,
         "outputs": outputs,
         "artifact_version": __version__,
+        "runtime": _runtime(),
         "started_unix": started,
         "wall_seconds": time.time() - started,
     }
@@ -340,7 +357,7 @@ def _axis_x(axis: str, cfg: ModelConfig) -> float:
     if axis == "width":
         return float(cfg.D)
     # flops axis: analytic per-pass cost of the attention stack
-    per_layer = analysis.flops_merged(cfg.L_padded, cfg.d, cfg.K)
+    per_layer = analysis.flops_merged(cfg.merged_len * cfg.K, cfg.d, cfg.K)
     return float((cfg.N + 1) * per_layer)
 
 

@@ -60,15 +60,10 @@ class ModelConfig:
         return self.d_item + self.d_act + self.d_time
 
     @property
-    def L_padded(self) -> int:
-        """L rounded up to a multiple of K: each sample's row count in the
-        token grid that the merge lays its real tokens out in, right-aligned
-        after pad rows (see ``LongRecModel._merge``)."""
-        return -(-self.L // self.K) * self.K
-
-    @property
     def merged_len(self) -> int:
-        return self.L_padded // self.K
+        """G = ceil(L/K): each sample's merged rows, its history's groups
+        right-aligned after all-pad rows (see ``LongRecModel._merge``)."""
+        return -(-self.L // self.K)
 
     def validate(self) -> "ModelConfig":
         if self.L < 1 or self.d < 1 or self.K < 1:

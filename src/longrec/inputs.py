@@ -137,14 +137,12 @@ class Sample:
         if not isinstance(self.events, Events):
             raise ConfigError("a sample's history must be an Events")
 
-    def validate(self, L_max: Optional[int] = None) -> "Sample":
+    def validate(self) -> "Sample":
         ts = self.events.timestamp
         if (ts[1:] < ts[:-1]).any():
             raise ConfigError("events must be sorted non-decreasing by timestamp")
         if ts.size and ts[-1] > self.candidate.timestamp:
             raise ConfigError("event timestamps must not exceed the candidate timestamp")
-        if L_max is not None and len(self.events) > L_max:
-            raise ConfigError(f"sample has {len(self.events)} events > L_max={L_max}")
         if self.label not in (0, 1):
             raise ConfigError("label must be 0 or 1")
         return self
@@ -189,7 +187,6 @@ class Dataset:
 
     samples: list
     latent_hits: Optional[np.ndarray] = None
-    gen_config: Optional[GeneratorConfig] = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -234,7 +231,7 @@ def generate_dataset(gen_config: GeneratorConfig, seed: int) -> Dataset:
         balance = float(np.mean([s.label for s in samples]))
         if not 0.2 <= balance <= 0.8:
             raise ConfigError(f"degenerate label balance {balance:.3f}")
-    return Dataset(samples, np.array(hits, dtype=bool), cfg)
+    return Dataset(samples, np.array(hits, dtype=bool))
 
 
 def _item_of_interest(cfg: GeneratorConfig, rng, interest: int) -> int:
@@ -337,26 +334,6 @@ def _planted_samples(cfg, rng, uid):
     return out
 
 
-def bayes_window_scores(dataset: Dataset, window: Optional[int] = None) -> np.ndarray:
-    """Oracle scores from the generative rule restricted to a visible window.
-
-    Scores p_hit when any of the last ``window`` events shares the
-    candidate's interest and p_miss otherwise; with ``window=None`` the whole
-    history is visible. On noise-free planted data the full-window oracle
-    recovers the latent hit flag exactly.
-    """
-    cfg = dataset.gen_config
-    if cfg is None:
-        raise ConfigError("oracle scoring needs the generating config")
-    out = np.empty(len(dataset.samples))
-    for i, s in enumerate(dataset.samples):
-        items = s.events.item_id if window is None else s.events.item_id[-window:]
-        c = interest_of(s.candidate.item_id, cfg.n_interests)
-        seen = (interest_of(items, cfg.n_interests) == c).any()
-        out[i] = cfg.p_hit if seen else cfg.p_miss
-    return out
-
-
 # ----------------------------- JSONL I/O -----------------------------
 
 
@@ -381,7 +358,7 @@ def read_lines(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def load_dataset(path: str, L_max: Optional[int] = None) -> Dataset:
+def load_dataset(path: str) -> Dataset:
     samples = []
     for line in read_lines(path):
         line = line.strip()
@@ -389,7 +366,7 @@ def load_dataset(path: str, L_max: Optional[int] = None) -> Dataset:
             continue
         try:
             rec = json.loads(line)
-            samples.append(Sample.from_json_dict(rec).validate(L_max))
+            samples.append(Sample.from_json_dict(rec).validate())
         except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"malformed dataset record: {exc}") from exc
     return Dataset(samples)

@@ -8,17 +8,17 @@ information is injected here (positions are applied upstream), so the
 per-group blocks are permutation-equivariant. Each inner block is the
 model's one ``attention_block``, run on the groups as independent samples.
 
-The merged token standing for group i inherits the chronological position
-of its last (most recent) constituent: a query may see a merged token only
-when it may see every constituent. A group made entirely of padding is a
-pad row downstream, which the boolean visibility hides whatever its value;
-groups mixing pad and real tokens rely on pad rows entering as zero vectors.
-
-A batch of samples merges as one stack of rows: each sample's row count is
-a multiple of K, so no group spans two samples. Each sample's history ends
-a grid of merged_len = L_padded/K groups, the ones before it all padding;
-``LongRecModel._merge`` lays the grid out and runs the inner blocks only on
-the groups that hold events.
+A history of n events fills g = ceil(n/K) whole groups, its oldest group
+led by zero rows when K does not divide n; ``LongRecModel._merge`` merges
+those g groups alone (concat or inner) and then puts the G - g all-pad rows
+of its merged_len = G = ceil(L/K) grid ahead of them. So one count per
+sample, g, states all of its padding: merged row i holds an event exactly
+when i >= G - g. A merged row's order downstream is its group index, so a
+query sees a merged row only when it may see every constituent; the boolean
+visibility hides the all-pad rows whatever they hold, and a group mixing
+pad and real tokens relies on its pad rows entering as zero vectors. A
+batch of samples merges as one stack of rows: each sample's row count is a
+multiple of K, so no group spans two samples.
 """
 
 from __future__ import annotations
@@ -29,17 +29,6 @@ from . import tensors as T
 from .attention import attention_block
 from .errors import ConfigError
 from .tensors import Tensor
-
-
-def merged_positions(L_padded: int, K: int) -> np.ndarray:
-    """Chronological position of each merged token: its last constituent."""
-    return np.arange(L_padded // K, dtype=np.int64) * K + (K - 1)
-
-
-def merged_pad_flags(n_real: np.ndarray, K: int, G: int) -> np.ndarray:
-    """(B, G): True where a merged row of a grid of G groups holds no event,
-    the leading G - ceil(n/K) rows of a sample with n events."""
-    return np.arange(G) < G - -(-np.asarray(n_real)[:, None] // K)
 
 
 def merge_concat(h: Tensor, K: int) -> Tensor:

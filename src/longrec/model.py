@@ -53,8 +53,7 @@ from .errors import ConfigError, NumericalError, UndefinedMetricError
 from .inputs import (EmbeddingTables, Sample, _lookup, checked_int64s,
                      encode_events, nontarget_global_tokens, target_global_token,
                      time_buckets, time_deltas, user_side_features)
-from .merge import (merge_concat, merge_inner_trans, merged_pad_flags,
-                    merged_positions)
+from .merge import merge_concat, merge_inner_trans
 from .tensors import Tensor
 from . import analysis
 
@@ -66,60 +65,40 @@ CHECKPOINT_MAGIC = b"LRCKPT01"
 @dataclass
 class SelectedQueries:
     tokens: Tensor               # (B*k, D) selected rows, sample by sample
-    positions: np.ndarray        # chronological token positions
-    is_pad: np.ndarray
+    order: np.ndarray            # their orders: merged-row index, or G if learned
 
 
-def _chosen(strategy: str, k: int, pad_groups: np.ndarray) -> np.ndarray:
-    """The sorted merged-grid indices of one sample's k token queries."""
-    nonpad = np.flatnonzero(~pad_groups)
-    n_m = nonpad.size
-    if n_m <= k:
-        pad_pool = np.flatnonzero(pad_groups)
-        return np.sort(np.concatenate([pad_pool[pad_pool.size - (k - n_m):], nonpad]))
-    if strategy == "recent":
-        return nonpad[-k:]
-    if strategy == "uniform":
-        return nonpad[_spread(n_m, k)]
-    if strategy != "recent_uniform":
-        raise ConfigError(f"unknown query strategy {strategy!r}")
-    # n_m > k, so the prefix before the ceil(k/2) recent tokens holds more
-    # than floor(k/2): the uniform picks strictly increase and precede them.
-    r = (k + 1) // 2
-    return np.concatenate([nonpad[_spread(n_m - r, k - r)], nonpad[-r:]])
-
-
-def _spread(n: int, k: int) -> np.ndarray:
-    """k indices evenly spread over range(n): ceil((j+1) * n / k) - 1."""
+def _spread(n, k: int) -> np.ndarray:
+    """k indices evenly spread over range(n): ceil((j+1) * n / k) - 1; an
+    (s, 1) array of n gives s rows of them."""
     return (np.arange(1, k + 1) * n + k - 1) // k - 1
 
 
 def select_queries(h_merged: Tensor, strategy: str, k: int,
-                   learnable_bank: Optional[Tensor], pad_groups: np.ndarray,
-                   grid_positions: np.ndarray) -> SelectedQueries:
+                   learnable_bank: Optional[Tensor], groups) -> SelectedQueries:
     """Pick the k merged tokens that act as attention queries.
 
-    recent: the last k non-pad tokens. uniform: evenly spaced over the
-    non-pad suffix by idx_j = ceil((j+1) * n / k) - 1. learnable: k learned
-    vectors with synthetic position equal to the maximum grid position (full
-    sequence visibility). recent_uniform: floor(k/2) uniform, by the same
-    formula, over the prefix before the most recent ceil(k/2), then those
-    recent ones; the picks are distinct and in order. When at most k
-    non-pad tokens exist, all are taken and the remainder are pad queries
-    masked downstream.
+    ``h_merged`` stacks the G merged rows of each of B samples, and sample
+    b's ``groups[b]`` = g rows with an event are its last g, from first =
+    G - g on. recent: the last k rows. uniform: rows first + idx_j, evenly
+    spaced over the g by idx_j = ceil((j+1) * g / k) - 1. learnable: k
+    learned vectors of order G, above every merged row (full sequence
+    visibility). recent_uniform: floor(k/2) uniform, by the same formula,
+    over the g - ceil(k/2) rows before the most recent ceil(k/2), then those
+    recent ones; the picks are distinct and in order. When g <= k every
+    strategy but learnable takes the last k rows, the leading k - g of them
+    pad queries masked downstream.
 
-    ``pad_groups`` flags the G merged rows that are all padding and
-    ``grid_positions`` gives their chronological positions. For B samples,
-    ``h_merged`` stacks their G merged rows each and ``pad_groups`` is
-    (B, G); ``positions`` and ``is_pad`` are then (B, k), and ``tokens`` the
-    B*k picked rows (for one sample, the bank itself).
+    ``groups`` is (B,), or a scalar for one sample; ``order`` is then
+    (B, k) or (k,), each pick's merged-row index, and ``tokens`` the B*k
+    picked rows (for one sample and learnable queries, the bank itself).
     """
     if k < 1:
         raise ConfigError("query count k must be >= 1")
-    G = pad_groups.shape[-1]
-    per_sample = pad_groups.reshape(-1, G)
-    B = per_sample.shape[0]
-    shape = pad_groups.shape[:-1] + (k,)
+    g = np.asarray(groups, dtype=np.int64).reshape(-1, 1)
+    B = g.shape[0]
+    G = h_merged.shape[0] // B
+    shape = np.shape(groups) + (k,)
 
     if strategy == "learnable":
         if learnable_bank is None or learnable_bank.shape[0] != k:
@@ -127,17 +106,28 @@ def select_queries(h_merged: Tensor, strategy: str, k: int,
         return SelectedQueries(
             tokens=learnable_bank if B == 1 else
             T.gather_rows(learnable_bank, np.arange(B * k) % k),
-            positions=np.full(shape, grid_positions.max(), dtype=np.int64),
-            is_pad=np.zeros(shape, dtype=bool))
+            order=np.full(shape, G, dtype=np.int64))
 
     if k > G:
         raise ConfigError(f"k={k} exceeds merged length {G}")
-    idx = np.array([_chosen(strategy, k, pads) for pads in per_sample])
-    sample = np.arange(B)[:, None]
+    last = G - k + np.arange(k)
+    if strategy == "recent":
+        idx = last
+    elif strategy == "uniform":
+        idx = G - g + _spread(g, k)
+    elif strategy == "recent_uniform":
+        # Where g > k the g - ceil(k/2) rows before the recent ones number
+        # more than floor(k/2): the uniform picks strictly increase and
+        # precede them.
+        r = (k + 1) // 2
+        idx = np.concatenate([G - g + _spread(g - r, k - r),
+                              np.broadcast_to(last[k - r:], (B, r))], axis=1)
+    else:
+        raise ConfigError(f"unknown query strategy {strategy!r}")
+    idx = np.where(g <= k, last, idx)
     return SelectedQueries(
-        tokens=T.gather_rows(h_merged, (idx + G * sample).ravel()),
-        positions=grid_positions[idx].reshape(shape),
-        is_pad=per_sample[sample, idx].reshape(shape))
+        tokens=T.gather_rows(h_merged, (idx + G * np.arange(B)[:, None]).ravel()),
+        order=idx.reshape(shape))
 
 
 @dataclass
@@ -149,10 +139,10 @@ class UserRows:
     the UID and CLS rows (ranks 0..m-2) and the target row is the one piece
     that depends on the candidate. ``visible_cross`` (B, k+m, G+m), for G
     merged rows, and ``visible_self`` (B, k+m, k+m) are ``build_mask`` over
-    the rows' orders (see ``_row_layout``) and cover every row, target last,
-    so the target's visibility is their last row and every other row's is
-    the rest. No row of one user sees a row of another. For one user every
-    field lacks the leading B axis.
+    the rows' orders (see ``LongRecModel.user_rows``) and cover every row,
+    target last, so the target's visibility is their last row and every
+    other row's is the rest. No row of one user sees a row of another. For
+    one user every field lacks the leading B axis.
     """
 
     queries: Tensor              # (B, k, D) selected query rows
@@ -167,18 +157,6 @@ def _batch_axis(B: int) -> tuple:
     """The leading shape of B samples' row blocks; none for one sample, since
     small 3-D arrays cost NumPy ~10% more per op than 2-D ones."""
     return (B,) if B > 1 else ()
-
-
-def _row_layout(order: np.ndarray, is_pad: np.ndarray, cfg: ModelConfig):
-    """(order, is_pad) of sequence rows then the m globals, along the last
-    axis of ``order`` and ``is_pad``: global rank r has order L_padded + r,
-    above every position, and is never a pad."""
-    def then(a, tail):
-        return np.concatenate([a, np.broadcast_to(tail, a.shape[:-1] + tail.shape)],
-                              axis=-1)
-
-    return (then(order, cfg.L_padded + np.arange(cfg.m)),
-            then(is_pad, np.zeros(cfg.m, dtype=bool)))
 
 
 # ----------------------------- the model -----------------------------
@@ -350,42 +328,47 @@ class LongRecModel:
 
     def _merge(self, rows: Tensor, n_real: np.ndarray) -> Tensor:
         """Merge B samples' real token rows, ``n_real[b]`` of sample b, into
-        their (B*G, D) merged grid, each history after its G - ceil(n/K)
-        all-pad groups. Concat pads the tokens to L_padded rows per sample
-        and reshapes. Inner pads them only to whole groups, K*ceil(n/K) rows,
-        runs the inner blocks on those alone and pads the merged rows to G
-        with zero rows: a group without an event costs no inner work."""
+        their (B*G, D) merged rows. Each history is left-padded with zero
+        rows to its g = ceil(n/K) whole groups, which alone are merged, and
+        its merged rows are then left-padded with zero rows to G: a group
+        without an event costs no merge work."""
         cfg = self.cfg
-        if cfg.merge_mode == "inner":
-            groups = -(-n_real // cfg.K)
-            merged = merge_inner_trans(T.left_pad_rows(rows, n_real, cfg.K * groups),
-                                       cfg.K, self.inner_blocks)
-            return T.left_pad_rows(merged, groups, cfg.merged_len)
-        return merge_concat(T.left_pad_rows(rows, n_real, cfg.L_padded), cfg.K)
+        groups = -(-n_real // cfg.K)
+        grouped = T.left_pad_rows(rows, n_real, cfg.K * groups)
+        merged = (merge_inner_trans(grouped, cfg.K, self.inner_blocks)
+                  if cfg.merge_mode == "inner" else merge_concat(grouped, cfg.K))
+        return T.left_pad_rows(merged, groups, cfg.merged_len)
 
     def user_rows(self, histories, users, times) -> UserRows:
         """Encode, merge and select queries for B users, user b with history
         ``histories[b]`` and features ``users[b]`` at scoring time
         ``times[b]``, and build their UID/CLS globals, the head's user
-        features and the visibility of all k+m query rows."""
+        features and the visibility of all k+m query rows.
+
+        Every row has an order for ``build_mask``: merged row i has order i,
+        a learnable query G and global rank r G + 1 + r. A row is padding
+        exactly when its order is below its user's first = G - g, for a
+        history that fills g = ceil(n/K) groups: only merged rows can be.
+        """
         cfg = self.cfg
-        lead = _batch_axis(len(histories))
+        G, lead = cfg.merged_len, _batch_axis(len(histories))
         rows, n_real = encode_events(histories, times, self.tables, cfg)
         merged = self._merge(rows, n_real)
-        grid_positions = merged_positions(cfg.L_padded, cfg.K)
-        pad_groups = merged_pad_flags(n_real, cfg.K, cfg.merged_len).reshape(
-            lead + (-1,))
+        groups = -(-n_real // cfg.K)
         sel = select_queries(merged, cfg.query_strategy, cfg.k, self.query_bank,
-                             pad_groups, grid_positions)
-        q_order, q_pad = _row_layout(sel.positions, sel.is_pad, cfg)
-        k_order, k_pad = _row_layout(grid_positions, pad_groups, cfg)
+                             groups.reshape(lead))
+        glob = G + 1 + np.arange(cfg.m)
+        q_order = np.concatenate([sel.order, np.broadcast_to(glob, lead + (cfg.m,))],
+                                 axis=-1)
+        k_order = np.concatenate([np.arange(G), glob])
+        first = (G - groups).reshape(lead + (1,))
         return UserRows(
             queries=T.reshape(sel.tokens, lead + (cfg.k, cfg.D)),
-            merged=T.reshape(merged, lead + (cfg.merged_len, cfg.D)),
+            merged=T.reshape(merged, lead + (G, cfg.D)),
             globals=T.reshape(nontarget_global_tokens(users, self.tables, cfg),
                               lead + (cfg.m - 1, cfg.D)),
-            visible_cross=build_mask(q_order, k_order, k_pad),
-            visible_self=build_mask(q_order, q_order, q_pad),
+            visible_cross=build_mask(q_order, k_order, k_order < first),
+            visible_self=build_mask(q_order, q_order, q_order < first),
             user_side=user_side_features(users, self.tables))
 
     def _layers(self, x: Tensor, keys: Tensor, visible: np.ndarray,
@@ -600,8 +583,6 @@ class EpochStats:
 @dataclass
 class TrainingReport:
     epochs: list
-    n_train: int
-    n_eval: int
 
     def to_csv(self) -> str:
         lines = ["epoch,loss,auc,logloss"]
@@ -724,7 +705,7 @@ def train(model, dataset, epochs: int, opt: Optional[OptConfig] = None) -> Train
         else:
             auc_val, ll_val = float("nan"), float("nan")
         rows.append(EpochStats(epoch, float(np.mean(losses)), auc_val, ll_val))
-    return TrainingReport(rows, int(train_idx.size), int(eval_idx.size))
+    return TrainingReport(rows)
 
 
 # ----------------------------- sum-pooling baseline -----------------------------

@@ -1,7 +1,7 @@
 """Shared fixtures, the central finite-difference gradient checker, the
 constant readout that turns a tensor into a loss, the per-sample mean loss
-that batched tapes are checked against, and the counted-vs-analytic MAC
-check of naive and cached scoring."""
+that batched tapes are checked against, the counted-vs-analytic MAC check
+of naive and cached scoring, and the generator's windowed oracle."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from longrec import analysis
 from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
-from longrec.inputs import Candidate, Sample
+from longrec.inputs import Candidate, Sample, interest_of
 from longrec.serving import build_cache, score_with_cache
 
 
@@ -53,6 +53,23 @@ def fd_check(build_loss, named_tensors, tol=1e-4, h=1e-5, max_coords=6, seed=0):
     for _, t in named_tensors:
         t.zero_grad()
     return worst
+
+
+def bayes_window_scores(dataset, gen_config, window=None) -> np.ndarray:
+    """Oracle scores from the generative rule restricted to a visible window.
+
+    Scores ``gen_config.p_hit`` when any of the last ``window`` events shares
+    the candidate's interest and ``p_miss`` otherwise; with ``window=None``
+    the whole history is visible. On noise-free planted data the full-window
+    oracle recovers the latent hit flag exactly.
+    """
+    out = np.empty(len(dataset.samples))
+    for i, s in enumerate(dataset.samples):
+        items = s.events.item_id if window is None else s.events.item_id[-window:]
+        c = interest_of(s.candidate.item_id, gen_config.n_interests)
+        seen = (interest_of(items, gen_config.n_interests) == c).any()
+        out[i] = gen_config.p_hit if seen else gen_config.p_miss
+    return out
 
 
 def n_params(obj) -> int:

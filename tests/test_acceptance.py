@@ -20,7 +20,8 @@ Criteria (tolerances pinned here, nothing deferred):
 import numpy as np
 import pytest
 
-from conftest import counted_muladds, fd_check, mean_scalars, n_params, readout
+from conftest import (bayes_window_scores, counted_muladds, fd_check, mean_scalars,
+                      n_params, readout)
 from longrec import analysis
 from longrec import tensors as T
 from longrec.attention import BlockParams, attention_block, build_mask
@@ -277,8 +278,7 @@ def trained_runs():
         model = LongRecModel(cfg, seed=seed)
         return train(model, ds, EPOCHS, OptConfig(seed=shuffle)).final.auc
 
-    from longrec.inputs import bayes_window_scores
-    bayes_auc = analysis.auc(bayes_window_scores(ds), ds.labels())
+    bayes_auc = analysis.auc(bayes_window_scores(ds, gen), ds.labels())
     sweep = {L: fit(dict(L=L, k=L // 4)) for L in SWEEP_LENGTHS}
     auc_k40 = fit(dict(L=256, k=26))     # 40% of the 64 merged tokens
     base = SumPoolingModel(ModelConfig(L=256, vocab=48, n_users=1000,

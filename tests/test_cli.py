@@ -3,10 +3,12 @@
 import argparse
 import gzip
 import json
+import os
 import re
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from longrec import analysis, cli
@@ -189,6 +191,26 @@ def test_eval_fraction_out_of_range_exit_2(tmp_path, capsys, model_cfg_path,
     assert "eval_fraction" in err and "Traceback" not in err
 
 
+def test_train_manifest_records_runtime(tmp_path, monkeypatch, model_cfg_path,
+                                       dataset_path):
+    """A run's manifest names NumPy's version, its BLAS and the BLAS thread
+    settings of the run, unset ones as null."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "t"
+    assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
+                 "--out", str(out), "--epochs", "1"]) == 0
+    runtime = json.loads((out / "manifest.json").read_text())["runtime"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert runtime["numpy"] == np.__version__
+    assert runtime["blas"]["name"] == blas["name"]
+    assert runtime["blas"]["version"] == blas["version"]
+    assert runtime["blas"]["configuration"] in blas.values()
+    assert runtime["threads"] == {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+
+
 def test_gen_zero_users(tmp_path):
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps({**GEN_CFG, "n_users": 0}))
@@ -330,6 +352,105 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, model_cfg_path, dataset_pat
     assert "recursion" in err and "Traceback" not in err
 
 
+def rewrite_header(path, **fields):
+    """Rewrite checkpoint ``path`` with ``fields`` replaced in its header."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = {**json.loads(blob[16:16 + hlen]), **fields}
+    text = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:])
+
+
+@pytest.mark.parametrize("case,message", [
+    ("no-header-length", "no header length"),
+    ("format-version", "unsupported checkpoint format version"),
+    ("arrays", "checkpoint arrays differ")])
+def test_bad_checkpoint_exit_2(tmp_path, capsys, dataset_path, case, message):
+    """A checkpoint cut inside its header length, one of another format
+    version and one whose header arrays differ from the config's parameters
+    (same payload size) are each refused."""
+    path = tmp_path / "model.bin"
+    model = LongRecModel(ModelConfig.from_dict(MODEL_CFG))
+    model.save(str(path))
+    if case == "no-header-length":
+        path.write_bytes(CHECKPOINT_MAGIC + b"\x01\x02")
+    elif case == "format-version":
+        rewrite_header(path, format_version=2)
+    else:
+        arrays = [{"name": n, "shape": list(t.shape)} for n, t in model.params()]
+        arrays[0], arrays[1] = arrays[1], arrays[0]
+        rewrite_header(path, arrays=arrays)
+    assert main(["eval", "--checkpoint", str(path), "--data", dataset_path,
+                 "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case,message", [
+    ("score-before-history", "scoring time precedes the last user event"),
+    ("train-empty", "cannot train on an empty dataset"),
+    ("train-split-empty", "temporal split left no training samples")])
+def test_serving_and_training_refusals_exit_2(tmp_path, capsys, model_cfg_path,
+                                              dataset_path, case, message):
+    """A request scored before its user's last event, training on an empty
+    dataset and a split that holds out every sample are each refused."""
+    out = str(tmp_path / "o")
+    first = Path(dataset_path).read_text().splitlines()[0]
+    data = tmp_path / "data.jsonl"
+    data.write_text("" if case == "train-empty" else first + "\n")
+    if case == "score-before-history":
+        checkpoint = tmp_path / "model.bin"
+        LongRecModel(ModelConfig.from_dict(MODEL_CFG)).save(str(checkpoint))
+        rec = json.loads(first)
+        early = rec["events"][-1]["timestamp"] - 1
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps(
+            {"user_id": rec["user_features"]["uid"],
+             "candidates": [{"item_id": 1, "timestamp": early}]}) + "\n")
+        argv = ["score", "--checkpoint", str(checkpoint), "--data", str(data),
+                "--requests", str(requests)]
+    else:
+        argv = ["train", "--config", model_cfg_path, "--data", str(data),
+                "--eval-fraction", "0.6"]
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("m", 2, "m must be >= 3"), ("merge_mode", "sum", "unknown merge_mode"),
+    ("heads", 4, "not divisible by heads"),
+    ("inner_layers", 0, "inner_layers must be >= 1")])
+def test_model_config_refusals_exit_2(tmp_path, capsys, dataset_path, field,
+                                      value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**MODEL_CFG, field: value}))      # D = 6
+    assert main(["train", "--config", str(bad), "--data", dataset_path,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"n_users": -1}, "n_users must be >= 0"),
+    ({"L_max": 0}, "L_max must be >= 1"),
+    ({"L_min": 13}, "L_min exceeds L_max"),
+    ({"plant_gap": 12}, "plant_gap leaves no deep region"),
+    ({"plant_gap": 2, "plant_min": 5, "plant_max": 4}, "plant_min <= plant_max"),
+    ({"plant_gap": 2, "plant_side": "middle"}, "plant_side must be"),
+    ({"plant_gap": 0, "plant_side": "recent"}, "recent plant side needs plant_gap"),
+    ({"plant_gap": 2, "candidates_per_history": 0}, "candidates_per_history"),
+    ({"plant_gap": 2, "interests_per_user": 3}, "two interests outside")],
+    ids=["n_users", "L_max", "L_min", "plant_gap", "plant_min", "plant_side",
+         "recent_gap", "candidates", "interests"])
+def test_generator_config_refusals_exit_2(tmp_path, capsys, fields, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**GEN_CFG, **fields}))    # L_max 12, 4 interests
+    assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_query_strategy_override_recorded(tmp_path, model_cfg_path, dataset_path):
     out = tmp_path / "t"
     assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
@@ -378,6 +499,13 @@ def test_cost_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["flops_vanilla"] == 587202560
     assert payload["flops_merged"] == 335544320
+
+
+def test_cost_out_matches_json(tmp_path, capsys):
+    argv = ["cost", "--seq-len", "2048", "--width", "32", "--merge", "4"]
+    assert main(argv + ["--json", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "cost.json").read_text()) == \
+        json.loads(capsys.readouterr().out)
 
 
 def test_cost_nonpositive_inner_layers_exit_2(capsys):
@@ -451,6 +579,28 @@ def test_sweep_four_points_fits(tmp_path):
     assert "r_squared" in fit and "beta" in fit
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"]["fit"]["alpha"] == fit["alpha"]
+
+
+@pytest.mark.parametrize("axis,grid", [("width", [2, 3]), ("flops", [1, 2])])
+def test_sweep_width_and_flops_axes(tmp_path, axis, grid):
+    """Each point's x is D on the width axis and (N+1) * flops_merged over
+    the merged rows' G*K tokens on the flops axis (L=11 rounds up to 12)."""
+    base = {**MODEL_CFG, "L": 11, "k": 2}
+    sweep = {"axis": axis, "grid": grid, "epochs": 1, "generator": GEN_CFG,
+             "model": base}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    if axis == "width":
+        want = [float(base["K"] * d) for d in grid]
+    else:
+        want = [float((N + 1) * analysis.flops_merged(12, base["d"], base["K"]))
+                for N in grid]
+    lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    assert [int(r[0]) for r in rows] == grid and all("ok" in r[4] for r in rows)
+    assert [float(r[1]) for r in rows] == want
 
 
 @pytest.mark.parametrize("field,value", [

@@ -8,13 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fd_check, readout
+from conftest import bayes_window_scores, fd_check, readout
 from longrec import analysis
 from longrec import tensors as T
 from longrec.config import GeneratorConfig, ModelConfig
 from longrec.errors import ConfigError, EmbeddingLookupError
 from longrec.inputs import (Candidate, EmbeddingTables, Events, Sample,
-                            UserFeatures, bayes_window_scores, encode_events,
+                            UserFeatures, encode_events,
                             generate_dataset, interest_of, load_dataset,
                             nontarget_global_tokens, save_dataset,
                             target_global_token, time_buckets, time_deltas,
@@ -44,7 +44,7 @@ def test_generator_rejects_degenerate_vocab():
 def test_generator_sample_invariants(tiny_gen_cfg):
     ds = generate_dataset(tiny_gen_cfg, seed=3)
     for s in ds.samples:
-        s.validate(tiny_gen_cfg.L_max)
+        assert len(s.validate().events) <= tiny_gen_cfg.L_max
 
 
 def test_pure_noise_labels_independent_of_history():
@@ -52,7 +52,7 @@ def test_pure_noise_labels_independent_of_history():
                           n_interests=6, noise_rate=1.0)
     ds = generate_dataset(cfg, seed=11)
     # Best history-based detector: does any event share the candidate interest?
-    scores = bayes_window_scores(ds)
+    scores = bayes_window_scores(ds, cfg)
     labels = ds.labels()
     assert abs(analysis.auc(scores, labels) - 0.5) <= 0.02
 
@@ -64,10 +64,10 @@ def test_planted_long_range_oracle_windows():
     labels = ds.labels()
     # Within the last 64 events the candidate interest never occurs: all
     # oracle scores tie, so ranking is exactly chance.
-    short = bayes_window_scores(ds, window=64)
+    short = bayes_window_scores(ds, cfg, window=64)
     assert np.unique(short).size == 1
     assert analysis.auc(short, labels) == 0.5
-    full = bayes_window_scores(ds)
+    full = bayes_window_scores(ds, cfg)
     assert analysis.auc(full, labels) > 0.9
     # The full-window oracle recovers the latent hit flag exactly.
     assert ((full == cfg.p_hit) == ds.latent_hits).all()
@@ -153,7 +153,7 @@ def test_encode_full_length_no_pads(tiny_cfg):
     tables = EmbeddingTables.create(tiny_cfg, np.random.default_rng(0))
     s = make_sample(tiny_cfg.L)
     rows, n_real = encode(s, tables, tiny_cfg)
-    assert n_real == tiny_cfg.L == tiny_cfg.L_padded
+    assert n_real == tiny_cfg.L == tiny_cfg.merged_len * tiny_cfg.K
     assert rows.shape == (tiny_cfg.L, tiny_cfg.d)
     assert global_rows(s, tables, tiny_cfg).shape == (tiny_cfg.m, tiny_cfg.D)
 
@@ -299,7 +299,7 @@ def test_jsonl_roundtrip(tmp_path, tiny_gen_cfg):
     ds = generate_dataset(tiny_gen_cfg, seed=8)
     path = tmp_path / "data.jsonl"
     save_dataset(ds, str(path))
-    loaded = load_dataset(str(path), tiny_gen_cfg.L_max)
+    loaded = load_dataset(str(path))
     assert serialize(ds) == serialize(loaded)
     assert [s.events for s in loaded.samples] == [s.events for s in ds.samples]
     assert loaded.samples == ds.samples

@@ -12,8 +12,7 @@ from longrec.attention import BlockParams
 from longrec.config import ModelConfig
 from longrec.errors import ConfigError
 from longrec.inputs import Candidate, Events, Sample, UserFeatures, encode_events
-from longrec.merge import (merge_concat, merge_inner_trans, merged_pad_flags,
-                           merged_positions)
+from longrec.merge import merge_concat, merge_inner_trans
 from longrec.model import LongRecModel, batch_backward, evaluate
 from longrec.serving import ScoreRequest, build_cache, score_request, score_with_cache
 from longrec.tensors import Tensor
@@ -62,21 +61,46 @@ def test_encode_events_pads_to_group_multiple():
     assert rows.shape == (18, 2) and n_real.tolist() == [15, 3]
     assert (np.abs(rows.data).max(axis=1) > 0).all()
     seq = model._merge(rows, n_real).data.reshape(-1, cfg.d)     # the token grid
-    pad_mask = np.arange(cfg.L_padded) < (cfg.L_padded - n_real)[:, None]
-    assert cfg.L_padded == 16 and seq.shape == (32, 2)
+    L_grid = cfg.merged_len * cfg.K
+    pad_mask = np.arange(L_grid) < (L_grid - n_real)[:, None]
+    assert L_grid == 16 and seq.shape == (32, 2)
     assert pad_mask[0].tolist() == [True] + [False] * 15
     assert pad_mask[1].tolist() == [True] * 13 + [False] * 3
     np.testing.assert_array_equal(seq[pad_mask.reshape(-1)], 0.0)
     np.testing.assert_array_equal(seq[~pad_mask.reshape(-1)], rows.data)
-    np.testing.assert_array_equal(merged_pad_flags(n_real, cfg.K, cfg.merged_len),
+    np.testing.assert_array_equal(pad_groups(n_real, cfg),
                                   pad_mask.reshape(2, -1, cfg.K).all(axis=2))
 
 
-def test_merged_positions_and_pad_flags():
-    np.testing.assert_array_equal(merged_positions(8, 4), [3, 7])
-    np.testing.assert_array_equal(merged_pad_flags(np.array([4, 5, 0, 8]), 4, 2),
-                                  [[True, False], [False, False], [True, True],
-                                   [False, False]])
+def pad_groups(n_real, cfg):
+    """(B, G): True where a merged row holds no event, the leading
+    G - ceil(n/K) rows of a sample with n events."""
+    G = cfg.merged_len
+    return np.arange(G) < G - -(-np.asarray(n_real)[:, None] // cfg.K)
+
+
+def test_pad_groups_follow_group_counts():
+    """Histories of 4, 5, 0 and 8 events at K=4, G=2 hold events in the last
+    1, 2, 0 and 2 merged rows: in both merges the others are zero rows that
+    no query row sees, and the target row sees every row with an event."""
+    i = np.arange(8)
+    histories = [Events(i[:n] % 12, i[:n] % 3, 100 + i[:n]) for n in (4, 5, 0, 8)]
+    pads = np.array([[True, False], [False, False], [True, True], [False, False]])
+    for mode in ("concat", "inner"):
+        cfg = ModelConfig(L=8, d=2, K=4, m=3, k=2, merge_mode=mode, d_item=3,
+                          d_act=2, d_time=2, n_time_buckets=8, vocab=12,
+                          n_actions=3, n_users=6, n_profiles=4)
+        np.testing.assert_array_equal(pad_groups([4, 5, 0, 8], cfg), pads)
+        model = LongRecModel(cfg, seed=0)
+        rows, n_real = encode_events(histories, [200] * 4, model.tables, cfg)
+        merged = model._merge(rows, n_real).data.reshape(4, 2, cfg.D)
+        np.testing.assert_array_equal(merged[pads], 0.0)
+        assert (np.abs(merged[~pads]).max(axis=-1) > 0).all()
+        u = model.user_rows(histories, [UserFeatures(b, 0) for b in range(4)],
+                            [200] * 4)
+        seen = u.visible_cross[:, :, :cfg.merged_len]
+        np.testing.assert_array_equal(seen.any(axis=1), ~pads)
+        np.testing.assert_array_equal(seen[:, -1], ~pads)
 
 
 # ----------------------------- per-group transformer -----------------------------
@@ -223,10 +247,10 @@ def test_all_pad_group_rows_are_inert():
 
     def noisy_merge(rows, n_real):
         merged = merge(rows, n_real)
-        pad_groups = merged_pad_flags(n_real, cfg.K, cfg.merged_len).reshape(-1)
-        np.testing.assert_array_equal(merged.data[pad_groups], 0.0)
-        noised.append(pad_groups.sum())
-        noise = rng.normal(scale=1e3, size=merged.shape) * pad_groups[:, None]
+        pads = pad_groups(n_real, cfg).reshape(-1)
+        np.testing.assert_array_equal(merged.data[pads], 0.0)
+        noised.append(pads.sum())
+        noise = rng.normal(scale=1e3, size=merged.shape) * pads[:, None]
         return T.add(merged, noise)
 
     model._merge = noisy_merge
@@ -273,12 +297,12 @@ def mixed_samples(cfg, lengths, t=5000):
 
 
 def padded_grid_merge(model):
-    """The reference merge: every one of the G groups of the full L_padded
+    """The reference merge: every one of the G groups of the full G*K-row
     grid goes through the inner blocks, those without an event too."""
     cfg = model.cfg
 
     def merge(rows, n_real):
-        grid = T.left_pad_rows(rows, n_real, cfg.L_padded)
+        grid = T.left_pad_rows(rows, n_real, cfg.merged_len * cfg.K)
         return merge_inner_trans(grid, cfg.K, model.inner_blocks)
     return merge
 
@@ -304,7 +328,7 @@ def test_pad_free_merge_matches_padded_grid_reference():
                                      model.tables, cfg)
         got = model._merge(rows, n_real).data
         want = padded_grid_merge(model)(rows, n_real).data
-        pads = merged_pad_flags(n_real, K, G).reshape(-1)
+        pads = pad_groups(n_real, cfg).reshape(-1)
         assert got.shape == want.shape == (len(batch) * G, cfg.D)
         np.testing.assert_array_equal(got[~pads], want[~pads])
         np.testing.assert_array_equal(got[pads], 0.0)

@@ -31,50 +31,47 @@ def toks(n, D=4, seed=0):
     return Tensor(np.random.default_rng(seed).normal(size=(n, D)))
 
 
-def select(strategy, k, pads, bank=None):
-    """``select_queries`` over G = pads.shape[-1] merged rows per sample at
-    grid positions 0..G-1, so each pick's position is its grid index."""
-    G = pads.shape[-1]
-    return select_queries(toks(pads.size), strategy, k, bank, pads, np.arange(G))
+def select(strategy, k, G, groups, bank=None):
+    """``select_queries`` over G merged rows per sample, the last ``groups``
+    of each (one count per sample) holding events, so each pick's order is
+    its merged-row index."""
+    return select_queries(toks(G * np.size(groups)), strategy, k, bank, groups)
 
 
 def test_recent_identity_when_k_covers_all():
-    sel = select("recent", 6, np.zeros(6, dtype=bool))
-    np.testing.assert_array_equal(sel.positions, np.arange(6))
-    assert not sel.is_pad.any()
+    sel = select("recent", 6, 6, 6)
+    np.testing.assert_array_equal(sel.order, np.arange(6))
+    assert not (sel.order < 6 - 6).any()            # no pad query
 
 
 def test_uniform_documented_rule():
-    sel = select("uniform", 5, np.zeros(10, dtype=bool))
-    np.testing.assert_array_equal(sel.positions, [1, 3, 5, 7, 9])
+    sel = select("uniform", 5, 10, 10)
+    np.testing.assert_array_equal(sel.order, [1, 3, 5, 7, 9])
 
 
 def test_recent_short_sequence_pads_queries():
-    pads = np.array([True] * 7 + [False] * 3)
-    sel = select("recent", 5, pads)
-    np.testing.assert_array_equal(sel.positions, [5, 6, 7, 8, 9])
-    np.testing.assert_array_equal(sel.is_pad, [True, True, False, False, False])
+    sel = select("recent", 5, 10, 3)                # 7 all-pad rows, then 3
+    np.testing.assert_array_equal(sel.order, [5, 6, 7, 8, 9])
+    np.testing.assert_array_equal(sel.order < 10 - 3, [True, True, False, False, False])
 
 
 def test_learnable_queries_have_max_position():
     bank = Tensor(np.zeros((4, 4)), requires_grad=True)
-    sel = select_queries(toks(10), "learnable", 4, bank, np.zeros(10, dtype=bool),
-                         np.arange(10) * 2 + 1)
-    assert (sel.positions == 19).all()
+    sel = select("learnable", 4, 10, 10, bank)
+    assert (sel.order == 10).all()
     assert sel.tokens is bank
 
 
 def test_recent_uniform_mix():
-    sel = select("recent_uniform", 5, np.zeros(10, dtype=bool))
+    sel = select("recent_uniform", 5, 10, 10)
     # recent ceil(5/2)=3 -> {7,8,9}; uniform 2 over prefix len 7 -> {3,6}
-    np.testing.assert_array_equal(sel.positions, [3, 6, 7, 8, 9])
+    np.testing.assert_array_equal(sel.order, [3, 6, 7, 8, 9])
 
 
 def test_recent_uniform_backfills_after_dedup():
-    pads = np.array([True] * 6 + [False] * 4)
-    sel = select("recent_uniform", 3, pads)
+    sel = select("recent_uniform", 3, 10, 4)
     # nonpad {6,7,8,9}: recent 2 -> {8,9}; uniform 1 over prefix {6,7} -> {7}
-    np.testing.assert_array_equal(sel.positions, [7, 8, 9])
+    np.testing.assert_array_equal(sel.order, [7, 8, 9])
 
 
 def set_and_backfill(k, pad_groups):
@@ -96,24 +93,23 @@ def set_and_backfill(k, pad_groups):
 
 
 def test_recent_uniform_matches_set_and_backfill():
-    rng = np.random.default_rng(5)
+    """Every G <= 64, k <= G and group count g <= G, one sample per g."""
     for G in range(1, 65):
-        pads = rng.random((20, G)) < rng.random((20, 1))
-        pads[0] = False
-        pads[1] = np.arange(G) < rng.integers(0, G)      # leading pads
-        h = toks(20 * G, D=1)
+        groups = np.arange(G + 1)
+        pads = np.arange(G) < G - groups[:, None]
+        h = toks((G + 1) * G, D=1)
         for k in range(1, G + 1):
-            sel = select_queries(h, "recent_uniform", k, None, pads, np.arange(G))
-            for b in range(20):
+            sel = select_queries(h, "recent_uniform", k, None, groups)
+            for b in range(G + 1):
                 if (~pads[b]).sum() > k:
-                    assert sel.positions[b].tolist() == set_and_backfill(k, pads[b])
+                    assert sel.order[b].tolist() == set_and_backfill(k, pads[b])
 
 
 def test_invalid_k_raises():
     with pytest.raises(ConfigError):
-        select("recent", 0, np.zeros(4, dtype=bool))
+        select("recent", 0, 4, 4)
     with pytest.raises(ConfigError):
-        select("recent", 5, np.zeros(4, dtype=bool))
+        select("recent", 5, 4, 4)
 
 
 # ----------------------------- forward -----------------------------
@@ -221,10 +217,12 @@ def test_user_rows_masks_match_rule_oracle(tiny_cfg):
                     cross = u.visible_cross.reshape(len(batch), k + m, G + m)
                     self_ = u.visible_self.reshape(len(batch), k + m, k + m)
                     for b, s in enumerate(batch):
-                        pads = (np.arange(G) + 1) * K <= cfg.L_padded - len(s.events)
+                        pads = (np.arange(G) + 1) * K <= G * K - len(s.events)
                         sel = select_queries(toks(G, cfg.D), strategy, k,
-                                             model.query_bank, pads, grid)
-                        queries = layout(sel.positions, sel.is_pad, m)
+                                             model.query_bank, np.sum(~pads))
+                        # a learnable query (order G) sits at the last position
+                        queries = layout(np.append(grid, grid[-1])[sel.order],
+                                         np.append(pads, False)[sel.order], m)
                         for mask, keys in ((cross[b], layout(grid, pads, m)),
                                            (self_[b], queries)):
                             want = [[rule(q, key) for key in keys] for q in queries]
@@ -307,7 +305,7 @@ def straightline_forward(model, sample):
                  + [through_global_mlp(trow)])
 
     # merge by concatenation on the padded grid
-    Lp = cfg.L_padded
+    Lp = cfg.merged_len * cfg.K
     hp = np.concatenate([np.zeros((Lp - cfg.L, cfg.d)), h])
     merged = hp.reshape(Lp // cfg.K, cfg.K * cfg.d)
     grid_pos = np.arange(Lp // cfg.K) * cfg.K + cfg.K - 1
