@@ -3,17 +3,18 @@
 Token ordering everywhere is sequence rows first, global rows last. Every
 row has one integer order: a merged sequence row's is its group index i in
 the G merged rows, a learnable query's G, global rank r's G + 1 + r, above
-both. The visibility rule: a query sees every non-pad key whose order is at
-most its own.
+both. Padding is on the left: a sample's pad rows are exactly those whose
+order is below ``first``, the order of its first event group. The one
+visibility rule: a query sees every key whose order lies in [first, its
+own order].
 
 So sequence rows keep temporal causality and never see a global; the
 last-ranked global (the candidate target), alone at the top of the order,
 sees every non-pad key while no other row sees it, the exact property that
-lets the serving module cache all candidate-independent rows. Padding is on
-the left, the rows whose order is below a sample's first event group, so a
-pad query row sees only pad keys, that is nothing. Visibility is a boolean
-array, built by ``build_mask`` from the query orders, the key orders and
-the key pad flags, that ``T.attention`` uses to select scores, never added
+lets the serving module cache all candidate-independent rows; and a pad
+query row, below first itself, sees nothing. Visibility is a boolean array,
+built by ``build_mask`` from the query orders, the key orders and each
+sample's ``first``, that ``T.attention`` uses to select scores, never added
 to them, so a hidden score can never perturb visible probabilities.
 
 The same block serves the inner merge's per-group layers (width d, each
@@ -32,7 +33,6 @@ holds exactly 12*w^2 + 13*w parameters (four projections with biases, the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,20 +42,20 @@ from .errors import DimensionError
 from .tensors import Tensor
 
 
-def build_mask(query_order, key_order, is_pad_key) -> np.ndarray:
-    """The boolean (query, key) visibility: key j is visible to query i when
-    it is not a pad and ``key_order[j] <= query_order[i]``.
+def build_mask(query_order, key_order, first) -> np.ndarray:
+    """The boolean (query, key) visibility: key j is visible to query i
+    exactly when ``first <= key_order[j] <= query_order[i]``.
 
-    Each argument lists its rows along its last axis; arguments with a
-    leading batch axis (B, rows) give a (B, query, key) visibility, one per
-    sample, the others being shared by every sample.
+    The orders list their rows along the last axis; an order with a leading
+    batch axis (B, rows) is one per sample, one without is shared. ``first``
+    is each sample's lowest non-pad order, (B,) or one int for one sample
+    (0: no padding). With a batch axis on any argument the visibility is
+    (B, query, key), one per sample.
     """
     qo = np.asarray(query_order, dtype=np.int64)
-    ko = np.asarray(key_order, dtype=np.int64)
-    pk = np.asarray(is_pad_key, dtype=bool)
-    if pk.shape[-1] != ko.shape[-1]:
-        raise DimensionError("key order and pad flags differ in length")
-    return (ko[..., None, :] <= qo[..., :, None]) & ~pk[..., None, :]
+    ko = np.asarray(key_order, dtype=np.int64)[..., None, :]
+    lo = np.asarray(first, dtype=np.int64)[..., None, None]
+    return (ko <= qo[..., :, None]) & (ko >= lo)
 
 
 @dataclass
@@ -81,22 +81,16 @@ class BlockParams:
 
     @classmethod
     def create(cls, width: int, rng) -> "BlockParams":
-        def w(fan_in, fan_out):
-            return Tensor(rng.normal(0.0, 1.0 / math.sqrt(fan_in),
-                                     size=(fan_in, fan_out)), requires_grad=True)
-
-        def b(n):
-            return Tensor(np.zeros(n), requires_grad=True)
-
+        w, h = width, 4 * width
         return cls(
-            w_q=w(width, width), b_q=b(width),
-            w_k=w(width, width), b_k=b(width),
-            w_v=w(width, width), b_v=b(width),
-            w_o=w(width, width), b_o=b(width),
-            w1=w(width, 4 * width), b1=b(4 * width),
-            w2=w(4 * width, width), b2=b(width),
-            ln1_g=Tensor(np.ones(width), requires_grad=True), ln1_b=b(width),
-            ln2_g=Tensor(np.ones(width), requires_grad=True), ln2_b=b(width),
+            w_q=T.weight(rng, w, w), b_q=T.filled(w),
+            w_k=T.weight(rng, w, w), b_k=T.filled(w),
+            w_v=T.weight(rng, w, w), b_v=T.filled(w),
+            w_o=T.weight(rng, w, w), b_o=T.filled(w),
+            w1=T.weight(rng, w, h), b1=T.filled(h),
+            w2=T.weight(rng, h, w), b2=T.filled(w),
+            ln1_g=T.filled(w, 1.0), ln1_b=T.filled(w),
+            ln2_g=T.filled(w, 1.0), ln2_b=T.filled(w),
         )
 
     def params(self):

@@ -4,7 +4,7 @@ Subcommands: gen, train, eval, cost, fit, sweep, score. Every run except
 cost and fit writes a ``manifest.json`` into its output directory with the
 resolved configuration, seeds, input digests, timings, and the NumPy
 version, BLAS build and BLAS thread settings — enough to reproduce the run
-bit-identically.
+bit-identically. All JSON it writes is strict: a non-finite float is null.
 
 Exit codes are a stable contract for CI: 0 success, 2 config/schema error
 or an unwritable output path, 3 numerical abort (non-finite values), 4
@@ -71,9 +71,23 @@ def _runtime() -> dict:
                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
+def _json_text(payload) -> str:
+    """``payload`` as JSON with indent 2 and sorted keys. RFC 8259 has no NaN
+    or infinity, so a non-finite float (an undefined AUC, a failed sweep
+    point) is written as null, at any depth, and strict parsers read it."""
+    finite = json.loads(json.dumps(payload), parse_constant=lambda name: None)
+    return json.dumps(finite, indent=2, sort_keys=True)
+
+
+def _write_json(path: str, payload) -> None:
+    """Write ``_json_text(payload)`` and a trailing newline to ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json_text(payload) + "\n")
+
+
 def _write_manifest(out_dir: str, command: str, args: dict, resolved: dict,
                     outputs: dict, started: float) -> None:
-    manifest = {
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
         "args": args,
         "resolved_config": resolved,
@@ -82,10 +96,7 @@ def _write_manifest(out_dir: str, command: str, args: dict, resolved: dict,
         "runtime": _runtime(),
         "started_unix": started,
         "wall_seconds": time.time() - started,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _load_json(path: str) -> dict:
@@ -211,7 +222,7 @@ def cmd_cost(args) -> int:
     payload = analysis.cost_report(args.seq_len, args.width, args.merge,
                                    args.inner_layers)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         print(f"{'quantity':<24}{'value':>20}")
         print("-" * 44)
@@ -222,9 +233,7 @@ def cmd_cost(args) -> int:
         print(f"{'reduction':<24}{pct:>19.3f}%")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "cost.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "cost.json"), payload)
     return EXIT_OK
 
 
@@ -245,12 +254,10 @@ def cmd_fit(args) -> int:
         ys.append(y)
     result = analysis.fit_power_law(xs, ys)
     payload = result.to_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "fit.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "fit.json"), payload)
     return EXIT_OK
 
 
@@ -314,9 +321,7 @@ def cmd_sweep(args) -> int:
     if len(ok) >= 4:
         fit = analysis.fit_power_law([r["x"] for r in ok], [r["auc"] for r in ok])
         fit_payload = fit.to_dict()
-        with open(os.path.join(args.out, "fit.json"), "w", encoding="utf-8") as fh:
-            json.dump(fit_payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "fit.json"), fit_payload)
         print(f"fit: alpha={fit.alpha:.6g} beta={fit.beta:.6g} "
               f"gamma={fit.gamma:.6g} r2={fit.r_squared:.6f}")
     else:
@@ -385,6 +390,9 @@ def cmd_score(args) -> int:
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ConfigError(f"malformed score request: {exc}") from exc
             response = score_request(model, store, request)
+            if not all(map(math.isfinite, response.probabilities)):
+                raise NumericalError(
+                    f"non-finite probability for user {request.user_id}")
             fout.write(json.dumps(response.to_json_dict(), separators=(",", ":")))
             fout.write("\n")
             n += 1

@@ -422,12 +422,12 @@ class InputMLP:
     def create(cls, cfg: ModelConfig, rng) -> "InputMLP":
         d, D, F = cfg.d, cfg.D, cfg.feat_width
         return cls(
-            tok_proj_w=_w(rng, F, d), tok_proj_b=_b(d),
-            seq_w1=_w(rng, d, 2 * D), seq_b1=_b(2 * D),
-            seq_w2=_w(rng, 2 * D, d), seq_b2=_b(d),
-            lift_w=_w(rng, d, D), lift_b=_b(D),
-            glob_w1=_w(rng, D, 2 * D), glob_b1=_b(2 * D),
-            glob_w2=_w(rng, 2 * D, D), glob_b2=_b(D),
+            tok_proj_w=T.weight(rng, F, d), tok_proj_b=T.filled(d),
+            seq_w1=T.weight(rng, d, 2 * D), seq_b1=T.filled(2 * D),
+            seq_w2=T.weight(rng, 2 * D, d), seq_b2=T.filled(d),
+            lift_w=T.weight(rng, d, D), lift_b=T.filled(D),
+            glob_w1=T.weight(rng, D, 2 * D), glob_b1=T.filled(2 * D),
+            glob_w2=T.weight(rng, 2 * D, D), glob_b2=T.filled(D),
         )
 
 
@@ -452,32 +452,19 @@ class EmbeddingTables:
     @classmethod
     def create(cls, cfg: ModelConfig, rng) -> "EmbeddingTables":
         return cls(
-            item_table=_emb(rng, cfg.vocab, cfg.d_item),
-            action_table=_emb(rng, cfg.n_actions, cfg.d_act),
-            time_bucket_table=_emb(rng, cfg.n_time_buckets, cfg.d_time),
-            uid_table=_emb(rng, cfg.n_users, cfg.d),
-            profile_table=_emb(rng, cfg.n_profiles, cfg.d),
-            abs_pos_table=_emb(rng, cfg.L, cfg.d),
-            cls_vector=_emb(rng, cfg.m - 2, cfg.D),
+            item_table=T.table(rng, cfg.vocab, cfg.d_item),
+            action_table=T.table(rng, cfg.n_actions, cfg.d_act),
+            time_bucket_table=T.table(rng, cfg.n_time_buckets, cfg.d_time),
+            uid_table=T.table(rng, cfg.n_users, cfg.d),
+            profile_table=T.table(rng, cfg.n_profiles, cfg.d),
+            abs_pos_table=T.table(rng, cfg.L, cfg.d),
+            cls_vector=T.table(rng, cfg.m - 2, cfg.D),
             mlp=InputMLP.create(cfg, rng),
         )
 
     def params(self):
         """(name, Tensor) in field order, the ``mlp`` ones as ``mlp.name``."""
         return T.named_fields(self)
-
-
-def _w(rng, fan_in, fan_out) -> Tensor:
-    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)),
-                  requires_grad=True)
-
-
-def _b(n) -> Tensor:
-    return Tensor(np.zeros(n), requires_grad=True)
-
-
-def _emb(rng, rows, width) -> Tensor:
-    return Tensor(rng.normal(0.0, 0.3, size=(rows, width)), requires_grad=True)
 
 
 def _lookup(name: str, table: Tensor, ids) -> Tensor:

@@ -139,7 +139,8 @@ class UserRows:
     the UID and CLS rows (ranks 0..m-2) and the target row is the one piece
     that depends on the candidate. ``visible_cross`` (B, k+m, G+m), for G
     merged rows, and ``visible_self`` (B, k+m, k+m) are ``build_mask`` over
-    the rows' orders (see ``LongRecModel.user_rows``) and cover every row,
+    the rows' orders and each user's first = G - g, the order of its first
+    event group (see ``LongRecModel.user_rows``), and cover every row,
     target last, so the target's visibility is their last row and every
     other row's is the rest. No row of one user sees a row of another. For
     one user every field lacks the leading B axis.
@@ -154,8 +155,11 @@ class UserRows:
 
 
 def _batch_axis(B: int) -> tuple:
-    """The leading shape of B samples' row blocks; none for one sample, since
-    small 3-D arrays cost NumPy ~10% more per op than 2-D ones."""
+    """The leading shape of B samples' row blocks; none for one sample. One
+    sample in the 3-D (1, rows, width) layout made ``score_request`` slower:
+    x1.032 serve-wide, x1.024 serve-long, x1.015 train-planted (medians of 20
+    interleaved in-process rounds each, slower in 48 of 60; 2-vCPU VM, one
+    BLAS thread)."""
     return (B,) if B > 1 else ()
 
 
@@ -243,18 +247,12 @@ class LongRecModel:
                              if cfg.merge_mode == "inner" else [])
         self.cross_block = BlockParams.create(cfg.D, rng)
         self.self_blocks = [BlockParams.create(cfg.D, rng) for _ in range(cfg.N)]
-        self.query_bank = (Tensor(rng.normal(0.0, 0.3, size=(cfg.k, cfg.D)),
-                                  requires_grad=True)
+        self.query_bank = (T.table(rng, cfg.k, cfg.D)
                            if cfg.query_strategy == "learnable" else None)
-        h_in = 4 * cfg.D + 2 * cfg.d
-        self.head_w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(h_in),
-                                         size=(h_in, cfg.head_hidden)),
-                              requires_grad=True)
-        self.head_b1 = Tensor(np.zeros(cfg.head_hidden), requires_grad=True)
-        self.head_w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(cfg.head_hidden),
-                                         size=(cfg.head_hidden, 1)),
-                              requires_grad=True)
-        self.head_b2 = Tensor(np.zeros(1), requires_grad=True)
+        self.head_w1 = T.weight(rng, 4 * cfg.D + 2 * cfg.d, cfg.head_hidden)
+        self.head_b1 = T.filled(cfg.head_hidden)
+        self.head_w2 = T.weight(rng, cfg.head_hidden, 1)
+        self.head_b2 = T.filled(1)
         self.param_version = 0
         self._fingerprint = None     # (param_version, digest) memo
 
@@ -346,9 +344,9 @@ class LongRecModel:
         features and the visibility of all k+m query rows.
 
         Every row has an order for ``build_mask``: merged row i has order i,
-        a learnable query G and global rank r G + 1 + r. A row is padding
-        exactly when its order is below its user's first = G - g, for a
-        history that fills g = ceil(n/K) groups: only merged rows can be.
+        a learnable query G and global rank r G + 1 + r. A history that
+        fills g = ceil(n/K) groups gives ``build_mask`` its user's first =
+        G - g, below which every row is padding: only merged rows can be.
         """
         cfg = self.cfg
         G, lead = cfg.merged_len, _batch_axis(len(histories))
@@ -361,14 +359,14 @@ class LongRecModel:
         q_order = np.concatenate([sel.order, np.broadcast_to(glob, lead + (cfg.m,))],
                                  axis=-1)
         k_order = np.concatenate([np.arange(G), glob])
-        first = (G - groups).reshape(lead + (1,))
+        first = (G - groups).reshape(lead)
         return UserRows(
             queries=T.reshape(sel.tokens, lead + (cfg.k, cfg.D)),
             merged=T.reshape(merged, lead + (G, cfg.D)),
             globals=T.reshape(nontarget_global_tokens(users, self.tables, cfg),
                               lead + (cfg.m - 1, cfg.D)),
-            visible_cross=build_mask(q_order, k_order, k_order < first),
-            visible_self=build_mask(q_order, q_order, q_order < first),
+            visible_cross=build_mask(q_order, k_order, first),
+            visible_self=build_mask(q_order, q_order, first),
             user_side=user_side_features(users, self.tables))
 
     def _layers(self, x: Tensor, keys: Tensor, visible: np.ndarray,
@@ -730,18 +728,13 @@ class SumPoolingModel:
         self.flat = _parameter_vector(
             cfg.vocab * cfg.d_item + cfg.n_actions * cfg.d_act
             + cfg.n_time_buckets * cfg.d_time + 2 * F * hidden + 2 * hidden + 1)
-        self.item_table = Tensor(rng.normal(0.0, 0.3, (cfg.vocab, cfg.d_item)),
-                                 requires_grad=True)
-        self.action_table = Tensor(rng.normal(0.0, 0.3, (cfg.n_actions, cfg.d_act)),
-                                   requires_grad=True)
-        self.time_table = Tensor(rng.normal(0.0, 0.3, (cfg.n_time_buckets, cfg.d_time)),
-                                 requires_grad=True)
-        self.head_w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(2 * F), (2 * F, hidden)),
-                              requires_grad=True)
-        self.head_b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.head_w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, 1)),
-                              requires_grad=True)
-        self.head_b2 = Tensor(np.zeros(1), requires_grad=True)
+        self.item_table = T.table(rng, cfg.vocab, cfg.d_item)
+        self.action_table = T.table(rng, cfg.n_actions, cfg.d_act)
+        self.time_table = T.table(rng, cfg.n_time_buckets, cfg.d_time)
+        self.head_w1 = T.weight(rng, 2 * F, hidden)
+        self.head_b1 = T.filled(hidden)
+        self.head_w2 = T.weight(rng, hidden, 1)
+        self.head_b2 = T.filled(1)
         _lay_out(self.params(), self.flat)
         self.param_version = 0
 

@@ -10,7 +10,9 @@ of a column of probabilities with one label per row, so a batch of
 samples' (B, 1) output is one loss. This is deliberately not a general
 autodiff engine: the op set is small, fixed, and auditable, and every
 backward is validated against central finite differences in the test
-suite.
+suite. The model's parameters are made here too, each from one draw of
+the caller's generator: ``weight`` (N(0, 1/fan_in)), ``table`` (N(0, 0.3^2))
+and ``filled`` (a zero bias or a unit gain).
 
 Leading axes: ``linear``, ``mlp``, ``layer_norm``, ``concat_cols`` and the
 elementwise ops act on the last axis and ``concat_rows`` on the rows axis
@@ -48,11 +50,12 @@ the counter reads more than the forward alone; forward-only counts are
 unchanged.
 
 Instrumentation: each matrix product of a forward adds its scalar
-multiply-accumulate operations (MACs) to the module-level ``counter``:
-``linear`` ``rows*p*q`` for (rows, p) x (p, q), every leading axis counting
-as rows, its bias add uncounted; ``mlp`` its two products likewise; and
-``attention`` ``2*rows*w*keys``, the scores and the weighted values, over
-every head. One MAC equals two FLOPs under the usual convention, so the
+multiply-accumulate operations (MACs) to the module-level ``counter``.
+``linear``'s product and ``mlp``'s two (and its recomputed first) all run
+through one helper, ``_product``, which counts ``rows*p*q`` for (rows, p) x
+(p, q), every leading axis counting as rows, bias adds uncounted; and
+``attention`` counts ``2*rows*w*keys``, the scores and the weighted values,
+over every head. One MAC equals two FLOPs under the usual convention, so the
 analysis module's per-layer FLOPs formulas are exactly twice the counts
 recorded here. Elementwise ops, normalizations, and softmax are not
 counted, matching the convention of the analytic cost formulas, and so
@@ -297,6 +300,23 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
+def weight(rng, fan_in: int, fan_out: int) -> Tensor:
+    """A trainable (fan_in, fan_out) matrix drawn from N(0, 1/fan_in)."""
+    return Tensor(rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out)),
+                  requires_grad=True)
+
+
+def table(rng, rows: int, width: int) -> Tensor:
+    """A trainable (rows, width) embedding table drawn from N(0, 0.3^2)."""
+    return Tensor(rng.normal(0.0, 0.3, size=(rows, width)), requires_grad=True)
+
+
+def filled(n: int, value: float = 0.0) -> Tensor:
+    """A trainable length-n vector of ``value``, a zero bias or a unit gain;
+    zeros by ``np.zeros``, which costs a quarter of ``np.full`` here."""
+    return Tensor(np.full(n, value) if value else np.zeros(n), requires_grad=True)
+
+
 def named_fields(obj, prefix: str = "") -> list:
     """(name, Tensor) of each field of dataclass ``obj`` in declaration order;
     a field that is not a Tensor is a nested dataclass, whose fields are
@@ -343,12 +363,11 @@ def checkpoint(fn) -> Tensor:
 # ----------------------------- arithmetic -----------------------------
 
 
-def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x2 @ w + b`` for a 2-D x2, counting rows*p*q MACs, as ``linear``."""
+def _product(x2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x2 @ w`` for a 2-D x2 (rows, p) and w (p, q), counting its
+    rows*p*q MACs: every counted product of ``linear`` and ``mlp``."""
     counter.add(x2.size * w.shape[1])
-    o = x2 @ w
-    o += b
-    return o
+    return x2 @ w
 
 
 def _check_affine(name: str, x_shape: tuple, w: Tensor, b: Tensor) -> None:
@@ -372,8 +391,7 @@ def linear(x, w, b) -> Tensor:
     _check_affine("linear", shape, w, b)
     q = wd.shape[1]
     x2 = xd if xd.ndim == 2 else xd.reshape(-1, wd.shape[0])
-    counter.add(x2.size * q)
-    o = x2 @ wd
+    o = _product(x2, wd)
     o += b.data
     out = Tensor(o if xd.ndim == 2 else o.reshape(shape[:-1] + (q,)))
     if _track(x, w, b):
@@ -549,13 +567,6 @@ forward and x0.894 for a recomputing forward and backward, at 262,144
 x0.833 and x0.729."""
 
 
-def _first_product(x2: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    """``x2 @ w1``, ``mlp``'s first product without its bias, counting its
-    rows*p*q MACs; each row tile adds the bias."""
-    counter.add(x2.size * w1.shape[1])
-    return x2 @ w1
-
-
 def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op, GELU being the
     tanh approximation ``0.5 * h * (1 + tanh(C * (h + A * (h * h * h))))``
@@ -568,7 +579,11 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     ``keep_hidden=False`` it keeps only x and recomputes the pre-activation
     and tanh as well, counting the first product's MACs again: the choice
     for a narrow x under a wide hidden layer, where that product is cheap
-    next to the two hidden-width buffers it frees.
+    next to the two hidden-width buffers it frees. The sequence MLP uses it
+    rather than one ``checkpoint`` of the whole event encoder, whose rerun
+    adds the second product: with that checkpoint a train epoch was slower
+    in 38 of 48 interleaved in-process rounds (x1.046 serve-wide, x1.055
+    serve-long, x1.023 train-planted; 2-vCPU VM, one BLAS thread).
 
     A (rows, hidden) block larger than ``MLP_TILE_ABOVE`` floats runs its
     elementwise work (the bias, the tanh chain, the GELU output and, in
@@ -594,7 +609,7 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     _check_affine("mlp", shape[:-1] + w1d.shape[1:], w2, b2)
     q = w2.data.shape[1]
     x2 = xd if xd.ndim == 2 else xd.reshape(-1, w1d.shape[0])
-    h = _first_product(x2, w1d)
+    h = _product(x2, w1d)                # each row tile adds the bias
     rows, width = h.shape
     step = max(1, rows if h.size <= MLP_TILE_ABOVE else MLP_TILE // width)
     tracked = _track(x, w1, b1, w2, b2)
@@ -610,7 +625,8 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
         else:
             t += 1.0
             ya *= t
-    o = _affine(y, w2.data, b2.data)
+    o = _product(y, w2.data)
+    o += b2.data
     out = Tensor(o if xd.ndim == 2 else o.reshape(shape[:-1] + (q,)))
     if tracked:
         xn, w1n, b1n, w2n, b2n = x.node, w1.node, b1.node, w2.node, b2.node
@@ -621,7 +637,7 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
             # The closure runs once, so it may overwrite the kept arrays:
             # each tile's pre-activation becomes its GELU output.
             g2 = g.reshape(-1, q)
-            h, t_all = hidden if hidden is not None else (_first_product(x2, w1d), None)
+            h, t_all = hidden if hidden is not None else (_product(x2, w1d), None)
             gh = g2 @ w2d.T if first else None
             for a in range(0, rows, step):
                 ha = h[a:a + step]

@@ -229,7 +229,7 @@ def test_criterion_5_mask_and_causality():
     k, m, D = 3, 3, 4
     blk = BlockParams.create(D, rng)
     order = np.arange(k + m)             # k sequence rows, then m globals
-    mask = build_mask(order, order, np.zeros(k + m, dtype=bool))
+    mask = build_mask(order, order, 0)
     x = rng.normal(size=(k + m, D))
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 10
@@ -246,7 +246,7 @@ def test_criterion_5_mask_and_causality():
     cb = self_block(Tensor(y2), causal, blk).data
     prefix_inv = (ca[:3] == cb[:3]).all()
 
-    full = build_mask(np.arange(n), np.arange(n), np.zeros(n, dtype=bool))
+    full = build_mask(np.arange(n), np.arange(n), 0)
     cx = attention_block(Tensor(y), Tensor(y), full, blk)[0].data
     sx = self_block(Tensor(y), full, blk).data
     reduction = np.abs(cx - sx).max()

@@ -26,24 +26,23 @@ def block(x_q, visible, params, heads=1, x_kv=None):
 
 def test_mask_reduces_to_lower_triangular():
     L = 5
-    mask = build_mask(np.arange(L), np.arange(L), np.zeros(L, dtype=bool))
+    mask = build_mask(np.arange(L), np.arange(L), 0)
     expected = np.tril(np.ones((L, L))) > 0
     np.testing.assert_array_equal(mask, expected)
 
 
-def mask_for_layout(n_seq_q, n_seq_k, m, pad_k=None):
+def mask_for_layout(n_seq_q, n_seq_k, m, first=0):
     """Sequence rows at positions 0, 1, ..., then m globals whose orders
-    (rank r at top + r) lie above every position."""
+    (rank r at top + r) lie above every position; the rows below ``first``
+    are pads."""
     top = max(n_seq_q, n_seq_k)
-    if pad_k is None:
-        pad_k = np.zeros(n_seq_k + m, dtype=bool)
     return build_mask(np.concatenate([np.arange(n_seq_q), top + np.arange(m)]),
                       np.concatenate([np.arange(n_seq_k), top + np.arange(m)]),
-                      pad_k)
+                      first)
 
 
 def test_target_global_sees_all_nonpad_keys():
-    mask = mask_for_layout(3, 4, 3, pad_k=[True, False, False, False] + [False] * 3)
+    mask = mask_for_layout(3, 4, 3, first=1)
     target_row = mask[-1]
     assert target_row[1:].all()
     assert not target_row[0]                   # the pad key stays hidden
@@ -63,13 +62,10 @@ def test_global_rank_ordering():
 
 
 def test_pad_keys_hidden():
-    pads = np.array([[True, True, False], [False, False, False]])
-    mask = build_mask([2, 2], [0, 1, 2], pads)
+    mask = build_mask([2, 2], [0, 1, 2], [2, 0])      # two pads, then none
     assert mask.shape == (2, 2, 3)
     np.testing.assert_array_equal(mask[0], [[False, False, True]] * 2)
     assert mask[1].all()
-    with pytest.raises(DimensionError):
-        build_mask([0, 1], [0, 1], [False])
 
 
 def test_pad_queries_see_nothing(tiny_cfg):
@@ -132,8 +128,7 @@ def test_cross_block_matches_per_query_loop_oracle():
     r = rng.normal(size=(n_keys + m, D))
     blk = make_block(D, 6)
     # Keys at positions 0..5, queries at 1, 3, 5, globals of rank r at 6 + r.
-    mask = build_mask(np.array([1, 3, 5, 6, 7]), np.arange(n_keys + m),
-                      np.zeros(n_keys + m, dtype=bool))
+    mask = build_mask(np.array([1, 3, 5, 6, 7]), np.arange(n_keys + m), 0)
 
     def ln(x, g, b):
         mu = x.mean(axis=-1, keepdims=True)
@@ -232,8 +227,7 @@ def test_sequence_rows_exactly_ignore_target_row():
     k, m, D = 3, 3, 4
     n = k + m
     blk = make_block(D, 14)
-    mask = build_mask(np.arange(n), np.arange(n),   # k sequence rows, m globals
-                      np.zeros(n, dtype=bool))
+    mask = build_mask(np.arange(n), np.arange(n), 0)  # k sequence rows, m globals
     x = rng.normal(size=(n, D))
     x2 = x.copy()
     x2[-1] = rng.normal(size=D) * 50.0
@@ -327,7 +321,7 @@ def test_rows_match_full_block_rows():
 
 
 def test_build_mask_is_boolean():
-    mask = build_mask([0, 1], [0, 1], [False, False])
+    mask = build_mask([0, 1], [0, 1], 0)
     assert mask.dtype == bool
     assert mask[1, 0] and not mask[0, 1]
 

@@ -292,6 +292,62 @@ def test_eval_poisoned_checkpoint_exit_3(tmp_path, model_cfg_path, dataset_path)
                  "--out", str(tmp_path / "e")]) == 3
 
 
+def test_score_non_finite_probability_exit_3(tmp_path, capsys, model_cfg_path,
+                                             dataset_path):
+    """A checkpoint that scores NaN is a numerical abort for ``score`` as for
+    ``eval``, not a response line holding NaN."""
+    main(["train", "--config", model_cfg_path, "--data", dataset_path,
+          "--out", str(tmp_path / "t"), "--epochs", "1"])
+    blob = bytearray((tmp_path / "t" / "checkpoint.bin").read_bytes())
+    blob[-8:] = struct.pack("<d", float("nan"))       # the head's output bias
+    poisoned = tmp_path / "poisoned.bin"
+    poisoned.write_bytes(bytes(blob))
+    rec = json.loads(Path(dataset_path).read_text().splitlines()[0])
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(json.dumps(
+        {"user_id": rec["user_features"]["uid"],
+         "candidates": [{"item_id": 1, "timestamp": rec["candidate"]["timestamp"]}]})
+        + "\n")
+    out = tmp_path / "s"
+    assert main(["score", "--checkpoint", str(poisoned), "--data", dataset_path,
+                 "--requests", str(requests), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite probability" in err and "Traceback" not in err
+    assert "NaN" not in (out / "responses.jsonl").read_text()
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and infinities, as RFC 8259 and strict
+    parsers such as jq do."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("case", ["train-undefined-auc", "sweep-failed-point"])
+def test_manifest_is_strict_json(tmp_path, gen_cfg_path, model_cfg_path, case):
+    """An undefined evaluation AUC (one held-out sample of six) and a failed
+    sweep point are written as null, so the manifest parses strictly."""
+    out = tmp_path / "out"
+    if case == "train-undefined-auc":
+        gen = tmp_path / "gen6.json"
+        gen.write_text(json.dumps({**GEN_CFG, "n_users": 6}))
+        assert main(["gen", "--config", str(gen), "--out", str(tmp_path / "g")]) == 0
+        assert main(["train", "--config", model_cfg_path, "--epochs", "1",
+                     "--data", str(tmp_path / "g" / "dataset.jsonl"),
+                     "--eval-fraction", "0.2", "--out", str(out)]) == 0
+        manifest = strict_json((out / "manifest.json").read_text())
+        assert manifest["outputs"]["final_auc"] is None
+    else:
+        sweep = {"axis": "depth", "grid": [0, 1], "epochs": 1, "generator": GEN_CFG,
+                 "model": {**MODEL_CFG, "k": 2}}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        failed = strict_json((out / "manifest.json").read_text())["outputs"]["rows"][0]
+        assert failed["auc"] is None and failed["x"] is None
+
+
 def test_eval_truncated_checkpoint_exit_2(tmp_path, model_cfg_path, dataset_path,
                                           capsys):
     train_out = tmp_path / "t"

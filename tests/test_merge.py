@@ -346,6 +346,40 @@ def test_pad_free_merge_matches_padded_grid_reference():
     assert [outputs(b) for b in (mixed, empty)] == want
 
 
+def test_blas_row_bits_do_not_depend_on_the_product_height():
+    """The BLAS property that ``test_pad_free_merge_matches_padded_grid_reference``
+    rests on, at its shapes: each product of an inner block (the four
+    projections, the FFN's two products and the attention's per-group scores
+    and weighted values) run over the groups that hold events gives every
+    row the bits that the same product over all G groups of each sample
+    gives it. That holds for its batch, for each sample alone (``score`` and
+    the cache) and for each ``evaluate`` chunk. On a BLAS build without the
+    property this test fails and names it, so the bitwise merge tests'
+    failure there is the BLAS's, not the model's."""
+    cfg = PAD_FREE_CFG
+    K, L, d = cfg.K, cfg.L, cfg.d
+    lengths = [0, 1, K - 1, K + 1, L, L + 7]
+    step = cfg.batch_size
+    batches = ([lengths] + [[n] for n in lengths]
+               + [lengths[i:i + step] for i in range(0, len(lengths), step)])
+    rng = np.random.default_rng(15)
+    for batch in batches:
+        groups = np.flatnonzero(~pad_groups(np.minimum(batch, L), cfg).reshape(-1))
+        rows = (groups[:, None] * K + np.arange(K)).ravel()
+        tall = len(batch) * cfg.merged_len             # groups in the padded grid
+        pairs = [(rng.normal(size=(tall * K, p)), rng.normal(size=(p, q)), rows)
+                 for p, q in ((d, d), (d, 4 * d), (4 * d, d))]
+        pairs += [(rng.normal(size=(tall, 1, K, p)), rng.normal(size=(tall, 1, p, q)),
+                   groups) for p, q in ((d, K), (K, d))]
+        for x, w, keep in pairs:
+            short = x[keep] @ (w if w.ndim == 2 else w[keep])
+            assert np.array_equal(short, (x @ w)[keep]), (
+                f"BLAS row-block property: rows of {x[keep].shape} @ {w.shape[-2:]} "
+                f"differ from the same rows of {x.shape} @ {w.shape[-2:]}, so "
+                f"bitwise comparisons across product heights fail on this BLAS "
+                f"build with the model correct")
+
+
 def test_pad_free_merge_counts_the_analytic_macs():
     """On a mixed batch the counted MACs of ``forward_tensor``, ``evaluate``
     and ``score_request`` equal the analytic model, whose inner term counts
