@@ -397,6 +397,83 @@ def test_attention_matches_per_query_loop_oracle(heads):
         assert (out[..., 1, :] == 0.0).all()
 
 
+def straight_line_attention(q, k, v, visible, heads, g, prefix=None):
+    """The composition ``T.attention``'s docstring claims, one 2-D head at a
+    time: scale, score product (under ``prefix``, the prefix product and each
+    row's dot product with its own key), masked fill, max-subtract, exp,
+    sum, divide and weighted values, then the backward of that composition
+    for the output gradient ``g``. Returns the output and the gradients of
+    q, k and v."""
+    out, gq, gk, gv = (np.zeros(a.shape) for a in (q, q, k, v))
+    dh = q.shape[-1] // heads
+    scale = 1.0 / math.sqrt(dh)
+    for lead in np.ndindex(*q.shape[:-2]):
+        for h in range(heads):
+            c = slice(h * dh, (h + 1) * dh)
+            qs = q[lead][:, c] * scale
+            kh, vh = np.ascontiguousarray(k[lead][:, c]), np.ascontiguousarray(v[lead][:, c])
+            gh = g[lead][:, c]
+            if prefix is None:
+                keys, vals = kh, vh
+                s = qs @ keys.T
+            else:
+                keys, vals = (np.ascontiguousarray(a[:, c]) for a in prefix)
+                own = np.array([[qs[i] @ kh[i]] for i in range(len(qs))])
+                s = np.concatenate([qs @ keys.T, own], axis=1)
+            n = len(keys)
+            s = np.where(visible[lead], s, -np.inf)
+            top = s.max(axis=1, keepdims=True)
+            e = np.exp(s - np.where(np.isfinite(top), top, 0.0))
+            z = e.sum(axis=1, keepdims=True)
+            p = e / np.where(z > 0, z, 1.0)          # a row that sees nothing: zeros
+            ctx = p[:, :n] @ vals
+            gp = gh @ vals.T
+            if prefix is not None:
+                ctx = ctx + p[:, n:] * vh
+                gp = np.concatenate(
+                    [gp, np.array([[gh[i] @ vh[i]] for i in range(len(gh))])], axis=1)
+            gs = p * (gp - (gp * p).sum(axis=1, keepdims=True))
+            gq_h = gs[:, :n] @ keys
+            if prefix is None:
+                gk_h, gv_h = gs.T @ qs, p.T @ gh
+            else:
+                gq_h = gq_h + gs[:, n:] * kh
+                gk_h, gv_h = gs[:, n:] * qs, p[:, n:] * gh
+            out[lead][:, c], gq[lead][:, c] = ctx, gq_h * scale
+            gk[lead][:, c], gv[lead][:, c] = gk_h, gv_h
+    return out, gq, gk, gv
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_bitwise_equals_straight_line(heads):
+    """Forward and all three input gradients equal the per-head straight
+    line bitwise: 2-D and batched rows, and the prefix case at 1 and 4 rows
+    with a (rows, p + 1) visibility. Each visibility has a row that sees
+    nothing and one that sees every key."""
+    rng = np.random.default_rng(60 + heads)
+    w, n = 8, 6
+    prefix = (rng.normal(size=(n, w)), rng.normal(size=(n, w)))
+    cases = [((), 4, 5, None), ((3,), 4, 5, None), ((), 4, 4, prefix),
+             ((), 1, 1, prefix)]
+    for lead, rows, keys, pre in cases:
+        q = rng.normal(size=lead + (rows, w))
+        k, v = (rng.normal(size=lead + (keys, w)) for _ in "kv")
+        visible = rng.random(lead + (rows, keys if pre is None else n + 1)) < 0.6
+        visible[..., 0, :] = True
+        if rows > 1:
+            visible[..., 1, :] = False
+        g = rng.normal(size=q.shape)
+        want = straight_line_attention(q, k, v, visible, heads, g, pre)
+        qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+        with T.tape():
+            out = T.attention(qt, kt, vt, visible, heads, pre)
+            out.backward(g)
+        for got, ref in zip((out.data, qt.grad, kt.grad, vt.grad), want):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(T.attention(q, k, v, visible, heads, pre).data,
+                                      want[0])
+
+
 def test_attention_counts_its_two_products():
     """2 * rows * w * keys MACs, every leading axis counting as rows, and
     2 * c * w * (p + 1) for c rows over a p-row prefix."""
