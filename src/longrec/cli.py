@@ -105,7 +105,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:     # too deeply nested
+    except (ValueError, RecursionError) as exc:  # bad JSON, too deep, a huge int
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 

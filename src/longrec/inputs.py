@@ -367,7 +367,7 @@ def load_dataset(path: str) -> Dataset:
         try:
             rec = json.loads(line)
             samples.append(Sample.from_json_dict(rec).validate())
-        except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"malformed dataset record: {exc}") from exc
     return Dataset(samples)
 

@@ -378,34 +378,55 @@ def test_eval_oversized_checkpoint_config_exit_2(tmp_path, dataset_path, capsys)
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000       # past the parser's recursion limit
+HUGE_INT_JSON = "[" + "9" * 5_000 + "]"           # past int()'s 4,300-digit limit
+
+
+def parse_site_exit(tmp_path, capsys, model_cfg_path, dataset_path, site, text):
+    """``main``'s exit code and stderr with ``text`` as the JSON read at one
+    parse site: the config, a dataset line, a checkpoint header or a score
+    request."""
+    doc, out = tmp_path / "doc", str(tmp_path / "out")
+    if site == "checkpoint":
+        header = text.encode()
+        doc.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header)
+    else:
+        doc.write_text(text + "\n")
+    if site == "requests":
+        main(["train", "--config", model_cfg_path, "--data", dataset_path,
+              "--out", str(tmp_path / "t"), "--epochs", "1"])
+    argv = {
+        "config": ["train", "--config", str(doc), "--data", dataset_path],
+        "data": ["train", "--config", model_cfg_path, "--data", str(doc)],
+        "checkpoint": ["eval", "--checkpoint", str(doc), "--data", dataset_path],
+        "requests": ["score", "--checkpoint", str(tmp_path / "t" / "checkpoint.bin"),
+                     "--data", dataset_path, "--requests", str(doc)],
+    }[site]
+    capsys.readouterr()
+    code = main(argv + ["--out", out])
+    return code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("site", ["config", "data", "checkpoint", "requests"])
 def test_deeply_nested_json_exit_2(tmp_path, capsys, model_cfg_path, dataset_path,
                                    site):
     """A JSON document nested deeper than the parser can recurse is a config
-    error at every parse site: the config, a dataset line, a checkpoint
-    header and a score request."""
-    deep, out = tmp_path / "deep", str(tmp_path / "out")
-    if site == "checkpoint":
-        header = DEEP_JSON.encode()
-        deep.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header)
-    else:
-        deep.write_text(DEEP_JSON + "\n")
-    if site == "requests":
-        main(["train", "--config", model_cfg_path, "--data", dataset_path,
-              "--out", str(tmp_path / "t"), "--epochs", "1"])
-    argv = {
-        "config": ["train", "--config", str(deep), "--data", dataset_path],
-        "data": ["train", "--config", model_cfg_path, "--data", str(deep)],
-        "checkpoint": ["eval", "--checkpoint", str(deep), "--data", dataset_path],
-        "requests": ["score", "--checkpoint", str(tmp_path / "t" / "checkpoint.bin"),
-                     "--data", dataset_path, "--requests", str(deep)],
-    }[site]
-    capsys.readouterr()
-    assert main(argv + ["--out", out]) == 2
-    err = capsys.readouterr().err
+    error at every parse site."""
+    code, err = parse_site_exit(tmp_path, capsys, model_cfg_path, dataset_path, site,
+                                DEEP_JSON)
+    assert code == 2
     assert "recursion" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("site", ["config", "data", "checkpoint", "requests"])
+def test_json_integer_past_the_digit_limit_exit_2(tmp_path, capsys, model_cfg_path,
+                                                   dataset_path, site):
+    """An integer literal longer than Python converts (a ValueError that is
+    no JSONDecodeError) is a config error at every parse site; the config and
+    dataset sites used to exit 1 with a traceback."""
+    code, err = parse_site_exit(tmp_path, capsys, model_cfg_path, dataset_path, site,
+                                HUGE_INT_JSON)
+    assert code == 2
+    assert "digits" in err and "Traceback" not in err
 
 
 def rewrite_header(path, **fields):

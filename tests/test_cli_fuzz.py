@@ -1,6 +1,7 @@
 """Outside inputs under fuzzing through ``cli.main``: damaged checkpoints
-through ``eval`` and ``score``, and arbitrary JSON lines as ``score``
-requests. Every run ends in a contract exit code (0, 2, 3 or 4) with no
+through ``eval`` and ``score``, arbitrary JSON lines as ``score``
+requests, and damaged or generated dataset lines through ``train``,
+``eval`` and ``score``. Every run ends in a contract exit code (0, 2, 3 or 4) with no
 traceback, and a run that succeeds writes only strict JSON.
 
 Derandomized with a bounded example count, so the suite stays deterministic
@@ -117,3 +118,103 @@ def test_fuzzed_score_requests_exit_by_contract(trained, data):
         (work / "requests.jsonl").write_text("\n".join(lines) + "\n")
         run(["score", "--checkpoint", str(work / "model.bin"), "--data",
              trained["data"], "--requests", str(work / "requests.jsonl")], work)
+
+
+HUGE = "an integer literal past int()'s 4,300-digit limit"
+FIELDS = {"events": None, "user_features": ("uid", "profile_bucket"),
+          "candidate": ("item_id", "timestamp"), "label": None}
+
+
+def base_lines(path) -> list:
+    """Four lines of the generated dataset, both labels among them, so that
+    ``train``, ``eval`` and ``score`` all succeed on them undamaged."""
+    lines = Path(path).read_text().splitlines()
+    label = [json.loads(line)["label"] for line in lines]
+    return ([x for x, y in zip(lines, label) if y == 0][:1]
+            + [x for x, y in zip(lines, label) if y == 1][:3])
+
+
+@st.composite
+def dataset_bytes(draw, lines):
+    """A damaged copy of the valid JSONL ``lines``: truncated, with bytes
+    flipped, or with one line whose record has a field (or an event's field)
+    replaced by generated JSON or an over-long integer literal, or deleted,
+    or that is any JSON value."""
+    raw = ("\n".join(lines) + "\n").encode()
+    kind = draw(st.sampled_from(["truncate", "flip", "field", "value"]), label="kind")
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1), label="cut")]
+    if kind == "flip":
+        blob = bytearray(raw)
+        for _ in range(draw(st.integers(1, 4), label="flips")):
+            blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(blob)
+    at = draw(st.integers(0, len(lines) - 1), label="line")
+    if kind == "value":
+        new = draw(JSON_VALUES)
+    else:
+        new = json.loads(lines[at])
+        key = draw(st.sampled_from(sorted(FIELDS)), label="field")
+        owner, inner = new, FIELDS[key]
+        if key == "events" and new["events"] and draw(st.booleans(), label="in event"):
+            owner = draw(st.sampled_from(new["events"]), label="event")
+            inner = ("item_id", "action_type", "timestamp")
+        if inner is not None and owner is new:
+            owner = new[key]
+        if inner is not None:
+            key = draw(st.sampled_from(inner), label="inner")
+        if draw(st.booleans(), label="delete"):
+            del owner[key]
+        else:
+            owner[key] = draw(INTS | JSON_VALUES | st.just(HUGE), label="value")
+    out = list(lines)
+    out[at] = json.dumps(new).replace(json.dumps(HUGE), "9" * draw(
+        st.integers(4_301, 4_400), label="digits"))
+    return ("\n".join(out) + "\n").encode()
+
+
+def run_on_dataset(command: str, blob: bytes, trained, request: dict) -> int:
+    """``command`` with ``--data`` holding ``blob``: ``train`` from a config,
+    ``eval`` and ``score`` from the trained checkpoint, ``score`` with the
+    one ``request``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "dataset.jsonl").write_bytes(blob)
+        (work / "model.json").write_text(json.dumps(MODEL_CFG))
+        (work / "model.bin").write_bytes(trained["checkpoint"])
+        (work / "requests.jsonl").write_text(json.dumps(request) + "\n")
+        argv = [command, "--data", str(work / "dataset.jsonl")]
+        if command == "train":
+            argv += ["--config", str(work / "model.json"), "--epochs", "1"]
+        else:
+            argv += ["--checkpoint", str(work / "model.bin")]
+        if command == "score":
+            argv += ["--requests", str(work / "requests.jsonl")]
+        return run(argv, work)
+
+
+def request_for(line: str) -> dict:
+    """A one-candidate request for the user of dataset ``line``."""
+    rec = json.loads(line)
+    return {"user_id": rec["user_features"]["uid"],
+            "candidates": [{"item_id": 1, "timestamp": rec["candidate"]["timestamp"]}]}
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "score"])
+def test_undamaged_fuzz_dataset_succeeds(trained, command):
+    """The dataset the fuzzing below damages runs clean through each command,
+    so a damaged copy fails for its damage, not for its base."""
+    lines = base_lines(trained["data"])
+    blob = ("\n".join(lines) + "\n").encode()
+    assert run_on_dataset(command, blob, trained, request_for(lines[0])) == 0
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_dataset_bytes_exit_by_contract(trained, data):
+    """Every command that reads ``--data`` (``inputs.load_dataset``) ends by
+    contract on a damaged dataset."""
+    lines = base_lines(trained["data"])
+    blob = data.draw(dataset_bytes(lines), label="dataset")
+    command = data.draw(st.sampled_from(["train", "eval", "score"]), label="command")
+    run_on_dataset(command, blob, trained, request_for(lines[0]))
