@@ -115,10 +115,11 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
     heads divide the width). ``prefix_kv``, a pair of already-projected
     (keys, values) arrays, makes every row of a 2-D ``x_q`` an independent
     target (so ``x_kv`` must be ``x_q``): row i sees the prefix rows and its
-    own key row only, through ``visible``, the target's (1, prefix + 1)
-    visibility row. Its scores are [q_i K_prefix^T | q_i k_i] and its context
-    P_prefix V_prefix + p_i v_i, with no score between two query rows, so
-    each row agrees to rounding with a full pass over prefix + that row.
+    own key row only, through ``visible``, the one (1, prefix + 1) row all
+    targets share, which ``T.attention`` broadcasts in its masked fill. Its
+    scores are [q_i K_prefix^T | q_i k_i] and its context P_prefix V_prefix
+    + p_i v_i, with no score between two query rows, so each row agrees to
+    rounding with a full pass over prefix + that row.
 
     ``rows``, a 1-D list of row indices (``T.gather_rows`` checks them),
     computes only those output rows of each sample in a self-attention
@@ -140,7 +141,6 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
         if x_kv is not x_q or np.shape(visible) != want:
             raise DimensionError(f"prefix_kv scoring takes a block of rows, each its "
                                  f"own key, and a {want} visibility row")
-        visible = np.broadcast_to(visible, x_q.shape[:-1] + want[1:])
     qn = T.layer_norm(x_q, params.ln1_g, params.ln1_b)
     kn = qn if x_kv is x_q else T.layer_norm(x_kv, params.ln1_g, params.ln1_b)
     if rows is not None:

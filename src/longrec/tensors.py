@@ -106,6 +106,7 @@ from .errors import DimensionError
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _PROB_EPS = 1e-12
+_F64 = np.dtype(np.float64)           # one object: every float64 array's dtype
 _LN_EPS = 1e-12
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3      # glibc <malloc.h>
@@ -228,7 +229,8 @@ class Tensor:
     __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = data if type(data) is np.ndarray and data.dtype is _F64 \
+            else np.asarray(data, dtype=np.float64)
         self.node = _Node() if requires_grad else None
 
     @property
@@ -371,10 +373,10 @@ def _product(x2: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _check_affine(name: str, x_shape: tuple, w: Tensor, b: Tensor) -> None:
-    if len(x_shape) < 2 or w.data.ndim != 2 or x_shape[-1] != w.shape[0] \
-            or b.shape != (w.shape[1],):
+    ws, bs = w.data.shape, b.data.shape
+    if len(x_shape) < 2 or len(ws) != 2 or x_shape[-1] != ws[0] or bs != ws[1:]:
         raise DimensionError(f"{name} needs x (..., p), w (p, q) and b (q,), "
-                             f"got {x_shape}, {w.shape} and {b.shape}")
+                             f"got {x_shape}, {ws} and {bs}")
 
 
 def linear(x, w, b) -> Tensor:
@@ -486,8 +488,8 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
     if _track(x):
         xn = x.node
@@ -567,6 +569,16 @@ forward and x0.894 for a recomputing forward and backward, at 262,144
 x0.833 and x0.729."""
 
 
+def _tiles(step: int, *arrays) -> list:
+    """The arrays' row tiles of ``step`` rows, one tuple per tile (None stays
+    None): the arrays themselves when one tile holds every row."""
+    rows = len(arrays[0])
+    if step >= rows:
+        return [arrays]
+    return [tuple(None if x is None else x[a:a + step] for x in arrays)
+            for a in range(0, rows, step)]
+
+
 def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op, GELU being the
     tanh approximation ``0.5 * h * (1 + tanh(C * (h + A * (h * h * h))))``
@@ -610,21 +622,15 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     q = w2.data.shape[1]
     x2 = xd if xd.ndim == 2 else xd.reshape(-1, w1d.shape[0])
     h = _product(x2, w1d)                # each row tile adds the bias
-    rows, width = h.shape
-    step = max(1, rows if h.size <= MLP_TILE_ABOVE else MLP_TILE // width)
+    step = max(1, len(h) if h.size <= MLP_TILE_ABOVE else MLP_TILE // h.shape[1])
     tracked = _track(x, w1, b1, w2, b2)
     keep = tracked and keep_hidden
     t_all, y = (np.empty_like(h), np.empty_like(h)) if keep else (None, h)
-    for a in range(0, rows, step):
-        ha = h[a:a + step]
+    for ha, ta, ya in _tiles(step, h, t_all, y):
         ha += b1d
-        t = _gelu_tanh(ha, None if t_all is None else t_all[a:a + step])
-        ya = np.multiply(ha, 0.5, out=y[a:a + step])
-        if keep:
-            ya *= 1.0 + t
-        else:
-            t += 1.0
-            ya *= t
+        t = _gelu_tanh(ha, ta)
+        ya = np.multiply(ha, 0.5, out=ya)
+        ya *= 1.0 + t if keep else np.add(t, 1.0, out=t)  # kept tanh stays intact
     o = _product(y, w2.data)
     o += b2.data
     out = Tensor(o if xd.ndim == 2 else o.reshape(shape[:-1] + (q,)))
@@ -639,15 +645,12 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
             g2 = g.reshape(-1, q)
             h, t_all = hidden if hidden is not None else (_product(x2, w1d), None)
             gh = g2 @ w2d.T if first else None
-            for a in range(0, rows, step):
-                ha = h[a:a + step]
-                if t_all is None:
+            for ha, t, ga in _tiles(step, h, t_all, gh):
+                if t is None:
                     ha += b1d
                     t = _gelu_tanh(ha)
-                else:
-                    t = t_all[a:a + step]
-                if gh is not None:
-                    _gelu_grad(ha, t, gh[a:a + step])
+                if ga is not None:
+                    _gelu_grad(ha, t, ga)
                 t += 1.0
                 ha *= 0.5
                 ha *= t
@@ -669,14 +672,32 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
 
 
 def _split(x: np.ndarray, heads: int) -> np.ndarray:
-    """(..., rows, w) viewed as (..., heads, rows, w / heads)."""
-    return np.swapaxes(x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)), -2, -3)
+    """(..., rows, w) viewed as (..., heads, rows, w / heads): at one head a
+    new axis, else a reshape and a swap of the head and row axes."""
+    if heads == 1:
+        return x[..., None, :, :]
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
 
 
 def _join(x: np.ndarray) -> np.ndarray:
-    """(..., heads, rows, dh) as (..., rows, heads * dh)."""
-    x = np.swapaxes(x, -2, -3)
-    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    """(..., heads, rows, dh) viewed as (..., rows, heads * dh) where it can
+    be (always at one head, where the head axis is dropped), else copied."""
+    if x.shape[-3] == 1:
+        return x[..., 0, :, :]
+    return x.swapaxes(-2, -3).reshape(x.shape[:-3] + (x.shape[-2], -1))
+
+
+def _scores(a: np.ndarray, keys: np.ndarray, own=None) -> np.ndarray:
+    """``a @ keys^T``; with ``own`` (the prefix case) one more column, each
+    row's dot product with its own row of ``own``, both products written
+    into one (..., rows, keys + 1) array with their standalone bits."""
+    if own is None:
+        return a @ keys.swapaxes(-1, -2)
+    n = keys.shape[-2]
+    out = np.empty(a.shape[:-1] + (n + 1,))
+    np.matmul(a, keys.swapaxes(-1, -2), out=out[..., :n])
+    np.matmul(a[..., None, :], own[..., None], out=out[..., n:, None])
+    return out
 
 
 def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
@@ -691,8 +712,10 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
 
     ``prefix``, (p, w) key and value arrays that take no gradient, makes
     each row of a 2-D q its own query over the prefix rows and its own k
-    and v row (``visible`` is (rows, p + 1)): row i scores [q_i K_p^T |
-    q_i . k_i], and its context is P_p V_p + p_i v_i.
+    and v row: row i scores [q_i K_p^T | q_i . k_i], and its context is
+    P_p V_p + p_i v_i. ``visible`` is then (rows, p + 1), or the one
+    (1, p + 1) row that every row shares (the cached targets' visibility),
+    which the masked fill broadcasts.
 
     Counts 2*rows*w*keys MACs (keys = p + 1 with a prefix), those of the
     per-head products. The arithmetic is that of the per-head products and
@@ -703,41 +726,40 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
     vis = np.asarray(visible)
     if vis.dtype != np.bool_:
         raise DimensionError(f"visibility must be a bool array, got {vis.dtype}")
-    shape, cached = q.shape, prefix is not None
+    qd, kd, vd = q.data, k.data, v.data
+    shape, cached = qd.shape, prefix is not None
     if cached:
-        prefix = [np.asarray(a, dtype=np.float64) for a in prefix]
-        n = prefix[0].shape[0] if prefix[0].ndim == 2 else 0
-        ok = len(shape) == 2 and k.shape == v.shape == shape \
-            and prefix[0].shape == prefix[1].shape == (n, shape[-1])
+        keys, vals = prefix
+        n = keys.shape[0] if keys.ndim == 2 else 0
+        ok = len(shape) == 2 and kd.shape == vd.shape == shape \
+            and keys.shape == vals.shape == (n, shape[-1])
     else:
-        ok = len(shape) >= 2 and k.shape == v.shape \
-            and k.shape[:-2] + k.shape[-1:] == shape[:-2] + shape[-1:]
-        n = k.shape[-2] if ok else 0
+        ok = len(shape) >= 2 and kd.shape == vd.shape \
+            and kd.shape[:-2] + kd.shape[-1:] == shape[:-2] + shape[-1:]
+        n = kd.shape[-2] if ok else 0
     if not ok or heads < 1 or shape[-1] % heads:
         raise DimensionError(
             f"attention needs q (..., rows, w), k and v (..., keys, w) (q's shape "
-            f"with a (p, w) prefix) and heads dividing w, got {shape}, {k.shape}, "
-            f"{v.shape} and heads={heads}")
+            f"with a (p, w) prefix) and heads dividing w, got {shape}, {kd.shape}, "
+            f"{vd.shape} and heads={heads}")
     want = shape[:-1] + (n + cached,)
-    if vis.shape != want:
+    if vis.shape != want and not (cached and vis.shape == (1, n + 1)):
         raise DimensionError(f"visibility shape {vis.shape} != {want}")
     scale = 1.0 / math.sqrt(shape[-1] // heads)
-    qs = np.multiply(_split(q.data, heads), scale, order="C")
-    kh, vh = (np.ascontiguousarray(_split(t.data, heads)) for t in (k, v))
-    keys, vals = (_split(a, heads) for a in prefix) if cached else (kh, vh)
-    p = qs @ np.swapaxes(keys, -1, -2)        # the scores, then in place the weights
-    if cached:                                # each row's own key: one dot product
-        p = np.concatenate([p, (qs[..., None, :] @ kh[..., None])[..., 0]], axis=-1)
-    counter.add(2 * q.data.size * p.shape[-1])
+    qs = np.multiply(_split(qd, heads), scale, order="C")
+    kh, vh = (np.ascontiguousarray(_split(a, heads)) for a in (kd, vd))
+    keys, vals = (_split(keys, heads), _split(vals, heads)) if cached else (kh, vh)
+    p = _scores(qs, keys, kh if cached else None)   # then in place the weights
+    counter.add(2 * qd.size * p.shape[-1])
     np.copyto(p, -np.inf, where=~vis[..., None, :, :])
     rowmax = p.max(axis=-1, keepdims=True)
-    finite = np.isfinite(rowmax)
-    if not finite.all():                                 # fully-masked guard
-        rowmax = np.where(finite, rowmax, 0.0)
+    seen = np.isfinite(rowmax).all()    # then every row's sum is at least 1
+    if not seen:                                         # fully-masked guard
+        rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
     p -= rowmax
     np.exp(p, out=p)
     s = p.sum(axis=-1, keepdims=True)
-    np.divide(p, s, out=p, where=s > 0)
+    np.divide(p, s, out=p, where=True if seen else s > 0)
     ctx = p[..., :n] @ vals
     if cached:
         ctx += p[..., n:] * vh
@@ -752,14 +774,11 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
         def bw(g):
             gh = _split(g, heads)
             if vn is not None:
-                gv = p[..., n:] * gh if cached else np.swapaxes(p, -1, -2) @ gh
+                gv = p[..., n:] * gh if cached else p.swapaxes(-1, -2) @ gh
                 vn.accumulate(_join(gv), owned=True)
             if not to_scores:
                 return
-            gp = gh @ np.swapaxes(vals, -1, -2)
-            if cached:
-                gp = np.concatenate([gp, (gh[..., None, :] @ vh[..., None])[..., 0]],
-                                    axis=-1)
+            gp = _scores(gh, vals, vh if cached else None)
             gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
             if qn is not None:
                 gq = gs[..., :n] @ keys
@@ -768,7 +787,7 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
                 gq *= scale
                 qn.accumulate(_join(gq), owned=True)
             if kn is not None:
-                gk = gs[..., n:] * qs if cached else np.swapaxes(gs, -1, -2) @ qs
+                gk = gs[..., n:] * qs if cached else gs.swapaxes(-1, -2) @ qs
                 kn.accumulate(_join(gk), owned=True)
         _attach(out, bw)
     return out

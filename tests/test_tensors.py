@@ -1,5 +1,6 @@
 """Kernel ops against independent oracles and finite differences."""
 
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import fd_check, readout
 from longrec import tensors as T
+from longrec.config import ModelConfig
 from longrec.errors import DimensionError
 from longrec.tensors import Tensor
 
@@ -448,20 +450,23 @@ def straight_line_attention(q, k, v, visible, heads, g, prefix=None):
 def test_attention_bitwise_equals_straight_line(heads):
     """Forward and all three input gradients equal the per-head straight
     line bitwise: 2-D and batched rows, and the prefix case at 1 and 4 rows
-    with a (rows, p + 1) visibility. Each visibility has a row that sees
-    nothing and one that sees every key."""
+    with a (rows, p + 1) visibility or the one (1, p + 1) row they share.
+    A visibility of several rows has one that sees nothing and one that sees
+    every key."""
     rng = np.random.default_rng(60 + heads)
     w, n = 8, 6
     prefix = (rng.normal(size=(n, w)), rng.normal(size=(n, w)))
-    cases = [((), 4, 5, None), ((3,), 4, 5, None), ((), 4, 4, prefix),
-             ((), 1, 1, prefix)]
-    for lead, rows, keys, pre in cases:
+    cases = [((), 4, 5, None, 4), ((3,), 4, 5, None, 4), ((), 4, 4, prefix, 4),
+             ((), 4, 4, prefix, 1), ((), 1, 1, prefix, 1)]
+    for lead, rows, keys, pre, vis_rows in cases:
         q = rng.normal(size=lead + (rows, w))
         k, v = (rng.normal(size=lead + (keys, w)) for _ in "kv")
-        visible = rng.random(lead + (rows, keys if pre is None else n + 1)) < 0.6
+        visible = rng.random(lead + (vis_rows, keys if pre is None else n + 1)) < 0.6
         visible[..., 0, :] = True
-        if rows > 1:
+        if vis_rows > 1:
             visible[..., 1, :] = False
+        else:
+            visible[0, 2] = False
         g = rng.normal(size=q.shape)
         want = straight_line_attention(q, k, v, visible, heads, g, pre)
         qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
@@ -472,6 +477,37 @@ def test_attention_bitwise_equals_straight_line(heads):
             np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(T.attention(q, k, v, visible, heads, pre).data,
                                       want[0])
+
+
+def test_blas_product_bits_do_not_depend_on_the_output_buffer():
+    """The NumPy/BLAS property that the prefix case of ``T.attention`` rests
+    on, at the serving shapes: a product written with ``out=`` into the
+    leading columns of a wider (1, rows, p + 1) buffer, and each row's dot
+    product with its own key written into the last column, have the bits of
+    the same products standalone (the stacked and the 2-D product, and the
+    1-D dot product). Rows are 1, 2 and 100 targets; p the G + m - 1 cross
+    and k + m - 1 self prefix rows of the default and serve-long configs;
+    widths d, and D at one and two heads. On a BLAS build without the
+    property this test fails and names it, so a failing bitwise attention
+    test there is the BLAS's, not the model's."""
+    rng = np.random.default_rng(46)
+    prefixes = sorted({n for cfg in (ModelConfig(), ModelConfig(L=1024, k=32))
+                       for n in (cfg.merged_len + cfg.m - 1, cfg.k + cfg.m - 1)})
+    for rows, n, w in itertools.product((1, 2, 100), prefixes, (8, 16, 32)):
+        a, own = rng.normal(size=(1, rows, w)), rng.normal(size=(1, rows, w))
+        keys_t = rng.normal(size=(1, n, w)).swapaxes(-1, -2)
+        wide = np.full((1, rows, n + 1), np.nan)
+        np.matmul(a, keys_t, out=wide[..., :n])
+        np.matmul(a[..., None, :], own[..., None], out=wide[..., n:, None])
+        dots = np.array([[a[0, i] @ own[0, i]] for i in range(rows)])
+        ok = (np.array_equal(wide[..., :n], a @ keys_t)
+              and np.array_equal(wide[0, :, :n], a[0] @ keys_t[0])
+              and np.array_equal(wide[..., n:], (a[..., None, :] @ own[..., None])[..., 0])
+              and np.array_equal(wide[0, :, n:], dots))
+        assert ok, (f"BLAS output-buffer property: ({rows}, {w}) @ ({w}, {n}) or the "
+                    f"row dot products written into a ({rows}, {n + 1}) buffer differ "
+                    f"from the standalone products, so bitwise comparisons of "
+                    f"cached scoring fail on this BLAS build with the model correct")
 
 
 def test_attention_counts_its_two_products():
@@ -488,6 +524,9 @@ def test_attention_counts_its_two_products():
 
 
 def test_attention_shape_validation():
+    """Mismatched shapes raise. Under a prefix of p rows the visibility is
+    (rows, p + 1) or the one (1, p + 1) row, which gives the bits of its
+    broadcast; no other visibility shape passes, with or without a prefix."""
     q, kv, vis = np.zeros((2, 6)), np.zeros((3, 6)), np.ones((2, 3), dtype=bool)
     for args, kwargs in [((q, kv, np.zeros((3, 4)), vis), {}),          # v differs
                          ((q, np.zeros((3, 4)), np.zeros((3, 4)), vis), {}),  # width
@@ -499,6 +538,18 @@ def test_attention_shape_validation():
                           {"prefix": (np.zeros((2, 4)),) * 2})]:
         with pytest.raises(DimensionError):
             T.attention(*args, **kwargs)
+    rng = np.random.default_rng(44)
+    q, prefix = rng.normal(size=(3, 6)), (rng.normal(size=(4, 6)),) * 2
+    row = np.array([[True, False, True, True, True]])
+    np.testing.assert_array_equal(T.attention(q, q, q, row, 2, prefix).data,
+                                  T.attention(q, q, q, row.repeat(3, 0), 2, prefix).data)
+    for shape in [(1, 4), (1, 6), (2, 5), (4, 5), (5,), (1, 1, 5), (3, 1, 5)]:
+        with pytest.raises(DimensionError):
+            T.attention(q, q, q, np.ones(shape, dtype=bool), 2, prefix)
+    kv = rng.normal(size=(5, 6))
+    for shape in [(1, 5), (1, 6), (3, 6), (3, 1, 5)]:         # no prefix: (3, 5) only
+        with pytest.raises(DimensionError):
+            T.attention(q, kv, kv, np.ones(shape, dtype=bool), 2)
 
 
 def test_softmax_uniform_row():
@@ -748,7 +799,8 @@ def test_ffn_fd():
 
 
 def test_gelu_sigmoid_fd():
-    """GELU alone: an ``mlp`` with identity weights and zero biases."""
+    """GELU alone: an ``mlp`` with identity weights and zero biases; and
+    sigmoid bitwise against its straight line, both branches and saturated."""
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
@@ -758,6 +810,10 @@ def test_gelu_sigmoid_fd():
             readout(T.reshape(y, (1, 6)), np.ones((6, 1)) * 0.3), (1, 1))), 0.0)
 
     fd_check(loss, [("x", x)])
+    d = np.concatenate([rng.normal(size=20) * 8.0, [0.0, -0.0, 800.0, -800.0]])
+    np.testing.assert_array_equal(    # sigmoid: the two-branch straight line
+        T.sigmoid(d).data, np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d)))))
 
 
 def test_gelu_bitwise_equals_straight_line():
