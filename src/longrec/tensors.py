@@ -106,7 +106,7 @@ from .errors import DimensionError
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _PROB_EPS = 1e-12
-_F64 = np.dtype(np.float64)           # one object: every float64 array's dtype
+_F64 = np.dtype(np.float64)           # one shared object, so `is` can test it
 _LN_EPS = 1e-12
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3      # glibc <malloc.h>

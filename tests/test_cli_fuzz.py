@@ -121,8 +121,9 @@ def test_fuzzed_score_requests_exit_by_contract(trained, data):
 
 
 HUGE = "an integer literal past int()'s 4,300-digit limit"
-FIELDS = {"events": None, "user_features": ("uid", "profile_bucket"),
-          "candidate": ("item_id", "timestamp"), "label": None}
+FIELDS = {"events": ("item_id", "action_type", "timestamp"),
+          "user_features": ("uid", "profile_bucket"),
+          "candidate": ("item_id", "timestamp"), "label": ()}
 
 
 def base_lines(path) -> list:
@@ -137,9 +138,9 @@ def base_lines(path) -> list:
 @st.composite
 def dataset_bytes(draw, lines):
     """A damaged copy of the valid JSONL ``lines``: truncated, with bytes
-    flipped, or with one line whose record has a field (or an event's field)
-    replaced by generated JSON or an over-long integer literal, or deleted,
-    or that is any JSON value."""
+    flipped, or with one line that is any JSON value or whose record has a
+    field (a top-level one, or one of an event or a nested object) deleted
+    or replaced by generated JSON or an over-long integer literal."""
     raw = ("\n".join(lines) + "\n").encode()
     kind = draw(st.sampled_from(["truncate", "flip", "field", "value"]), label="kind")
     if kind == "truncate":
@@ -150,27 +151,26 @@ def dataset_bytes(draw, lines):
             blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
         return bytes(blob)
     at = draw(st.integers(0, len(lines) - 1), label="line")
-    if kind == "value":
-        new = draw(JSON_VALUES)
-    else:
-        new = json.loads(lines[at])
+    new = draw(JSON_VALUES) if kind == "value" else json.loads(lines[at])
+    if kind == "field":
+        owner = new
         key = draw(st.sampled_from(sorted(FIELDS)), label="field")
-        owner, inner = new, FIELDS[key]
+        inner = FIELDS[key]
         if key == "events" and new["events"] and draw(st.booleans(), label="in event"):
             owner = draw(st.sampled_from(new["events"]), label="event")
-            inner = ("item_id", "action_type", "timestamp")
-        if inner is not None and owner is new:
+        elif key != "events" and inner:
             owner = new[key]
-        if inner is not None:
-            key = draw(st.sampled_from(inner), label="inner")
-        if draw(st.booleans(), label="delete"):
+        if owner is not new:
+            key = draw(st.sampled_from(inner), label="inner field")
+        change = draw(st.sampled_from(["delete", "json", "huge"]), label="change")
+        if change == "delete":
             del owner[key]
         else:
-            owner[key] = draw(INTS | JSON_VALUES | st.just(HUGE), label="value")
-    out = list(lines)
-    out[at] = json.dumps(new).replace(json.dumps(HUGE), "9" * draw(
-        st.integers(4_301, 4_400), label="digits"))
-    return ("\n".join(out) + "\n").encode()
+            owner[key] = HUGE if change == "huge" else draw(INTS | JSON_VALUES)
+    text = json.dumps(new)
+    if json.dumps(HUGE) in text:
+        text = text.replace(json.dumps(HUGE), "9" * draw(st.integers(4_301, 4_400)))
+    return ("\n".join(lines[:at] + [text] + lines[at + 1:]) + "\n").encode()
 
 
 def run_on_dataset(command: str, blob: bytes, trained, request: dict) -> int:
