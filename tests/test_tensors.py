@@ -413,7 +413,7 @@ def straight_line_attention(q, k, v, visible, heads, g, prefix=None):
         for h in range(heads):
             c = slice(h * dh, (h + 1) * dh)
             qs = q[lead][:, c] * scale
-            kh, vh = np.ascontiguousarray(k[lead][:, c]), np.ascontiguousarray(v[lead][:, c])
+            kh, vh = (np.ascontiguousarray(a[lead][:, c]) for a in (k, v))
             gh = g[lead][:, c]
             if prefix is None:
                 keys, vals = kh, vh
@@ -500,9 +500,10 @@ def test_blas_product_bits_do_not_depend_on_the_output_buffer():
         np.matmul(a, keys_t, out=wide[..., :n])
         np.matmul(a[..., None, :], own[..., None], out=wide[..., n:, None])
         dots = np.array([[a[0, i] @ own[0, i]] for i in range(rows)])
+        stacked = (a[..., None, :] @ own[..., None])[..., 0]
         ok = (np.array_equal(wide[..., :n], a @ keys_t)
               and np.array_equal(wide[0, :, :n], a[0] @ keys_t[0])
-              and np.array_equal(wide[..., n:], (a[..., None, :] @ own[..., None])[..., 0])
+              and np.array_equal(wide[..., n:], stacked)
               and np.array_equal(wide[0, :, n:], dots))
         assert ok, (f"BLAS output-buffer property: ({rows}, {w}) @ ({w}, {n}) or the "
                     f"row dot products written into a ({rows}, {n + 1}) buffer differ "
@@ -541,8 +542,9 @@ def test_attention_shape_validation():
     rng = np.random.default_rng(44)
     q, prefix = rng.normal(size=(3, 6)), (rng.normal(size=(4, 6)),) * 2
     row = np.array([[True, False, True, True, True]])
+    rows = row.repeat(3, axis=0)
     np.testing.assert_array_equal(T.attention(q, q, q, row, 2, prefix).data,
-                                  T.attention(q, q, q, row.repeat(3, 0), 2, prefix).data)
+                                  T.attention(q, q, q, rows, 2, prefix).data)
     for shape in [(1, 4), (1, 6), (2, 5), (4, 5), (5,), (1, 1, 5), (3, 1, 5)]:
         with pytest.raises(DimensionError):
             T.attention(q, q, q, np.ones(shape, dtype=bool), 2, prefix)
