@@ -59,11 +59,17 @@ def _sha256_file(path: str) -> str:
 
 
 def _runtime() -> dict:
-    """NumPy's version, its BLAS and the BLAS thread settings: a rerun is
-    bit-identical only with all three the same, since a product's bits can
-    depend on the BLAS build and its thread count."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    """NumPy's version, its BLAS, the BLAS thread settings and the CPU
+    features NumPy chose its SIMD kernels by at import (``baseline`` and
+    ``found``, null where NumPy does not say): a rerun is bit-identical only
+    with all of them the same, since a product's bits can depend on the BLAS
+    build and its thread count, and whether two CPUs' ``exp`` and ``tanh``
+    kernels agree in the last bit is not verified."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"].get("blas", {})
+    simd = config.get("SIMD Extensions") or {}
     return {"numpy": np.__version__,
+            "simd": {key: simd.get(key) for key in ("baseline", "found")},
             "blas": {"name": blas.get("name"), "version": blas.get("version"),
                      "configuration": next((v for key, v in blas.items()
                                             if key.endswith("configuration")), None)},

@@ -76,6 +76,14 @@ unit to reuse. This changes where memory comes from, never a value; where
 the C library has no ``mallopt`` or refuses a setting, nothing changes and
 ``ALLOCATOR_TUNED`` is False.
 
+Row reductions over a last axis of at most 8 (the inner merge's layer norms
+over d and its softmax over K keys) run as sweeps over their columns, a few
+whole-array ufunc calls in place of NumPy's per-row reduction loop; they
+keep NumPy's summation order, so every bit is the reduce's (``_row_reduce``,
+probed in the tests). The embedding-gradient scatter of ``gather_rows`` runs
+on the flattened table, with the bits of the 2-D ``np.add.at``, since both
+add into each element in the order of the index array.
+
 ``mlp`` runs the elementwise work of a hidden layer larger than
 ``MLP_TILE_ABOVE`` floats (1 MiB) in row tiles of ``MLP_TILE`` floats, so
 the GELU chain's passes stay in L2 instead of streaming the block from
@@ -499,6 +507,50 @@ def sigmoid(x) -> Tensor:
     return out
 
 
+# ----------------------------- row reductions -----------------------------
+
+
+# ``_row_reduce`` sweeps the columns of rows up to this width (the inner
+# merge's d = 8 layer norms and K = 4 softmax rows) and leaves wider rows to
+# NumPy's one reduce: at (259, 32) the reduce took 7.7 us and a 32-column
+# sweep 42 us (2-vCPU VM, in-process minimum of 9 rounds).
+_SWEEP_WIDTH = 8
+
+
+def _row_reduce(a: np.ndarray, op) -> np.ndarray:
+    """``op.reduce(a, axis=-1, keepdims=True)`` for ``op`` ``np.add`` or
+    ``np.maximum``, bitwise: ``a.sum`` or ``a.max`` over the last axis.
+
+    A C-contiguous ``a`` of width 1 to ``_SWEEP_WIDTH`` runs as a sweep over
+    its columns, one whole-array ufunc call per column, in place of NumPy's
+    per-row reduction loop. The sweep keeps NumPy's order: its float
+    add-reduce over a contiguous row of n < 8 elements is one running sum,
+    and at n = 8 eight accumulators combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``; the reduction
+    starts from +0.0, so a row of -0.0 sums to +0.0, which the closing
+    ``+ 0.0`` reproduces. A maximum is order-free, and ``np.maximum`` keeps
+    the reduce's choice between equal zeros of either sign. Any other
+    layout reduces in another order, so it keeps the reduce, as do wider
+    and empty rows. ``tests/test_tensors.py`` probes this order and names
+    it when it fails."""
+    n = a.shape[-1]
+    if n > _SWEEP_WIDTH or n == 0 or not a.flags.c_contiguous:
+        return op.reduce(a, axis=-1, keepdims=True)
+    cols = [a[..., j:j + 1] for j in range(n)]
+    out = cols[0].copy() if n == 1 else op(cols[0], cols[1])
+    if op is np.add and n == 8:
+        out += cols[2] + cols[3]
+        half = cols[4] + cols[5]
+        half += cols[6] + cols[7]
+        out += half
+    else:
+        for c in cols[2:]:
+            op(out, c, out=out)
+    if op is np.add:
+        out += 0.0
+    return out
+
+
 # ----------------------------- normalization -----------------------------
 
 
@@ -507,9 +559,12 @@ def layer_norm(x, gain, bias) -> Tensor:
     row is the last axis, and every leading axis counts as rows.
 
     Zero-variance rows normalize to zeros (then take the bias), so constant
-    or padded rows cannot produce NaN. Means are ``sum / n``, the arithmetic
-    of ``np.mean``, so the result equals the straight-line
-    ``(x - mu) * (1 / sqrt(mean((x - mu) ** 2) + 1e-12)) * gain + bias``.
+    or padded rows cannot produce NaN. Means, forward and backward, are
+    ``sum / n``, the arithmetic of ``np.mean``, so the result and the
+    gradients equal the straight-line
+    ``(x - mu) * (1 / sqrt(mean((x - mu) ** 2) + 1e-12)) * gain + bias``
+    and its backward. At widths up to 8 (the inner merge's d) the four row
+    sums are column sweeps in NumPy's own summation order (``_row_reduce``).
     The backward keeps the normalized rows, not x.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -518,8 +573,8 @@ def layer_norm(x, gain, bias) -> Tensor:
         raise DimensionError(
             f"layer_norm shapes: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
     n = xd.shape[-1]
-    xhat = xd - xd.sum(axis=-1, keepdims=True) / n
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
+    xhat = xd - _row_reduce(xd, np.add) / n
+    var = _row_reduce(xhat * xhat, np.add) / n
     inv_sigma = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv_sigma
     y = xhat * gain.data
@@ -530,8 +585,8 @@ def layer_norm(x, gain, bias) -> Tensor:
         def bw(g):
             if xn is not None:
                 ghat = g * gd
-                m1 = ghat.mean(axis=-1, keepdims=True)
-                m2 = (ghat * xhat).mean(axis=-1, keepdims=True)
+                m1 = _row_reduce(ghat, np.add) / n
+                m2 = _row_reduce(ghat * xhat, np.add) / n
                 xn.accumulate((ghat - m1 - xhat * m2) * inv_sigma, owned=True)
             g2 = g.reshape(-1, n)
             if gn is not None:
@@ -719,8 +774,11 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
 
     Counts 2*rows*w*keys MACs (keys = p + 1 with a prefix), those of the
     per-head products. The arithmetic is that of the per-head products and
-    softmax composed one by one; backward keeps the probabilities, and the
-    scaled queries, keys and values only as the input gradients read them.
+    softmax composed one by one; over at most 8 keys (the inner merge's K)
+    the softmax's row max and sum and the backward's row sum are column
+    sweeps with the reduce's bits (``_row_reduce``). Backward keeps the
+    probabilities, and the scaled queries, keys and values only as the
+    input gradients read them.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     vis = np.asarray(visible)
@@ -752,13 +810,13 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
     p = _scores(qs, keys, kh if cached else None)   # then in place the weights
     counter.add(2 * qd.size * p.shape[-1])
     np.copyto(p, -np.inf, where=~vis[..., None, :, :])
-    rowmax = p.max(axis=-1, keepdims=True)
+    rowmax = _row_reduce(p, np.maximum)
     seen = np.isfinite(rowmax).all()    # then every row's sum is at least 1
     if not seen:                                         # fully-masked guard
         rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
     p -= rowmax
     np.exp(p, out=p)
-    s = p.sum(axis=-1, keepdims=True)
+    s = _row_reduce(p, np.add)
     np.divide(p, s, out=p, where=True if seen else s > 0)
     ctx = p[..., :n] @ vals
     if cached:
@@ -779,7 +837,7 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
             if not to_scores:
                 return
             gp = _scores(gh, vals, vh if cached else None)
-            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            gs = p * (gp - _row_reduce(gp * p, np.add))
             if qn is not None:
                 gq = gs[..., :n] @ keys
                 if cached:
@@ -837,7 +895,13 @@ def gather_rows(x, idx) -> Tensor:
     indices (query selection, the last block's rows, the head's reads) are
     distinct, so their backward adds into the gradient with one indexed
     ``+=``, bitwise what the ``np.add.at`` scatter that any other index
-    array takes would give. Out-of-range indices raise; negative indices are
+    array takes would give. Into a C-contiguous 2-D gradient (the event and
+    user lookups) that scatter is one 1-D ``np.add.at`` over the flat
+    indices ``id * width + column``, about 3x faster than the 2-D call: it
+    adds into each element in the order of the index array, as the 2-D call
+    does, so the bits are the same. Any other gradient (a batched gather's,
+    or a held one that is not C-contiguous, whose flat view would be a copy)
+    keeps the 2-D call. Out-of-range indices raise; negative indices are
     rejected rather than wrapped.
     """
     x = as_tensor(x)
@@ -854,12 +918,17 @@ def gather_rows(x, idx) -> Tensor:
         xn, shape = x.node, x.shape
         distinct = bool((idx[1:] > idx[:-1]).all())
         def bw(g):
-            if xn.grad is None:
-                xn.grad = np.zeros(shape)
+            grad = xn.grad
+            if grad is None:
+                grad = xn.grad = np.zeros(shape)
             if distinct:
-                xn.grad[key] += g
+                grad[key] += g
+            elif grad.ndim == 2 and grad.flags.c_contiguous:   # a view, never a copy
+                w = shape[1]
+                flat = (idx[:, None] * w + np.arange(w)).reshape(-1)
+                np.add.at(grad.reshape(-1), flat, g.reshape(-1))
             else:
-                np.add.at(xn.grad, key, g)
+                np.add.at(grad, key, g)
         _attach(out, bw)
     return out
 

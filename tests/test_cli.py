@@ -193,16 +193,21 @@ def test_eval_fraction_out_of_range_exit_2(tmp_path, capsys, model_cfg_path,
 
 def test_train_manifest_records_runtime(tmp_path, monkeypatch, model_cfg_path,
                                        dataset_path):
-    """A run's manifest names NumPy's version, its BLAS and the BLAS thread
-    settings of the run, unset ones as null."""
+    """A run's manifest names NumPy's version, its BLAS, the BLAS thread
+    settings of the run, unset ones as null, and the CPU features NumPy's
+    SIMD dispatch found."""
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "t"
     assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
                  "--out", str(out), "--epochs", "1"]) == 0
     runtime = json.loads((out / "manifest.json").read_text())["runtime"]
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config.get("SIMD Extensions", {})
     assert runtime["numpy"] == np.__version__
+    assert runtime["simd"] == {"baseline": simd.get("baseline"),
+                               "found": simd.get("found")}
     assert runtime["blas"]["name"] == blas["name"]
     assert runtime["blas"]["version"] == blas["version"]
     assert runtime["blas"]["configuration"] in blas.values()

@@ -452,18 +452,23 @@ def test_attention_bitwise_equals_straight_line(heads):
     line bitwise: 2-D and batched rows, and the prefix case at 1 and 4 rows
     with a (rows, p + 1) visibility or the one (1, p + 1) row they share.
     A visibility of several rows has one that sees nothing and one that sees
-    every key."""
+    every key, except in the inner merge's all-visible (groups, K, K) case
+    at K = 3 and 4."""
     rng = np.random.default_rng(60 + heads)
     w, n = 8, 6
     prefix = (rng.normal(size=(n, w)), rng.normal(size=(n, w)))
     cases = [((), 4, 5, None, 4), ((3,), 4, 5, None, 4), ((), 4, 4, prefix, 4),
-             ((), 4, 4, prefix, 1), ((), 1, 1, prefix, 1)]
+             ((), 4, 4, prefix, 1), ((), 1, 1, prefix, 1),
+             ((6,), 3, 3, None, 0), ((6,), 4, 4, None, 0)]
     for lead, rows, keys, pre, vis_rows in cases:
         q = rng.normal(size=lead + (rows, w))
         k, v = (rng.normal(size=lead + (keys, w)) for _ in "kv")
-        visible = rng.random(lead + (vis_rows, keys if pre is None else n + 1)) < 0.6
+        width = keys if pre is None else n + 1
+        visible = rng.random(lead + (vis_rows or rows, width)) < 0.6
         visible[..., 0, :] = True
-        if vis_rows > 1:
+        if vis_rows == 0:                    # an inner merge group sees all K
+            visible[...] = True
+        elif vis_rows > 1:
             visible[..., 1, :] = False
         else:
             visible[0, 2] = False
@@ -509,6 +514,44 @@ def test_blas_product_bits_do_not_depend_on_the_output_buffer():
                     f"row dot products written into a ({rows}, {n + 1}) buffer differ "
                     f"from the standalone products, so bitwise comparisons of "
                     f"cached scoring fail on this BLAS build with the model correct")
+
+
+def test_numpy_row_reduction_order_is_a_column_sweep():
+    """The NumPy property that ``layer_norm`` and ``attention`` rest on for
+    rows of width 8 or less: NumPy's float add-reduce over a contiguous row
+    of n < 8 elements is one running sum, at n = 8 a tree of eight
+    accumulators, and it starts from +0.0; a max-reduce picks what
+    ``np.maximum`` picks. So ``T._row_reduce``'s column sweeps give the bits
+    of ``a.sum(axis=-1, keepdims=True)`` and ``a.max(axis=-1,
+    keepdims=True)``: at widths 1 to 8, at the inner merge's (rows, d) for
+    d = 3, 4 and 8 and its (groups, heads, K, K) scores for K = 2, 3 and 4
+    at one and two heads, over random rows and rows of -0.0, of mixed zeros,
+    and with infinities and NaN. On a NumPy build without the property this
+    test fails and names it, so a failing bitwise layer-norm or attention
+    test there is NumPy's reduction order, not the model's."""
+    rng = np.random.default_rng(47)
+    shapes = ([(40, n) for n in range(1, 9)] + [(259, d) for d in (3, 4, 8)]
+              + [(37, h, K, K) for K in (2, 3, 4) for h in (1, 2)])
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0])
+    for shape in shapes:
+        n = shape[-1]
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+        rows = a.reshape(-1, n)                   # a view: rows write into a
+        rows[0] = -0.0
+        rows[1] = rng.choice([0.0, -0.0], size=n)
+        rows[2:12] = rng.choice(specials, size=(10, n))
+        with np.errstate(invalid="ignore"):
+            pairs = ((T._row_reduce(a, np.add), a.sum(axis=-1, keepdims=True),
+                      "add-reduce order (a running sum from +0.0 below 8 "
+                      "elements, eight accumulators at 8)"),
+                     (T._row_reduce(a, np.maximum), a.max(axis=-1, keepdims=True),
+                      "max-reduce choice (that of np.maximum)"))
+        for got, want, what in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
+                f"NumPy row {what}: a column sweep over {shape} differs from "
+                f"the reduce over its last axis, so bitwise comparisons of "
+                f"layer norms and softmaxes of width {n} fail on this NumPy "
+                f"build with the model correct")
 
 
 def test_attention_counts_its_two_products():
@@ -653,19 +696,20 @@ def test_layer_norm_fd():
 
 def test_layer_norm_bitwise_equals_straight_line():
     """The in-place kernel keeps the arithmetic of the straight-line form,
-    forward and backward."""
+    forward and backward, at wide rows and at the narrow widths 1, 2, 3, 4
+    and 8 that reduce as column sweeps, 2-D and batched."""
     rng = np.random.default_rng(26)
-    for shape in [(1, 4), (7, 13), (5, 64)]:
+    for shape in [(1, 4), (7, 13), (5, 64), (6, 1), (6, 2), (6, 3), (9, 8), (5, 4, 8)]:
         x = rng.normal(size=shape) * 3.0 + 1.0
-        gain, bias = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         g = rng.normal(size=shape)
-        mu = x.mean(axis=1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         inv_sigma = 1.0 / np.sqrt(var + 1e-12)
         xhat = (x - mu) * inv_sigma
         ghat = g * gain
-        dx = (ghat - ghat.mean(axis=1, keepdims=True)
-              - xhat * (ghat * xhat).mean(axis=1, keepdims=True)) * inv_sigma
+        dx = (ghat - ghat.mean(axis=-1, keepdims=True)
+              - xhat * (ghat * xhat).mean(axis=-1, keepdims=True)) * inv_sigma
         xt = Tensor(x, requires_grad=True)
         with T.tape():
             out = T.layer_norm(xt, gain, bias)
@@ -876,6 +920,30 @@ def test_gather_distinct_rows_backward_equals_scatter_bitwise():
             want = np.zeros(shape) if start is None else start.copy()
             np.add.at(want, (slice(None),) * (len(shape) - 2) + ([1, 4, 6],), g)
             assert got == [want.tobytes()] * 2
+
+
+def test_gather_repeated_rows_backward_equals_2d_scatter_bitwise():
+    """Ids that repeat, one of them more than eight times as the 4-row action
+    table's ids do over a tape, scatter through one flat ``np.add.at`` with
+    the bits of the 2-D ``np.add.at``. The incoming gradient is the
+    non-contiguous view that ``concat_cols``' backward hands a lookup. It
+    lands in a fresh gradient, in a held one, and in a held one that is not
+    C-contiguous, each time in the held array itself, never in a copy."""
+    rng = np.random.default_rng(29)
+    idx = rng.permutation(np.concatenate([np.full(11, 2), rng.integers(0, 4, size=30)]))
+    other = rng.normal(size=(len(idx), 3))
+    g = rng.normal(size=(len(idx), 8))
+    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    held = rng.normal(size=(4, 5))
+    for start in (None, held.copy(), np.asfortranarray(held)):
+        x.grad = start
+        with T.tape():
+            T.concat_cols([T.gather_rows(x, idx), other]).backward(g)
+        want = np.zeros((4, 5)) if start is None else held.copy()
+        np.add.at(want, idx, g[:, :5])
+        assert np.ascontiguousarray(x.grad).tobytes() == want.tobytes()
+        if start is not None:
+            assert x.grad is start
 
 
 def test_gather_distinct_rows_fd():
