@@ -96,10 +96,6 @@ class BlockParams:
     def params(self):
         return T.named_fields(self)
 
-    @property
-    def width(self) -> int:
-        return self.w_q.shape[0]
-
 
 def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
                     params: BlockParams, heads: int = 1, prefix_kv=None,
@@ -112,7 +108,8 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
     samples run as one batch. Self-attention when ``x_kv`` is ``x_q``;
     ``visible`` is the boolean (queries, keys) visibility, with the same
     leading B axis as the rows (``T.attention`` checks it and that the
-    heads divide the width). ``prefix_kv``, a pair of already-projected
+    heads divide the width; the first ``T.layer_norm`` checks that both
+    inputs have the block's width). ``prefix_kv``, a pair of already-projected
     (keys, values) arrays, makes every row of a 2-D ``x_q`` an independent
     target (so ``x_kv`` must be ``x_q``): row i sees the prefix rows and its
     own key row only, through ``visible``, the one (1, prefix + 1) row all
@@ -130,10 +127,6 @@ def attention_block(x_q: Tensor, x_kv: Tensor, visible: np.ndarray,
     rows and the output is (len(rows), width) per sample, equal to rounding
     to those rows of the full block.
     """
-    width = params.width
-    if x_q.shape[-1] != width or x_kv.shape[-1] != width:
-        raise DimensionError(
-            f"block width {width} does not match inputs {x_q.shape}, {x_kv.shape}")
     if rows is not None and (x_kv is not x_q or prefix_kv is not None):
         raise DimensionError("rows takes a self-attention block without prefix_kv")
     if prefix_kv is not None:

@@ -2,9 +2,11 @@
 
 Subcommands: gen, train, eval, cost, fit, sweep, score. Every run except
 cost and fit writes a ``manifest.json`` into its output directory with the
-resolved configuration, seeds, input digests, timings, and the NumPy
-version, BLAS build and BLAS thread settings — enough to reproduce the run
-bit-identically. All JSON it writes is strict: a non-finite float is null.
+resolved configuration, seeds, input digests, timings, and under
+``runtime`` the NumPy version, BLAS build and BLAS thread settings — enough
+to reproduce the run bit-identically at that BLAS build and thread count
+(trained bits can differ between thread counts). All JSON it writes is
+strict: a non-finite float is null.
 
 Exit codes are a stable contract for CI: 0 success, 2 config/schema error
 or an unwritable output path, 3 numerical abort (non-finite values), 4

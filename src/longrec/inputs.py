@@ -484,11 +484,11 @@ def _lookup(name: str, table: Tensor, ids) -> Tensor:
 
 def _event_features(tables: EmbeddingTables, cfg: ModelConfig, items, actions, deltas):
     buckets = time_buckets(deltas, cfg.n_time_buckets)
-    feats = T.concat_cols([
+    feats = T.concat([
         _lookup("item", tables.item_table, items),
         _lookup("action", tables.action_table, actions),
         T.gather_rows(tables.time_bucket_table, buckets),
-    ])
+    ], -1)
     return T.linear(feats, tables.mlp.tok_proj_w, tables.mlp.tok_proj_b)
 
 
@@ -540,11 +540,11 @@ def target_global_token(candidates, tables: EmbeddingTables,
     featurizer with a zero action slot and zero time delta, lifted to width
     D, through the global MLP."""
     n = len(candidates)
-    feat = T.concat_cols([
+    feat = T.concat([
         _lookup("item", tables.item_table, [c.item_id for c in candidates]),
         T.zeros((n, cfg.d_act)),
         T.gather_rows(tables.time_bucket_table, np.zeros(n, dtype=np.int64)),
-    ])
+    ], -1)
     row_d = T.linear(feat, tables.mlp.tok_proj_w, tables.mlp.tok_proj_b)
     row = T.linear(row_d, tables.mlp.lift_w, tables.mlp.lift_b)
     return _global_mlp(tables, row)
@@ -566,14 +566,14 @@ def nontarget_global_tokens(users, tables: EmbeddingTables,
     order = np.empty((B, 1 + n_cls), dtype=np.int64)    # user b: UID row b,
     order[:, 0] = np.arange(B)                          # then the CLS rows
     order[:, 1:] = B + np.arange(n_cls)
-    raw = T.gather_rows(T.concat_rows([uid_rows, tables.cls_vector]), order.ravel())
+    raw = T.gather_rows(T.concat([uid_rows, tables.cls_vector], -2), order.ravel())
     return _global_mlp(tables, raw)
 
 
 def user_side_features(users, tables: EmbeddingTables) -> Tensor:
     """Candidate-independent (B, 2d) head features of a list of B users'
     features: [uid_emb, profile_emb] per row."""
-    return T.concat_cols([
+    return T.concat([
         _lookup("uid", tables.uid_table, [u.uid for u in users]),
         _lookup("profile", tables.profile_table,
-                [u.profile_bucket for u in users])])
+                [u.profile_bucket for u in users])], -1)

@@ -401,9 +401,8 @@ class LongRecModel:
         # attention returned content aligned with the candidate. Both are
         # standard ranking-head constructions; without them a plain MLP has
         # to discover bilinear readouts, which desk-scale budgets do not allow.
-        head_in = T.concat_cols([target_row, cls_row,
-                                 T.mul(target_row, cls_row),
-                                 T.mul(target_row, target_row), user_side])
+        head_in = T.concat([target_row, cls_row, T.mul(target_row, cls_row),
+                            T.mul(target_row, target_row), user_side], -1)
         return T.sigmoid(T.mlp(head_in, self.head_w1, self.head_b1,
                                self.head_w2, self.head_b2))
 
@@ -424,9 +423,8 @@ class LongRecModel:
         target = T.reshape(target_global_token([s.candidate for s in samples],
                                                self.tables, cfg),
                            _batch_axis(B) + (1, cfg.D))
-        glob = T.concat_rows([u.globals, target])
-        layers = self._layers(T.concat_rows([u.queries, glob]),
-                              T.concat_rows([u.merged, glob]),
+        layers = self._layers(T.concat([u.queries, u.globals, target], -2),
+                              T.concat([u.merged, u.globals, target], -2),
                               u.visible_cross, u.visible_self,
                               rows=[cfg.k + 1, q - 1])
         x = T.reshape(layers[-1][0], (2 * B, cfg.D))     # CLS, target per sample
@@ -668,9 +666,11 @@ def batch_backward(model, samples) -> float:
 def train(model, dataset, epochs: int, opt: Optional[OptConfig] = None) -> TrainingReport:
     """Fit the model on the temporal-train split; returns per-epoch stats.
 
-    Deterministic given (model seed, opt.seed): shuffling uses a dedicated
-    generator and batch reduction order is fixed. Aborts with a diagnostic
-    on the first non-finite loss.
+    Bit-reproducible given (model seed, opt.seed) at one BLAS build and
+    thread count, which ``manifest.json`` records under ``runtime`` (the
+    trained bits can differ between thread counts): shuffling uses a
+    dedicated generator and batch reduction order is fixed. Aborts with a
+    diagnostic on the first non-finite loss.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -745,12 +745,12 @@ class SumPoolingModel:
                 ("head.w2", self.head_w2), ("head.b2", self.head_b2)]
 
     def _features(self, items, actions, deltas):
-        return T.concat_cols([
+        return T.concat([
             _lookup("item", self.item_table, items),
             _lookup("action", self.action_table, actions),
             T.gather_rows(self.time_table,
                           time_buckets(deltas, self.cfg.n_time_buckets)),
-        ])
+        ], -1)
 
     def _pooled(self, sample: Sample) -> Tensor:
         """The (1, F) mean feature row of the sample's visible events."""
@@ -765,13 +765,13 @@ class SumPoolingModel:
         """The (B, 1) probabilities of a list of B samples; each sample's
         events are pooled on their own."""
         B = len(samples)
-        pooled = T.concat_rows([self._pooled(s) for s in samples])
-        target = T.concat_cols([
+        pooled = T.concat([self._pooled(s) for s in samples], -2)
+        target = T.concat([
             _lookup("item", self.item_table, [s.candidate.item_id for s in samples]),
             T.zeros((B, self.cfg.d_act)),
             T.gather_rows(self.time_table, np.zeros(B, dtype=np.int64)),
-        ])
-        head_in = T.concat_cols([pooled, target])
+        ], -1)
+        head_in = T.concat([pooled, target], -1)
         return T.sigmoid(T.mlp(head_in, self.head_w1, self.head_b1,
                                self.head_w2, self.head_b2))
 

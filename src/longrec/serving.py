@@ -77,8 +77,8 @@ def build_cache(model: LongRecModel, user_events, user_features: UserFeatures,
     time-difference features are measured from it.
     """
     u = model.user_rows([user_events], [user_features], [scoring_time])
-    layers = model._layers(T.concat_rows([u.queries, u.globals]),
-                           T.concat_rows([u.merged, u.globals]),
+    layers = model._layers(T.concat([u.queries, u.globals], -2),
+                           T.concat([u.merged, u.globals], -2),
                            u.visible_cross[:-1, :-1], u.visible_self[:-1, :-1],
                            rows=[model.cfg.k + 1])
     return KVCache(scoring_time=int(scoring_time),

@@ -14,9 +14,9 @@ suite. The model's parameters are made here too, each from one draw of
 the caller's generator: ``weight`` (N(0, 1/fan_in)), ``table`` (N(0, 0.3^2))
 and ``filled`` (a zero bias or a unit gain).
 
-Leading axes: ``linear``, ``mlp``, ``layer_norm``, ``concat_cols`` and the
-elementwise ops act on the last axis and ``concat_rows`` on the rows axis
-(the second to last), whatever the leading axes before them, so a batch of
+Leading axes: ``linear``, ``mlp``, ``layer_norm`` and the elementwise ops
+act on the last axis and ``concat`` on the rows axis (the second to last)
+or the last, whatever the leading axes before them, so a batch of
 B samples' (rows, width) blocks runs as one (B, rows, width) op;
 ``attention`` takes (..., rows, width) queries over (..., keys, width) keys
 and values, and ``gather_rows`` the rows axis. ``left_pad_rows`` and
@@ -31,13 +31,13 @@ passes. Outside a tape no op records anything (inference pays nothing for
 gradients) and ``backward`` raises.
 
 A closure holds its inputs' nodes and only the arrays its own backward
-reads: ``add``, the concats and ``reshape`` keep no array,
+reads: ``add``, ``concat`` and ``reshape`` keep no array,
 ``gather_rows`` keeps shapes and indices, ``layer_norm`` its normalized
 rows, ``linear`` and ``mul`` each operand only when the other needs a
-gradient, and ``attention`` its probabilities, plus the scaled
-queries when the keys need a gradient, the keys when the queries do and
-the values when either does. So an output that only such ops consume is
-freed as soon as the forward moves past it, and a tape holds what its
+gradient, and ``attention`` its probabilities and values, plus the scaled
+queries when the keys need a gradient and the keys when the queries do. So
+an output that only such ops consume is freed as soon as the forward moves
+past it, and a tape holds what its
 backward reads plus what callers still reference. Two ops recompute cheap
 activations rather than keep them (Chen et al. 2016, arXiv:1604.06174):
 ``mlp`` keeps its pre-activation and tanh and rebuilds the GELU output in
@@ -50,7 +50,9 @@ the counter reads more than the forward alone; forward-only counts are
 unchanged.
 
 Instrumentation: each matrix product of a forward adds its scalar
-multiply-accumulate operations (MACs) to the module-level ``counter``.
+multiply-accumulate operations (MACs) to ``counter.mul_adds``, the one
+record of the count; a ``count_muladds()`` window is a fresh ``OpCounter``
+whose ``mul_adds`` is set, as its block exits, to the MACs counted inside.
 ``linear``'s product and ``mlp``'s two (and its recomputed first) all run
 through one helper, ``_product``, which counts ``rows*p*q`` for (rows, p) x
 (p, q), every leading axis counting as rows, bias adds uncounted; and
@@ -95,7 +97,7 @@ the untiled op.
 All arithmetic is 64-bit. Tensors are immutable after construction except
 for gradient accumulation owned by a single training step; read-only
 sharing across threads is safe. The tape is a context variable, so tapes
-are per thread. The counter is one unlocked process-wide object: a
+are per thread. The counter is one unlocked process-wide record: a
 ``count_muladds`` window counts the MACs of every thread that runs while it
 is open, and counts are exact only with one thread at a time.
 """
@@ -137,50 +139,27 @@ ALLOCATOR_TUNED = _keep_freed_memory()
 
 
 class OpCounter:
-    """Counts scalar multiply-accumulate operations across forward passes.
-
-    Monotonically non-decreasing between resets; one product of shapes
-    (m, p) x (p, n) contributes m*p*n.
-    """
+    """A count of scalar multiply-accumulate operations (MACs) in
+    ``mul_adds``; one product of shapes (m, p) x (p, n) adds m*p*n."""
 
     __slots__ = ("mul_adds",)
 
     def __init__(self) -> None:
         self.mul_adds = 0
 
-    def add(self, n: int) -> None:
-        self.mul_adds += int(n)
-
-    def reset(self) -> None:
-        self.mul_adds = 0
-
 
 counter = OpCounter()
 
 
-class _CountWindow:
-    def __init__(self, start: int) -> None:
-        self._start = start
-        self._frozen = None
-
-    @property
-    def mul_adds(self) -> int:
-        if self._frozen is not None:
-            return self._frozen
-        return counter.mul_adds - self._start
-
-    def _freeze(self) -> None:
-        self._frozen = counter.mul_adds - self._start
-
-
 @contextmanager
 def count_muladds():
-    """Counts MACs accrued inside the block; the value freezes on exit."""
-    window = _CountWindow(counter.mul_adds)
+    """Yields a fresh ``OpCounter`` whose ``mul_adds``, set when the block
+    exits, is the MACs counted inside it (0 until then)."""
+    window, start = OpCounter(), counter.mul_adds
     try:
         yield window
     finally:
-        window._freeze()
+        window.mul_adds = counter.mul_adds - start
 
 
 _tape = contextvars.ContextVar("longrec_tape", default=None)
@@ -376,7 +355,7 @@ def checkpoint(fn) -> Tensor:
 def _product(x2: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x2 @ w`` for a 2-D x2 (rows, p) and w (p, q), counting its
     rows*p*q MACs: every counted product of ``linear`` and ``mlp``."""
-    counter.add(x2.size * w.shape[1])
+    counter.mul_adds += x2.size * w.shape[1]
     return x2 @ w
 
 
@@ -691,21 +670,19 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
     out = Tensor(o if xd.ndim == 2 else o.reshape(shape[:-1] + (q,)))
     if tracked:
         xn, w1n, b1n, w2n, b2n = x.node, w1.node, b1.node, w2.node, b2.node
-        first = xn is not None or w1n is not None or b1n is not None
-        w2d = w2.data if first else None
+        w2d = w2.data
         hidden = (h, t_all) if keep else None
         def bw(g):
             # The closure runs once, so it may overwrite the kept arrays:
             # each tile's pre-activation becomes its GELU output.
             g2 = g.reshape(-1, q)
             h, t_all = hidden if hidden is not None else (_product(x2, w1d), None)
-            gh = g2 @ w2d.T if first else None
+            gh = g2 @ w2d.T
             for ha, t, ga in _tiles(step, h, t_all, gh):
                 if t is None:
                     ha += b1d
                     t = _gelu_tanh(ha)
-                if ga is not None:
-                    _gelu_grad(ha, t, ga)
+                _gelu_grad(ha, t, ga)
                 t += 1.0
                 ha *= 0.5
                 ha *= t
@@ -713,8 +690,6 @@ def mlp(x, w1, b1, w2, b2, keep_hidden: bool = True) -> Tensor:
                 w2n.accumulate(h.T @ g2, owned=True)
             if b2n is not None:
                 b2n.accumulate(g2.sum(axis=0), owned=True)
-            if not first:
-                return
             if xn is not None:
                 gx = gh @ w1d.T
                 xn.accumulate(gx if len(shape) == 2 else gx.reshape(shape), owned=True)
@@ -777,8 +752,8 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
     softmax composed one by one; over at most 8 keys (the inner merge's K)
     the softmax's row max and sum and the backward's row sum are column
     sweeps with the reduce's bits (``_row_reduce``). Backward keeps the
-    probabilities, and the scaled queries, keys and values only as the
-    input gradients read them.
+    probabilities and the values, and the scaled queries and the keys only
+    as the input gradients read them.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     vis = np.asarray(visible)
@@ -808,7 +783,7 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
     kh, vh = (np.ascontiguousarray(_split(a, heads)) for a in (kd, vd))
     keys, vals = (_split(keys, heads), _split(vals, heads)) if cached else (kh, vh)
     p = _scores(qs, keys, kh if cached else None)   # then in place the weights
-    counter.add(2 * qd.size * p.shape[-1])
+    counter.mul_adds += 2 * qd.size * p.shape[-1]
     np.copyto(p, -np.inf, where=~vis[..., None, :, :])
     rowmax = _row_reduce(p, np.maximum)
     seen = np.isfinite(rowmax).all()    # then every row's sum is at least 1
@@ -824,18 +799,14 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
     out = Tensor(_join(ctx))
     if _track(q, k, v):
         qn, kn, vn = q.node, k.node, v.node
-        to_scores = qn is not None or kn is not None
         # the closure keeps only what the input gradients read
         qs = qs if kn is not None else None
         keys, kh = (keys, kh) if qn is not None else (None, None)
-        vals, vh = (vals, vh) if to_scores else (None, None)
         def bw(g):
             gh = _split(g, heads)
             if vn is not None:
                 gv = p[..., n:] * gh if cached else p.swapaxes(-1, -2) @ gh
                 vn.accumulate(_join(gv), owned=True)
-            if not to_scores:
-                return
             gp = _scores(gh, vals, vh if cached else None)
             gs = p * (gp - _row_reduce(gp * p, np.add))
             if qn is not None:
@@ -854,34 +825,20 @@ def attention(q, k, v, visible, heads: int = 1, prefix=None) -> Tensor:
 # ----------------------------- structural ops -----------------------------
 
 
-def concat_rows(parts) -> Tensor:
-    """Join along the rows axis (the second to last)."""
+def concat(parts, axis: int) -> Tensor:
+    """Join along ``axis``: -2 for the rows axis, -1 for the last. Its
+    backward hands each part its slice of the gradient."""
     parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-2))
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     if _track(*parts):
-        spans = [(p.node, p.shape[-2]) for p in parts]
+        spans = [(p.node, p.shape[axis]) for p in parts]
+        lead = (slice(None),) * (axis % out.data.ndim)    # the axes before axis
         def bw(g):
             off = 0
             for node, n in spans:
                 if node is not None:
-                    node.accumulate(g[..., off:off + n, :], owned=True)
+                    node.accumulate(g[lead + (slice(off, off + n),)], owned=True)
                 off += n
-        _attach(out, bw)
-    return out
-
-
-def concat_cols(parts) -> Tensor:
-    """Join along the last axis."""
-    parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-    if _track(*parts):
-        spans = [(p.node, p.shape[-1]) for p in parts]
-        def bw(g):
-            off = 0
-            for node, w in spans:
-                if node is not None:
-                    node.accumulate(g[..., off:off + w], owned=True)
-                off += w
         _attach(out, bw)
     return out
 

@@ -259,6 +259,15 @@ def test_block_shape_validation():
     with pytest.raises(DimensionError):
         attention_block(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))),
                         np.ones((2, 2), dtype=bool), blk, heads=3)
+    x5 = Tensor(np.zeros((2, 5)))         # a width that is not the block's
+    with pytest.raises(DimensionError):
+        attention_block(x5, x5, np.ones((2, 2), dtype=bool), blk)
+    with pytest.raises(DimensionError):
+        attention_block(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))),
+                        np.ones((2, 3), dtype=bool), blk)
+    for gain, bias in ((np.ones(4), np.zeros(3)), (np.ones(5), np.zeros(4))):
+        with pytest.raises(DimensionError):
+            T.layer_norm(np.zeros((2, 4)), gain, bias)
 
 
 def test_batched_block_matches_each_sample():

@@ -522,9 +522,15 @@ def test_model_config_refusals_exit_2(tmp_path, capsys, dataset_path, field,
     ({"plant_gap": 2, "plant_side": "middle"}, "plant_side must be"),
     ({"plant_gap": 0, "plant_side": "recent"}, "recent plant side needs plant_gap"),
     ({"plant_gap": 2, "candidates_per_history": 0}, "candidates_per_history"),
-    ({"plant_gap": 2, "interests_per_user": 3}, "two interests outside")],
+    ({"plant_gap": 2, "interests_per_user": 3}, "two interests outside"),
+    ({"interests_per_user": 4}, "interests_per_user must be in [1, n_interests)"),
+    ({"noise_rate": 1.5}, "rates must lie in [0, 1]"),
+    ({"drift_rate": -0.1}, "rates must lie in [0, 1]"),
+    ({"gap_min": 0}, "need 1 <= gap_min <= gap_max"),
+    ({"gap_min": 50, "gap_max": 40}, "need 1 <= gap_min <= gap_max")],
     ids=["n_users", "L_max", "L_min", "plant_gap", "plant_min", "plant_side",
-         "recent_gap", "candidates", "interests"])
+         "recent_gap", "candidates", "interests", "interests_all", "noise_rate",
+         "drift_rate", "gap_min", "gap_max"])
 def test_generator_config_refusals_exit_2(tmp_path, capsys, fields, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**GEN_CFG, **fields}))    # L_max 12, 4 interests
@@ -729,6 +735,102 @@ def test_sweep_bad_grid_value_fails_only_its_point(tmp_path):
     status = [r["status"] for r in
               json.loads((out / "manifest.json").read_text())["outputs"]["rows"]]
     assert status == ["failed: N must be >= 1", "ok"]
+
+
+@pytest.mark.parametrize("override", [["--seq-len", "8", "--k", "5"], ["--k", "7"]])
+def test_train_k_beyond_merged_length_exit_2(tmp_path, capsys, model_cfg_path,
+                                             dataset_path, override):
+    """k above the G = ceil(L / K) merged rows (K = 2) is refused."""
+    assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
+                 "--out", str(tmp_path / "o")] + override) == 2
+    err = capsys.readouterr().err
+    assert "exceeds merged length" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"axis": "time"}, "sweep axis must be one of"),
+    ({"grid": []}, "needs a non-empty 'grid' list"),
+    ({"generator": None}, "needs a 'generator' object")],
+    ids=["axis", "grid", "generator"])
+def test_sweep_config_refusals_exit_2(tmp_path, capsys, fields, message):
+    sweep = {"axis": "seq_len", "grid": [4, 8], "epochs": 1, "generator": GEN_CFG,
+             "model": {**MODEL_CFG, "k": 2}, **fields}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({f: v for f, v in sweep.items() if v is not None}))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("sizes,message", [
+    (("0", "32", "4"), "L and d must be >= 1"),
+    (("2048", "0", "4"), "L and d must be >= 1"),
+    (("2048", "32", "0"), "K must be >= 1")], ids=["seq_len", "width", "merge"])
+def test_cost_nonpositive_size_exit_2(capsys, sizes, message):
+    L, d, K = sizes
+    assert main(["cost", "--seq-len", L, "--width", d, "--merge", K, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_seq_len_without_k_sets_k_per_point(tmp_path):
+    """On the seq_len axis a base model with no ``k`` gets k = max(1, L // K)
+    at each point (K = 2), so every point trains."""
+    base = {f: v for f, v in MODEL_CFG.items() if f != "k"}
+    grid = [1, 4, 6]
+    assert [cli._axis_update("seq_len", L, base) for L in grid] == \
+        [{"L": 1, "k": 1}, {"L": 4, "k": 2}, {"L": 6, "k": 3}]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"axis": "seq_len", "grid": grid, "epochs": 1,
+                               "generator": GEN_CFG, "model": base}))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = json.loads((out / "manifest.json").read_text())["outputs"]["rows"]
+    assert [(r["point"], r["status"]) for r in rows] == [(L, "ok") for L in grid]
+
+
+def with_blank_lines(text):
+    """``text`` with an empty and a whitespace-only line before each line."""
+    return "".join("\n \t\n" + line for line in text.splitlines(keepends=True))
+
+
+def test_blank_input_lines_are_skipped(tmp_path, capsys, model_cfg_path, dataset_path):
+    """Blank lines in ``--data``, ``--requests`` and ``fit --csv`` are
+    skipped: each command gives the results it gives for the file without
+    them (the responses' timings aside)."""
+    train_out = tmp_path / "t"
+    assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
+                 "--out", str(train_out), "--epochs", "1"]) == 0
+    first = json.loads(Path(dataset_path).read_text().splitlines()[0])
+    uid, ts = first["user_features"]["uid"], first["candidate"]["timestamp"]
+    requests = "".join(
+        json.dumps({"user_id": uid,
+                    "candidates": [{"item_id": i, "timestamp": ts} for i in items]}) + "\n"
+        for items in ([1, 2], [5]))
+    points = "x,y\n" + "".join(f"{x},{2.0 * x ** 0.5 + 1.0}\n" for x in (1, 2, 4, 8, 16))
+    blanks = tmp_path / "blanks"
+    blanks.mkdir()
+    (blanks / "data.jsonl").write_text(with_blank_lines(Path(dataset_path).read_text()))
+    (blanks / "requests.jsonl").write_text(with_blank_lines(requests))
+    (blanks / "points.csv").write_text(with_blank_lines(points))
+    (tmp_path / "requests.jsonl").write_text(requests)
+    (tmp_path / "points.csv").write_text(points)
+    outputs = []
+    for data, where in ((dataset_path, tmp_path), (str(blanks / "data.jsonl"), blanks)):
+        assert main(["score", "--checkpoint", str(train_out / "checkpoint.bin"),
+                     "--data", data, "--requests", str(where / "requests.jsonl"),
+                     "--out", str(where / "score")]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--csv", str(where / "points.csv")]) == 0
+        responses = [json.loads(line) for line in
+                     (where / "score" / "responses.jsonl").read_text().splitlines()]
+        outputs.append(([(r["user_id"], r["probabilities"]) for r in responses],
+                        capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert [len(p) for _, p in outputs[0][0]] == [2, 1]
 
 
 def test_score_command(tmp_path, model_cfg_path, dataset_path):

@@ -84,6 +84,29 @@ def test_planted_hit_flag_flips_label_mean():
     assert miss_mean <= 0.15
 
 
+def test_planted_inexact_items_share_the_hit_interest():
+    """With ``plant_exact_item`` false, the planted events and each hit
+    candidate draw their own items of the hit interest: that interest occurs
+    plant_min..plant_max times, all deeper than plant_gap, while a miss
+    candidate's interest never occurs (noise 0, so every other event is of
+    a base interest)."""
+    cfg = GeneratorConfig(n_users=200, vocab=80, L_max=40, L_min=30, n_interests=8,
+                          noise_rate=0.0, plant_gap=10, plant_exact_item=False)
+    ds = generate_dataset(cfg, seed=13)
+    in_history = 0
+    for s, hit in zip(ds.samples, ds.latent_hits):
+        items = np.asarray(s.events.item_id)
+        shared = items % cfg.n_interests == interest_of(s.candidate.item_id,
+                                                         cfg.n_interests)
+        if hit:
+            assert cfg.plant_min <= shared.sum() <= cfg.plant_max
+            assert not shared[-cfg.plant_gap:].any()
+            in_history += s.candidate.item_id in items
+        else:
+            assert not shared.any()
+    assert 0 < in_history < ds.latent_hits.sum()     # the items are not planted
+
+
 def test_label_balance_guard():
     cfg = GeneratorConfig(n_users=500, vocab=40, L_max=20, L_min=10,
                           n_interests=5, p_hit=0.99, p_miss=0.9)
@@ -145,8 +168,8 @@ def encode(sample, tables, cfg):
 
 def global_rows(sample, tables, cfg):
     """Global rows in rank order [UID, CLS..., target], as the model uses them."""
-    return T.concat_rows([nontarget_global_tokens([sample.user_features], tables, cfg),
-                          target_global_token([sample.candidate], tables, cfg)])
+    return T.concat([nontarget_global_tokens([sample.user_features], tables, cfg),
+                     target_global_token([sample.candidate], tables, cfg)], -2)
 
 
 def test_encode_full_length_no_pads(tiny_cfg):

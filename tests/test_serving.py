@@ -346,6 +346,31 @@ def test_score_request_validation():
         score_request(model, store, ScoreRequest(s.user_features.uid, mixed))
 
 
+def test_counter_reads_of_the_benchmark_agree():
+    """The benchmark reads MACs two ways: the raw ``T.counter.mul_adds``
+    difference around a call (its span tracer) and a ``count_muladds``
+    window read after its block (its request and eval checks). Both give
+    one request's analytic count, and nested windows are exact: the outer
+    one is the inner one plus the MACs counted between them."""
+    cfg = small_cfg()
+    model = LongRecModel(cfg, seed=31)
+    s = users_for(cfg, 1, seed=32)[0]
+    store, uid = {s.user_features.uid: s}, s.user_features.uid
+    cands = [Candidate(i, s.candidate.timestamp) for i in (3, 8)]
+    want = (analysis.muladds_cache_build(cfg, min(len(s.events), cfg.L))
+            + len(cands) * analysis.muladds_incremental(cfg))
+    before = T.counter.mul_adds
+    score_request(model, store, ScoreRequest(uid, cands))
+    assert T.counter.mul_adds - before == want
+    with T.count_muladds() as outer:
+        T.linear(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4))
+        with T.count_muladds() as inner:
+            score_request(model, store, ScoreRequest(uid, cands))
+        T.linear(np.zeros((5, 1)), np.zeros((1, 2)), np.zeros(2))
+    assert inner.mul_adds == want
+    assert outer.mul_adds == 2 * 3 * 4 + inner.mul_adds + 5 * 1 * 2
+
+
 def test_empty_request_builds_no_cache():
     cfg = small_cfg()
     model = LongRecModel(cfg, seed=24)

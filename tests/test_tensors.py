@@ -106,9 +106,9 @@ def _weighted_sum_loss(y, seed):
 
 
 def test_leading_axes_match_each_sample():
-    """On a (B, rows, width) stack, linear, layer_norm, concat_rows,
-    concat_cols and gather_rows equal the 2-D op on each sample, and linear
-    counts every leading axis as rows."""
+    """On a (B, rows, width) stack, linear, layer_norm, concat (on the rows
+    and on the last axis) and gather_rows equal the 2-D op on each sample,
+    and linear counts every leading axis as rows."""
     rng = np.random.default_rng(30)
     x, y = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 2, 5))
     w, b = rng.normal(size=(5, 2)), rng.normal(size=2)
@@ -117,15 +117,15 @@ def test_leading_axes_match_each_sample():
         lin = T.linear(x, w, b).data
     assert lin.shape == (3, 4, 2) and count.mul_adds == 3 * 4 * 5 * 2
     norm = T.layer_norm(x, gain, bias).data
-    rows = T.concat_rows([x, y]).data
-    cols = T.concat_cols([x, lin]).data
+    rows = T.concat([x, y], -2).data
+    cols = T.concat([x, lin], -1).data
     picked = T.gather_rows(x, [3, 1, 3]).data
     for i in range(3):
         np.testing.assert_array_equal(picked[i], T.gather_rows(x[i], [3, 1, 3]).data)
         assert np.abs(lin[i] - T.linear(x[i], w, b).data).max() <= 1e-12
         assert np.abs(norm[i] - T.layer_norm(x[i], gain, bias).data).max() <= 1e-12
-        np.testing.assert_array_equal(rows[i], T.concat_rows([x[i], y[i]]).data)
-        np.testing.assert_array_equal(cols[i], T.concat_cols([x[i], lin[i]]).data)
+        np.testing.assert_array_equal(rows[i], T.concat([x[i], y[i]], -2).data)
+        np.testing.assert_array_equal(cols[i], T.concat([x[i], lin[i]], -1).data)
 
 
 def test_leading_axes_fd():
@@ -138,9 +138,9 @@ def test_leading_axes_fd():
     bias = Tensor(rng.normal(size=4), requires_grad=True)
 
     def loss():
-        h = T.concat_rows([T.layer_norm(x, gain, bias), z])          # (2, 4, 4)
-        h = T.concat_rows([h, T.gather_rows(h, [3, 0, 3])])          # (2, 7, 4)
-        return _weighted_sum_loss(T.linear(T.concat_cols([h, h]), w, b), 32)
+        h = T.concat([T.layer_norm(x, gain, bias), z], -2)          # (2, 4, 4)
+        h = T.concat([h, T.gather_rows(h, [3, 0, 3])], -2)          # (2, 7, 4)
+        return _weighted_sum_loss(T.linear(T.concat([h, h], -1), w, b), 32)
 
     fd_check(loss, [("x", x), ("z", z), ("w", w), ("b", b), ("gain", gain),
                     ("bias", bias)])
@@ -252,7 +252,7 @@ def test_tape_keeps_only_what_backward_reads():
     with T.tape():
         rows = T.gather_rows(table, [0, 2, 4])
         lookup = weakref.ref(rows.data)
-        feats = T.concat_cols([rows, Tensor(rng.normal(size=(3, 3)))])
+        feats = T.concat([rows, Tensor(rng.normal(size=(3, 3)))], -1)
         del rows
         assert lookup() is None
         h = T.linear(feats, w, np.zeros(2))
@@ -320,11 +320,11 @@ def test_one_tensor_twice_in_a_concat_gets_both_parts():
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     g = rng.normal(size=(2, 6))
     with T.tape():
-        T.concat_cols([x, x]).backward(g)
+        T.concat([x, x], -1).backward(g)
     np.testing.assert_array_equal(x.grad, g[:, :3] + g[:, 3:])
     x.zero_grad()
     with T.tape():
-        T.reshape(T.concat_rows([x, x]), (2, 2, 3)).backward(g.reshape(2, 2, 3))
+        T.reshape(T.concat([x, x], -2), (2, 2, 3)).backward(g.reshape(2, 2, 3))
     np.testing.assert_array_equal(x.grad, g.reshape(4, 3)[:2] + g.reshape(4, 3)[2:])
 
 
@@ -893,7 +893,7 @@ def test_structural_ops_fd():
 
     def loss():
         rows = T.gather_rows(table, np.array([0, 2, 2, 4]))   # duplicate index
-        joined = T.concat_cols([T.concat_rows([x, T.mul(x, x)]), rows])
+        joined = T.concat([T.concat([x, T.mul(x, x)], -2), rows], -1)
         pooled = T.mean_rows(joined)
         return T.bce(T.sigmoid(readout(pooled, np.ones((7, 1)) * 0.3)), 1.0)
 
@@ -926,9 +926,10 @@ def test_gather_repeated_rows_backward_equals_2d_scatter_bitwise():
     """Ids that repeat, one of them more than eight times as the 4-row action
     table's ids do over a tape, scatter through one flat ``np.add.at`` with
     the bits of the 2-D ``np.add.at``. The incoming gradient is the
-    non-contiguous view that ``concat_cols``' backward hands a lookup. It
-    lands in a fresh gradient, in a held one, and in a held one that is not
-    C-contiguous, each time in the held array itself, never in a copy."""
+    non-contiguous view that a last-axis ``concat``'s backward hands a
+    lookup. It lands in a fresh gradient, in a held one, and in a held one
+    that is not C-contiguous, each time in the held array itself, never in a
+    copy."""
     rng = np.random.default_rng(29)
     idx = rng.permutation(np.concatenate([np.full(11, 2), rng.integers(0, 4, size=30)]))
     other = rng.normal(size=(len(idx), 3))
@@ -938,7 +939,7 @@ def test_gather_repeated_rows_backward_equals_2d_scatter_bitwise():
     for start in (None, held.copy(), np.asfortranarray(held)):
         x.grad = start
         with T.tape():
-            T.concat_cols([T.gather_rows(x, idx), other]).backward(g)
+            T.concat([T.gather_rows(x, idx), other], -1).backward(g)
         want = np.zeros((4, 5)) if start is None else held.copy()
         np.add.at(want, idx, g[:, :5])
         assert np.ascontiguousarray(x.grad).tobytes() == want.tobytes()
@@ -952,8 +953,8 @@ def test_gather_distinct_rows_fd():
     table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
 
     def loss():
-        picked = T.concat_rows([T.gather_rows(stack, [0, 2, 4]),
-                                T.reshape(T.gather_rows(table, [1, 2, 3, 5]), (2, 2, 3))])
+        picked = T.concat([T.gather_rows(stack, [0, 2, 4]),
+                           T.reshape(T.gather_rows(table, [1, 2, 3, 5]), (2, 2, 3))], -2)
         return _weighted_sum_loss(picked, 28)
 
     fd_check(loss, [("stack", stack), ("table", table)])
@@ -1028,7 +1029,7 @@ def test_bce_column_is_the_mean_of_its_rows():
 
 
 def test_counter_monotone_and_finite_outputs():
-    T.counter.reset()
+    T.counter.mul_adds = 0
     before = T.counter.mul_adds
     rng = np.random.default_rng(12)
     q, kv = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
