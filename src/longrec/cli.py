@@ -1,12 +1,16 @@
 """Command-line entry point wiring all modules together.
 
 Subcommands: gen, train, eval, cost, fit, sweep, score. Every run except
-cost and fit writes a ``manifest.json`` into its output directory with the
-resolved configuration, seeds, input digests, timings, and under
-``runtime`` the NumPy version, BLAS build and BLAS thread settings — enough
-to reproduce the run bit-identically at that BLAS build and thread count
-(trained bits can differ between thread counts). All JSON it writes is
-strict: a non-finite float is null.
+cost and fit writes a ``manifest.json`` into its output directory, and
+``main`` alone writes it: every parsed argument (``args``, seeds and
+defaults included), the sha256 of each input file (``inputs_sha256``, over
+``--config``, ``--data``, ``--checkpoint`` and ``--requests``), the resolved
+configuration, the outputs (``gen``'s include ``dataset_sha256``), timings,
+and under ``runtime`` the NumPy version, BLAS build and BLAS thread settings
+— enough to reproduce the run bit-identically at that BLAS build and thread
+count (trained bits can differ between thread counts): rerunning the
+command with each ``args`` value as its ``--flag`` gives the same files.
+All JSON it writes is strict: a non-finite float is null.
 
 Exit codes are a stable contract for CI: 0 success, 2 config/schema error
 or an unwritable output path, 3 numerical abort (non-finite values), 4
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -35,7 +40,7 @@ from .config import GeneratorConfig, ModelConfig, check_fields
 from .errors import (ConfigError, EmbeddingLookupError, NumericalError,
                      StaleCacheError, UndefinedMetricError)
 from .inputs import (Candidate, checked_int64s, generate_dataset, load_dataset,
-                     read_lines, save_dataset)
+                     read_jsonl, read_lines, save_dataset)
 from .model import (LongRecModel, OptConfig, SumPoolingModel, eval_metrics,
                     temporal_split, train)
 from .serving import ScoreRequest, score_request
@@ -93,71 +98,78 @@ def _write_json(path: str, payload) -> None:
         fh.write(_json_text(payload) + "\n")
 
 
-def _write_manifest(out_dir: str, command: str, args: dict, resolved: dict,
-                    outputs: dict, started: float) -> None:
-    _write_json(os.path.join(out_dir, "manifest.json"), {
-        "command": command,
-        "args": args,
+def _write_csv(path: str, header, rows) -> str:
+    """Write ``header`` and ``rows`` to ``path`` as CSV (``csv.writer``: a
+    float as its repr, a field holding a comma, quote or line break quoted)
+    and return the text."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(buf.getvalue())
+    return buf.getvalue()
+
+
+def _write_manifest(args, resolved: dict, outputs: dict, started: float) -> None:
+    """Write the run record the module docstring describes to ``args.out``."""
+    wall_seconds = time.time() - started
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "fn")}
+    _write_json(os.path.join(args.out, "manifest.json"), {
+        "command": args.command,
+        "args": flags,
+        "inputs_sha256": {key: _sha256_file(flags[key]) for key in
+                          ("config", "data", "checkpoint", "requests")
+                          if flags.get(key) is not None},
         "resolved_config": resolved,
         "outputs": outputs,
         "artifact_version": __version__,
         "runtime": _runtime(),
         "started_unix": started,
-        "wall_seconds": time.time() - started,
+        "wall_seconds": wall_seconds,
     })
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in file ``path``; ConfigError for an unreadable file,
+    malformed JSON or any other top-level value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, too deep, a huge int
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return payload
 
 
 def _model_config(args) -> ModelConfig:
-    payload = _load_json(args.config) if args.config else {}
-    cfg = ModelConfig.from_dict(payload)
-    updates = {}
-    if getattr(args, "seq_len", None) is not None:
-        updates["L"] = args.seq_len
-    if getattr(args, "k", None) is not None:
-        updates["k"] = args.k
-    if getattr(args, "query_strategy", None) is not None:
-        updates["query_strategy"] = args.query_strategy
-    if getattr(args, "lr", None) is not None:
-        updates["lr"] = args.lr
-    if updates:
-        merged = cfg.to_dict()
-        merged.update(updates)
-        cfg = ModelConfig.from_dict(merged)
-    return cfg
+    """``train``'s config: the ``--config`` file (defaults without one), then
+    the fields its override flags set; each stage is validated."""
+    cfg = ModelConfig.from_dict(_load_json(args.config) if args.config else {})
+    updates = {field: value for field, value in
+               (("L", args.seq_len), ("k", args.k),
+                ("query_strategy", args.query_strategy), ("lr", args.lr))
+               if value is not None}
+    return ModelConfig.from_dict({**cfg.to_dict(), **updates})
 
 
 # ----------------------------- subcommands -----------------------------
 
 
-def cmd_gen(args) -> int:
-    started = time.time()
+def cmd_gen(args) -> tuple:
     gen_cfg = GeneratorConfig.from_dict(_load_json(args.config))
     os.makedirs(args.out, exist_ok=True)
     dataset = generate_dataset(gen_cfg, seed_for(args.seed, "gen"))
     data_path = os.path.join(args.out, "dataset.jsonl" + (".gz" if args.gzip else ""))
     save_dataset(dataset, data_path)
-    _write_manifest(args.out, "gen",
-                    {"config": args.config, "seed": args.seed, "gzip": args.gzip},
-                    gen_cfg.to_dict(),
-                    {"dataset": data_path, "samples": len(dataset),
-                     "dataset_sha256": _sha256_file(data_path)},
-                    started)
     print(f"wrote {len(dataset)} samples to {data_path}")
-    return EXIT_OK
+    return gen_cfg.to_dict(), {"dataset": data_path, "samples": len(dataset),
+                               "dataset_sha256": _sha256_file(data_path)}
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args) -> tuple:
     cfg = _model_config(args)
     dataset = load_dataset(args.data)
     os.makedirs(args.out, exist_ok=True)
@@ -166,25 +178,17 @@ def cmd_train(args) -> int:
                     eval_fraction=args.eval_fraction)
     report = train(model, dataset, args.epochs, opt)
     report_path = os.path.join(args.out, "train_report.csv")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
+    print(_write_csv(report_path, ("epoch", "loss", "auc", "logloss"),
+                     [(e.epoch, e.loss, e.auc, e.logloss) for e in report.epochs]),
+          end="")
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
     model.save(ckpt_path)
-    _write_manifest(args.out, "train",
-                    {"config": args.config, "data": args.data, "seed": args.seed,
-                     "epochs": args.epochs,
-                     "data_sha256": _sha256_file(args.data)},
-                    cfg.to_dict(),
-                    {"report": report_path, "checkpoint": ckpt_path,
-                     "final_auc": report.final.auc,
-                     "final_logloss": report.final.logloss},
-                    started)
-    print(report.to_csv(), end="")
-    return EXIT_OK
+    return cfg.to_dict(), {"report": report_path, "checkpoint": ckpt_path,
+                           "final_auc": report.final.auc,
+                           "final_logloss": report.final.logloss}
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
+def cmd_eval(args) -> tuple:
     model = LongRecModel.load(args.checkpoint)
     if args.config:
         want = ModelConfig.from_dict(_load_json(args.config))
@@ -202,19 +206,10 @@ def cmd_eval(args) -> int:
         train(base, dataset, args.epochs, opt)
         rows.append(("sumpooling",) + _finite_metrics(base, eval_samples))
     out_path = os.path.join(args.out, "eval.csv")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("model,auc,logloss\n")
-        for name, a, ll in rows:
-            fh.write(f"{name},{a!r},{ll!r}\n")
-    _write_manifest(args.out, "eval",
-                    {"checkpoint": args.checkpoint, "data": args.data,
-                     "baseline": args.baseline, "seed": args.seed},
-                    model.cfg.to_dict(),
-                    {"eval": out_path, "rows": [list(r) for r in rows]},
-                    started)
+    _write_csv(out_path, ("model", "auc", "logloss"), rows)
     for name, a, ll in rows:
         print(f"{name}: auc={a:.5f} logloss={ll:.5f}")
-    return EXIT_OK
+    return model.cfg.to_dict(), {"eval": out_path, "rows": [list(r) for r in rows]}
 
 
 def _finite_metrics(model, samples):
@@ -226,7 +221,7 @@ def _finite_metrics(model, samples):
     return a, ll
 
 
-def cmd_cost(args) -> int:
+def cmd_cost(args) -> None:
     payload = analysis.cost_report(args.seq_len, args.width, args.merge,
                                    args.inner_layers)
     if args.json:
@@ -242,10 +237,9 @@ def cmd_cost(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "cost.json"), payload)
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     xs, ys = [], []
     try:
         rows = list(csv.reader(read_lines(args.csv)))
@@ -266,15 +260,13 @@ def cmd_fit(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "fit.json"), payload)
-    return EXIT_OK
 
 
 _SWEEP_AXES = ("seq_len", "depth", "width", "flops")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     """Train one model per grid point, record metrics, fit the scaling curve."""
-    started = time.time()
     sweep = _load_json(args.config)
     axis = sweep.get("axis")
     if axis not in _SWEEP_AXES:
@@ -318,11 +310,8 @@ def cmd_sweep(args) -> int:
               f"auc={rows[-1]['auc']}")
 
     points_path = os.path.join(args.out, "sweep.csv")
-    with open(points_path, "w", encoding="utf-8") as fh:
-        fh.write("point,x,auc,logloss,status\n")
-        for r in rows:
-            fh.write(f"{r['point']},{r['x']!r},{r['auc']!r},{r['logloss']!r},"
-                     f"\"{r['status']}\"\n")
+    header = ("point", "x", "auc", "logloss", "status")
+    _write_csv(points_path, header, [[r[key] for key in header] for r in rows])
 
     ok = [r for r in rows if r["status"] == "ok" and math.isfinite(r["auc"])]
     fit_payload = None
@@ -335,12 +324,8 @@ def cmd_sweep(args) -> int:
     else:
         print(f"only {len(ok)} usable grid points; need 4 to fit, emitting points only")
 
-    _write_manifest(args.out, "sweep",
-                    {"config": args.config, "seed": args.seed},
-                    {"sweep": sweep, "generator": gen_cfg.to_dict()},
-                    {"points": points_path, "rows": rows, "fit": fit_payload},
-                    started)
-    return EXIT_OK
+    return ({"sweep": sweep, "generator": gen_cfg.to_dict()},
+            {"points": points_path, "rows": rows, "fit": fit_payload})
 
 
 def _axis_update(axis: str, value: int, base: dict) -> dict:
@@ -374,8 +359,15 @@ def _axis_x(axis: str, cfg: ModelConfig) -> float:
     return float((cfg.N + 1) * per_layer)
 
 
-def cmd_score(args) -> int:
-    started = time.time()
+def _score_request(rec) -> ScoreRequest:
+    return ScoreRequest(
+        user_id=checked_int64s([rec["user_id"]], "user_id")[0],
+        candidates=[Candidate(*checked_int64s([c["item_id"], c["timestamp"]],
+                                              "candidate item_id/timestamp"))
+                    for c in rec["candidates"]])
+
+
+def cmd_score(args) -> tuple:
     model = LongRecModel.load(args.checkpoint)
     dataset = load_dataset(args.data)
     store = {s.user_features.uid: s for s in dataset.samples}
@@ -383,34 +375,15 @@ def cmd_score(args) -> int:
     out_path = os.path.join(args.out, "responses.jsonl")
     n = 0
     with open(out_path, "w", encoding="utf-8") as fout:
-        for line in read_lines(args.requests):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                request = ScoreRequest(
-                    user_id=checked_int64s([rec["user_id"]], "user_id")[0],
-                    candidates=[
-                        Candidate(*checked_int64s([c["item_id"], c["timestamp"]],
-                                                  "candidate item_id/timestamp"))
-                        for c in rec["candidates"]])
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise ConfigError(f"malformed score request: {exc}") from exc
+        for request in read_jsonl(args.requests, _score_request, "score request"):
             response = score_request(model, store, request)
             if not all(map(math.isfinite, response.probabilities)):
                 raise NumericalError(
                     f"non-finite probability for user {request.user_id}")
-            fout.write(json.dumps(response.to_json_dict(), separators=(",", ":")))
-            fout.write("\n")
+            fout.write(json.dumps(response.to_json_dict(), separators=(",", ":")) + "\n")
             n += 1
-    _write_manifest(args.out, "score",
-                    {"checkpoint": args.checkpoint, "data": args.data,
-                     "requests": args.requests},
-                    model.cfg.to_dict(),
-                    {"responses": out_path, "count": n}, started)
     print(f"scored {n} requests -> {out_path}")
-    return EXIT_OK
+    return model.cfg.to_dict(), {"responses": out_path, "count": n}
 
 
 # ----------------------------- parser / dispatch -----------------------------
@@ -488,7 +461,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        started = time.time()
+        record = args.fn(args)                  # (resolved config, outputs)
+        if record is not None:
+            _write_manifest(args, *record, started)
+        return EXIT_OK
     except (ConfigError, EmbeddingLookupError, UndefinedMetricError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,7 @@ from typing import Optional
 
 from .errors import ConfigError
 
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1    # every config and dataset integer
 QUERY_STRATEGIES = ("recent", "uniform", "learnable", "recent_uniform")
 MERGE_MODES = ("concat", "inner")
 
@@ -151,14 +152,19 @@ class GeneratorConfig:
             raise ConfigError("interests_per_user must be in [1, n_interests)")
         if self.L_max < 1:
             raise ConfigError("L_max must be >= 1")
+        if self.L_min < 0:
+            raise ConfigError("L_min must be >= 0")
         lmin = self.effective_L_min
         if lmin > self.L_max:
             raise ConfigError("L_min exceeds L_max")
         if not (0.0 <= self.noise_rate <= 1.0 and 0.0 <= self.drift_rate <= 1.0):
             raise ConfigError("rates must lie in [0, 1]")
-        for name in ("p_hit", "p_miss"):
+        for name in ("p_hit", "p_miss", "candidate_from_history_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
+        for name in ("n_actions", "n_profiles"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.plant_gap is not None:
             if self.plant_gap < 0 or self.plant_gap + 1 > self.L_max:
                 raise ConfigError("plant_gap leaves no deep region before L_max")
@@ -175,6 +181,10 @@ class GeneratorConfig:
                     "planted mode needs two interests outside the base set")
         if self.gap_min < 1 or self.gap_max < self.gap_min:
             raise ConfigError("need 1 <= gap_min <= gap_max")
+        # a user starts up to 10^7 s after base_time (see generate_dataset)
+        if self.base_time + 10 ** 7 + (self.L_max + 1) * self.gap_max > INT64_MAX:
+            raise ConfigError("base_time + 10^7 + (L_max + 1) * gap_max must "
+                              "lie within int64, or timestamps can overflow")
         return self
 
     @property
@@ -190,7 +200,8 @@ class GeneratorConfig:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An integer (not a bool) within int64, as every id the dataset holds."""
+    return type(value) is int and INT64_MIN <= value <= INT64_MAX
 
 
 # Accepted JSON values per declared field type (annotations are strings here).
@@ -205,8 +216,9 @@ _TYPE_CHECKS = {
 
 def check_fields(cls, payload: dict) -> None:
     """ConfigError unless ``payload`` is a JSON object whose every key is a
-    field of the config class ``cls`` holding a value of that field's type;
-    values and required fields are not checked."""
+    field of the config class ``cls`` holding a value of that field's type,
+    an integer only within int64; values and required fields are not
+    checked otherwise."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{cls.__name__} payload must be a JSON object")
     types = {f.name: f.type for f in fields(cls)}

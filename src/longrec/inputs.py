@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensors as T
-from .config import GeneratorConfig, ModelConfig
+from .config import INT64_MAX, INT64_MIN, GeneratorConfig, ModelConfig
 from .errors import ConfigError, EmbeddingLookupError
 from .tensors import Tensor
 
@@ -46,7 +46,6 @@ from .tensors import Tensor
 
 
 _EVENT_FIELDS = ("item_id", "action_type", "timestamp")
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 def _frozen_int64(values) -> np.ndarray:
@@ -104,7 +103,7 @@ def checked_int64s(values: list, name: str) -> list:
     """``values`` as given when each is an integer within int64 (not a bool,
     float or string); ConfigError naming ``name`` otherwise."""
     if not all(type(v) is int for v in values) or (
-            values and not _INT64_MIN <= min(values) <= max(values) <= _INT64_MAX):
+            values and not INT64_MIN <= min(values) <= max(values) <= INT64_MAX):
         raise ConfigError(f"{name} must be integers within int64")
     return values
 
@@ -358,18 +357,24 @@ def read_lines(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def load_dataset(path: str) -> Dataset:
-    samples = []
-    for line in read_lines(path):
+def read_jsonl(path: str, parse, what: str):
+    """Yield ``parse(record)`` for the JSON record on each non-blank line of
+    ``path`` (read by ``read_lines``), one line at a time. A line that is not
+    JSON, or whose record ``parse`` refuses with a KeyError, TypeError or
+    ValueError, raises ConfigError naming ``what`` and the line number."""
+    for number, line in enumerate(read_lines(path), 1):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            samples.append(Sample.from_json_dict(rec).validate())
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"malformed dataset record: {exc}") from exc
-    return Dataset(samples)
+        if line:
+            try:
+                yield parse(json.loads(line))
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                raise ConfigError(
+                    f"malformed {what} on line {number}: {exc}") from exc
+
+
+def load_dataset(path: str) -> Dataset:
+    return Dataset(list(read_jsonl(
+        path, lambda rec: Sample.from_json_dict(rec).validate(), "dataset record")))
 
 
 # ----------------------------- embedding tables & input params -----------------------------
@@ -482,13 +487,24 @@ def _lookup(name: str, table: Tensor, ids) -> Tensor:
 # ----------------------------- encoding -----------------------------
 
 
-def _event_features(tables: EmbeddingTables, cfg: ModelConfig, items, actions, deltas):
-    buckets = time_buckets(deltas, cfg.n_time_buckets)
-    feats = T.concat([
-        _lookup("item", tables.item_table, items),
-        _lookup("action", tables.action_table, actions),
-        T.gather_rows(tables.time_bucket_table, buckets),
+def event_feature_rows(item_table: Tensor, action_table: Tensor,
+                       time_table: Tensor, items, actions, buckets) -> Tensor:
+    """The [item | action | time-bucket] embedding row of each event: one
+    row per id in ``items``. ``actions`` None gives a zero action slot, as a
+    candidate has no action. An item or action id outside its table raises
+    EmbeddingLookupError; the buckets are in range by construction."""
+    return T.concat([
+        _lookup("item", item_table, items),
+        T.zeros((len(items), action_table.shape[1])) if actions is None
+        else _lookup("action", action_table, actions),
+        T.gather_rows(time_table, buckets),
     ], -1)
+
+
+def _event_features(tables: EmbeddingTables, cfg: ModelConfig, items, actions, deltas):
+    feats = event_feature_rows(tables.item_table, tables.action_table,
+                               tables.time_bucket_table, items, actions,
+                               time_buckets(deltas, cfg.n_time_buckets))
     return T.linear(feats, tables.mlp.tok_proj_w, tables.mlp.tok_proj_b)
 
 
@@ -539,12 +555,10 @@ def target_global_token(candidates, tables: EmbeddingTables,
     """The (C, D) global rows of a list of candidates, in list order: event
     featurizer with a zero action slot and zero time delta, lifted to width
     D, through the global MLP."""
-    n = len(candidates)
-    feat = T.concat([
-        _lookup("item", tables.item_table, [c.item_id for c in candidates]),
-        T.zeros((n, cfg.d_act)),
-        T.gather_rows(tables.time_bucket_table, np.zeros(n, dtype=np.int64)),
-    ], -1)
+    feat = event_feature_rows(
+        tables.item_table, tables.action_table, tables.time_bucket_table,
+        [c.item_id for c in candidates], None,
+        np.zeros(len(candidates), dtype=np.int64))
     row_d = T.linear(feat, tables.mlp.tok_proj_w, tables.mlp.tok_proj_b)
     row = T.linear(row_d, tables.mlp.lift_w, tables.mlp.lift_b)
     return _global_mlp(tables, row)

@@ -50,9 +50,10 @@ from . import tensors as T
 from .attention import BlockParams, attention_block, build_mask
 from .config import ModelConfig
 from .errors import ConfigError, NumericalError, UndefinedMetricError
-from .inputs import (EmbeddingTables, Sample, _lookup, checked_int64s,
-                     encode_events, nontarget_global_tokens, target_global_token,
-                     time_buckets, time_deltas, user_side_features)
+from .inputs import (EmbeddingTables, Sample, checked_int64s, encode_events,
+                     event_feature_rows, nontarget_global_tokens,
+                     target_global_token, time_buckets, time_deltas,
+                     user_side_features)
 from .merge import merge_concat, merge_inner_trans
 from .tensors import Tensor
 from . import analysis
@@ -580,12 +581,6 @@ class EpochStats:
 class TrainingReport:
     epochs: list
 
-    def to_csv(self) -> str:
-        lines = ["epoch,loss,auc,logloss"]
-        for e in self.epochs:
-            lines.append(f"{e.epoch},{e.loss!r},{e.auc!r},{e.logloss!r}")
-        return "\n".join(lines) + "\n"
-
     @property
     def final(self) -> EpochStats:
         return self.epochs[-1]
@@ -712,12 +707,13 @@ def train(model, dataset, epochs: int, opt: Optional[OptConfig] = None) -> Train
 class SumPoolingModel:
     """Order-invariant reference: mean of event features, candidate-aware head.
 
-    Events are embedded exactly like the main model's featurizer input
-    (item, action, time-bucket concat) but never see positions, so any
-    permutation of the event list scores identically. An item or action id
-    outside its table raises EmbeddingLookupError, as in the main model. Its
-    head is a width-32 GELU MLP whose parameters, ``head_w1`` .. ``head_b2``,
-    are attributes of the model, as in the main model.
+    Events are embedded exactly like the main model's featurizer input, by
+    the same ``inputs.event_feature_rows`` (item, action, time-bucket
+    concat; a zero action slot for the candidate), but never see positions,
+    so any permutation of the event list scores identically. An item or
+    action id outside its table raises EmbeddingLookupError, as in the main
+    model. Its head is a width-32 GELU MLP whose parameters, ``head_w1`` ..
+    ``head_b2``, are attributes of the model, as in the main model.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0) -> None:
@@ -744,33 +740,24 @@ class SumPoolingModel:
                 ("head.w1", self.head_w1), ("head.b1", self.head_b1),
                 ("head.w2", self.head_w2), ("head.b2", self.head_b2)]
 
-    def _features(self, items, actions, deltas):
-        return T.concat([
-            _lookup("item", self.item_table, items),
-            _lookup("action", self.action_table, actions),
-            T.gather_rows(self.time_table,
-                          time_buckets(deltas, self.cfg.n_time_buckets)),
-        ], -1)
-
     def _pooled(self, sample: Sample) -> Tensor:
         """The (1, F) mean feature row of the sample's visible events."""
         events = sample.events[-self.cfg.L:]
         if not len(events):
             return T.zeros((1, self.cfg.feat_width))
-        return T.mean_rows(self._features(
-            events.item_id, events.action_type,
-            time_deltas(sample.candidate.timestamp, events.timestamp)))
+        deltas = time_deltas(sample.candidate.timestamp, events.timestamp)
+        return T.mean_rows(event_feature_rows(
+            self.item_table, self.action_table, self.time_table, events.item_id,
+            events.action_type, time_buckets(deltas, self.cfg.n_time_buckets)))
 
     def forward_tensor(self, samples) -> Tensor:
         """The (B, 1) probabilities of a list of B samples; each sample's
         events are pooled on their own."""
-        B = len(samples)
         pooled = T.concat([self._pooled(s) for s in samples], -2)
-        target = T.concat([
-            _lookup("item", self.item_table, [s.candidate.item_id for s in samples]),
-            T.zeros((B, self.cfg.d_act)),
-            T.gather_rows(self.time_table, np.zeros(B, dtype=np.int64)),
-        ], -1)
+        target = event_feature_rows(
+            self.item_table, self.action_table, self.time_table,
+            [s.candidate.item_id for s in samples], None,
+            np.zeros(len(samples), dtype=np.int64))
         head_in = T.concat([pooled, target], -1)
         return T.sigmoid(T.mlp(head_in, self.head_w1, self.head_b1,
                                self.head_w2, self.head_b2))

@@ -1,11 +1,15 @@
 """End-to-end CLI runs: exit codes, manifests, byte-level reproducibility."""
 
 import argparse
+import csv
 import gzip
+import hashlib
 import json
 import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +218,86 @@ def test_train_manifest_records_runtime(tmp_path, monkeypatch, model_cfg_path,
     assert runtime["threads"] == {
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+
+
+def replay_argv(manifest: dict, out) -> list:
+    """The command line that ``manifest``'s ``args`` alone describe, each
+    value as ``--flag value`` (a true switch as ``--flag``, an unset option
+    left out), writing to ``out``."""
+    argv = [manifest["command"]]
+    for key, value in {**manifest["args"], "out": str(out)}.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value not in (None, False):
+            argv += [flag, str(value)]
+    return argv
+
+
+def test_manifest_args_replay_the_run(tmp_path, model_cfg_path, dataset_path):
+    """``train`` with non-default options and ``eval`` training the baseline,
+    replayed in a fresh interpreter from their manifests' ``args`` alone,
+    write the same checkpoint and the same evaluation bytes."""
+    train_out, eval_out = tmp_path / "t", tmp_path / "e"
+    assert main(["train", "--config", model_cfg_path, "--data", dataset_path,
+                 "--out", str(train_out), "--epochs", "1", "--seed", "5",
+                 "--eval-fraction", "0.3", "--lr", "0.02", "--k", "3"]) == 0
+    assert main(["eval", "--checkpoint", str(train_out / "checkpoint.bin"),
+                 "--data", dataset_path, "--out", str(eval_out),
+                 "--baseline", "sumpooling", "--epochs", "1",
+                 "--eval-fraction", "0.3"]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for out, name in ((train_out, "checkpoint.bin"), (eval_out, "eval.csv")):
+        manifest = json.loads((out / "manifest.json").read_text())
+        again = tmp_path / ("again_" + out.name)
+        subprocess.run([sys.executable, "-m", "longrec.cli"]
+                       + replay_argv(manifest, again),
+                       env=env, check=True, capture_output=True)
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_manifest_records_every_argument_and_input_digest(
+        tmp_path, gen_cfg_path, model_cfg_path, dataset_path):
+    """For each command that keeps a record, ``args`` holds every parsed
+    argument and ``inputs_sha256`` the sha256 of each input file named."""
+    ckpt = str(tmp_path / "train" / "checkpoint.bin")
+    requests = tmp_path / "requests.jsonl"
+    first = json.loads(Path(dataset_path).read_text().splitlines()[0])
+    requests.write_text(json.dumps(
+        {"user_id": first["user_features"]["uid"], "candidates": [
+            {"item_id": 1, "timestamp": first["candidate"]["timestamp"]}]}) + "\n")
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"axis": "depth", "grid": [1], "epochs": 1,
+                                 "generator": GEN_CFG, "model": MODEL_CFG}))
+    runs = [
+        (["gen", "--config", gen_cfg_path, "--gzip"], {"config": gen_cfg_path}),
+        (["train", "--config", model_cfg_path, "--data", dataset_path,
+          "--epochs", "1"], {"config": model_cfg_path, "data": dataset_path}),
+        (["eval", "--checkpoint", ckpt, "--data", dataset_path, "--config",
+          model_cfg_path], {"checkpoint": ckpt, "data": dataset_path,
+                            "config": model_cfg_path}),
+        (["sweep", "--config", str(sweep)], {"config": str(sweep)}),
+        (["score", "--checkpoint", ckpt, "--data", dataset_path, "--requests",
+          str(requests)], {"checkpoint": ckpt, "data": dataset_path,
+                           "requests": str(requests)})]
+    for argv, inputs in runs:
+        out = tmp_path / argv[0]
+        argv = argv + ["--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert manifest["command"] == parsed.pop("command") == argv[0]
+        parsed.pop("fn")
+        assert manifest["args"] == parsed
+        assert manifest["inputs_sha256"] == {
+            key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for key, path in inputs.items()}
+        if argv[0] == "gen":
+            data = out / "dataset.jsonl.gz"
+            assert manifest["outputs"]["dataset_sha256"] == \
+                hashlib.sha256(data.read_bytes()).hexdigest()
 
 
 def test_gen_zero_users(tmp_path):
@@ -527,10 +611,23 @@ def test_model_config_refusals_exit_2(tmp_path, capsys, dataset_path, field,
     ({"noise_rate": 1.5}, "rates must lie in [0, 1]"),
     ({"drift_rate": -0.1}, "rates must lie in [0, 1]"),
     ({"gap_min": 0}, "need 1 <= gap_min <= gap_max"),
-    ({"gap_min": 50, "gap_max": 40}, "need 1 <= gap_min <= gap_max")],
+    ({"gap_min": 50, "gap_max": 40}, "need 1 <= gap_min <= gap_max"),
+    ({"n_actions": 0}, "n_actions must be >= 1"),
+    ({"n_profiles": 0}, "n_profiles must be >= 1"),
+    ({"vocab": 10 ** 20}, "'vocab' of GeneratorConfig must be int"),
+    ({"L_max": 10 ** 20}, "'L_max' of GeneratorConfig must be int"),
+    ({"gap_max": 10 ** 20}, "'gap_max' of GeneratorConfig must be int"),
+    ({"plant_gap": 2, "plant_max": 10 ** 20}, "'plant_max' of GeneratorConfig"),
+    ({"base_time": 2 ** 63 - 10 ** 6}, "must lie within int64"),
+    ({"gap_max": 2 ** 62}, "must lie within int64"),
+    ({"candidate_from_history_rate": 2.5},
+     "candidate_from_history_rate must lie in [0, 1]"),
+    ({"L_min": -5}, "L_min must be >= 0")],
     ids=["n_users", "L_max", "L_min", "plant_gap", "plant_min", "plant_side",
          "recent_gap", "candidates", "interests", "interests_all", "noise_rate",
-         "drift_rate", "gap_min", "gap_max"])
+         "drift_rate", "gap_min", "gap_max", "n_actions", "n_profiles",
+         "vocab_int64", "L_max_int64", "gap_max_int64", "plant_max_int64",
+         "base_time", "gap_max_time", "candidate_rate", "L_min_negative"])
 def test_generator_config_refusals_exit_2(tmp_path, capsys, fields, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**GEN_CFG, **fields}))    # L_max 12, 4 interests
@@ -762,6 +859,36 @@ def test_sweep_config_refusals_exit_2(tmp_path, capsys, fields, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "seq_len", 3],
+                         ids=["list", "string", "number"])
+def test_sweep_non_object_config_exit_2(tmp_path, capsys, payload):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must hold a JSON object" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_status_with_a_quote_reads_back(tmp_path):
+    """A failed point's status is one CSV field even when it holds a double
+    quote and a comma: ``csv.reader`` gives back the manifest's status."""
+    sweep = {"axis": "depth", "grid": [1, 2], "epochs": 1, "generator": GEN_CFG,
+             "model": {**MODEL_CFG, "query_strategy": "no, it's"}}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert header == ["point", "x", "auc", "logloss", "status"]
+    assert [row[4] for row in rows] == [r["status"] for r in
+                                        manifest["outputs"]["rows"]]
+    assert rows[0][4] == "failed: unknown query_strategy \"no, it's\""
 
 
 @pytest.mark.parametrize("sizes,message", [

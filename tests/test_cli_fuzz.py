@@ -1,8 +1,9 @@
 """Outside inputs under fuzzing through ``cli.main``: damaged checkpoints
 through ``eval`` and ``score``, arbitrary JSON lines as ``score``
-requests, and damaged or generated dataset lines through ``train``,
-``eval`` and ``score``. Every run ends in a contract exit code (0, 2, 3 or 4) with no
-traceback, and a run that succeeds writes only strict JSON.
+requests, damaged or generated dataset lines through ``train``,
+``eval`` and ``score``, and damaged or generated ``--config`` files through
+``gen``, ``train`` and ``sweep``. Every run ends in a contract exit code (0,
+2, 3 or 4) with no traceback, and a run that succeeds writes only strict JSON.
 
 Derandomized with a bounded example count, so the suite stays deterministic
 and gains seconds.
@@ -13,6 +14,7 @@ import io
 import json
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longrec.cli import main
+from longrec.config import GeneratorConfig, ModelConfig
 from test_cli import GEN_CFG, MODEL_CFG, strict_json
 from test_config import JSON_VALUES
 
@@ -218,3 +221,87 @@ def test_fuzzed_dataset_bytes_exit_by_contract(trained, data):
     blob = data.draw(dataset_bytes(lines), label="dataset")
     command = data.draw(st.sampled_from(["train", "eval", "score"]), label="command")
     run_on_dataset(command, blob, trained, request_for(lines[0]))
+
+
+# Config integers: small ones, and the int64 edges and beyond, but no mid-range
+# size that a config could accept and then spend gigabytes or minutes on. A
+# count of users, candidates or epochs at the int64 edge is such a size, so
+# ``config_bytes`` sets 30 in its place.
+CONFIG_INTS = st.integers(-3, 30) | st.sampled_from(
+    [2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 10 ** 20])
+
+
+def nested(inner):
+    """A JSON list or object of ``inner`` values."""
+    return (st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3))
+
+
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | CONFIG_INTS
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    nested, max_leaves=6)
+TYPED_VALUES = {"int": CONFIG_INTS, "Optional[int]": st.none() | CONFIG_INTS,
+                "float": CONFIG_INTS | st.floats(allow_nan=True, allow_infinity=True),
+                "bool": st.booleans(), "str": st.text(max_size=8)}
+COUNTS = ("n_users", "candidates_per_history", "epochs")
+SECTIONS = {"generator": GeneratorConfig, "model": ModelConfig}
+SWEEP_CFG = {"axis": "depth", "grid": [1], "epochs": 1, "generator": GEN_CFG,
+             "model": MODEL_CFG}
+CONFIGS = {"gen": (GEN_CFG, GeneratorConfig), "train": (MODEL_CFG, ModelConfig),
+           "sweep": (SWEEP_CFG, None)}
+
+
+@st.composite
+def config_bytes(draw, base: dict, cls):
+    """``base``, a payload of config class ``cls`` (None: a sweep), as JSON
+    with damage. Half the time the whole file is damaged: truncated, with
+    bytes flipped, or replaced by any JSON value. Otherwise one field is
+    deleted or set: any field of ``cls``, set or not, to a value of its own
+    type (a wrong type is ``test_config``'s fuzzing), or for a sweep a
+    top-level key to any JSON value or a field of its generator or model."""
+    raw = json.dumps(base).encode()
+    if draw(st.booleans(), label="whole file"):
+        kind = draw(st.sampled_from(["truncate", "flip", "value"]), label="kind")
+        if kind == "truncate":
+            return raw[:draw(st.integers(0, len(raw) - 1), label="cut")]
+        if kind == "value":
+            return json.dumps(draw(CONFIG_VALUES)).encode()
+        blob = bytearray(raw)
+        for _ in range(draw(st.integers(1, 4), label="flips")):
+            blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(blob)
+    new = json.loads(raw)
+    owner = new
+    if cls is None and draw(st.booleans(), label="in section"):
+        section = draw(st.sampled_from(sorted(SECTIONS)), label="section")
+        owner, cls = new[section], SECTIONS[section]
+    types = {key: "any" for key in owner} if cls is None else \
+        {f.name: f.type for f in fields(cls)}
+    key = draw(st.sampled_from(sorted(types)), label="field")
+    if key in owner and draw(st.booleans(), label="delete"):
+        del owner[key]
+    else:
+        value = draw(TYPED_VALUES.get(types[key], CONFIG_VALUES), label="value")
+        if key in COUNTS and type(value) is int and 30 < value < 2 ** 63:
+            value = 30
+        owner[key] = value
+    return json.dumps(new).encode()
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_config_files_exit_by_contract(trained, command, data):
+    """``gen``, ``train`` and ``sweep`` refuse a damaged or generated
+    ``--config`` with exit 2 or run it (``train`` may also abort with exit 3,
+    on a learning rate that diverges); never a traceback."""
+    blob = data.draw(config_bytes(*CONFIGS[command]), label="config")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "config.json").write_bytes(blob)
+        argv = [command, "--config", str(work / "config.json")]
+        if command == "train":
+            argv += ["--data", trained["data"], "--epochs", "1"]
+        code = run(argv, work)
+    assert code in ((0, 2, 3) if command == "train" else (0, 2))
